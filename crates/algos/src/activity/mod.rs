@@ -19,14 +19,9 @@ pub mod unweighted;
 pub mod workload;
 
 pub use seq::max_weight_seq;
-pub use type1::{
-    max_weight_type1, max_weight_type1_cancellable, max_weight_type1_pam,
-    max_weight_type1_pam_cancellable,
-};
-pub use type2::{max_weight_type2, max_weight_type2_cancellable};
-pub use unweighted::{
-    max_count_unweighted, max_count_unweighted_cancellable, ranks, ranks_tree_contraction,
-};
+pub use type1::{max_weight_type1, max_weight_type1_pam};
+pub use type2::max_weight_type2;
+pub use unweighted::{max_count_unweighted, ranks, ranks_tree_contraction};
 
 /// One activity: `[start, end)` with a weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,6 +82,7 @@ pub fn max_weight_brute(acts: &[Activity]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_parlay::rng::Rng;
 
     pub(crate) fn random_activities(
@@ -107,22 +103,32 @@ mod tests {
 
     #[test]
     fn all_algorithms_agree_small() {
+        let cfg = RunConfig::new();
         for seed in 0..30 {
             let acts = sort_by_end(random_activities(12, 50, 10, seed));
             let want = max_weight_brute(&acts);
             assert_eq!(max_weight_seq(&acts), want, "seq seed={seed}");
-            assert_eq!(max_weight_type1(&acts).output, want, "type1 seed={seed}");
             assert_eq!(
-                max_weight_type1_pam(&acts).output,
+                max_weight_type1(&acts, &cfg).output,
+                want,
+                "type1 seed={seed}"
+            );
+            assert_eq!(
+                max_weight_type1_pam(&acts, &cfg).output,
                 want,
                 "type1_pam seed={seed}"
             );
-            assert_eq!(max_weight_type2(&acts).output, want, "type2 seed={seed}");
+            assert_eq!(
+                max_weight_type2(&acts, &cfg).output,
+                want,
+                "type2 seed={seed}"
+            );
         }
     }
 
     #[test]
     fn all_algorithms_agree_large() {
+        let cfg = RunConfig::new();
         for (n, range, len) in [
             (5000usize, 10_000u64, 100u64),
             (5000, 500, 400),
@@ -130,37 +136,44 @@ mod tests {
         ] {
             let acts = sort_by_end(random_activities(n, range, len, 99));
             let want = max_weight_seq(&acts);
-            assert_eq!(max_weight_type1(&acts).output, want, "type1 n={n}");
-            assert_eq!(max_weight_type1_pam(&acts).output, want, "type1_pam n={n}");
-            assert_eq!(max_weight_type2(&acts).output, want, "type2 n={n}");
+            assert_eq!(max_weight_type1(&acts, &cfg).output, want, "type1 n={n}");
+            assert_eq!(
+                max_weight_type1_pam(&acts, &cfg).output,
+                want,
+                "type1_pam n={n}"
+            );
+            assert_eq!(max_weight_type2(&acts, &cfg).output, want, "type2 n={n}");
         }
     }
 
     #[test]
     fn rounds_equal_rank() {
+        let cfg = RunConfig::new();
         // The engines should run exactly rank(S) rounds (round-efficiency).
         let acts = sort_by_end(random_activities(2000, 1000, 50, 5));
         let rank = *ranks(&acts).iter().max().unwrap() as usize;
-        let s1 = max_weight_type1(&acts).stats;
-        let s2 = max_weight_type2(&acts).stats;
+        let s1 = max_weight_type1(&acts, &cfg).stats;
+        let s2 = max_weight_type2(&acts, &cfg).stats;
         assert_eq!(s1.rounds, rank);
         assert_eq!(s2.rounds, rank);
     }
 
     #[test]
     fn single_and_empty() {
+        let cfg = RunConfig::new();
         assert_eq!(max_weight_seq(&[]), 0);
-        assert_eq!(max_weight_type1(&[]).output, 0);
-        assert_eq!(max_weight_type2(&[]).output, 0);
+        assert_eq!(max_weight_type1(&[], &cfg).output, 0);
+        assert_eq!(max_weight_type2(&[], &cfg).output, 0);
         let one = vec![Activity::new(0, 5, 7)];
         assert_eq!(max_weight_seq(&one), 7);
-        assert_eq!(max_weight_type1(&one).output, 7);
-        assert_eq!(max_weight_type1_pam(&one).output, 7);
-        assert_eq!(max_weight_type2(&one).output, 7);
+        assert_eq!(max_weight_type1(&one, &cfg).output, 7);
+        assert_eq!(max_weight_type1_pam(&one, &cfg).output, 7);
+        assert_eq!(max_weight_type2(&one, &cfg).output, 7);
     }
 
     #[test]
     fn touching_endpoints_are_compatible() {
+        let cfg = RunConfig::new();
         // e_j <= s_i means back-to-back activities combine.
         let acts = sort_by_end(vec![
             Activity::new(0, 5, 10),
@@ -168,8 +181,8 @@ mod tests {
             Activity::new(10, 15, 30),
         ]);
         assert_eq!(max_weight_seq(&acts), 60);
-        assert_eq!(max_weight_type1(&acts).output, 60);
-        assert_eq!(max_weight_type2(&acts).output, 60);
+        assert_eq!(max_weight_type1(&acts, &cfg).output, 60);
+        assert_eq!(max_weight_type2(&acts, &cfg).output, 60);
     }
 
     #[test]

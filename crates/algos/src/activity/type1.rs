@@ -17,24 +17,16 @@
 //!   flat-vs-tree ablation (DESIGN.md §5.3).
 
 use super::Activity;
-use phase_parallel::{run_type1_cancellable, CancelToken, Report, Type1Problem};
+use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};
 use pp_pam::{AugTree, MaxAug, MinAug};
 use pp_ranges::AtomicFenwickMax;
 use rayon::prelude::*;
 
 /// Flat-array Type 1 algorithm. `acts` sorted by end time.
-/// The report's `stats.rounds == rank(S)`.
-pub fn max_weight_type1(acts: &[Activity]) -> Report<u64> {
-    max_weight_type1_cancellable(acts, None)
-}
-
-/// [`max_weight_type1`] under an optional deadline: the round loop
-/// polls `cancel`; a trip returns the best DP value seen so far under
+/// The report's `stats.rounds == rank(S)`. The round loop polls the
+/// config's deadline; a trip returns the best DP value seen so far under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn max_weight_type1_cancellable(
-    acts: &[Activity],
-    cancel: Option<&CancelToken>,
-) -> Report<u64> {
+pub fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {
@@ -107,7 +99,7 @@ pub fn max_weight_type1_cancellable(
         }
     }
 
-    let (best, stats, outcome) = run_type1_cancellable(
+    run_type1(
         Problem {
             acts,
             by_start,
@@ -118,22 +110,13 @@ pub fn max_weight_type1_cancellable(
             dp: AtomicFenwickMax::new(n),
             best: 0,
         },
-        cancel,
-    );
-    Report::new(best, stats).with_outcome(outcome)
+        cfg,
+    )
 }
 
-/// Literal Algorithm 2 on PA-BSTs. `acts` sorted by end time.
-pub fn max_weight_type1_pam(acts: &[Activity]) -> Report<u64> {
-    max_weight_type1_pam_cancellable(acts, None)
-}
-
-/// [`max_weight_type1_pam`] under an optional deadline (same poll
-/// semantics as [`max_weight_type1_cancellable`]).
-pub fn max_weight_type1_pam_cancellable(
-    acts: &[Activity],
-    cancel: Option<&CancelToken>,
-) -> Report<u64> {
+/// Literal Algorithm 2 on PA-BSTs. `acts` sorted by end time. Same
+/// deadline semantics as [`max_weight_type1`].
+pub fn max_weight_type1_pam(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {
@@ -200,16 +183,15 @@ pub fn max_weight_type1_pam_cancellable(
         }
     }
 
-    let (best, stats, outcome) = run_type1_cancellable(
+    run_type1(
         Problem {
             acts,
             t_time: Some(t_time),
             t_dp,
             best: 0,
         },
-        cancel,
-    );
-    Report::new(best, stats).with_outcome(outcome)
+        cfg,
+    )
 }
 
 #[cfg(test)]
@@ -225,10 +207,10 @@ mod tests {
                 .map(|i| Activity::new(i * 10, i * 10 + 10, 1))
                 .collect(),
         );
-        let report = max_weight_type1(&acts);
+        let report = max_weight_type1(&acts, &RunConfig::new());
         assert_eq!(report.output, 50);
         assert_eq!(report.stats.rounds, 50);
-        let report2 = max_weight_type1_pam(&acts);
+        let report2 = max_weight_type1_pam(&acts, &RunConfig::new());
         assert_eq!(report2.output, 50);
         assert_eq!(report2.stats.rounds, 50);
     }
@@ -236,7 +218,7 @@ mod tests {
     #[test]
     fn all_overlapping_is_one_round() {
         let acts = sort_by_end((0..100).map(|i| Activity::new(0, 100 + i, 1 + i)).collect());
-        let report = max_weight_type1(&acts);
+        let report = max_weight_type1(&acts, &RunConfig::new());
         assert_eq!(report.output, 100); // best single activity
         assert_eq!(report.stats.rounds, 1);
         assert_eq!(report.stats.max_frontier(), 100);

@@ -9,23 +9,15 @@
 
 use super::pivots::latest_start_pivots;
 use super::Activity;
-use phase_parallel::{run_type2_cancellable, CancelToken, Report, Type2Problem, WakeResult};
+use phase_parallel::{run_type2, Report, RunConfig, Type2Problem, WakeResult};
 use pp_ranges::AtomicFenwickMax;
 
 /// Type 2 algorithm. `acts` sorted by end time.
 /// The report's `stats.failed_wakeups == 0` by Lemma 5.1 and
-/// `stats.rounds == rank(S)`.
-pub fn max_weight_type2(acts: &[Activity]) -> Report<u64> {
-    max_weight_type2_cancellable(acts, None)
-}
-
-/// [`max_weight_type2`] under an optional deadline: the wake-up round
-/// loop polls `cancel`; a trip returns the best committed DP value
-/// under `RunOutcome::DeadlineExceeded`.
-pub fn max_weight_type2_cancellable(
-    acts: &[Activity],
-    cancel: Option<&CancelToken>,
-) -> Report<u64> {
+/// `stats.rounds == rank(S)`. The wake-up round loop polls the config's
+/// deadline; a trip returns the best committed DP value under
+/// `RunOutcome::DeadlineExceeded`.
+pub fn max_weight_type2(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {
@@ -85,7 +77,7 @@ pub fn max_weight_type2_cancellable(
         }
     }
 
-    let (best, stats, outcome) = run_type2_cancellable(
+    run_type2(
         Problem {
             acts,
             ends: &ends,
@@ -93,9 +85,8 @@ pub fn max_weight_type2_cancellable(
             dp: AtomicFenwickMax::new(n),
             best: 0,
         },
-        cancel,
-    );
-    Report::new(best, stats).with_outcome(outcome)
+        cfg,
+    )
 }
 
 #[cfg(test)]
@@ -114,7 +105,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let stats = max_weight_type2(&acts).stats;
+        let stats = max_weight_type2(&acts, &RunConfig::new()).stats;
         assert_eq!(stats.failed_wakeups, 0);
         // Every non-rank-1 activity is attempted exactly once.
         assert!(stats.wakeup_attempts <= acts.len());
@@ -135,7 +126,7 @@ mod tests {
             Activity::new(23, 32, 1), // 7: rank 3
         ];
         let acts = sort_by_end(acts);
-        let report = max_weight_type2(&acts);
+        let report = max_weight_type2(&acts, &RunConfig::new());
         assert_eq!(report.output, 3);
         assert_eq!(report.stats.rounds, 3);
         assert_eq!(report.stats.frontier_sizes, vec![3, 2, 2]);

@@ -10,61 +10,49 @@
 
 use super::pivots::latest_start_pivots;
 use super::Activity;
-use phase_parallel::{deadline_tripped, CancelToken, Report, RunOutcome};
+use phase_parallel::{Report, RunConfig, RunOutcome};
 use pp_parlay::list_rank::forest_depths;
 use rayon::prelude::*;
+
+/// The pivot forest over end-ordered activities: each activity's
+/// parent is its pivot, or itself for rank-1 activities.
+fn pivot_forest(acts: &[Activity]) -> Vec<u32> {
+    debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
+    let ends: Vec<u64> = acts.iter().map(|a| a.end).collect();
+    latest_start_pivots(acts, &ends)
+        .into_par_iter()
+        .enumerate()
+        .map(|(i, p)| p.unwrap_or(i as u32))
+        .collect()
+}
 
 /// The rank of every activity (depth in the pivot forest + 1), in end
 /// order. `rank(S) = max` of this vector.
 pub fn ranks(acts: &[Activity]) -> Vec<u32> {
-    debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
-    let n = acts.len();
-    if n == 0 {
+    if acts.is_empty() {
         return Vec::new();
     }
-    let ends: Vec<u64> = acts.iter().map(|a| a.end).collect();
-    // Pivot forest: parent = pivot, or self for rank-1 activities.
-    let parent: Vec<u32> = latest_start_pivots(acts, &ends)
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, p)| p.unwrap_or(i as u32))
-        .collect();
-    forest_depths(&parent)
+    forest_depths(&pivot_forest(acts))
         .into_par_iter()
         .map(|d| d + 1)
         .collect()
 }
 
 /// Maximum number of non-overlapping activities (the unweighted
-/// optimum): equals the maximum rank.
-pub fn max_count_unweighted(acts: &[Activity]) -> u32 {
-    ranks(acts).into_iter().max().unwrap_or(0)
-}
-
-/// [`max_count_unweighted`] under an optional deadline. The algorithm
-/// has no round loop (it is a single pointer-jumping pass), so the
-/// poll sits at the phase boundaries: before the pivot-forest build and
+/// optimum): equals the maximum rank. The algorithm has no round loop
+/// (it is a single pointer-jumping pass), so the config's deadline is
+/// polled at the phase boundaries: before the pivot-forest build and
 /// before the depth computation. A trip yields `0` under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn max_count_unweighted_cancellable(
-    acts: &[Activity],
-    cancel: Option<&CancelToken>,
-) -> Report<u32> {
-    debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
-    if deadline_tripped(cancel) {
+pub fn max_count_unweighted(acts: &[Activity], cfg: &RunConfig) -> Report<u32> {
+    if cfg.is_cancelled() {
         return Report::plain(0).with_outcome(RunOutcome::DeadlineExceeded);
     }
-    let n = acts.len();
-    if n == 0 {
+    if acts.is_empty() {
         return Report::plain(0);
     }
-    let ends: Vec<u64> = acts.iter().map(|a| a.end).collect();
-    let parent: Vec<u32> = latest_start_pivots(acts, &ends)
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, p)| p.unwrap_or(i as u32))
-        .collect();
-    if deadline_tripped(cancel) {
+    let parent = pivot_forest(acts);
+    if cfg.is_cancelled() {
         return Report::plain(0).with_outcome(RunOutcome::DeadlineExceeded);
     }
     let best = forest_depths(&parent)
@@ -80,18 +68,10 @@ pub fn max_count_unweighted_cancellable(
 /// (`pp_parlay::tree_contract`) instead of pointer jumping. The ablation
 /// bench compares the two; results are identical by construction.
 pub fn ranks_tree_contraction(acts: &[Activity]) -> Vec<u32> {
-    debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
-    let n = acts.len();
-    if n == 0 {
+    if acts.is_empty() {
         return Vec::new();
     }
-    let ends: Vec<u64> = acts.iter().map(|a| a.end).collect();
-    let parent: Vec<u32> = latest_start_pivots(acts, &ends)
-        .into_par_iter()
-        .enumerate()
-        .map(|(i, p)| p.unwrap_or(i as u32))
-        .collect();
-    pp_parlay::tree_contract::forest_depths_contract(&parent)
+    pp_parlay::tree_contract::forest_depths_contract(&pivot_forest(acts))
         .into_par_iter()
         .map(|d| d + 1)
         .collect()
@@ -116,7 +96,11 @@ mod tests {
                 .collect();
             let acts = sort_by_end(acts);
             let want = max_weight_seq(&acts);
-            assert_eq!(max_count_unweighted(&acts) as u64, want, "trial {trial}");
+            assert_eq!(
+                max_count_unweighted(&acts, &RunConfig::new()).output as u64,
+                want,
+                "trial {trial}"
+            );
         }
     }
 
@@ -139,7 +123,7 @@ mod tests {
                 cur_end = a.end;
             }
         }
-        assert_eq!(max_count_unweighted(&acts), count);
+        assert_eq!(max_count_unweighted(&acts, &RunConfig::new()).output, count);
     }
 
     #[test]
@@ -155,7 +139,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        assert_eq!(max_count_unweighted(&[]), 0);
+        assert_eq!(max_count_unweighted(&[], &RunConfig::new()).output, 0);
         assert!(ranks(&[]).is_empty());
         assert!(ranks_tree_contraction(&[]).is_empty());
     }

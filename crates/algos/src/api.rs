@@ -171,7 +171,7 @@ impl PhaseAlgorithm for ActivityType1 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type1_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type1(input, cfg)
     }
 }
 
@@ -189,7 +189,7 @@ impl PhaseAlgorithm for ActivityType1Pam {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type1_pam_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type1_pam(input, cfg)
     }
 }
 
@@ -207,7 +207,7 @@ impl PhaseAlgorithm for ActivityType2 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type2_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type2(input, cfg)
     }
 }
 
@@ -235,7 +235,7 @@ impl PhaseAlgorithm for UnweightedActivity {
         count
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u32> {
-        activity::max_count_unweighted_cancellable(input, cfg.cancel.as_ref())
+        activity::max_count_unweighted(input, cfg)
     }
 }
 
@@ -253,7 +253,7 @@ impl PhaseAlgorithm for Knapsack {
         knapsack::max_value_seq(items, *capacity)
     }
     fn solve_par(&self, (items, capacity): &Self::Input, cfg: &RunConfig) -> Report<u64> {
-        knapsack::max_value_par_cancellable(items, *capacity, cfg.cancel.as_ref())
+        knapsack::max_value_par(items, *capacity, cfg)
     }
 }
 
@@ -273,8 +273,7 @@ impl PhaseAlgorithm for Huffman {
         huffman::build_seq(freqs).weighted_path_length(freqs)
     }
     fn solve_par(&self, freqs: &[u64], cfg: &RunConfig) -> Report<u64> {
-        huffman::build_par_cancellable(freqs, cfg.cancel.as_ref())
-            .map(|t| t.weighted_path_length(freqs))
+        huffman::build_par(freqs, cfg).map(|t| t.weighted_path_length(freqs))
     }
 }
 
@@ -345,7 +344,7 @@ impl PhaseAlgorithm for CrauserSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::crauser_out_with(&input.graph, input.source_for(cfg), cfg)
+        sssp::crauser_out(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -371,7 +370,7 @@ impl PhaseAlgorithm for PamSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::sssp_pam_with(&input.graph, input.source_for(cfg), cfg.cancel.as_ref())
+        sssp::sssp_pam(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -397,7 +396,7 @@ impl PhaseAlgorithm for BellmanFordSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::bellman_ford_with(&input.graph, input.source_for(cfg), cfg)
+        sssp::bellman_ford(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -425,9 +424,12 @@ impl PhaseAlgorithm for DijkstraSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        let (dist, outcome) =
-            sssp::dijkstra_cancellable(&input.graph, input.source_for(cfg), cfg.cancel.as_ref());
-        Report::plain(dist).with_outcome(outcome)
+        sssp::dijkstra_core(
+            &input.graph,
+            input.source_for(cfg),
+            &mut Scratch::new(),
+            cfg,
+        )
     }
     fn solve_prepared(
         &self,
@@ -435,8 +437,7 @@ impl PhaseAlgorithm for DijkstraSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        let (dist, outcome) = sssp::dijkstra_prepared(prepared, scratch, cfg);
-        Report::plain(dist).with_outcome(outcome)
+        sssp::dijkstra_prepared(prepared, scratch, cfg)
     }
 }
 
@@ -459,15 +460,7 @@ impl PhaseAlgorithm for GreedyMis {
         mis::mis_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        let mirrors = mis::blocking_mirrors(&input.graph, &input.priority);
-        let (out, outcome) = mis::mis_tas_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &mirrors,
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        mis::mis_tas(&input.graph, &input.priority, cfg)
     }
     fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMis<'i> {
         PreparedMis {
@@ -482,14 +475,7 @@ impl PhaseAlgorithm for GreedyMis {
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
         let inst = prepared.instance;
-        let (out, outcome) = mis::mis_tas_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
-            &prepared.mirrors,
-            scratch,
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        mis::mis_tas_prepared(&inst.graph, &inst.priority, &prepared.mirrors, scratch, cfg)
     }
 }
 
@@ -508,7 +494,7 @@ impl PhaseAlgorithm for RoundsMis {
         mis::mis_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        mis::mis_rounds_cancellable(&input.graph, &input.priority, cfg.cancel.as_ref())
+        mis::mis_rounds(&input.graph, &input.priority, cfg)
     }
 }
 
@@ -531,15 +517,7 @@ impl PhaseAlgorithm for Coloring {
         coloring_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<u32>> {
-        let counts = crate::coloring::blocking_counts(&input.graph, &input.priority);
-        let (out, outcome) = crate::coloring::coloring_par_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &counts,
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        crate::coloring::coloring_par(&input.graph, &input.priority, cfg)
     }
     fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedColoring<'i> {
         PreparedColoring {
@@ -554,14 +532,13 @@ impl PhaseAlgorithm for Coloring {
         cfg: &RunConfig,
     ) -> Report<Vec<u32>> {
         let inst = prepared.instance;
-        let (out, outcome) = crate::coloring::coloring_par_prepared_cancellable(
+        crate::coloring::coloring_par_prepared(
             &inst.graph,
             &inst.priority,
             &prepared.counts,
             scratch,
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+            cfg,
+        )
     }
 }
 
@@ -585,13 +562,7 @@ impl PhaseAlgorithm for Matching {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_par_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &matching::edge_list(&input.graph),
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        )
+        matching::matching_par(&input.graph, &input.priority, cfg)
     }
     fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatching<'i> {
         PreparedMatching {
@@ -606,13 +577,7 @@ impl PhaseAlgorithm for Matching {
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
         let inst = prepared.instance;
-        matching::matching_par_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
-            &prepared.edges,
-            scratch,
-            cfg.cancel.as_ref(),
-        )
+        matching::matching_par_prepared(&inst.graph, &inst.priority, &prepared.edges, scratch, cfg)
     }
 }
 
@@ -636,13 +601,7 @@ impl PhaseAlgorithm for MatchingReservations {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_reservations_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &matching::edge_list(&input.graph),
-            &matching::priority_order(&input.priority),
-            cfg.cancel.as_ref(),
-        )
+        matching::matching_reservations(&input.graph, &input.priority, cfg)
     }
     fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatchingReservations<'i> {
         PreparedMatchingReservations {
@@ -658,12 +617,12 @@ impl PhaseAlgorithm for MatchingReservations {
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
         let inst = prepared.instance;
-        matching::matching_reservations_prepared_cancellable(
+        matching::matching_reservations_prepared(
             &inst.graph,
             &inst.priority,
             &prepared.edges,
             &prepared.order,
-            cfg.cancel.as_ref(),
+            cfg,
         )
     }
 }

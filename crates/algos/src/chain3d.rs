@@ -16,9 +16,7 @@
 //! [`pp_ranges::RangeTree3d`] — one `log` above Algorithm 3 in each
 //! bound, matching the appendix's claim.
 
-use phase_parallel::{
-    run_type2_cancellable, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
-};
+use phase_parallel::{run_type2, PivotMode, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::RangeTree3d;
 use rayon::prelude::*;
@@ -211,7 +209,7 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
         }
     }
 
-    let ((_, best), stats, outcome) = run_type2_cancellable(
+    run_type2(
         Problem {
             tree,
             qa: a_bound,
@@ -222,9 +220,9 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
             seed,
             n,
         },
-        cfg.cancel.as_ref(),
-    );
-    Report::new(best, stats).with_outcome(outcome)
+        cfg,
+    )
+    .map(|(_, best)| best)
 }
 
 #[cfg(test)]

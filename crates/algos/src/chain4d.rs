@@ -13,9 +13,7 @@
 //! test for the 4D tree; [`crate::whac::whac2d_par`] maps moles onto it.
 
 use crate::chain3d::slots;
-use phase_parallel::{
-    run_type2_cancellable, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
-};
+use phase_parallel::{run_type2, PivotMode, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::{RangeTree3d, RangeTree4d};
 use rayon::prelude::*;
@@ -189,7 +187,7 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
         }
     }
 
-    let ((_, best), stats, outcome) = run_type2_cancellable(
+    run_type2(
         Problem {
             tree,
             qa: a_bound,
@@ -201,9 +199,9 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
             seed,
             n,
         },
-        cfg.cancel.as_ref(),
-    );
-    Report::new(best, stats).with_outcome(outcome)
+        cfg,
+    )
+    .map(|(_, best)| best)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! Both implementations produce the *identical* coloring (a function of
 //! the priorities alone).
 
-use phase_parallel::{CancelToken, RunOutcome, Scratch, TasForest};
+use phase_parallel::{Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -61,40 +61,33 @@ pub fn coloring_seq(g: &Graph, priority: &[u32]) -> Vec<u32> {
 
 /// Asynchronous Jones–Plassmann coloring via TAS trees. Same output as
 /// [`coloring_seq`].
-pub fn coloring_par(g: &Graph, priority: &[u32]) -> Vec<u32> {
+pub fn coloring_par(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<u32>> {
     coloring_par_prepared(
         g,
         priority,
         &blocking_counts(g, priority),
         &mut Scratch::new(),
+        cfg,
     )
 }
 
 /// The query half of [`coloring_par`]: run the coloring cascades
 /// against prebuilt [`blocking_counts`], drawing the color array from
 /// `scratch`. Same output as [`coloring_par`] (and [`coloring_seq`]).
+///
+/// Like the MIS cascades, the config's deadline is polled at
+/// *cascade-level* granularity: each cascade checks it between levels
+/// and abandons its remaining frontier on a trip. Uncolored vertices
+/// keep the `u32::MAX` sentinel and the run is tagged
+/// [`RunOutcome::DeadlineExceeded`]; an untripped token leaves the
+/// output byte-identical to a run without one.
 pub fn coloring_par_prepared(
     g: &Graph,
     priority: &[u32],
     counts: &[u32],
     scratch: &mut Scratch,
-) -> Vec<u32> {
-    coloring_par_prepared_cancellable(g, priority, counts, scratch, None).0
-}
-
-/// [`coloring_par_prepared`] under an optional deadline. Like the MIS
-/// cascades, the poll sits at *cascade-level* granularity: each cascade
-/// checks the token between levels and abandons its remaining frontier
-/// on a trip. Uncolored vertices keep the `u32::MAX` sentinel and the
-/// run is tagged [`RunOutcome::DeadlineExceeded`]; an untripped token
-/// leaves the output byte-identical to the plain run.
-pub fn coloring_par_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    counts: &[u32],
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
-) -> (Vec<u32>, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<Vec<u32>> {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
     assert_eq!(counts.len(), n, "counts built for another graph");
@@ -111,7 +104,7 @@ pub fn coloring_par_prepared_cancellable(
         priority: &'a [u32],
         forest: TasForest,
         color: &'a [AtomicU32],
-        cancel: Option<&'a CancelToken>,
+        cfg: &'a RunConfig,
         tripped: AtomicBool,
     }
 
@@ -121,7 +114,7 @@ pub fn coloring_par_prepared_cancellable(
             if self.tripped.load(Ordering::Relaxed) {
                 return true;
             }
-            if phase_parallel::deadline_tripped(self.cancel) {
+            if self.cfg.is_cancelled() {
                 self.tripped.store(true, Ordering::Relaxed);
                 return true;
             }
@@ -191,7 +184,7 @@ pub fn coloring_par_prepared_cancellable(
         priority,
         forest,
         color: &color,
-        cancel,
+        cfg,
         tripped: AtomicBool::new(false),
     };
     (0..n as u32).into_par_iter().for_each(|v| {
@@ -206,7 +199,7 @@ pub fn coloring_par_prepared_cancellable(
     };
     let out = color.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     scratch.put_vec("coloring_color", color);
-    (out, outcome)
+    Report::plain(out).with_outcome(outcome)
 }
 
 /// Check that `color` is a proper coloring of `g`.
@@ -227,7 +220,7 @@ mod tests {
     fn check(g: &Graph, seed: u64) {
         let pri = random_priorities(g.num_vertices(), seed);
         let a = coloring_seq(g, &pri);
-        let b = coloring_par(g, &pri);
+        let b = coloring_par(g, &pri, &RunConfig::new()).output;
         assert!(is_proper_coloring(g, &a), "seq improper");
         assert_eq!(a, b, "par differs from greedy");
     }
@@ -245,7 +238,7 @@ mod tests {
     fn colors_bounded_by_degree_plus_one() {
         let g = gen::uniform(500, 3000, 2);
         let pri = random_priorities(500, 3);
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         let dmax = g.max_degree() as u32;
         assert!(c.iter().all(|&x| x <= dmax));
     }
@@ -255,7 +248,7 @@ mod tests {
         // Greedy on a grid uses few colors (not necessarily 2, but ≤ 4).
         let g = gen::grid2d(20, 20);
         let pri = random_priorities(400, 4);
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         assert!(is_proper_coloring(&g, &c));
         assert!(*c.iter().max().unwrap() <= 4);
     }
@@ -264,6 +257,9 @@ mod tests {
     fn edgeless_all_color_zero() {
         let g = pp_graph::GraphBuilder::new(20).build();
         let pri = random_priorities(20, 5);
-        assert!(coloring_par(&g, &pri).iter().all(|&c| c == 0));
+        assert!(coloring_par(&g, &pri, &RunConfig::new())
+            .output
+            .iter()
+            .all(|&c| c == 0));
     }
 }

@@ -141,7 +141,7 @@ mod tests {
             sorted.sort_unstable();
             assert!(sorted.iter().enumerate().all(|(i, &p)| p == i as u32));
             // Par and seq agree under every heuristic.
-            let c = coloring_par(&g, &pri);
+            let c = coloring_par(&g, &pri, &RunConfig::new()).output;
             assert_eq!(c, coloring_seq(&g, &pri));
             assert!(is_proper_coloring(&g, &c));
         }
@@ -158,7 +158,7 @@ mod tests {
         }
         let g = b.build();
         let pri = order_smallest_degree_last(&g, 5);
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         assert!(is_proper_coloring(&g, &c));
         assert_eq!(num_colors(&c), 2, "SL on a tree = degeneracy + 1");
     }
@@ -169,7 +169,7 @@ mod tests {
         // order, coloring uses ≤ 3 colors.
         let g = gen::cycle(100);
         let pri = order_smallest_degree_last(&g, 6);
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         assert!(is_proper_coloring(&g, &c));
         assert!(num_colors(&c) <= 3);
     }
@@ -180,7 +180,7 @@ mod tests {
         let pri = order_largest_degree_first(&g, 1);
         // The hub has the unique largest degree → the top priority.
         assert_eq!(pri[0], 99);
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         assert_eq!(num_colors(&c), 2);
         assert_eq!(c[0], 0); // hub colored first, gets color 0
     }
@@ -189,8 +189,8 @@ mod tests {
     fn lf_no_worse_than_random_on_skewed_graph() {
         // On power-law graphs LF typically uses no more colors than R.
         let g = gen::rmat(11, 1 << 14, 3);
-        let c_r = coloring_par(&g, &order_random(&g, 4));
-        let c_lf = coloring_par(&g, &order_largest_degree_first(&g, 4));
+        let c_r = coloring_par(&g, &order_random(&g, 4), &RunConfig::new()).output;
+        let c_lf = coloring_par(&g, &order_largest_degree_first(&g, 4), &RunConfig::new()).output;
         assert!(
             num_colors(&c_lf) <= num_colors(&c_r),
             "LF {} vs R {}",

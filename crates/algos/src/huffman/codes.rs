@@ -188,6 +188,7 @@ impl BitVec {
 mod tests {
     use super::super::{build_par, build_seq};
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_parlay::rng::Rng;
 
     #[test]
@@ -196,7 +197,7 @@ mod tests {
         for trial in 0..10 {
             let n = 2 + r.range(300) as usize;
             let freqs: Vec<u64> = (0..n).map(|_| 1 + r.range(1000)).collect();
-            let tree = build_par(&freqs);
+            let tree = build_par(&freqs, &RunConfig::new()).output;
             let code = CanonicalCode::from_tree(&tree);
             let msg: Vec<usize> = (0..2000).map(|_| r.range(n as u64) as usize).collect();
             let bits = code.encode(&msg);
@@ -214,7 +215,7 @@ mod tests {
         let n = 128usize;
         let freqs: Vec<u64> = (0..n).map(|_| 1 + r.range(100)).collect();
         let c_seq = CanonicalCode::from_tree(&build_seq(&freqs));
-        let c_par = CanonicalCode::from_tree(&build_par(&freqs));
+        let c_par = CanonicalCode::from_tree(&build_par(&freqs, &RunConfig::new()).output);
         let cost =
             |c: &CanonicalCode| -> u64 { (0..n).map(|s| c.code(s).0 as u64 * freqs[s]).sum() };
         assert_eq!(cost(&c_seq), cost(&c_par));
@@ -223,7 +224,7 @@ mod tests {
     #[test]
     fn canonical_codes_are_prefix_free() {
         let freqs = vec![45u64, 13, 12, 16, 9, 5];
-        let code = CanonicalCode::from_tree(&build_par(&freqs));
+        let code = CanonicalCode::from_tree(&build_par(&freqs, &RunConfig::new()).output);
         for a in 0..freqs.len() {
             for b in 0..freqs.len() {
                 if a == b {

@@ -18,7 +18,7 @@ mod par;
 mod seq;
 
 pub use codes::{BitVec, CanonicalCode};
-pub use par::{build_par, build_par_cancellable, build_par_with_stats};
+pub use par::build_par;
 pub use seq::{build_seq, build_seq_heap};
 
 /// A Huffman tree over `n` leaves as a parent-pointer array: nodes
@@ -99,6 +99,7 @@ impl HuffmanTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_parlay::rng::Rng;
 
     /// Brute-force optimal WPL via the sequential greedy with a heap
@@ -128,7 +129,7 @@ mod tests {
             let freqs: Vec<u64> = (0..n).map(|_| 1 + r.range(1000)).collect();
             let want = oracle_wpl(&freqs);
             let ts = build_seq(&freqs);
-            let tp = build_par(&freqs);
+            let tp = build_par(&freqs, &RunConfig::new()).output;
             assert_eq!(ts.weighted_path_length(&freqs), want, "seq trial {trial}");
             assert_eq!(tp.weighted_path_length(&freqs), want, "par trial {trial}");
             assert!(ts.kraft_holds());
@@ -143,13 +144,18 @@ mod tests {
         let freqs = vec![45, 13, 12, 16, 9, 5];
         assert_eq!(oracle_wpl(&freqs), 224);
         assert_eq!(build_seq(&freqs).weighted_path_length(&freqs), 224);
-        assert_eq!(build_par(&freqs).weighted_path_length(&freqs), 224);
+        assert_eq!(
+            build_par(&freqs, &RunConfig::new())
+                .output
+                .weighted_path_length(&freqs),
+            224
+        );
     }
 
     #[test]
     fn uniform_frequencies_balanced_tree() {
         let freqs = vec![1u64; 64];
-        let t = build_par(&freqs);
+        let t = build_par(&freqs, &RunConfig::new()).output;
         assert_eq!(t.height(), 6); // perfectly balanced
         assert!(t.code_lengths().iter().all(|&l| l == 6));
     }
@@ -160,7 +166,7 @@ mod tests {
         let freqs: Vec<u64> = std::iter::once(1)
             .chain((0..20).map(|i| 1u64 << i))
             .collect();
-        let t = build_par(&freqs);
+        let t = build_par(&freqs, &RunConfig::new()).output;
         assert_eq!(t.height() as usize, freqs.len() - 1);
         assert_eq!(
             t.weighted_path_length(&freqs),
@@ -172,7 +178,7 @@ mod tests {
     fn rounds_bounded_by_height() {
         let mut r = Rng::new(9);
         let freqs: Vec<u64> = (0..10_000).map(|_| 1 + r.range(1000)).collect();
-        let report = build_par_with_stats(&freqs);
+        let report = build_par(&freqs, &RunConfig::new());
         let (t, stats) = (report.output, report.stats);
         // Round-efficient: O(H) rounds (odd-frontier postponement can
         // cost a few extra rounds beyond H itself, §4.3 remark).
@@ -186,10 +192,10 @@ mod tests {
 
     #[test]
     fn tiny_inputs() {
-        let t = build_par(&[7]);
+        let t = build_par(&[7], &RunConfig::new()).output;
         assert_eq!(t.height(), 0);
         assert_eq!(t.weighted_path_length(&[7]), 0);
-        let t = build_par(&[3, 5]);
+        let t = build_par(&[3, 5], &RunConfig::new()).output;
         assert_eq!(t.height(), 1);
         assert_eq!(t.weighted_path_length(&[3, 5]), 8);
         let t = build_seq(&[3, 5]);

@@ -10,26 +10,19 @@
 //! least leaf, so the round count stays ≤ the tree height `H`).
 
 use super::HuffmanTree;
-use phase_parallel::{run_type1_cancellable, CancelToken, Report, Type1Problem};
+use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};
 use pp_parlay::merge::par_merge_by;
 use rayon::prelude::*;
 
-/// Build a Huffman tree in parallel. Frequencies must be ≥ 1.
-pub fn build_par(freqs: &[u64]) -> HuffmanTree {
-    build_par_with_stats(freqs).output
-}
-
-/// [`build_par`] plus round statistics (`stats.rounds ≤ height`).
-pub fn build_par_with_stats(freqs: &[u64]) -> Report<HuffmanTree> {
-    build_par_cancellable(freqs, None)
-}
-
-/// [`build_par_with_stats`] under an optional deadline: the merge-round
-/// loop polls `cancel`; a trip self-parents every unmerged object (a
-/// well-formed *forest*, acyclic for depth queries) and reports
-/// `RunOutcome::DeadlineExceeded` — the partial result is not a prefix
-/// code and must only be inspected, not decoded.
-pub fn build_par_cancellable(freqs: &[u64], cancel: Option<&CancelToken>) -> Report<HuffmanTree> {
+/// Build a Huffman tree in parallel, with round statistics
+/// (`stats.rounds ≤ height`). Frequencies must be ≥ 1.
+///
+/// The merge-round loop polls the config's deadline; a trip
+/// self-parents every unmerged object (a well-formed *forest*, acyclic
+/// for depth queries) and reports `RunOutcome::DeadlineExceeded` — the
+/// partial result is not a prefix code and must only be inspected, not
+/// decoded.
+pub fn build_par(freqs: &[u64], cfg: &RunConfig) -> Report<HuffmanTree> {
     let n = freqs.len();
     assert!(n >= 1);
     assert!(freqs.iter().all(|&f| f >= 1), "frequencies must be >= 1");
@@ -99,16 +92,17 @@ pub fn build_par_cancellable(freqs: &[u64], cancel: Option<&CancelToken>) -> Rep
         }
     }
 
-    let ((mut parent, next_id), stats, outcome) = run_type1_cancellable(
+    let report = run_type1(
         Problem {
             items,
             pending: Vec::new(),
             parent: vec![0u32; 2 * n - 1],
             next_id: n as u32,
         },
-        cancel,
+        cfg,
     );
-    if outcome.is_complete() {
+    let (mut parent, next_id) = report.output;
+    if report.outcome.is_complete() {
         debug_assert_eq!(next_id as usize, 2 * n - 1);
         let root = next_id - 1;
         parent[root as usize] = root;
@@ -122,7 +116,7 @@ pub fn build_par_cancellable(freqs: &[u64], cancel: Option<&CancelToken>) -> Rep
             }
         }
     }
-    Report::new(HuffmanTree::new(parent, n), stats).with_outcome(outcome)
+    Report::new(HuffmanTree::new(parent, n), report.stats).with_outcome(report.outcome)
 }
 
 #[cfg(test)]
@@ -133,7 +127,7 @@ mod tests {
     fn frontier_pairing_round_trace() {
         // freqs 1,1,1,1: f_m = 2, all four in the frontier, one round of
         // two pairs, then 2,2 → one more round, then 4 alone.
-        let stats = build_par_with_stats(&[1, 1, 1, 1]).stats;
+        let stats = build_par(&[1, 1, 1, 1], &RunConfig::new()).stats;
         assert_eq!(stats.rounds, 2);
         assert_eq!(stats.frontier_sizes, vec![4, 2]);
     }
@@ -142,7 +136,7 @@ mod tests {
     fn odd_frontier_postpones_largest() {
         // freqs 1,1,2: f_m = 2, frontier = {1,1} (2 not < 2) → pair →
         // items {2,2} → round 2.
-        let report = build_par_with_stats(&[1, 1, 2]);
+        let report = build_par(&[1, 1, 2], &RunConfig::new());
         let (t, stats) = (report.output, report.stats);
         assert_eq!(stats.rounds, 2);
         // Depths: leaves 1,1 at depth 2; leaf 2 at depth 1 → WPL = 6.

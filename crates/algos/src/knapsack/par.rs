@@ -7,37 +7,24 @@
 //! parallel.
 
 use super::Item;
-use phase_parallel::{run_type1_cancellable, CancelToken, Report, Type1Problem};
+use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};
 use rayon::prelude::*;
 
 /// Parallel unlimited knapsack. The report's `stats.rounds ==
-/// ⌈W / w*⌉` = the relaxed rank of the instance.
-pub fn max_value_par(items: &[Item], capacity: u64) -> Report<u64> {
-    max_value_par_with_dp(items, capacity).map(|(v, _)| v)
-}
-
-/// [`max_value_par`] under an optional deadline: the window loop polls
-/// `cancel` each round; a trip stops the fill early with a partial DP
-/// table under `RunOutcome::DeadlineExceeded`.
-pub fn max_value_par_cancellable(
-    items: &[Item],
-    capacity: u64,
-    cancel: Option<&CancelToken>,
-) -> Report<u64> {
-    max_value_engine(items, capacity, cancel).map(|(v, _)| v)
+/// ⌈W / w*⌉` = the relaxed rank of the instance. The window loop polls
+/// the config's deadline each round; a trip stops the fill early with a
+/// partial DP table under `RunOutcome::DeadlineExceeded`.
+pub fn max_value_par(items: &[Item], capacity: u64, cfg: &RunConfig) -> Report<u64> {
+    max_value_engine(items, capacity, cfg).map(|(v, _)| v)
 }
 
 /// [`max_value_par`] also returning the full DP table (for
 /// [`super::reconstruct`]): the output is `(max value, dp)`.
 pub fn max_value_par_with_dp(items: &[Item], capacity: u64) -> Report<(u64, Vec<u64>)> {
-    max_value_engine(items, capacity, None)
+    max_value_engine(items, capacity, &RunConfig::new())
 }
 
-fn max_value_engine(
-    items: &[Item],
-    capacity: u64,
-    cancel: Option<&CancelToken>,
-) -> Report<(u64, Vec<u64>)> {
+fn max_value_engine(items: &[Item], capacity: u64, cfg: &RunConfig) -> Report<(u64, Vec<u64>)> {
     if items.is_empty() || capacity == 0 {
         return Report::plain((0, vec![0; capacity as usize + 1]));
     }
@@ -93,7 +80,7 @@ fn max_value_engine(
         }
     }
 
-    let (dp, stats, outcome) = run_type1_cancellable(
+    run_type1(
         Problem {
             items,
             dp: vec![0u64; w + 1],
@@ -103,9 +90,9 @@ fn max_value_engine(
             // the first frontier is [1, w*).
             next: 1,
         },
-        cancel,
-    );
-    Report::new((dp[w], dp), stats).with_outcome(outcome)
+        cfg,
+    )
+    .map(|dp| (dp[w], dp))
 }
 
 #[cfg(test)]
@@ -116,7 +103,7 @@ mod tests {
     fn window_boundaries_exact() {
         // w* = 3, W = 9: windows [1,4), [4,7), [7,10) → 3 rounds.
         let items = vec![Item::new(3, 4), Item::new(5, 7)];
-        let stats = max_value_par(&items, 9).stats;
+        let stats = max_value_par(&items, 9, &RunConfig::new()).stats;
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.frontier_sizes, vec![3, 3, 3]);
     }
@@ -125,7 +112,7 @@ mod tests {
     fn w_star_one_is_sequential_rank() {
         // w* = 1 → every state is its own round: rank = W.
         let items = vec![Item::new(1, 1)];
-        let report = max_value_par(&items, 20);
+        let report = max_value_par(&items, 20, &RunConfig::new());
         assert_eq!(report.output, 20);
         assert_eq!(report.stats.rounds, 20);
     }

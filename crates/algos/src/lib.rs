@@ -60,7 +60,7 @@
 //! use pp_algos::registry::{self, CaseSpec};
 //!
 //! let entry = registry::lookup("lis").expect("registered");
-//! let outcome = entry.run_case(&CaseSpec::new(500, 7), &RunConfig::seeded(7));
+//! let outcome = entry.run_case(&CaseSpec::new(500, 7), &RunConfig::seeded(7)).unwrap();
 //! assert_eq!(outcome.expected_digest, outcome.observed_digest); // sequential-equivalent
 //!
 //! // The same entry on an adversarial workload, fully string-keyed:

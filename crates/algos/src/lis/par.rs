@@ -10,7 +10,7 @@
 //! unfinished pivot (uniformly random, or right-most under the §6.4
 //! heuristic).
 
-use phase_parallel::{run_type2_cancellable, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{run_type2, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::RangeTree2d;
 use rayon::prelude::*;
@@ -147,9 +147,7 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         seed,
         n,
     };
-    let ((dp_all, length), stats, outcome) = run_type2_cancellable(problem, cfg.cancel.as_ref());
-    let dp_real: Vec<u32> = dp_all[1..].to_vec();
-    Report::new((length, dp_real), stats).with_outcome(outcome)
+    run_type2(problem, cfg).map(|(dp_all, length)| (length, dp_all[1..].to_vec()))
 }
 
 #[cfg(test)]

@@ -11,9 +11,7 @@
 //! mutually non-adjacent by construction — then discards edges with a
 //! newly matched endpoint.
 
-use phase_parallel::{
-    deadline_tripped, CancelToken, ExecutionStats, Frontier, Report, RunOutcome, Scratch,
-};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use pp_parlay::shuffle::random_permutation;
 use rayon::prelude::*;
@@ -59,8 +57,8 @@ pub fn matching_seq(g: &Graph, priority: &[u32]) -> Vec<bool> {
 /// dependence depth (`O(log n)` whp for random priorities by
 /// Fischer–Noever), with per-round matched-edge counts in
 /// `frontier_sizes`.
-pub fn matching_par(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
-    matching_par_prepared(g, priority, &edge_list(g), &mut Scratch::new())
+pub fn matching_par(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
+    matching_par_prepared(g, priority, &edge_list(g), &mut Scratch::new(), cfg)
 }
 
 /// The query half of [`matching_par`]: run the rounds against a
@@ -69,25 +67,17 @@ pub fn matching_par(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
 /// edge set runs on the [`Frontier`] engine over edge indices (dense
 /// bitmap while most edges are live, sparse list for the tail). Same
 /// output as [`matching_par`] (and [`matching_seq`]).
+///
+/// The round loop polls the config's deadline at its top; a trip leaves
+/// the remaining live edges unmatched under
+/// `RunOutcome::DeadlineExceeded` (the partial mask is a valid — not
+/// maximal — matching).
 pub fn matching_par_prepared(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
     scratch: &mut Scratch,
-) -> Report<Vec<bool>> {
-    matching_par_prepared_cancellable(g, priority, edges, scratch, None)
-}
-
-/// [`matching_par_prepared`] under an optional deadline: the round loop
-/// polls `cancel` at its top; a trip leaves the remaining live edges
-/// unmatched under `RunOutcome::DeadlineExceeded` (the partial mask is
-/// a valid — not maximal — matching).
-pub fn matching_par_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    edges: &[(u32, u32)],
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<bool>> {
     assert_eq!(priority.len(), edges.len());
     let n = g.num_vertices();
@@ -105,7 +95,7 @@ pub fn matching_par_prepared_cancellable(
     let mut min_pri = scratch.take_vec::<AtomicU32>("matching_min_pri");
     min_pri.resize_with(n, || AtomicU32::new(NONE));
     while !live.is_empty() {
-        if deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -176,9 +166,9 @@ pub fn matching_par_prepared_cancellable(
 /// `O(D·m)` work pattern the SPAA 2022 paper removes; the report's
 /// `"attempts"` counter exposes the re-examination factor
 /// (`attempts / m`).
-pub fn matching_reservations(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
+pub fn matching_reservations(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
     let edges = edge_list(g);
-    matching_reservations_prepared(g, priority, &edges, &priority_order(priority))
+    matching_reservations_prepared(g, priority, &edges, &priority_order(priority), cfg)
 }
 
 /// Edge indices sorted by priority — the iterate order of the
@@ -192,27 +182,17 @@ pub fn priority_order(priority: &[u32]) -> Vec<u32> {
 
 /// The query half of [`matching_reservations`]: speculative-for over a
 /// prebuilt [`edge_list`] and [`priority_order`]. Same output as
-/// [`matching_seq`].
+/// [`matching_seq`]. The speculative-for round loop polls the config's
+/// deadline; a trip abandons the uncommitted iterates under
+/// `RunOutcome::DeadlineExceeded`.
 pub fn matching_reservations_prepared(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
     order: &[u32],
+    cfg: &RunConfig,
 ) -> Report<Vec<bool>> {
-    matching_reservations_prepared_cancellable(g, priority, edges, order, None)
-}
-
-/// [`matching_reservations_prepared`] under an optional deadline: the
-/// speculative-for round loop polls `cancel`; a trip abandons the
-/// uncommitted iterates under `RunOutcome::DeadlineExceeded`.
-pub fn matching_reservations_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    edges: &[(u32, u32)],
-    order: &[u32],
-    cancel: Option<&CancelToken>,
-) -> Report<Vec<bool>> {
-    use phase_parallel::{speculative_for_cancellable, ReservationProblem, ReservationTable};
+    use phase_parallel::{speculative_for, ReservationProblem, ReservationTable};
     use std::sync::atomic::AtomicBool;
 
     assert_eq!(priority.len(), edges.len());
@@ -265,13 +245,13 @@ pub fn matching_reservations_prepared_cancellable(
         in_matching: (0..edges.len()).map(|_| AtomicBool::new(false)).collect(),
     };
     let table = ReservationTable::new(g.num_vertices());
-    let (spec, outcome) = speculative_for_cancellable(&p, &table, 0, cancel);
-    let mask = p
-        .in_matching
-        .into_iter()
-        .map(AtomicBool::into_inner)
-        .collect();
-    Report::new(mask, spec.into()).with_outcome(outcome)
+    let report = speculative_for(&p, &table, 0, cfg);
+    report.map(|()| {
+        p.in_matching
+            .into_iter()
+            .map(AtomicBool::into_inner)
+            .collect()
+    })
 }
 
 /// Check that `mask` is a *maximal* matching of `g`'s [`edge_list`].
@@ -308,10 +288,10 @@ mod tests {
     fn check(g: &Graph, seed: u64) {
         let pri = random_edge_priorities(g, seed);
         let a = matching_seq(g, &pri);
-        let b = matching_par(g, &pri).output;
+        let b = matching_par(g, &pri, &RunConfig::new()).output;
         assert!(is_maximal_matching(g, &a), "seq not maximal");
         assert_eq!(a, b, "par differs from greedy");
-        let c = matching_reservations(g, &pri).output;
+        let c = matching_reservations(g, &pri, &RunConfig::new()).output;
         assert_eq!(a, c, "reservations baseline differs from greedy");
     }
 
@@ -329,7 +309,7 @@ mod tests {
     fn rounds_logarithmic_on_random() {
         let g = gen::uniform(4000, 16_000, 2);
         let pri = random_edge_priorities(&g, 3);
-        let report = matching_par(&g, &pri);
+        let report = matching_par(&g, &pri, &RunConfig::new());
         assert!(is_maximal_matching(&g, &report.output));
         assert!(report.stats.rounds <= 40, "rounds {}", report.stats.rounds);
     }
@@ -338,7 +318,7 @@ mod tests {
     fn star_matches_exactly_one_edge() {
         let g = gen::star(64);
         let pri = random_edge_priorities(&g, 4);
-        let m = matching_par(&g, &pri).output;
+        let m = matching_par(&g, &pri, &RunConfig::new()).output;
         assert_eq!(m.iter().filter(|&&x| x).count(), 1);
     }
 
@@ -346,7 +326,7 @@ mod tests {
     fn reservations_rounds_match_dependence_depth() {
         let g = gen::uniform(4000, 16_000, 2);
         let pri = random_edge_priorities(&g, 3);
-        let report = matching_reservations(&g, &pri);
+        let report = matching_reservations(&g, &pri, &RunConfig::new());
         assert!(is_maximal_matching(&g, &report.output));
         assert!(report.stats.rounds <= 60, "rounds {}", report.stats.rounds);
         // The re-examination factor is the baseline's work overhead the
@@ -369,7 +349,7 @@ mod tests {
         let m_edges = edge_list(&g).len();
         let pri: Vec<u32> = (0..m_edges as u32).collect();
         let a = matching_seq(&g, &pri);
-        let b2 = matching_par(&g, &pri).output;
+        let b2 = matching_par(&g, &pri, &RunConfig::new()).output;
         assert_eq!(a, b2);
         assert_eq!(a.iter().filter(|&&x| x).count(), n / 2);
     }

@@ -11,7 +11,7 @@
 //! order gives the same round bound *and* a sequential-equivalent
 //! output; this module exists so the benches can show both sides.
 
-use phase_parallel::{deadline_tripped, ExecutionStats, Frontier, Report, RunConfig, RunOutcome};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome};
 use pp_graph::Graph;
 use pp_parlay::rng::hash64;
 
@@ -37,7 +37,7 @@ pub fn mis_luby(g: &Graph, cfg: &RunConfig) -> Report<Vec<bool>> {
     let mut round: u64 = 0;
     let mut outcome = RunOutcome::Completed;
     while !live.is_empty() {
-        if deadline_tripped(cfg.cancel.as_ref()) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }

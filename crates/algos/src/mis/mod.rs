@@ -23,11 +23,9 @@ mod seq;
 mod tas;
 
 pub use luby::mis_luby;
-pub use rounds::{mis_rounds, mis_rounds_cancellable};
+pub use rounds::mis_rounds;
 pub use seq::mis_seq;
-pub use tas::{
-    blocking_mirrors, mis_tas, mis_tas_prepared, mis_tas_prepared_cancellable, BlockingMirrors,
-};
+pub use tas::{blocking_mirrors, mis_tas, mis_tas_prepared, BlockingMirrors};
 
 use pp_graph::Graph;
 
@@ -61,14 +59,15 @@ pub fn is_maximal_independent(g: &Graph, set: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
     fn check_graph(g: &Graph, seed: u64) {
         let pri = random_priorities(g.num_vertices(), seed);
         let a = mis_seq(g, &pri);
-        let b = mis_tas(g, &pri);
-        let c = mis_rounds(g, &pri).output;
+        let b = mis_tas(g, &pri, &RunConfig::new()).output;
+        let c = mis_rounds(g, &pri, &RunConfig::new()).output;
         assert!(is_maximal_independent(g, &a), "seq not an MIS");
         assert_eq!(a, b, "tas differs from greedy");
         assert_eq!(a, c, "rounds differs from greedy");
@@ -94,7 +93,7 @@ mod tests {
     fn edgeless_graph_selects_everything() {
         let g = pp_graph::GraphBuilder::new(50).build();
         let pri = random_priorities(50, 1);
-        let a = mis_tas(&g, &pri);
+        let a = mis_tas(&g, &pri, &RunConfig::new()).output;
         assert!(a.iter().all(|&x| x));
         assert_eq!(mis_seq(&g, &pri), a);
     }
@@ -103,7 +102,7 @@ mod tests {
     fn star_selects_center_or_all_leaves() {
         let g = gen::star(100);
         let pri = random_priorities(100, 9);
-        let set = mis_tas(&g, &pri);
+        let set = mis_tas(&g, &pri, &RunConfig::new()).output;
         if set[0] {
             assert_eq!(set.iter().filter(|&&x| x).count(), 1);
         } else {
@@ -124,6 +123,6 @@ mod tests {
         let set = mis_seq(&g, &pri);
         let top = (0..14u32).max_by_key(|&v| pri[v as usize]).unwrap();
         assert!(set[top as usize]);
-        assert_eq!(mis_tas(&g, &pri), set);
+        assert_eq!(mis_tas(&g, &pri, &RunConfig::new()).output, set);
     }
 }

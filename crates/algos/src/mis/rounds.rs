@@ -4,7 +4,7 @@
 //! TAS-tree algorithm removes exactly this re-checking; the ablation
 //! bench compares the two.
 
-use phase_parallel::{deadline_tripped, CancelToken, ExecutionStats, Frontier, Report, RunOutcome};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome};
 use pp_graph::Graph;
 
 /// Round-synchronous greedy MIS. Same output as [`super::mis_seq`]. The
@@ -15,18 +15,11 @@ use pp_graph::Graph;
 /// downgrading to a sparse list as rounds decide vertices), with the
 /// representation split reported as `"dense_substeps"` /
 /// `"sparse_substeps"`.
-pub fn mis_rounds(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
-    mis_rounds_cancellable(g, priority, None)
-}
-
-/// [`mis_rounds`] under an optional deadline: the round loop polls
-/// `cancel` at its top; a trip leaves the remaining vertices undecided
-/// (reported `false` in the mask) under `RunOutcome::DeadlineExceeded`.
-pub fn mis_rounds_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    cancel: Option<&CancelToken>,
-) -> Report<Vec<bool>> {
+///
+/// The round loop polls the config's deadline at its top; a trip leaves
+/// the remaining vertices undecided (reported `false` in the mask) under
+/// `RunOutcome::DeadlineExceeded`.
+pub fn mis_rounds(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
     const UNDECIDED: u8 = 0;
     const SELECTED: u8 = 1;
     const REMOVED: u8 = 2;
@@ -41,7 +34,7 @@ pub fn mis_rounds_cancellable(
     let mut edge_checks = 0u64;
     let mut outcome = RunOutcome::Completed;
     while !undecided.is_empty() {
-        if deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -93,7 +86,7 @@ mod tests {
         // whp, so the round count stays small.
         let g = gen::uniform(5000, 25_000, 1);
         let pri = random_priorities(5000, 2);
-        let stats = mis_rounds(&g, &pri).stats;
+        let stats = mis_rounds(&g, &pri, &RunConfig::new()).stats;
         assert!(stats.rounds <= 40, "rounds {}", stats.rounds);
     }
 
@@ -109,7 +102,7 @@ mod tests {
         let g = b.build();
         // Monotone priorities force a depth-n dependence chain.
         let pri: Vec<u32> = (0..n as u32).rev().collect();
-        let report = mis_rounds(&g, &pri);
+        let report = mis_rounds(&g, &pri, &RunConfig::new());
         assert!(report.output[0]);
         assert!(
             report.stats.rounds >= n / 2 - 1,

@@ -13,7 +13,7 @@
 //! that impossible — see the argument in the module tests — but the CAS
 //! keeps the code robust under any interleaving).
 
-use phase_parallel::{CancelToken, RunOutcome, Scratch, TasForest};
+use phase_parallel::{Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -113,8 +113,9 @@ struct State<'g> {
     status: &'g [AtomicU8],
     forest: TasForest,
     mirrors: &'g BlockingMirrors,
-    /// The query's deadline token, polled once per cascade level.
-    cancel: Option<&'g CancelToken>,
+    /// The query's config, whose deadline is polled once per cascade
+    /// level.
+    cfg: &'g RunConfig,
     /// Set by the first cascade that observes a trip, so the driver can
     /// report [`RunOutcome::DeadlineExceeded`] without re-polling.
     tripped: AtomicBool,
@@ -126,7 +127,7 @@ impl State<'_> {
         if self.tripped.load(Ordering::Relaxed) {
             return true;
         }
-        if phase_parallel::deadline_tripped(self.cancel) {
+        if self.cfg.is_cancelled() {
             self.tripped.store(true, Ordering::Relaxed);
             return true;
         }
@@ -136,40 +137,33 @@ impl State<'_> {
 
 /// Asynchronous greedy MIS via TAS trees. Returns the same set as
 /// [`super::mis_seq`] for the same priorities.
-pub fn mis_tas(g: &Graph, priority: &[u32]) -> Vec<bool> {
+pub fn mis_tas(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
     mis_tas_prepared(
         g,
         priority,
         &blocking_mirrors(g, priority),
         &mut Scratch::new(),
+        cfg,
     )
 }
 
 /// The query half of [`mis_tas`]: run the wake cascades against
 /// prebuilt [`BlockingMirrors`], drawing the status array from
 /// `scratch`. Same output as [`mis_tas`] (and [`super::mis_seq`]).
+///
+/// The algorithm has no rounds, so the config's deadline is polled at
+/// *cascade-level* granularity: each cascade checks it between levels
+/// and abandons its remaining frontier on a trip. The partial selection
+/// is a valid independent set (never maximal) and is tagged
+/// [`RunOutcome::DeadlineExceeded`]; with an untripped token the output
+/// is byte-identical to a run without one.
 pub fn mis_tas_prepared(
     g: &Graph,
     priority: &[u32],
     mirrors: &BlockingMirrors,
     scratch: &mut Scratch,
-) -> Vec<bool> {
-    mis_tas_prepared_cancellable(g, priority, mirrors, scratch, None).0
-}
-
-/// [`mis_tas_prepared`] under an optional deadline. The algorithm has
-/// no rounds, so the poll sits at *cascade-level* granularity: each
-/// cascade checks the token between levels and abandons its remaining
-/// frontier on a trip. The partial selection is a valid independent set
-/// (never maximal) and is tagged [`RunOutcome::DeadlineExceeded`]; with
-/// an untripped token the output is byte-identical to the plain run.
-pub fn mis_tas_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    mirrors: &BlockingMirrors,
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
-) -> (Vec<bool>, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<Vec<bool>> {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
     assert_eq!(mirrors.counts.len(), n, "mirrors built for another graph");
@@ -182,7 +176,7 @@ pub fn mis_tas_prepared_cancellable(
         status: &status,
         forest: TasForest::new(&mirrors.counts),
         mirrors,
-        cancel,
+        cfg,
         tripped: AtomicBool::new(false),
     };
 
@@ -203,7 +197,7 @@ pub fn mis_tas_prepared_cancellable(
         .map(|s| s.load(Ordering::Relaxed) == SELECTED)
         .collect();
     scratch.put_vec("mis_status", status);
-    (out, outcome)
+    Report::plain(out).with_outcome(outcome)
 }
 
 /// Select `v` and run the whole wake cascade it triggers (Algorithm 4's
@@ -307,7 +301,7 @@ mod tests {
         b.add(1, 2);
         b.add(0, 2);
         let g = b.build();
-        let set = mis_tas(&g, &[5, 9, 1]);
+        let set = mis_tas(&g, &[5, 9, 1], &RunConfig::new()).output;
         assert_eq!(set, vec![false, true, false]);
     }
 
@@ -317,9 +311,9 @@ mod tests {
         // (different schedules) must agree.
         let g = gen::rmat(10, 8192, 3);
         let pri = random_priorities(g.num_vertices(), 42);
-        let first = mis_tas(&g, &pri);
+        let first = mis_tas(&g, &pri, &RunConfig::new()).output;
         for _ in 0..5 {
-            assert_eq!(mis_tas(&g, &pri), first);
+            assert_eq!(mis_tas(&g, &pri, &RunConfig::new()).output, first);
         }
     }
 
@@ -328,7 +322,7 @@ mod tests {
         // Star-of-stars: deep wake chains through high-degree hubs.
         let g = gen::star(5000);
         let pri = random_priorities(5000, 7);
-        let set = mis_tas(&g, &pri);
+        let set = mis_tas(&g, &pri, &RunConfig::new()).output;
         assert!(super::super::is_maximal_independent(&g, &set));
     }
 }

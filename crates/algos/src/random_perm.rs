@@ -23,9 +23,7 @@
 //! "sequential iterative algorithm" reproduction, exercised by tests and
 //! the conformance suite.
 
-use phase_parallel::reservations::{
-    speculative_for_cancellable, ReservationProblem, ReservationTable,
-};
+use phase_parallel::reservations::{speculative_for, ReservationProblem, ReservationTable};
 use phase_parallel::{Report, RunConfig};
 use pp_parlay::rng::{bounded, hash64};
 use rayon::prelude::*;
@@ -109,13 +107,14 @@ pub fn random_permutation_reservations(n: usize, cfg: &RunConfig) -> Report<Vec<
         data: (0..n as u32).map(AtomicU32::new).collect(),
     };
     let table = ReservationTable::new(n);
-    let (spec, outcome) = speculative_for_cancellable(&problem, &table, 0, cfg.cancel.as_ref());
-    let out = problem
-        .data
-        .into_iter()
-        .map(AtomicU32::into_inner)
-        .collect();
-    Report::new(out, spec.into()).with_outcome(outcome)
+    let report = speculative_for(&problem, &table, 0, cfg);
+    report.map(|()| {
+        problem
+            .data
+            .into_iter()
+            .map(AtomicU32::into_inner)
+            .collect()
+    })
 }
 
 #[cfg(test)]

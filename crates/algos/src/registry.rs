@@ -1,7 +1,8 @@
-//! The string-keyed algorithm registry: every [`PhaseAlgorithm`] family
+//! The string-keyed algorithm registry: every
+//! [`PhaseAlgorithm`](phase_parallel::PhaseAlgorithm) family
 //! reachable behind one uniform, type-erased interface.
 //!
-//! Bench binaries, CLIs, conformance suites and future service layers
+//! Bench binaries, CLIs, conformance suites and the serving tier
 //! dispatch any algorithm by name without knowing its input type: each
 //! [`AlgorithmEntry`] pairs a deterministic instance generator (driven
 //! by a [`CaseSpec`]) with the family's typed [`crate::api`]
@@ -9,14 +10,18 @@
 //! the canonical output encoding — order-sensitive, so outputs must be
 //! deterministic) plus the unified [`ExecutionStats`].
 //!
-//! Two type-erased execution shapes:
+//! An entry's one type-erased runner generates and prepares the
+//! instance as a [`SharedPrepared`]
+//! ([`AlgorithmEntry::prepare_shared`]); every execution shape is
+//! generic code over that handle:
 //!
-//! * [`AlgorithmEntry::run_case`] — one-shot: generate the instance,
-//!   run `solve_seq` and `solve_par`, digest both.
-//! * [`AlgorithmEntry::run_batch`] — prepare/query: generate the
-//!   instance, `prepare` it **once**, then answer each query config via
-//!   `solve_prepared` on a shared scratch workspace, digesting each
-//!   against a fresh one-shot `solve_par` reference.
+//! * [`AlgorithmEntry::run_case`] — one-shot: run `solve_seq` and
+//!   `solve_par` on the instance, digest both.
+//! * [`AlgorithmEntry::run_batch`] — prepare/query: answer each query
+//!   config via `solve_prepared` on a shared scratch workspace,
+//!   digesting each against a fresh one-shot `solve_par` reference.
+//! * [`AlgorithmEntry::scratch_probe`] — the scratch behavior of one
+//!   steady-state prepared query.
 //!
 //! # Scenarios
 //!
@@ -26,23 +31,22 @@
 //! [`ScenarioKind`]: graph entries (SSSP, MIS, coloring, matching)
 //! materialize the scenario's graph, sequence entries map the
 //! scenario's structured draws into their own value space. Without a
-//! scenario (or via the infallible `run_case`/`run_batch`, which ignore
-//! a scenario of the wrong kind) the entry's default uniform generator
-//! runs; the fallible [`AlgorithmEntry::try_run_case`] /
-//! [`registry::run_named`](run_named) paths report unknown keys and
-//! kind mismatches as [`RegistryError`]s.
+//! scenario the entry's default uniform generator runs. The runners
+//! above and [`run_named`] validate first
+//! ([`AlgorithmEntry::validate_case`]): unknown keys, kind mismatches
+//! and out-of-range sources come back as [`RegistryError`]s.
 //!
 //! ```
 //! use phase_parallel::RunConfig;
 //! use pp_algos::registry::{self, CaseSpec};
 //!
 //! for entry in registry::registry() {
-//!     let outcome = entry.run_case(&CaseSpec::new(80, 3), &RunConfig::seeded(3));
+//!     let outcome = entry.run_case(&CaseSpec::new(80, 3), &RunConfig::seeded(3)).unwrap();
 //!     assert_eq!(outcome.expected_digest, outcome.observed_digest, "{}", entry.name());
 //!     // The same entry, on every workload family applicable to it:
 //!     for scenario in entry.scenarios() {
 //!         let case = CaseSpec::new(40, 3).with_scenario(scenario);
-//!         assert!(entry.try_run_case(&case, &RunConfig::seeded(3)).unwrap().agrees());
+//!         assert!(entry.run_case(&case, &RunConfig::seeded(3)).unwrap().agrees());
 //!     }
 //! }
 //! ```
@@ -53,8 +57,9 @@ use crate::chain3d::Point3;
 use crate::chain4d::Point4;
 use crate::knapsack::Item;
 use crate::matching;
+use crate::serving::{estimated_cost_bytes, SharedPrepared};
 use crate::whac::{Mole, Mole2d};
-use phase_parallel::{ExecutionStats, PhaseAlgorithm, RunConfig, Scratch};
+use phase_parallel::{ExecutionStats, RunConfig, Scratch};
 use pp_graph::{gen, Graph, GraphError};
 use pp_parlay::rng::Rng;
 pub use pp_workloads::{ScenarioError, ScenarioKind, ScenarioSpec};
@@ -230,10 +235,9 @@ pub enum Engine {
     Baseline,
 }
 
-/// Scratch-workspace behavior of one steady-state prepared query (the
-/// probe behind the CI allocation tripwire): how many buffers the query
-/// took from its [`Scratch`], and how many of those takes were served
-/// from a previously parked buffer.
+/// Scratch-workspace behavior of one steady-state prepared query: how
+/// many buffers the query took from its [`Scratch`], and how many of
+/// those takes were served from a previously parked buffer.
 #[derive(Clone, Copy, Debug)]
 pub struct ScratchProbe {
     /// `take_*` calls the steady-state query performed.
@@ -244,29 +248,26 @@ pub struct ScratchProbe {
 
 impl ScratchProbe {
     /// True iff the steady-state query allocated no scratch buffers:
-    /// every take was a reuse. This is the per-entry invariant the
-    /// `scratch_smoke` bench gate asserts.
+    /// every take was a reuse — the per-entry invariant the conformance
+    /// suite asserts.
     pub fn steady_state_reuse(&self) -> bool {
         self.takes == self.reuses
     }
 }
 
 /// One registered algorithm: a stable name, its engine class, the
-/// scenario kind its instances are drawn from, and type-erased one-shot,
-/// prepared-batch and scratch-probe runners.
+/// scenario kind its instances are drawn from, and its one type-erased
+/// runner, which generates and prepares the instance for a case.
 pub struct AlgorithmEntry {
     name: &'static str,
     engine: Engine,
     kind: ScenarioKind,
-    runner: fn(&CaseSpec, &RunConfig) -> CaseOutcome,
-    batch_runner: fn(&CaseSpec, &[RunConfig], &RunConfig) -> Vec<CaseOutcome>,
-    probe_runner: fn(&CaseSpec, &RunConfig) -> ScratchProbe,
-    serve_runner: fn(&CaseSpec, &RunConfig) -> crate::serving::SharedPrepared,
+    prepare: fn(&CaseSpec, &RunConfig) -> SharedPrepared,
 }
 
 impl AlgorithmEntry {
     /// The registry key (also the typed implementation's
-    /// [`PhaseAlgorithm::name`]).
+    /// [`PhaseAlgorithm::name`](phase_parallel::PhaseAlgorithm::name)).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -291,18 +292,6 @@ impl AlgorithmEntry {
         pp_workloads::scenarios_of_kind(self.kind)
     }
 
-    fn check_case(&self, case: &CaseSpec) -> Result<(), RegistryError> {
-        match &case.scenario {
-            Some(s) if !self.supports(s) => Err(RegistryError::IncompatibleScenario {
-                entry: self.name,
-                scenario: s.key(),
-                expected: self.kind,
-                got: s.kind(),
-            }),
-            _ => Ok(()),
-        }
-    }
-
     /// Validate a `(case, cfg)` pair without generating anything:
     /// scenario-kind compatibility, plus the query knobs whose bad
     /// values would otherwise panic inside an engine. A graph-kind
@@ -312,100 +301,48 @@ impl AlgorithmEntry {
     /// serve boundary's admission check: a failure here becomes a typed
     /// `InvalidInput` row, never a worker panic or a poison strike.
     pub fn validate_case(&self, case: &CaseSpec, cfg: &RunConfig) -> Result<(), RegistryError> {
-        self.check_case(case)?;
-        if self.kind == ScenarioKind::Graph {
-            let floor = case.size.max(1);
-            if let Some(source) = cfg.source {
-                if source as usize >= floor {
-                    return Err(RegistryError::SourceOutOfRange {
-                        entry: self.name,
-                        source,
-                        vertices: floor,
-                    });
-                }
-            }
+        if let Some(s) = case.scenario.filter(|s| !self.supports(s)) {
+            return Err(RegistryError::IncompatibleScenario {
+                entry: self.name,
+                scenario: s.key(),
+                expected: self.kind,
+                got: s.kind(),
+            });
         }
-        Ok(())
+        let floor = case.size.max(1);
+        match cfg.source {
+            Some(source) if self.kind == ScenarioKind::Graph && source as usize >= floor => {
+                Err(RegistryError::SourceOutOfRange {
+                    entry: self.name,
+                    source,
+                    vertices: floor,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Generate the instance for `case`, run both executions under
-    /// `cfg`, and digest the outputs. A scenario of the wrong kind is
-    /// ignored (the default generator runs); use
-    /// [`AlgorithmEntry::try_run_case`] to surface that as an error.
-    pub fn run_case(&self, case: &CaseSpec, cfg: &RunConfig) -> CaseOutcome {
-        (self.runner)(case, cfg)
-    }
-
-    /// [`AlgorithmEntry::run_case`], but a case whose scenario this
-    /// entry cannot consume is a [`RegistryError::IncompatibleScenario`]
-    /// instead of a silent fallback, and hostile query knobs (e.g. an
-    /// out-of-range source) are typed rejections instead of panics.
-    pub fn try_run_case(
-        &self,
-        case: &CaseSpec,
-        cfg: &RunConfig,
-    ) -> Result<CaseOutcome, RegistryError> {
+    /// `cfg`, and digest the outputs.
+    pub fn run_case(&self, case: &CaseSpec, cfg: &RunConfig) -> Result<CaseOutcome, RegistryError> {
         self.validate_case(case, cfg)?;
-        Ok((self.runner)(case, cfg))
+        Ok(cfg.install(|| {
+            let shared = self.prepare_shared(case, cfg);
+            let served = shared.one_shot(cfg);
+            CaseOutcome {
+                expected_digest: shared.seq_digest(),
+                observed_digest: served.digest,
+                stats: served.stats,
+            }
+        }))
     }
 
-    /// Generate the instance for `case` once, `prepare` it once, and
-    /// answer every query in `queries` via `solve_prepared` on a shared
+    /// Generate and `prepare` the instance for `case` once, and answer
+    /// every query in `queries` via `solve_prepared` on a shared
     /// scratch workspace — each digested against a fresh one-shot
     /// `solve_par` under the same query config. `cfg` drives instance
-    /// generation (e.g. the priority source) and the thread budget. As
-    /// with [`AlgorithmEntry::run_case`], a wrong-kind scenario falls
-    /// back to the default generator.
+    /// generation (e.g. the priority source) and the thread budget.
     pub fn run_batch(
-        &self,
-        case: &CaseSpec,
-        queries: &[RunConfig],
-        cfg: &RunConfig,
-    ) -> Vec<CaseOutcome> {
-        (self.batch_runner)(case, queries, cfg)
-    }
-
-    /// Measure the scratch behavior of one steady-state prepared query:
-    /// the instance is generated and prepared once, two warm-up queries
-    /// populate the workspace (and let amortized growth settle), and
-    /// the third query's take/reuse delta is returned. An entry whose
-    /// probe fails [`ScratchProbe::steady_state_reuse`] allocates fresh
-    /// per-query scratch in steady state — the regression the
-    /// `scratch_smoke` CI gate trips on.
-    pub fn scratch_probe(&self, case: &CaseSpec, cfg: &RunConfig) -> ScratchProbe {
-        (self.probe_runner)(case, cfg)
-    }
-
-    /// Generate the instance for `case`, pin and `prepare` it once, and
-    /// hand back an owned, `Arc`-shared handle many workers can query
-    /// concurrently — the serving tier's unit of caching. Generation is
-    /// deterministic in `(case, cfg)`, so two calls with the same case
-    /// produce interchangeable instances; the handle's cost estimate is
-    /// [`crate::serving::estimated_cost_bytes`] of the case size.
-    pub fn prepare_shared(
-        &self,
-        case: &CaseSpec,
-        cfg: &RunConfig,
-    ) -> crate::serving::SharedPrepared {
-        (self.serve_runner)(case, cfg)
-    }
-
-    /// [`AlgorithmEntry::prepare_shared`] behind
-    /// [`AlgorithmEntry::validate_case`]: an incompatible scenario or a
-    /// hostile query knob is a typed [`RegistryError`] instead of a
-    /// panic inside generation or preparation.
-    pub fn try_prepare_shared(
-        &self,
-        case: &CaseSpec,
-        cfg: &RunConfig,
-    ) -> Result<crate::serving::SharedPrepared, RegistryError> {
-        self.validate_case(case, cfg)?;
-        Ok((self.serve_runner)(case, cfg))
-    }
-
-    /// [`AlgorithmEntry::run_batch`] with scenario-compatibility
-    /// checking.
-    pub fn try_run_batch(
         &self,
         case: &CaseSpec,
         queries: &[RunConfig],
@@ -415,7 +352,62 @@ impl AlgorithmEntry {
         for query in queries {
             self.validate_case(case, query)?;
         }
-        Ok((self.batch_runner)(case, queries, cfg))
+        Ok(cfg.install(|| {
+            let shared = self.prepare_shared(case, cfg);
+            let mut scratch = Scratch::new();
+            queries
+                .iter()
+                .map(|query| {
+                    let expected_digest = shared.one_shot_digest(query);
+                    let served = shared.query(&mut scratch, query);
+                    CaseOutcome {
+                        expected_digest,
+                        observed_digest: served.digest,
+                        stats: served.stats,
+                    }
+                })
+                .collect()
+        }))
+    }
+
+    /// Measure the scratch behavior of one steady-state prepared query:
+    /// the instance is generated and prepared once, two warm-up queries
+    /// populate the workspace (and let amortized growth settle), and
+    /// the third query's take/reuse delta is returned. An entry whose
+    /// probe fails [`ScratchProbe::steady_state_reuse`] allocates fresh
+    /// per-query scratch in steady state.
+    pub fn scratch_probe(
+        &self,
+        case: &CaseSpec,
+        cfg: &RunConfig,
+    ) -> Result<ScratchProbe, RegistryError> {
+        self.validate_case(case, cfg)?;
+        Ok(cfg.install(|| {
+            let shared = self.prepare_shared(case, cfg);
+            let mut scratch = Scratch::new();
+            for _ in 0..2 {
+                shared.query(&mut scratch, cfg);
+            }
+            let (takes, reuses) = (scratch.takes(), scratch.reuses());
+            shared.query(&mut scratch, cfg);
+            ScratchProbe {
+                takes: scratch.takes() - takes,
+                reuses: scratch.reuses() - reuses,
+            }
+        }))
+    }
+
+    /// Generate the instance for `case`, pin and `prepare` it once, and
+    /// hand back an owned, `Arc`-shared handle many workers can query
+    /// concurrently — the serving tier's unit of caching. Generation is
+    /// deterministic in `(case, cfg)`, so two calls with the same case
+    /// produce interchangeable instances; the handle's cost estimate is
+    /// [`estimated_cost_bytes`] of the case size.
+    ///
+    /// The case must pass [`AlgorithmEntry::validate_case`]: generation
+    /// panics on a scenario of the wrong kind.
+    pub fn prepare_shared(&self, case: &CaseSpec, cfg: &RunConfig) -> SharedPrepared {
+        (self.prepare)(case, cfg)
     }
 }
 
@@ -431,7 +423,7 @@ pub fn run_named(
 ) -> Result<CaseOutcome, RegistryError> {
     lookup(name)
         .ok_or_else(|| RegistryError::UnknownEntry(name.to_string()))?
-        .try_run_case(case, cfg)
+        .run_case(case, cfg)
 }
 
 /// Batched counterpart of [`run_named`].
@@ -443,7 +435,7 @@ pub fn run_named_batch(
 ) -> Result<Vec<CaseOutcome>, RegistryError> {
     lookup(name)
         .ok_or_else(|| RegistryError::UnknownEntry(name.to_string()))?
-        .try_run_batch(case, queries, cfg)
+        .run_batch(case, queries, cfg)
 }
 
 /// Every registered algorithm. Names are stable; new families append.
@@ -454,24 +446,12 @@ pub fn registry() -> &'static [AlgorithmEntry] {
                 name: $name,
                 engine: Engine::$engine,
                 kind: ScenarioKind::$kind,
-                runner: |case, cfg| {
-                    let input = $gen(case, cfg);
-                    run_typed(&$algo, &input, cfg)
-                },
-                batch_runner: |case, queries, cfg| {
-                    let input = $gen(case, cfg);
-                    run_typed_batch(&$algo, &input, queries, cfg)
-                },
-                probe_runner: |case, cfg| {
-                    let input = $gen(case, cfg);
-                    run_typed_probe(&$algo, &input, cfg)
-                },
-                serve_runner: |case, cfg| {
-                    crate::serving::SharedPrepared::new(
+                prepare: |case, cfg| {
+                    SharedPrepared::new(
                         $name,
                         $algo,
                         $gen(case, cfg),
-                        crate::serving::estimated_cost_bytes(case.size),
+                        estimated_cost_bytes(case.size),
                     )
                 },
             }
@@ -546,78 +526,6 @@ pub fn names() -> Vec<&'static str> {
     registry().iter().map(|e| e.name).collect()
 }
 
-/// Run one typed algorithm on one instance (honoring the config's
-/// thread budget) and digest both outputs.
-fn run_typed<A>(algo: &A, input: &A::Input, cfg: &RunConfig) -> CaseOutcome
-where
-    A: PhaseAlgorithm + Sync,
-    A::Input: Sync,
-    A::Output: Digest + Send,
-{
-    let seq = algo.solve_seq(input);
-    let report = cfg.install(|| algo.solve_par(input, cfg));
-    CaseOutcome {
-        expected_digest: seq.digest(),
-        observed_digest: report.output.digest(),
-        stats: report.stats,
-    }
-}
-
-/// Prepare one typed instance once and run every query against it on a
-/// shared scratch workspace, digesting each against a fresh one-shot
-/// `solve_par` under the same query config.
-fn run_typed_batch<A>(
-    algo: &A,
-    input: &A::Input,
-    queries: &[RunConfig],
-    cfg: &RunConfig,
-) -> Vec<CaseOutcome>
-where
-    A: PhaseAlgorithm + Sync,
-    A::Input: Sync,
-    A::Output: Digest + Send,
-{
-    cfg.install(|| {
-        let prepared = algo.prepare(input);
-        let mut scratch = Scratch::new();
-        queries
-            .iter()
-            .map(|query| {
-                let one_shot = algo.solve_par(input, query);
-                let report = algo.solve_prepared(&prepared, &mut scratch, query);
-                CaseOutcome {
-                    expected_digest: one_shot.output.digest(),
-                    observed_digest: report.output.digest(),
-                    stats: report.stats,
-                }
-            })
-            .collect()
-    })
-}
-
-/// Prepare one typed instance, warm the workspace with two queries,
-/// then measure the take/reuse delta of a third (steady-state) query.
-fn run_typed_probe<A>(algo: &A, input: &A::Input, cfg: &RunConfig) -> ScratchProbe
-where
-    A: PhaseAlgorithm + Sync,
-    A::Input: Sync,
-    A::Output: Send,
-{
-    cfg.install(|| {
-        let prepared = algo.prepare(input);
-        let mut scratch = Scratch::new();
-        for _ in 0..2 {
-            algo.solve_prepared(&prepared, &mut scratch, cfg);
-        }
-        let (takes, reuses) = (scratch.takes(), scratch.reuses());
-        algo.solve_prepared(&prepared, &mut scratch, cfg);
-        ScratchProbe {
-            takes: scratch.takes() - takes,
-            reuses: scratch.reuses() - reuses,
-        }
-    })
-}
-
 /// FNV-1a output digest — enough to compare two executions' outputs
 /// without holding both in a type-erased box.
 pub trait Digest {
@@ -682,19 +590,13 @@ impl Digest for Vec<bool> {
 // All driven by (case.size, case.seed, case.scenario) alone. Size 0 is
 // the empty instance for sequence families; graph families floor at one
 // vertex (an SSSP source must exist, and a 0-vertex graph has no
-// instance to speak of). A case without a scenario (or with one of the
-// wrong kind) runs the family's original uniform generator, so default
-// behavior is unchanged.
+// instance to speak of). A case without a scenario runs the family's
+// original uniform generator. Callers validate the scenario kind first,
+// so a scenario of the wrong kind fails to materialize.
 
-/// The case's scenario, if it is one a graph-consuming entry can use.
-fn graph_scenario(case: &CaseSpec) -> Option<ScenarioSpec> {
-    case.scenario.filter(|s| s.kind() == ScenarioKind::Graph)
-}
-
-/// `n` scenario draws in `[0, span)`, if the case names a seq scenario.
+/// `n` scenario draws in `[0, span)`, if the case names a scenario.
 fn seq_draws(case: &CaseSpec, n: usize, span: u64, salt: u64) -> Option<Vec<u64>> {
     case.scenario
-        .filter(|s| s.kind() == ScenarioKind::Seq)
         .map(|s| s.draws(n, span, case.seed ^ salt).expect("seq scenario"))
 }
 
@@ -770,14 +672,14 @@ fn gen_freqs(case: &CaseSpec, _cfg: &RunConfig) -> Vec<u64> {
 
 fn gen_graph(case: &CaseSpec) -> Graph {
     let n = case.size.max(1);
-    if let Some(s) = graph_scenario(case) {
+    if let Some(s) = case.scenario {
         return s.graph(n, case.seed ^ 0x9a4).expect("graph scenario");
     }
     gen::uniform(n, 4 * n, case.seed ^ 0x9a4)
 }
 
 fn gen_sssp(case: &CaseSpec, _cfg: &RunConfig) -> SsspInstance {
-    if let Some(s) = graph_scenario(case) {
+    if let Some(s) = case.scenario {
         let wg = s
             .weighted_graph(case.size.max(1), case.seed ^ 0x9a4)
             .expect("graph scenario");
@@ -943,7 +845,7 @@ mod tests {
         let case = CaseSpec::new(60, 5);
         let cfg = RunConfig::seeded(5);
         for entry in registry() {
-            let outcome = entry.run_case(&case, &cfg);
+            let outcome = entry.run_case(&case, &cfg).unwrap();
             assert!(outcome.agrees(), "{} diverged", entry.name());
         }
     }
@@ -958,7 +860,9 @@ mod tests {
             RunConfig::seeded(4).with_source(7),
         ];
         for entry in registry() {
-            let outcomes = entry.run_batch(&case, &queries, &RunConfig::seeded(9));
+            let outcomes = entry
+                .run_batch(&case, &queries, &RunConfig::seeded(9))
+                .unwrap();
             assert_eq!(outcomes.len(), queries.len());
             for (i, o) in outcomes.iter().enumerate() {
                 assert!(o.agrees(), "{} diverged on query {i}", entry.name());
@@ -999,7 +903,7 @@ mod tests {
                 .iter()
                 .map(|&s| {
                     let case = CaseSpec::new(90, 3).with_scenario(s);
-                    entry.try_run_case(&case, &cfg).unwrap().expected_digest
+                    entry.run_case(&case, &cfg).unwrap().expected_digest
                 })
                 .collect();
             digests.sort_unstable();
@@ -1043,34 +947,32 @@ mod tests {
 
     #[test]
     fn incompatible_scenario_is_an_error_not_a_panic() {
-        let seq_case = CaseSpec::new(10, 1).with_scenario_key("seq/zipf").unwrap();
-        let entry = lookup("sssp/delta").unwrap();
-        let err = entry
-            .try_run_case(&seq_case, &RunConfig::seeded(1))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RegistryError::IncompatibleScenario {
-                entry: "sssp/delta",
-                expected: ScenarioKind::Graph,
-                got: ScenarioKind::Seq,
-                ..
+        let cfg = RunConfig::seeded(1);
+        for entry in registry() {
+            let (wrong_key, got) = match entry.scenario_kind() {
+                ScenarioKind::Graph => ("seq/zipf", ScenarioKind::Seq),
+                ScenarioKind::Seq => ("graph/rmat", ScenarioKind::Graph),
+            };
+            let case = CaseSpec::new(10, 1).with_scenario_key(wrong_key).unwrap();
+            let errors = [
+                entry.run_case(&case, &cfg).unwrap_err(),
+                entry
+                    .run_batch(&case, std::slice::from_ref(&cfg), &cfg)
+                    .unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(
+                        err,
+                        RegistryError::IncompatibleScenario { entry: name, got: g, .. }
+                            if name == entry.name() && g == got
+                    ),
+                    "{}: {err:?}",
+                    entry.name()
+                );
+                assert!(err.to_string().contains(entry.name()));
             }
-        ));
-        assert!(err.to_string().contains("sssp/delta"));
-
-        let graph_case = CaseSpec::new(10, 1)
-            .with_scenario_key("graph/rmat")
-            .unwrap();
-        let entry = lookup("lis").unwrap();
-        assert!(entry
-            .try_run_batch(&graph_case, &[RunConfig::seeded(1)], &RunConfig::seeded(1))
-            .is_err());
-        // The infallible paths fall back to the default generator
-        // instead of erroring (documented behavior).
-        let fallback = entry.run_case(&graph_case, &RunConfig::seeded(1));
-        let plain = entry.run_case(&CaseSpec::new(10, 1), &RunConfig::seeded(1));
-        assert_eq!(fallback.expected_digest, plain.expected_digest);
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! currency the registry's conformance machinery already speaks.
 
 use crate::registry::Digest;
-use phase_parallel::{ExecutionStats, PhaseAlgorithm, RunConfig, RunOutcome, Scratch};
+use phase_parallel::{ExecutionStats, PhaseAlgorithm, Report, RunConfig, RunOutcome, Scratch};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -52,6 +52,16 @@ pub struct ServedQuery {
     pub outcome: RunOutcome,
 }
 
+impl ServedQuery {
+    fn from_report<T: Digest>(report: Report<T>) -> Self {
+        Self {
+            digest: report.output.digest(),
+            stats: report.stats,
+            outcome: report.outcome,
+        }
+    }
+}
+
 /// Object-safe view of one owned prepared instance: what the serving
 /// tier needs, with the input/prepared types erased.
 pub trait PreparedService: Send + Sync {
@@ -67,8 +77,12 @@ pub trait PreparedService: Send + Sync {
     fn query(&self, scratch: &mut Scratch, cfg: &RunConfig) -> ServedQuery;
 
     /// A fresh one-shot `solve_par` against the owned input under
-    /// `cfg` — the reference digest cached/shared serving must match.
-    fn one_shot_digest(&self, cfg: &RunConfig) -> u64;
+    /// `cfg` — the reference cached/shared serving must match.
+    fn one_shot(&self, cfg: &RunConfig) -> ServedQuery;
+
+    /// Digest of the sequential baseline `solve_seq` on the owned input
+    /// — the reference a completed one-shot run must match.
+    fn seq_digest(&self) -> u64;
 }
 
 /// The self-referential cell: owns the input at a pinned heap address
@@ -142,6 +156,14 @@ where
             input,
         }
     }
+
+    /// The owned input, borrowed for the caller's lifetime.
+    fn input(&self) -> &A::Input {
+        // SAFETY: `input` is valid for the cell's whole life (see
+        // `new`); this shared borrow lives no longer than `&self` and
+        // coexists fine with the one in `prepared`.
+        unsafe { &*self.input }.borrow()
+    }
 }
 
 impl<A, I> Drop for ServeCell<A, I>
@@ -182,20 +204,15 @@ where
         // protocol for every family on the serve path: a query that
         // strands a buffer fails here instead of growing memory.
         let mut lease = scratch.lease();
-        let report = self.algo.solve_prepared(prepared, &mut lease, cfg);
-        ServedQuery {
-            digest: report.output.digest(),
-            stats: report.stats,
-            outcome: report.outcome,
-        }
+        ServedQuery::from_report(self.algo.solve_prepared(prepared, &mut lease, cfg))
     }
 
-    fn one_shot_digest(&self, cfg: &RunConfig) -> u64 {
-        // SAFETY: `input` is valid for the cell's whole life (see
-        // `new`); this shared borrow lives only for this call and
-        // coexists fine with the one in `prepared`.
-        let input: &A::Input = unsafe { &*self.input }.borrow();
-        self.algo.solve_par(input, cfg).output.digest()
+    fn one_shot(&self, cfg: &RunConfig) -> ServedQuery {
+        ServedQuery::from_report(self.algo.solve_par(self.input(), cfg))
+    }
+
+    fn seq_digest(&self) -> u64 {
+        self.algo.solve_seq(self.input()).digest()
     }
 }
 
@@ -252,10 +269,21 @@ impl SharedPrepared {
         self.inner.query(scratch, cfg)
     }
 
-    /// A fresh one-shot run against the owned input — the conformance
+    /// A fresh one-shot `solve_par` against the owned input under
+    /// `cfg`, with its stats and outcome.
+    pub fn one_shot(&self, cfg: &RunConfig) -> ServedQuery {
+        self.inner.one_shot(cfg)
+    }
+
+    /// The digest of [`SharedPrepared::one_shot`] — the conformance
     /// reference for cached/shared serving.
     pub fn one_shot_digest(&self, cfg: &RunConfig) -> u64 {
-        self.inner.one_shot_digest(cfg)
+        self.one_shot(cfg).digest
+    }
+
+    /// Digest of the sequential baseline on the owned input.
+    pub fn seq_digest(&self) -> u64 {
+        self.inner.seq_digest()
     }
 
     /// How many handles currently share the instance (diagnostics).

@@ -8,39 +8,18 @@
 //! relaxation is split into edge-balanced packets.
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
-};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shortest distances from `source` by round-synchronous relaxation.
-pub fn bellman_ford(g: &Graph, source: u32) -> Vec<u64> {
-    bellman_ford_core(
-        g,
-        source,
-        &mut Scratch::new(),
-        FrontierPolicy::Adaptive,
-        None,
-    )
-    .output
-}
-
-/// [`bellman_ford`] honoring the config's [`RunConfig::frontier`]
-/// representation pin and deadline — the one-shot entry point the
-/// registry drives, so differential sparse/dense testing and
-/// cancellation reach this family too. The report's `stats.rounds`
-/// counts relaxation rounds with per-round frontier sizes, and
+/// Shortest distances from `source` by round-synchronous relaxation,
+/// honoring the config's [`RunConfig::frontier`] representation pin and
+/// deadline (polled once per round). The report's `stats.rounds` counts
+/// relaxation rounds with per-round frontier sizes, and
 /// `"relaxations"` totals edge relaxations.
-pub fn bellman_ford_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    bellman_ford_core(
-        g,
-        source,
-        &mut Scratch::new(),
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+pub fn bellman_ford(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
+    bellman_ford_core(g, source, &mut Scratch::new(), cfg)
 }
 
 /// Per-query prepared Bellman-Ford: source from [`RunConfig::source`],
@@ -51,21 +30,14 @@ pub fn bellman_ford_prepared(
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    bellman_ford_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    bellman_ford_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
 }
 
 fn bellman_ford_core(
     g: &Graph,
     source: u32,
     scratch: &mut Scratch,
-    policy: FrontierPolicy,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     let n = g.num_vertices();
     let mut dist = scratch.take_vec::<AtomicU64>("sssp_dist");
@@ -73,7 +45,7 @@ fn bellman_ford_core(
     dist[source as usize].store(0, Ordering::Relaxed);
     let mut frontier = Frontier::take(scratch, "sssp_frontier");
     frontier.reset(n);
-    frontier.set_policy(policy);
+    frontier.set_policy(cfg.frontier);
     frontier.insert(source);
     let mut updated = scratch.take_vec::<u32>("bf_updated");
     let mut deg = scratch.take_vec::<u64>("relax_deg");
@@ -86,7 +58,7 @@ fn bellman_ford_core(
 
     while !frontier.is_empty() {
         // Cooperative cancellation, polled once per round.
-        if super::deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -153,6 +125,7 @@ fn bellman_ford_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::FrontierPolicy;
     use pp_graph::GraphBuilder;
 
     #[test]
@@ -163,18 +136,27 @@ mod tests {
         b.add_weighted(2, 3, 1);
         b.add_weighted(0, 3, 10);
         let g = b.build();
-        assert_eq!(bellman_ford(&g, 0), vec![0, 1, 2, 3]);
+        assert_eq!(
+            bellman_ford(&g, 0, &RunConfig::new()).output,
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]
     fn pinned_policies_agree() {
         let g = pp_graph::gen::uniform(400, 1600, 2);
         let wg = pp_graph::gen::with_uniform_weights(&g, 1, 50, 3);
+        let prepared = PreparedSssp::new(&wg, 0);
         let mut scratch = Scratch::new();
-        let sparse = bellman_ford_core(&wg, 0, &mut scratch, FrontierPolicy::Sparse, None);
-        let dense = bellman_ford_core(&wg, 0, &mut scratch, FrontierPolicy::Dense, None);
+        let pinned = |policy| RunConfig::new().with_frontier(policy);
+        let sparse =
+            bellman_ford_prepared(&prepared, &mut scratch, &pinned(FrontierPolicy::Sparse));
+        let dense = bellman_ford_prepared(&prepared, &mut scratch, &pinned(FrontierPolicy::Dense));
         assert_eq!(sparse.output, dense.output);
-        assert_eq!(sparse.output, bellman_ford(&wg, 0));
+        assert_eq!(
+            sparse.output,
+            bellman_ford(&wg, 0, &RunConfig::new()).output
+        );
     }
 
     #[test]
@@ -183,7 +165,7 @@ mod tests {
         let wg = pp_graph::gen::with_uniform_weights(&g, 1, 50, 5);
         let token = phase_parallel::CancelToken::new();
         token.cancel();
-        let report = bellman_ford_with(&wg, 0, &RunConfig::new().with_cancel_token(token));
+        let report = bellman_ford(&wg, 0, &RunConfig::new().with_cancel_token(token));
         assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
         // Only the source has a distance: the run stopped before round 1.
         assert_eq!(report.output[0], 0);

@@ -28,9 +28,7 @@
 //! reallocations) and settled batches relax in edge-balanced packets.
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
-};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,29 +40,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The report's `stats.rounds` equals the maximum OUT-criterion relaxed
 /// rank, `stats.max_frontier()` the largest settled batch, and the
 /// `"relaxations"` counter the total edge relaxations (work-efficiency
-/// check: equals the number of edges out of reachable vertices).
-pub fn crauser_out(g: &Graph, source: u32) -> Report<Vec<u64>> {
-    crauser_out_with(g, source, &RunConfig::new())
-}
-
-/// [`crauser_out`] honoring the config's [`RunConfig::frontier`]
-/// representation pin — the one-shot entry point the registry drives,
-/// so differential sparse/dense testing reaches this family too.
-pub fn crauser_out_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
+/// check: equals the number of edges out of reachable vertices). Honors
+/// the config's [`RunConfig::frontier`] representation pin and deadline
+/// (polled once per round).
+pub fn crauser_out(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
     // mow[v]: minimum out-edge weight (INF for sinks — they constrain
     // nothing, since no path continues through them).
     let mow: Vec<u64> = (0..g.num_vertices() as u32)
         .into_par_iter()
         .map(|v| g.edge_weights(v).iter().copied().min().unwrap_or(INF))
         .collect();
-    crauser_out_core(
-        g,
-        source,
-        &mow,
-        &mut Scratch::new(),
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    crauser_out_core(g, source, &mow, &mut Scratch::new(), cfg)
 }
 
 /// Per-query prepared OUT-criterion SSSP: the per-vertex minimum
@@ -83,8 +69,7 @@ pub fn crauser_out_prepared(
         prepared.source_for(cfg),
         &prepared.mow,
         scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
+        cfg,
     )
 }
 
@@ -93,8 +78,7 @@ fn crauser_out_core(
     source: u32,
     mow: &[u64],
     scratch: &mut Scratch,
-    policy: FrontierPolicy,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     let n = g.num_vertices();
     debug_assert_eq!(mow.len(), n);
@@ -106,7 +90,7 @@ fn crauser_out_core(
     // unsettled vertices, each once.
     let mut active = Frontier::take(scratch, "sssp_frontier");
     active.reset(n);
-    active.set_policy(policy);
+    active.set_policy(cfg.frontier);
     active.insert(source);
     let mut batch = scratch.take_vec::<u32>("crauser_batch");
     let mut updated = scratch.take_vec::<u32>("crauser_updated");
@@ -119,7 +103,7 @@ fn crauser_out_core(
 
     while !active.is_empty() {
         // Cooperative cancellation, polled once per round.
-        if super::deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -198,6 +182,7 @@ fn crauser_out_core(
 mod tests {
     use super::super::{dijkstra, sssp_phase_parallel};
     use super::*;
+    use phase_parallel::FrontierPolicy;
     use pp_graph::{gen, GraphBuilder};
 
     #[test]
@@ -205,7 +190,11 @@ mod tests {
         for seed in 0..5 {
             let g = gen::uniform(300, 1200, seed);
             let wg = gen::with_uniform_weights(&g, 1, 1000, seed + 10);
-            assert_eq!(crauser_out(&wg, 0).output, dijkstra(&wg, 0), "seed={seed}");
+            assert_eq!(
+                crauser_out(&wg, 0, &RunConfig::new()).output,
+                dijkstra(&wg, 0),
+                "seed={seed}"
+            );
         }
     }
 
@@ -213,11 +202,17 @@ mod tests {
     fn agrees_on_grid_and_rmat() {
         let g = gen::grid2d(18, 22);
         let wg = gen::with_uniform_weights(&g, 3, 60, 2);
-        assert_eq!(crauser_out(&wg, 5).output, dijkstra(&wg, 5));
+        assert_eq!(
+            crauser_out(&wg, 5, &RunConfig::new()).output,
+            dijkstra(&wg, 5)
+        );
 
         let g = gen::rmat(9, 4096, 11);
         let wg = gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 12);
-        assert_eq!(crauser_out(&wg, 0).output, dijkstra(&wg, 0));
+        assert_eq!(
+            crauser_out(&wg, 0, &RunConfig::new()).output,
+            dijkstra(&wg, 0)
+        );
     }
 
     #[test]
@@ -225,7 +220,7 @@ mod tests {
         // Each reachable vertex's edges are relaxed exactly once.
         let g = gen::uniform(500, 2000, 7);
         let wg = gen::with_uniform_weights(&g, 1, 100, 8);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         let d = &report.output;
         let want: u64 = (0..wg.num_vertices() as u32)
             .filter(|&v| d[v as usize] != INF)
@@ -241,7 +236,7 @@ mod tests {
         // but more interestingly, on a star all leaves settle in round 2.
         let g = gen::star(100);
         let wg = gen::with_uniform_weights(&g, 10, 10, 1);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         assert!(report.output[1..].iter().all(|&x| x == 10));
         assert_eq!(report.stats.rounds, 2);
         assert_eq!(report.stats.max_frontier(), 99);
@@ -251,7 +246,7 @@ mod tests {
     fn rounds_never_exceed_settled_vertices() {
         let g = gen::uniform(400, 1600, 3);
         let wg = gen::with_uniform_weights(&g, 1, 1 << 20, 4);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         let d = report.output;
         let reachable = d.iter().filter(|&&x| x != INF).count();
         assert!(report.stats.rounds <= reachable);
@@ -285,9 +280,12 @@ mod tests {
         b.add_weighted(0, 1, 5);
         b.add_weighted(2, 3, 7);
         let g = b.build();
-        assert_eq!(crauser_out(&g, 0).output, vec![0, 5, INF, INF]);
+        assert_eq!(
+            crauser_out(&g, 0, &RunConfig::new()).output,
+            vec![0, 5, INF, INF]
+        );
 
         let g1 = GraphBuilder::new(1).weighted().build();
-        assert_eq!(crauser_out(&g1, 0).output, vec![0]);
+        assert_eq!(crauser_out(&g1, 0, &RunConfig::new()).output, vec![0]);
     }
 }

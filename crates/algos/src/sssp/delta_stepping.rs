@@ -20,9 +20,7 @@
 //! state.
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{
-    CancelToken, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
-};
+use phase_parallel::{Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,14 +41,7 @@ pub fn delta_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64
     let delta = cfg
         .delta
         .unwrap_or_else(|| g.min_weight().unwrap_or(1).max(1));
-    delta_stepping_core(
-        g,
-        source,
-        delta,
-        &mut Scratch::new(),
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    delta_stepping_core(g, source, delta, &mut Scratch::new(), cfg)
 }
 
 /// The per-query half of prepared Δ-stepping: Δ defaults to the
@@ -69,8 +60,7 @@ pub fn delta_stepping_prepared(
         prepared.source_for(cfg),
         delta,
         scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
+        cfg,
     )
 }
 
@@ -79,8 +69,7 @@ fn delta_stepping_core(
     source: u32,
     delta: u64,
     scratch: &mut Scratch,
-    policy: FrontierPolicy,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     assert!(delta >= 1);
     assert!(g.is_weighted() || g.num_edges() == 0);
@@ -113,7 +102,7 @@ fn delta_stepping_core(
     // `par_sort` + `dedup` pass.
     let mut frontier = Frontier::take(scratch, "sssp_frontier");
     frontier.reset(n);
-    frontier.set_policy(policy);
+    frontier.set_policy(cfg.frontier);
     let mut updated = scratch.take_vec::<(usize, u32)>("delta_updated");
     let mut deg = scratch.take_vec::<u64>("relax_deg");
     let mut prefix = scratch.take_vec::<u64>("relax_prefix");
@@ -130,7 +119,7 @@ fn delta_stepping_core(
             // bucket iteration passes through here before doing work, so
             // a tripped deadline stops the run at substep granularity
             // with all scratch buffers still returned below.
-            if super::deadline_tripped(cancel) {
+            if cfg.is_cancelled() {
                 outcome = RunOutcome::DeadlineExceeded;
                 break 'buckets;
             }
@@ -276,6 +265,7 @@ fn delta_stepping_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::{CancelToken, FrontierPolicy};
     use pp_graph::{gen, GraphBuilder};
 
     fn with_delta(delta: u64) -> RunConfig {

@@ -4,19 +4,19 @@
 //! parallelizes.
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{CancelToken, RunConfig, RunOutcome, Scratch};
+use phase_parallel::{Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// How many heap pops a cancellable run settles between deadline polls:
+/// How many heap pops a run settles between deadline polls:
 /// coarse enough that the poll is invisible in the profile, fine enough
 /// that a blown deadline resolves in microseconds.
 const POLL_EVERY: u32 = 1024;
 
 /// Shortest distances from `source`. Unreachable vertices get [`INF`].
 pub fn dijkstra(g: &Graph, source: u32) -> Vec<u64> {
-    dijkstra_core(g, source, &mut Scratch::new(), None).0
+    dijkstra_core(g, source, &mut Scratch::new(), &RunConfig::new()).output
 }
 
 /// Per-query prepared Dijkstra — the sequential engine for serving
@@ -31,35 +31,20 @@ pub fn dijkstra_prepared(
     prepared: &PreparedSssp<'_>,
     scratch: &mut Scratch,
     cfg: &RunConfig,
-) -> (Vec<u64>, RunOutcome) {
-    dijkstra_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        scratch,
-        cfg.cancel.as_ref(),
-    )
-}
-
-/// [`dijkstra`] under an optional deadline (the one-shot counterpart of
-/// [`dijkstra_prepared`]).
-pub fn dijkstra_cancellable(
-    g: &Graph,
-    source: u32,
-    cancel: Option<&CancelToken>,
-) -> (Vec<u64>, RunOutcome) {
-    dijkstra_core(g, source, &mut Scratch::new(), cancel)
+) -> Report<Vec<u64>> {
+    dijkstra_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
 }
 
 /// Runs Dijkstra drawing the heap's backing storage from `scratch`. The
 /// distance array is *moved* into the return value: it is the query's
 /// output, so cloning it just to park a copy (as an earlier revision
 /// did) would be a redundant `O(n)` copy per query.
-fn dijkstra_core(
+pub(crate) fn dijkstra_core(
     g: &Graph,
     source: u32,
     scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
-) -> (Vec<u64>, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<Vec<u64>> {
     let n = g.num_vertices();
     let mut dist = vec![INF; n];
     // The heap's backing storage round-trips through the workspace
@@ -73,7 +58,7 @@ fn dijkstra_core(
         since_poll += 1;
         if since_poll >= POLL_EVERY || since_poll == 1 {
             since_poll = 1;
-            if super::deadline_tripped(cancel) {
+            if cfg.is_cancelled() {
                 outcome = RunOutcome::DeadlineExceeded;
                 break;
             }
@@ -92,7 +77,7 @@ fn dijkstra_core(
     }
     heap.clear();
     scratch.put_vec("dijkstra_heap", heap.into_vec());
-    (dist, outcome)
+    Report::plain(dist).with_outcome(outcome)
 }
 
 #[cfg(test)]

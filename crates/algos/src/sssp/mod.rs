@@ -24,29 +24,20 @@ mod dijkstra;
 mod pam_dijkstra;
 mod rho_stepping;
 
-pub use bellman_ford::{bellman_ford, bellman_ford_prepared, bellman_ford_with};
-pub use crauser::{crauser_out, crauser_out_prepared, crauser_out_with};
+pub use bellman_ford::{bellman_ford, bellman_ford_prepared};
+pub use crauser::{crauser_out, crauser_out_prepared};
 pub use delta_stepping::{delta_stepping, delta_stepping_prepared};
-pub use dijkstra::{dijkstra, dijkstra_cancellable, dijkstra_prepared};
-pub use pam_dijkstra::{sssp_pam, sssp_pam_prepared, sssp_pam_with};
+pub(crate) use dijkstra::dijkstra_core;
+pub use dijkstra::{dijkstra, dijkstra_prepared};
+pub use pam_dijkstra::{sssp_pam, sssp_pam_prepared};
 pub use rho_stepping::{rho_stepping, rho_stepping_prepared, DEFAULT_RHO};
 
-use phase_parallel::{CancelToken, Report, RunConfig};
+use phase_parallel::{Report, RunConfig};
 use pp_graph::Graph;
 use rayon::prelude::*;
 
 /// Unreachable-distance sentinel.
 pub const INF: u64 = u64::MAX;
-
-/// One cancellation poll, shared by every round loop in the family:
-/// `None` (no deadline armed) costs a branch, `Some` costs one relaxed
-/// atomic load. Polls are observation-free — they never change what a
-/// run computes, only whether it keeps going — so happy-path digests
-/// are byte-identical with and without a deadline (pinned registry-wide
-/// by the serve conformance tests).
-pub(crate) fn deadline_tripped(cancel: Option<&CancelToken>) -> bool {
-    phase_parallel::deadline_tripped(cancel)
-}
 
 /// Relax `members` in edge-balanced packets (degree-prefix chunker,
 /// [`pp_graph::chunk`]): everything `relax(v)` yields is appended to
@@ -151,7 +142,7 @@ mod tests {
 
     fn check_all_agree(g: &Graph, source: u32) {
         let d1 = dijkstra(g, source);
-        let d2 = bellman_ford(g, source);
+        let d2 = bellman_ford(g, source, &RunConfig::new()).output;
         assert_eq!(d1, d2, "dijkstra vs bellman-ford");
         for delta in [1u64, 7, 1 << 10, 1 << 20] {
             let d3 = delta_stepping(g, source, &RunConfig::new().with_delta(delta)).output;
@@ -195,7 +186,7 @@ mod tests {
         assert_eq!(d, vec![0, 5, INF, INF]);
         let d2 = delta_stepping(&g, 0, &RunConfig::new().with_delta(5)).output;
         assert_eq!(d2, d);
-        assert_eq!(bellman_ford(&g, 0), d);
+        assert_eq!(bellman_ford(&g, 0, &RunConfig::new()).output, d);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! flat-vs-tree contrast is measurable here too.
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{CancelToken, ExecutionStats, Report, RunConfig, RunOutcome, Scratch};
+use phase_parallel::{ExecutionStats, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use pp_pam::{AugTree, NoAug};
 use rayon::prelude::*;
@@ -24,17 +24,13 @@ use rayon::prelude::*;
 /// Phase-parallel Dijkstra on a PA-BST. The report's `stats.rounds`
 /// counts settled `w*`-wide windows, with per-window frontier sizes in
 /// `frontier_sizes`. Panics on unweighted graphs with edges.
-pub fn sssp_pam(g: &Graph, source: u32) -> Report<Vec<u64>> {
-    sssp_pam_with(g, source, None)
-}
-
-/// [`sssp_pam`] under an optional deadline: the window loop polls
-/// `cancel` each round; a trip returns the partial distances (settled
-/// windows exact, the rest tentative or [`INF`]) under
-/// `RunOutcome::DeadlineExceeded`.
-pub fn sssp_pam_with(g: &Graph, source: u32, cancel: Option<&CancelToken>) -> Report<Vec<u64>> {
+///
+/// The window loop polls the config's deadline each round; a trip
+/// returns the partial distances (settled windows exact, the rest
+/// tentative or [`INF`]) under `RunOutcome::DeadlineExceeded`.
+pub fn sssp_pam(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
     let w_star = g.min_weight().unwrap_or(1).max(1);
-    sssp_pam_core(g, source, w_star, cancel)
+    sssp_pam_core(g, source, w_star, cfg)
 }
 
 /// Per-query prepared PA-BST SSSP: the window width w* comes
@@ -50,16 +46,11 @@ pub fn sssp_pam_prepared(
         prepared.graph,
         prepared.source_for(cfg),
         prepared.w_star,
-        cfg.cancel.as_ref(),
+        cfg,
     )
 }
 
-fn sssp_pam_core(
-    g: &Graph,
-    source: u32,
-    w_star: u64,
-    cancel: Option<&CancelToken>,
-) -> Report<Vec<u64>> {
+fn sssp_pam_core(g: &Graph, source: u32, w_star: u64, cfg: &RunConfig) -> Report<Vec<u64>> {
     let n = g.num_vertices();
     // The distance array is the output: filled in place and moved into
     // the report (no clone-and-park round trip).
@@ -70,7 +61,7 @@ fn sssp_pam_core(
     let mut stats = ExecutionStats::default();
     let mut outcome = RunOutcome::Completed;
     while !tree.is_empty() {
-        if super::deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -136,7 +127,11 @@ mod tests {
         for seed in 0..4 {
             let g = gen::uniform(400, 1600, seed);
             let wg = gen::with_uniform_weights(&g, 10, 500, seed + 9);
-            assert_eq!(sssp_pam(&wg, 0).output, dijkstra(&wg, 0), "seed {seed}");
+            assert_eq!(
+                sssp_pam(&wg, 0, &RunConfig::new()).output,
+                dijkstra(&wg, 0),
+                "seed {seed}"
+            );
         }
     }
 
@@ -145,8 +140,8 @@ mod tests {
         // Same windowing: rounds ≈ Δ-stepping's bucket count at Δ = w*.
         let g = gen::grid2d(20, 20);
         let wg = gen::with_uniform_weights(&g, 100, 150, 1);
-        let pam = sssp_pam(&wg, 0);
-        let delta = delta_stepping(&wg, 0, &phase_parallel::RunConfig::new().with_delta(100));
+        let pam = sssp_pam(&wg, 0, &RunConfig::new());
+        let delta = delta_stepping(&wg, 0, &RunConfig::new().with_delta(100));
         assert_eq!(pam.output, delta.output);
         // Both settle w*-wide windows; counts agree up to empty windows.
         let rounds = pam.stats.rounds;
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn single_vertex_and_disconnected() {
         let g = pp_graph::GraphBuilder::new(3).weighted().build();
-        let report = sssp_pam(&g, 1);
+        let report = sssp_pam(&g, 1, &RunConfig::new());
         assert_eq!(report.output, vec![INF, 0, INF]);
         assert_eq!(report.stats.rounds, 1);
     }

@@ -24,9 +24,7 @@
 //! edge-balanced packets. All buffers recycle through [`Scratch`].
 
 use super::{PreparedSssp, INF};
-use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
-};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,14 +43,7 @@ pub const DEFAULT_RHO: usize = 4096;
 /// included); the `"relaxations"` counter is the work proxy (`/ m`
 /// measures the overhead vs Dijkstra's exactly-once relaxation).
 pub fn rho_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    rho_stepping_core(
-        g,
-        source,
-        cfg.rho.unwrap_or(DEFAULT_RHO),
-        &mut Scratch::new(),
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    rho_stepping_core(g, source, &mut Scratch::new(), cfg)
 }
 
 /// Per-query prepared ρ-stepping: source from [`RunConfig::source`],
@@ -64,24 +55,16 @@ pub fn rho_stepping_prepared(
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    rho_stepping_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        cfg.rho.unwrap_or(DEFAULT_RHO),
-        scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    rho_stepping_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
 }
 
 fn rho_stepping_core(
     g: &Graph,
     source: u32,
-    rho: usize,
     scratch: &mut Scratch,
-    policy: FrontierPolicy,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
+    let rho = cfg.rho.unwrap_or(DEFAULT_RHO);
     assert!(rho > 0, "rho must be positive");
     let n = g.num_vertices();
     let mut dist = scratch.take_vec::<AtomicU64>("sssp_dist");
@@ -91,7 +74,7 @@ fn rho_stepping_core(
     // improved since they were last processed.
     let mut active = Frontier::take(scratch, "sssp_frontier");
     active.reset(n);
-    active.set_policy(policy);
+    active.set_policy(cfg.frontier);
     active.insert(source);
     let mut batch = scratch.take_vec::<u32>("rho_batch");
     let mut ds = scratch.take_vec::<u64>("rho_ds");
@@ -105,7 +88,7 @@ fn rho_stepping_core(
 
     while !active.is_empty() {
         // Cooperative cancellation, polled once per step.
-        if super::deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -183,6 +166,7 @@ fn rho_stepping_core(
 mod tests {
     use super::super::dijkstra;
     use super::*;
+    use phase_parallel::FrontierPolicy;
     use pp_graph::{gen, GraphBuilder};
 
     fn with_rho(rho: usize) -> RunConfig {

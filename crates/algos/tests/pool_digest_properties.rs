@@ -43,7 +43,7 @@ proptest! {
         let mut digests = Vec::new();
         for threads in THREAD_COUNTS {
             let cfg = RunConfig::seeded(run_seed).with_threads(threads);
-            let outcome = entry.run_case(&case, &cfg);
+            let outcome = entry.run_case(&case, &cfg).unwrap();
             prop_assert_eq!(
                 outcome.expected_digest,
                 outcome.observed_digest,
@@ -76,7 +76,7 @@ proptest! {
             (0..3).map(|i| RunConfig::seeded(run_seed + i)).collect();
         for threads in [2usize, 8] {
             let cfg = RunConfig::seeded(run_seed).with_threads(threads);
-            for (i, outcome) in entry.run_batch(&case, &queries, &cfg).iter().enumerate() {
+            for (i, outcome) in entry.run_batch(&case, &queries, &cfg).unwrap().iter().enumerate() {
                 prop_assert!(
                     outcome.agrees(),
                     "prepared query {} diverged on {} threads",

@@ -2,6 +2,7 @@
 //! ranks, sequential vs Type 1 vs Type 2 (plus the PA-BST reference).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use phase_parallel::RunConfig;
 use pp_algos::activity::{self, workload};
 
 fn bench_activity(c: &mut Criterion) {
@@ -14,18 +15,18 @@ fn bench_activity(c: &mut Criterion) {
             b.iter(|| activity::max_weight_seq(a))
         });
         group.bench_with_input(BenchmarkId::new("type1_flat", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type1(a))
+            b.iter(|| activity::max_weight_type1(a, &RunConfig::new()))
         });
         group.bench_with_input(BenchmarkId::new("type1_pam", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type1_pam(a))
+            b.iter(|| activity::max_weight_type1_pam(a, &RunConfig::new()))
         });
         group.bench_with_input(BenchmarkId::new("type2", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type2(a))
+            b.iter(|| activity::max_weight_type2(a, &RunConfig::new()))
         });
         group.bench_with_input(
             BenchmarkId::new("unweighted_logn_span", rank),
             &acts,
-            |b, a| b.iter(|| activity::max_count_unweighted(a)),
+            |b, a| b.iter(|| activity::max_count_unweighted(a, &RunConfig::new()).output),
         );
     }
     group.finish();

@@ -13,7 +13,9 @@ fn bench_sssp(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig6_sssp");
     group.sample_size(10);
     group.bench_function("dijkstra_seq", |b| b.iter(|| sssp::dijkstra(&g, 0)));
-    group.bench_function("bellman_ford", |b| b.iter(|| sssp::bellman_ford(&g, 0)));
+    group.bench_function("bellman_ford", |b| {
+        b.iter(|| sssp::bellman_ford(&g, 0, &RunConfig::new()).output)
+    });
     for dlog in [18u32, 20, 22, 26] {
         let cfg = RunConfig::new().with_delta(1 << dlog);
         group.bench_with_input(

@@ -2,6 +2,7 @@
 //! three §6.2 distributions, parallel vs sequential.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use phase_parallel::RunConfig;
 use pp_algos::huffman;
 use pp_parlay::rng::{bounded, hash64};
 
@@ -21,7 +22,7 @@ fn bench_huffman(c: &mut Criterion) {
     group.sample_size(10);
     for (name, freqs) in [("uniform", uniform), ("zipf", zipf), ("exponential", expo)] {
         group.bench_with_input(BenchmarkId::new("parallel", name), &freqs, |b, f| {
-            b.iter(|| huffman::build_par(f))
+            b.iter(|| huffman::build_par(f, &RunConfig::new()).output)
         });
         group.bench_with_input(BenchmarkId::new("sequential", name), &freqs, |b, f| {
             b.iter(|| huffman::build_seq(f))

@@ -19,10 +19,10 @@ fn bench_graph_greedy(c: &mut Criterion) {
             b.iter(|| mis::mis_seq(g, &pri))
         });
         group.bench_with_input(BenchmarkId::new("mis_tas", name), &g, |b, g| {
-            b.iter(|| mis::mis_tas(g, &pri))
+            b.iter(|| mis::mis_tas(g, &pri, &RunConfig::new()).output)
         });
         group.bench_with_input(BenchmarkId::new("mis_rounds", name), &g, |b, g| {
-            b.iter(|| mis::mis_rounds(g, &pri))
+            b.iter(|| mis::mis_rounds(g, &pri, &RunConfig::new()))
         });
         let luby_cfg = RunConfig::seeded(5);
         group.bench_with_input(BenchmarkId::new("mis_luby", name), &g, |b, g| {
@@ -32,19 +32,19 @@ fn bench_graph_greedy(c: &mut Criterion) {
             b.iter(|| coloring::coloring_seq(g, &pri))
         });
         group.bench_with_input(BenchmarkId::new("coloring_par", name), &g, |b, g| {
-            b.iter(|| coloring::coloring_par(g, &pri))
+            b.iter(|| coloring::coloring_par(g, &pri, &RunConfig::new()).output)
         });
         let epri = matching::random_edge_priorities(&g, 4);
         group.bench_with_input(BenchmarkId::new("matching_seq", name), &g, |b, g| {
             b.iter(|| matching::matching_seq(g, &epri))
         });
         group.bench_with_input(BenchmarkId::new("matching_par", name), &g, |b, g| {
-            b.iter(|| matching::matching_par(g, &epri))
+            b.iter(|| matching::matching_par(g, &epri, &RunConfig::new()))
         });
         group.bench_with_input(
             BenchmarkId::new("matching_reservations", name),
             &g,
-            |b, g| b.iter(|| matching::matching_reservations(g, &epri)),
+            |b, g| b.iter(|| matching::matching_reservations(g, &epri, &RunConfig::new())),
         );
     }
     group.finish();

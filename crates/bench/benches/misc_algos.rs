@@ -21,7 +21,7 @@ fn bench_misc(c: &mut Criterion) {
         .map(|i| Item::new(25 + hash64(1, i) % 200, 1 + hash64(2, i) % 1000))
         .collect();
     group.bench_function("knapsack_par", |b| {
-        b.iter(|| max_value_par(&items, 100_000))
+        b.iter(|| max_value_par(&items, 100_000, &RunConfig::new()))
     });
     group.bench_function("knapsack_seq", |b| {
         b.iter(|| max_value_seq(&items, 100_000))

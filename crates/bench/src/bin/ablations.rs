@@ -89,12 +89,12 @@ fn main() {
     ] {
         let pri = pri.unwrap_or_else(|| random_priorities(g.num_vertices(), 5));
         let t_tas = time_best(1, || {
-            std::hint::black_box(mis::mis_tas(&g, &pri));
+            std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
         });
         let t_rounds = time_best(1, || {
-            std::hint::black_box(mis::mis_rounds(&g, &pri));
+            std::hint::black_box(mis::mis_rounds(&g, &pri, &RunConfig::new()));
         });
-        let rs = mis::mis_rounds(&g, &pri).stats;
+        let rs = mis::mis_rounds(&g, &pri, &RunConfig::new()).stats;
         table.row(&[
             name.to_string(),
             secs(t_tas),
@@ -116,10 +116,10 @@ fn main() {
     for target in [100u64, 10_000] {
         let acts = workload::with_target_rank(500_000 * s, target, 6);
         let t_flat = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1(&acts));
+            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
         });
         let t_pam = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1_pam(&acts));
+            std::hint::black_box(activity::max_weight_type1_pam(&acts, &RunConfig::new()));
         });
         table.row(&[
             target.to_string(),
@@ -144,13 +144,13 @@ fn main() {
     ] {
         let wg = gen::with_uniform_weights(&g, 1 << 21, 1 << 23, 8);
         let flat = pp_algos::sssp::sssp_phase_parallel(&wg, 0);
-        let pam = pp_algos::sssp::sssp_pam(&wg, 0);
+        let pam = pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new());
         assert_eq!(flat.output, pam.output);
         let t_flat = time_best(1, || {
             std::hint::black_box(pp_algos::sssp::sssp_phase_parallel(&wg, 0));
         });
         let t_pam = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::sssp_pam(&wg, 0));
+            std::hint::black_box(pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new()));
         });
         table.row(&[
             name.to_string(),
@@ -208,7 +208,7 @@ fn main() {
         let rho_cfg = RunConfig::new().with_rho(pp_algos::sssp::DEFAULT_RHO);
         let delta = pp_algos::sssp::sssp_phase_parallel(&wg, 0);
         let rho = pp_algos::sssp::rho_stepping(&wg, 0, &rho_cfg);
-        let cr = pp_algos::sssp::crauser_out(&wg, 0);
+        let cr = pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new());
         assert_eq!(delta.output, rho.output);
         assert_eq!(delta.output, cr.output);
         let t_delta = time_best(1, || {
@@ -218,7 +218,7 @@ fn main() {
             std::hint::black_box(pp_algos::sssp::rho_stepping(&wg, 0, &rho_cfg));
         });
         let t_cr = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::crauser_out(&wg, 0));
+            std::hint::black_box(pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new()));
         });
         table.row(&[
             name.to_string(),

@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+use phase_parallel::RunConfig;
 use pp_algos::activity::{self, workload};
 use pp_bench::{scale, secs, time_best, Table};
 
@@ -33,10 +34,10 @@ fn main() {
             std::hint::black_box(activity::max_weight_seq(&acts));
         });
         let t1 = time_best(2, || {
-            std::hint::black_box(activity::max_weight_type1(&acts));
+            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
         });
         let t2 = time_best(2, || {
-            std::hint::black_box(activity::max_weight_type2(&acts));
+            std::hint::black_box(activity::max_weight_type2(&acts, &RunConfig::new()));
         });
         table.row(&[
             target.to_string(),

@@ -12,7 +12,8 @@
 
 #![forbid(unsafe_code)]
 
-use pp_algos::huffman::{build_par_with_stats, build_seq};
+use phase_parallel::RunConfig;
+use pp_algos::huffman::{build_par, build_seq};
 use pp_bench::{scale, secs, time_best, Table};
 use pp_parlay::rng::{bounded, hash64};
 use rayon::prelude::*;
@@ -56,10 +57,10 @@ fn main() {
             } else {
                 expo_freqs(n, 1.0 / (1u64 << (flog / 2)) as f64, 3)
             };
-            let report = build_par_with_stats(&freqs);
+            let report = build_par(&freqs, &RunConfig::new());
             let (tree, stats) = (report.output, report.stats);
             let t = time_best(1, || {
-                std::hint::black_box(build_par_with_stats(&freqs));
+                std::hint::black_box(build_par(&freqs, &RunConfig::new()));
             });
             table.row(&[
                 dist.to_string(),
@@ -82,7 +83,7 @@ fn main() {
             ("exponential", expo_freqs(n, 0.01, 4)),
         ] {
             let tp = time_best(1, || {
-                std::hint::black_box(build_par_with_stats(&freqs));
+                std::hint::black_box(build_par(&freqs, &RunConfig::new()));
             });
             let ts = time_best(1, || {
                 std::hint::black_box(build_seq(&freqs));

@@ -170,7 +170,7 @@ fn run_knob_family(plan: &FuzzPlan, cases: u64, failures: &mut Vec<String>) -> (
         if let Some(source) = knobs.source {
             cfg = cfg.with_source(source);
         }
-        match entry.try_run_case(&case_spec, &cfg) {
+        match entry.run_case(&case_spec, &cfg) {
             Ok(outcome) => {
                 accepted += 1;
                 // A run that was not cancelled must still agree with

@@ -35,9 +35,9 @@ fn main() {
         let acts = workload::with_target_rank(n, 1000, 1);
         let rank = *activity::ranks(&acts).iter().max().unwrap();
         let t = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1(&acts));
+            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
         });
-        let st = activity::max_weight_type1(&acts).stats;
+        let st = activity::max_weight_type1(&acts, &RunConfig::new()).stats;
         table.row(&[
             "activity_t1".into(),
             n.to_string(),
@@ -68,9 +68,9 @@ fn main() {
             .map(|i| 1 + pp_parlay::hash64(4, i) % 1000)
             .collect();
         let t = time_best(1, || {
-            std::hint::black_box(huffman::build_par(&freqs));
+            std::hint::black_box(huffman::build_par(&freqs, &RunConfig::new()).output);
         });
-        let report = huffman::build_par_with_stats(&freqs);
+        let report = huffman::build_par(&freqs, &RunConfig::new());
         let (tree, st) = (report.output, report.stats);
         table.row(&[
             "huffman_par".into(),
@@ -85,7 +85,7 @@ fn main() {
         let g = gen::uniform(n, 5 * n, 5);
         let pri = random_priorities(n, 6);
         let t = time_best(1, || {
-            std::hint::black_box(mis::mis_tas(&g, &pri));
+            std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
         });
         table.row(&[
             "mis_tas".into(),
@@ -103,7 +103,7 @@ fn main() {
         .map(|i| Item::new(20 + (i * 13) % 80, 1 + i))
         .collect();
     let w = 200_000u64;
-    let st = max_value_par(&items, w).stats;
+    let st = max_value_par(&items, w, &RunConfig::new()).stats;
     println!(
         "  W = {w}, w* = 20 → rounds = {} (expected {})",
         st.rounds,

@@ -54,12 +54,12 @@ fn main() {
         });
         let t_act = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(activity::max_weight_type1(&acts));
+                std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
             })
         });
         let t_mis = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(mis::mis_tas(&g, &pri));
+                std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
             })
         });
         base.get_or_insert((t_lis, t_act, t_mis));

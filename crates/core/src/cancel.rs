@@ -144,14 +144,6 @@ impl Default for CancelToken {
     }
 }
 
-/// The engine-side poll idiom: has an optional token tripped? One
-/// relaxed load when a token is present, free when not — every
-/// round/phase loop in the registry calls this at its top, so a blown
-/// deadline resolves at round granularity everywhere.
-pub fn deadline_tripped(cancel: Option<&CancelToken>) -> bool {
-    cancel.is_some_and(CancelToken::is_cancelled)
-}
-
 /// Tokens compare by identity (shared state), not by observed value:
 /// two independently-built tokens are never equal even if both are
 /// untripped. This is what lets [`RunConfig`](crate::RunConfig) keep

@@ -51,13 +51,10 @@ pub mod tas_tree;
 pub mod type1;
 pub mod type2;
 
-pub use cancel::{deadline_tripped, CancelToken, RunOutcome};
+pub use cancel::{CancelToken, RunOutcome};
 pub use frontier::{Frontier, FrontierPolicy};
 pub use rank::{IndependenceSystem, RankFn};
-pub use reservations::{
-    speculative_for, speculative_for_cancellable, ReservationProblem, ReservationTable,
-    SpecForStats,
-};
+pub use reservations::{speculative_for, ReservationProblem, ReservationTable};
 pub use scratch::{Scratch, ScratchLease};
 pub use solver::{
     BatchReport, PhaseAlgorithm, PivotMode, PreparedSolver, PrioritySource, Report, RunConfig,
@@ -65,5 +62,5 @@ pub use solver::{
 };
 pub use stats::ExecutionStats;
 pub use tas_tree::{TasForest, TasTree};
-pub use type1::{run_type1, run_type1_cancellable, Type1Problem};
-pub use type2::{run_type2, run_type2_cancellable, Type2Problem, WakeResult};
+pub use type1::{run_type1, Type1Problem};
+pub use type2::{run_type2, Type2Problem, WakeResult};

@@ -23,7 +23,9 @@
 //! remaining iterates each round bounds wasted work at the cost of extra
 //! rounds.
 
-use crate::cancel::{deadline_tripped, CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
+use crate::solver::{Report, RunConfig};
+use crate::stats::ExecutionStats;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -130,61 +132,37 @@ pub trait ReservationProblem: Sync {
     fn commit(&self, i: u32, table: &ReservationTable) -> bool;
 }
 
-/// Counters reported by [`speculative_for`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpecForStats {
-    /// Rounds executed (the paper's round-efficiency measure).
-    pub rounds: u64,
-    /// Total reserve+commit attempts across all rounds — the framework's
-    /// work proxy; `attempts / num_iterates` is the re-examination factor
-    /// the SPAA 2022 paper eliminates.
-    pub attempts: u64,
-}
-
-impl From<SpecForStats> for crate::ExecutionStats {
-    /// Fold the framework counters into the unified stats: `rounds`
-    /// carries over, `attempts` becomes the `"attempts"` named counter.
-    fn from(spec: SpecForStats) -> Self {
-        let mut stats = Self::default();
-        stats.rounds = spec.rounds as usize;
-        stats.set_counter("attempts", spec.attempts);
-        stats
-    }
-}
-
 /// Run `problem` to completion with deterministic reservations.
 ///
 /// `granularity` caps how many of the earliest unfinished iterates are
 /// attempted per round (`0` means "all", the maximal-parallelism choice
-/// whose worst case is the `O(D·m)` the paper discusses).
+/// whose worst case is the `O(D·m)` the paper discusses). The report's
+/// `stats.rounds` counts rounds (the paper's round-efficiency measure)
+/// and its `"attempts"` counter totals reserve+commit attempts — the
+/// framework's work proxy; `attempts / num_iterates` is the
+/// re-examination factor the SPAA 2022 paper eliminates.
+///
+/// The config's cancellation token is polled at the top of every round,
+/// before any reserve runs, so a pre-tripped token performs zero rounds.
+/// On a trip the uncommitted iterates are simply abandoned (the
+/// framework is idempotent per round, so partial state is exactly
+/// "everything committed so far") and the outcome is
+/// [`RunOutcome::DeadlineExceeded`]. An untripped token leaves the run
+/// byte-identical to a run without one.
 pub fn speculative_for<P: ReservationProblem>(
     problem: &P,
     table: &ReservationTable,
     granularity: usize,
-) -> SpecForStats {
-    let (stats, _) = speculative_for_cancellable(problem, table, granularity, None);
-    stats
-}
-
-/// [`speculative_for`] with a cooperative deadline: the token is polled
-/// at the top of every round, before any reserve runs, so a pre-tripped
-/// token performs zero rounds. On a trip the uncommitted iterates are
-/// simply abandoned (the framework is idempotent per round, so partial
-/// state is exactly "everything committed so far") and the outcome is
-/// [`RunOutcome::DeadlineExceeded`]. An untripped token leaves the run
-/// byte-identical to the uncancelled engine.
-pub fn speculative_for_cancellable<P: ReservationProblem>(
-    problem: &P,
-    table: &ReservationTable,
-    granularity: usize,
-    cancel: Option<&CancelToken>,
-) -> (SpecForStats, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<()> {
     let n = problem.num_iterates();
     let mut pending: Vec<u32> = (0..n as u32).collect();
-    let mut stats = SpecForStats::default();
+    let (mut rounds, mut attempts) = (0usize, 0u64);
+    let mut outcome = RunOutcome::Completed;
     while !pending.is_empty() {
-        if deadline_tripped(cancel) {
-            return (stats, RunOutcome::DeadlineExceeded);
+        if cfg.is_cancelled() {
+            outcome = RunOutcome::DeadlineExceeded;
+            break;
         }
         let take = if granularity == 0 {
             pending.len()
@@ -198,8 +176,8 @@ pub fn speculative_for_cancellable<P: ReservationProblem>(
             .par_iter()
             .map(|&i| problem.commit(i, table))
             .collect();
-        stats.rounds += 1;
-        stats.attempts += take as u64;
+        rounds += 1;
+        attempts += take as u64;
         let mut next: Vec<u32> = batch
             .iter()
             .zip(&done)
@@ -209,12 +187,16 @@ pub fn speculative_for_cancellable<P: ReservationProblem>(
         next.extend_from_slice(rest);
         pending = next;
     }
-    (stats, RunOutcome::Completed)
+    let mut stats = ExecutionStats::default();
+    stats.rounds = rounds;
+    stats.set_counter("attempts", attempts);
+    Report::new((), stats).with_outcome(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
     use std::sync::atomic::AtomicU32;
 
     /// Toy problem: n iterates all contend for one slot; each commit
@@ -242,17 +224,21 @@ mod tests {
         }
     }
 
+    fn single_slot(n: usize) -> SingleSlot {
+        SingleSlot {
+            order: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            cursor: AtomicU32::new(0),
+        }
+    }
+
     #[test]
     fn single_slot_serializes_in_order() {
         let n = 300;
-        let p = SingleSlot {
-            order: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            cursor: AtomicU32::new(0),
-        };
+        let p = single_slot(n);
         let t = ReservationTable::new(1);
-        let stats = speculative_for(&p, &t, 0);
+        let stats = speculative_for(&p, &t, 0, &RunConfig::new()).stats;
         // One iterate commits per round: fully sequential dependence.
-        assert_eq!(stats.rounds, n as u64);
+        assert_eq!(stats.rounds, n);
         for (k, slot) in p.order.iter().enumerate() {
             assert_eq!(slot.load(Ordering::Relaxed), k as u32);
         }
@@ -285,13 +271,10 @@ mod tests {
     #[test]
     fn granularity_limits_batch() {
         let n = 100;
-        let p = SingleSlot {
-            order: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            cursor: AtomicU32::new(0),
-        };
+        let p = single_slot(n);
         let t = ReservationTable::new(1);
-        let stats = speculative_for(&p, &t, 10);
-        assert_eq!(stats.rounds, n as u64); // still one commit per round
+        let stats = speculative_for(&p, &t, 10, &RunConfig::new()).stats;
+        assert_eq!(stats.rounds, n); // still one commit per round
         for (k, slot) in p.order.iter().enumerate() {
             assert_eq!(slot.load(Ordering::Relaxed), k as u32);
         }
@@ -299,32 +282,32 @@ mod tests {
 
     #[test]
     fn pre_tripped_token_runs_zero_rounds() {
-        let n = 100;
-        let p = SingleSlot {
-            order: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            cursor: AtomicU32::new(0),
-        };
+        let p = single_slot(100);
         let t = ReservationTable::new(1);
         let token = CancelToken::new();
         token.cancel();
-        let (stats, outcome) = speculative_for_cancellable(&p, &t, 0, Some(&token));
-        assert_eq!(outcome, RunOutcome::DeadlineExceeded);
-        assert_eq!(stats.rounds, 0);
+        let report = speculative_for(&p, &t, 0, &RunConfig::new().with_cancel_token(token));
+        assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
+        assert_eq!(report.stats.rounds, 0);
         assert_eq!(p.cursor.load(Ordering::Relaxed), 0, "nothing committed");
     }
 
     #[test]
     fn untripped_token_is_observation_free() {
-        let n = 100;
-        let p = SingleSlot {
-            order: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            cursor: AtomicU32::new(0),
+        let (with_token, without) = (single_slot(100), single_slot(100));
+        let cfg = RunConfig::new().with_cancel_token(CancelToken::new());
+        let with = speculative_for(&with_token, &ReservationTable::new(1), 0, &cfg);
+        let plain = speculative_for(&without, &ReservationTable::new(1), 0, &RunConfig::new());
+        assert_eq!(with.outcome, RunOutcome::Completed);
+        assert_eq!(with.stats.rounds, plain.stats.rounds);
+        assert_eq!(
+            with.stats.counter("attempts"),
+            plain.stats.counter("attempts")
+        );
+        let order = |p: &SingleSlot| -> Vec<u32> {
+            p.order.iter().map(|a| a.load(Ordering::Relaxed)).collect()
         };
-        let t = ReservationTable::new(1);
-        let token = CancelToken::new();
-        let (stats, outcome) = speculative_for_cancellable(&p, &t, 0, Some(&token));
-        assert_eq!(outcome, RunOutcome::Completed);
-        assert_eq!(stats.rounds, n as u64);
+        assert_eq!(order(&with_token), order(&without));
     }
 
     #[test]
@@ -345,8 +328,8 @@ mod tests {
         }
         let p = Indep(5000);
         let t = ReservationTable::new(5000);
-        let stats = speculative_for(&p, &t, 0);
+        let stats = speculative_for(&p, &t, 0, &RunConfig::new()).stats;
         assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.attempts, 5000);
+        assert_eq!(stats.counter("attempts"), Some(5000));
     }
 }

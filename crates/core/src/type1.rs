@@ -11,7 +11,8 @@
 //! recorded in [`ExecutionStats`] so round-efficiency (span ≈ rank·polylog)
 //! can be asserted by tests and reported by benches.
 
-use crate::cancel::{deadline_tripped, CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
+use crate::solver::{Report, RunConfig};
 use crate::stats::ExecutionStats;
 
 /// A problem runnable by the Type 1 engine.
@@ -32,26 +33,20 @@ pub trait Type1Problem {
     fn finish(self) -> Self::Output;
 }
 
-/// Run Algorithm 1 over a Type 1 problem.
-pub fn run_type1<P: Type1Problem>(problem: P) -> (P::Output, ExecutionStats) {
-    let (out, stats, _) = run_type1_cancellable(problem, None);
-    (out, stats)
-}
-
-/// [`run_type1`] with a cooperative deadline: the token is polled at the
-/// top of every round (before extraction, so a pre-tripped token stops
-/// the run at zero rounds). On a trip the engine stops, finishes with
-/// its partial state, and reports [`RunOutcome::DeadlineExceeded`];
+/// Run Algorithm 1 over a Type 1 problem. The report's `stats.rounds`
+/// counts extracted frontiers, with their sizes in `frontier_sizes`.
+///
+/// The config's cancellation token is polled at the top of every round
+/// (before extraction, so a pre-tripped token stops the run at zero
+/// rounds). On a trip the engine stops, finishes with its partial state,
+/// and reports [`RunOutcome::DeadlineExceeded`](crate::RunOutcome);
 /// stats cover only the rounds actually run. A token that never fires
-/// leaves the run byte-identical to the uncancelled engine.
-pub fn run_type1_cancellable<P: Type1Problem>(
-    mut problem: P,
-    cancel: Option<&CancelToken>,
-) -> (P::Output, ExecutionStats, RunOutcome) {
+/// leaves the run byte-identical to a run without one.
+pub fn run_type1<P: Type1Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::Output> {
     let mut stats = ExecutionStats::default();
     let mut outcome = RunOutcome::Completed;
     loop {
-        if deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -62,12 +57,13 @@ pub fn run_type1_cancellable<P: Type1Problem>(
         stats.record_round(frontier.len());
         problem.process(&frontier);
     }
-    (problem.finish(), stats, outcome)
+    Report::new(problem.finish(), stats).with_outcome(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
 
     /// A toy problem: objects 0..n with rank i/width; frontier i is the
     /// i-th width-sized block (mimicking the knapsack frontier of §4.2).
@@ -97,63 +93,47 @@ mod tests {
         }
     }
 
-    #[test]
-    fn processes_everything_in_rank_rounds() {
-        let (done, stats) = run_type1(Blocks {
-            n: 103,
+    fn blocks(n: u32) -> Blocks {
+        Blocks {
+            n,
             width: 10,
             next: 0,
-            processed: vec![false; 103],
-        });
-        assert!(done.iter().all(|&b| b));
-        assert_eq!(stats.rounds, 11); // ceil(103 / 10)
-        assert_eq!(stats.processed(), 103);
-        assert_eq!(stats.max_frontier(), 10);
+            processed: vec![false; n as usize],
+        }
+    }
+
+    #[test]
+    fn processes_everything_in_rank_rounds() {
+        let report = run_type1(blocks(103), &RunConfig::new());
+        assert!(report.output.iter().all(|&b| b));
+        assert_eq!(report.stats.rounds, 11); // ceil(103 / 10)
+        assert_eq!(report.stats.processed(), 103);
+        assert_eq!(report.stats.max_frontier(), 10);
+        assert!(report.is_complete());
     }
 
     #[test]
     fn pre_tripped_token_stops_before_any_round() {
         let token = CancelToken::new();
         token.cancel();
-        let (done, stats, outcome) = run_type1_cancellable(
-            Blocks {
-                n: 103,
-                width: 10,
-                next: 0,
-                processed: vec![false; 103],
-            },
-            Some(&token),
-        );
-        assert_eq!(outcome, RunOutcome::DeadlineExceeded);
-        assert_eq!(stats.rounds, 0);
-        assert!(done.iter().all(|&b| !b), "no round ran");
+        let report = run_type1(blocks(103), &RunConfig::new().with_cancel_token(token));
+        assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
+        assert_eq!(report.stats.rounds, 0);
+        assert!(report.output.iter().all(|&b| !b), "no round ran");
     }
 
     #[test]
     fn untripped_token_is_observation_free() {
-        let token = CancelToken::new();
-        let (done, stats, outcome) = run_type1_cancellable(
-            Blocks {
-                n: 103,
-                width: 10,
-                next: 0,
-                processed: vec![false; 103],
-            },
-            Some(&token),
-        );
-        assert_eq!(outcome, RunOutcome::Completed);
-        assert_eq!(stats.rounds, 11);
-        assert!(done.iter().all(|&b| b));
+        let cfg = RunConfig::new().with_cancel_token(CancelToken::new());
+        let with = run_type1(blocks(103), &cfg);
+        let without = run_type1(blocks(103), &RunConfig::new());
+        assert_eq!(with.outcome, RunOutcome::Completed);
+        assert_eq!(with.output, without.output);
+        assert_eq!(with.stats.frontier_sizes, without.stats.frontier_sizes);
     }
 
     #[test]
     fn empty_problem_runs_zero_rounds() {
-        let (_, stats) = run_type1(Blocks {
-            n: 0,
-            width: 10,
-            next: 0,
-            processed: vec![],
-        });
-        assert_eq!(stats.rounds, 0);
+        assert_eq!(run_type1(blocks(0), &RunConfig::new()).stats.rounds, 0);
     }
 }

@@ -9,7 +9,8 @@
 //! pivots each object is attempted `O(log |P(x)|)` times whp
 //! (Lemma 5.5), which is what makes the whole thing work-efficient.
 
-use crate::cancel::{deadline_tripped, CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
+use crate::solver::{Report, RunConfig};
 use crate::stats::ExecutionStats;
 use pp_pam::Multimap;
 use rayon::prelude::*;
@@ -58,28 +59,21 @@ pub trait Type2Problem: Sync {
 }
 
 /// Run the Type 2 wake-up loop over a problem.
-pub fn run_type2<P: Type2Problem>(problem: P) -> (P::Output, ExecutionStats) {
-    let (out, stats, _) = run_type2_cancellable(problem, None);
-    (out, stats)
-}
-
-/// [`run_type2`] with a cooperative deadline: the token is polled at the
-/// top of every wake-up round, before the round's frontier commits, so a
-/// pre-tripped token stops the run with zero rounds. On a trip the
-/// engine finishes with partial state under
-/// [`RunOutcome::DeadlineExceeded`]; an untripped token leaves the run
-/// byte-identical to the uncancelled engine.
-pub fn run_type2_cancellable<P: Type2Problem>(
-    mut problem: P,
-    cancel: Option<&CancelToken>,
-) -> (P::Output, ExecutionStats, RunOutcome) {
+///
+/// The config's cancellation token is polled at the top of every
+/// wake-up round, before the round's frontier commits, so a pre-tripped
+/// token stops the run with zero rounds. On a trip the engine finishes
+/// with partial state under
+/// [`RunOutcome::DeadlineExceeded`](crate::RunOutcome); an untripped
+/// token leaves the run byte-identical to a run without one.
+pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::Output> {
     let mut stats = ExecutionStats::default();
     let mut outcome = RunOutcome::Completed;
     let mut t_pivot: Multimap<u32, u32> = Multimap::build(problem.initial_pivots());
 
     let mut frontier: Vec<(u32, P::Info)> = problem.initial_frontier();
     while !frontier.is_empty() {
-        if deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -106,12 +100,13 @@ pub fn run_type2_cancellable<P: Type2Problem>(
         t_pivot.multi_insert(new_pairs);
         frontier = next_frontier;
     }
-    (problem.finish(), stats, outcome)
+    Report::new(problem.finish(), stats).with_outcome(outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A toy chain problem: object i depends on exactly {0..i}; pivot is
@@ -148,17 +143,21 @@ mod tests {
         }
     }
 
+    fn chain(n: u32) -> Chain {
+        Chain {
+            n,
+            depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
     #[test]
     fn chain_runs_n_rounds() {
         let n = 50;
-        let (depths, stats) = run_type2(Chain {
-            n,
-            depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
-        });
-        assert_eq!(depths, (0..n).collect::<Vec<_>>());
-        assert_eq!(stats.rounds, n as usize);
-        assert_eq!(stats.failed_wakeups, 0);
-        assert_eq!(stats.wakeup_attempts, n as usize - 1);
+        let report = run_type2(chain(n), &RunConfig::new());
+        assert_eq!(report.output, (0..n).collect::<Vec<_>>());
+        assert_eq!(report.stats.rounds, n as usize);
+        assert_eq!(report.stats.failed_wakeups, 0);
+        assert_eq!(report.stats.wakeup_attempts, n as usize - 1);
     }
 
     /// A problem with false pivots: object 2 initially pivots on 0 but
@@ -193,9 +192,13 @@ mod tests {
 
     #[test]
     fn repivot_path() {
-        let (_, stats) = run_type2(Repivot {
-            finished: (0..3).map(|_| AtomicU32::new(0)).collect(),
-        });
+        let stats = run_type2(
+            Repivot {
+                finished: (0..3).map(|_| AtomicU32::new(0)).collect(),
+            },
+            &RunConfig::new(),
+        )
+        .stats;
         // Rounds: {0}, {1}, {2}.
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.failed_wakeups, 1);
@@ -206,41 +209,24 @@ mod tests {
     fn pre_tripped_token_commits_nothing() {
         let token = CancelToken::new();
         token.cancel();
-        let n = 50;
-        let (depths, stats, outcome) = run_type2_cancellable(
-            Chain {
-                n,
-                depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            },
-            Some(&token),
-        );
-        assert_eq!(outcome, RunOutcome::DeadlineExceeded);
-        assert_eq!(stats.rounds, 0);
-        assert!(depths.iter().all(|&d| d == 0), "no commit ran");
+        let report = run_type2(chain(50), &RunConfig::new().with_cancel_token(token));
+        assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
+        assert_eq!(report.stats.rounds, 0);
+        assert!(report.output.iter().all(|&d| d == 0), "no commit ran");
     }
 
     #[test]
     fn untripped_token_is_observation_free() {
-        let token = CancelToken::new();
-        let n = 50;
-        let (depths, stats, outcome) = run_type2_cancellable(
-            Chain {
-                n,
-                depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            },
-            Some(&token),
-        );
-        assert_eq!(outcome, RunOutcome::Completed);
-        assert_eq!(depths, (0..n).collect::<Vec<_>>());
-        assert_eq!(stats.rounds, n as usize);
+        let cfg = RunConfig::new().with_cancel_token(CancelToken::new());
+        let with = run_type2(chain(50), &cfg);
+        let without = run_type2(chain(50), &RunConfig::new());
+        assert_eq!(with.outcome, RunOutcome::Completed);
+        assert_eq!(with.output, without.output);
+        assert_eq!(with.stats.frontier_sizes, without.stats.frontier_sizes);
     }
 
     #[test]
     fn empty_problem() {
-        let (_, stats) = run_type2(Chain {
-            n: 0,
-            depth: vec![],
-        });
-        assert_eq!(stats.rounds, 0);
+        assert_eq!(run_type2(chain(0), &RunConfig::new()).stats.rounds, 0);
     }
 }

@@ -138,34 +138,32 @@ fn batch_reuse_grows_across_solve_batch_calls() {
     let prepared = solver.prepare(&input[..]);
     let queries: Vec<RunConfig> = (0..8).map(RunConfig::seeded).collect();
 
-    let max_reuses = |batch: &phase_parallel::BatchReport<u64>| {
-        batch
-            .reports
-            .iter()
-            .filter_map(|r| r.stats.counter("scratch_reuses"))
-            .max()
-            .unwrap()
-    };
-
-    // First batch: workers start on fresh workspaces; within the batch
-    // a worker serving several queries already reuses its buffer.
-    let first = prepared.solve_batch(&queries);
-    assert!(first.outputs().all(|&o| o == 1225));
-    let first_max = max_reuses(&first);
-    // Workspaces return to the pool between batches.
-    assert!(prepared.pooled_scratches() >= 1);
-
-    // Second batch: workers draw the parked workspaces, so the reuse
-    // counters continue from the first batch instead of restarting —
-    // monotone growth across `solve_batch` calls.
-    let second = prepared.solve_batch(&queries);
-    let second_max = max_reuses(&second);
-    assert!(
-        second_max > first_max,
-        "cross-batch reuse must accumulate: {second_max} vs {first_max}"
-    );
-
-    // Counters never decrease batch over batch.
-    let third = prepared.solve_batch(&queries);
-    assert!(max_reuses(&third) >= second_max);
+    // Which pooled workspace a worker draws depends on the schedule, so
+    // only schedule-free facts are asserted: each workspace misses
+    // exactly once (on its first query, the only report with one take),
+    // fresh workspaces are the pool's only growth, and the pool never
+    // holds more than one workspace per query of a batch.
+    let mut pooled = 0;
+    for batch_no in 0..4 {
+        let batch = prepared.solve_batch(&queries);
+        assert!(batch.outputs().all(|&o| o == 1225));
+        let mut fresh = 0;
+        for report in &batch.reports {
+            let takes = report.stats.counter("scratch_takes").unwrap();
+            let reuses = report.stats.counter("scratch_reuses").unwrap();
+            assert_eq!(takes, reuses + 1, "a workspace misses only once");
+            fresh += usize::from(takes == 1);
+        }
+        assert_eq!(prepared.pooled_scratches(), pooled + fresh);
+        pooled = prepared.pooled_scratches();
+        assert!((1..=queries.len()).contains(&pooled), "pool size {pooled}");
+        // Later batches start from parked workspaces: each reuses at
+        // least one, so summed reuses grow batch over batch.
+        if batch_no > 0 {
+            assert!(
+                fresh < queries.len(),
+                "batch {batch_no} drew no parked workspace"
+            );
+        }
+    }
 }

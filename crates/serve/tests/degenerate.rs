@@ -26,7 +26,7 @@ fn every_entry_survives_degenerate_sizes() {
             let case = CaseSpec::new(size, 3);
             let cfg = RunConfig::seeded(3);
             let outcome = entry
-                .try_run_case(&case, &cfg)
+                .run_case(&case, &cfg)
                 .unwrap_or_else(|e| panic!("{} size {size}: {e}", entry.name()));
             assert!(outcome.agrees(), "{} size {size}", entry.name());
 
@@ -83,7 +83,7 @@ fn zero_draw_seq_scenario_is_accepted() {
                 continue;
             }
             let outcome = entry
-                .try_run_case(&case, &RunConfig::seeded(7))
+                .run_case(&case, &RunConfig::seeded(7))
                 .unwrap_or_else(|e| panic!("{} on {key}: {e}", entry.name()));
             assert!(outcome.agrees(), "{} on zero-draw {key}", entry.name());
         }

@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example compression`
 
-use pp_algos::huffman::{build_par_with_stats, build_seq, CanonicalCode};
+use phase_parallel::RunConfig;
+use pp_algos::huffman::{build_par, build_seq, CanonicalCode};
 use pp_parlay::rng::Rng;
 use std::time::Instant;
 
@@ -23,7 +24,7 @@ fn main() {
     let t_seq = t.elapsed();
 
     let t = Instant::now();
-    let report = build_par_with_stats(&freqs);
+    let report = build_par(&freqs, &RunConfig::new());
     let (par_tree, stats) = (report.output, report.stats);
     let t_par = t.elapsed();
 

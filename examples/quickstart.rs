@@ -82,7 +82,7 @@ fn main() {
     let case = CaseSpec::new(2000, 9);
     let cfg = RunConfig::seeded(9);
     for entry in registry::registry() {
-        let outcome = entry.run_case(&case, &cfg);
+        let outcome = entry.run_case(&case, &cfg).expect("valid case");
         assert!(outcome.agrees(), "{} diverged", entry.name());
         println!(
             "  {:<24} {:>5} rounds  [{:?}]",

@@ -17,6 +17,7 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example register_allocation`
 
+use phase_parallel::RunConfig;
 use pp_algos::coloring::{coloring_par, coloring_seq, is_proper_coloring};
 use pp_algos::coloring_orders::{
     num_colors, order_largest_degree_first, order_largest_log_degree_first, order_random,
@@ -121,7 +122,7 @@ fn main() {
             order_largest_log_degree_first(&g, 7),
         ),
     ] {
-        let colors = coloring_par(&g, &priority);
+        let colors = coloring_par(&g, &priority, &RunConfig::new()).output;
         assert!(is_proper_coloring(&g, &colors), "{name}: improper coloring");
         assert_eq!(
             colors,

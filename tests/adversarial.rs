@@ -29,7 +29,7 @@ fn lis_rank_equals_n_chain() {
 #[test]
 fn activity_rank_equals_n_chain() {
     let acts = activity::sort_by_end((0..1500u64).map(|i| Activity::new(i, i + 1, 1)).collect());
-    let report = activity::max_weight_type2(&acts);
+    let report = activity::max_weight_type2(&acts, &RunConfig::new());
     assert_eq!(report.output, 1500);
     assert_eq!(report.stats.rounds, 1500);
 }
@@ -45,7 +45,7 @@ fn mis_priority_chain_worst_case() {
     }
     let g = b.build();
     let pri: Vec<u32> = (0..n as u32).rev().collect();
-    let set = mis::mis_tas(&g, &pri);
+    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
     assert_eq!(set, mis::mis_seq(&g, &pri));
     // Greedy with decreasing priorities selects every even vertex.
     assert!(set.iter().step_by(2).all(|&x| x));
@@ -73,7 +73,7 @@ fn lis_all_equal_and_all_distinct_duplicated() {
 fn activity_identical_intervals() {
     // n copies of the same interval: rank 1, pick the heaviest.
     let acts = activity::sort_by_end((0..1000u64).map(|w| Activity::new(10, 20, w + 1)).collect());
-    let report = activity::max_weight_type1(&acts);
+    let report = activity::max_weight_type1(&acts, &RunConfig::new());
     assert_eq!(report.output, 1000);
     assert_eq!(report.stats.rounds, 1);
 }
@@ -82,7 +82,7 @@ fn activity_identical_intervals() {
 fn huffman_extreme_skew_and_two_symbols() {
     // Powers of two force a path-shaped tree (max rank).
     let freqs: Vec<u64> = (0..40).map(|i| 1u64 << i).collect();
-    let report = huffman::build_par_with_stats(&freqs);
+    let report = huffman::build_par(&freqs, &RunConfig::new());
     let (t, stats) = (report.output, report.stats);
     assert_eq!(t.height(), 39);
     assert!(stats.rounds <= 39);
@@ -97,9 +97,9 @@ fn knapsack_boundary_weights() {
     // Item exactly equal to W, and items summing to just over W.
     let items = vec![Item::new(100, 7), Item::new(51, 4)];
     assert_eq!(max_value_seq(&items, 100), 7);
-    assert_eq!(max_value_par(&items, 100).output, 7);
-    assert_eq!(max_value_par(&items, 99).output, 4);
-    assert_eq!(max_value_par(&items, 50).output, 0);
+    assert_eq!(max_value_par(&items, 100, &RunConfig::new()).output, 7);
+    assert_eq!(max_value_par(&items, 99, &RunConfig::new()).output, 4);
+    assert_eq!(max_value_par(&items, 50, &RunConfig::new()).output, 0);
 }
 
 // ---- graph edge cases ----
@@ -138,7 +138,7 @@ fn mis_on_complete_graph_selects_exactly_one() {
     }
     let g = b.build();
     let pri = random_priorities(n, 3);
-    let set = mis::mis_tas(&g, &pri);
+    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
     assert_eq!(set.iter().filter(|&&x| x).count(), 1);
     let top = (0..n).max_by_key(|&v| pri[v]).unwrap();
     assert!(set[top]);
@@ -155,7 +155,7 @@ fn self_loops_and_duplicates_cleaned_by_builder() {
     let g = b.build();
     assert_eq!(g.num_edges(), 2);
     let pri = random_priorities(3, 1);
-    let set = mis::mis_tas(&g, &pri);
+    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
     assert!(mis::is_maximal_independent(&g, &set));
 }
 
@@ -171,7 +171,7 @@ fn activity_huge_weights_no_overflow() {
             .collect(),
     );
     assert_eq!(
-        activity::max_weight_type1(&acts).output,
+        activity::max_weight_type1(&acts, &RunConfig::new()).output,
         1000 * (u32::MAX as u64)
     );
 }
@@ -180,7 +180,7 @@ fn activity_huge_weights_no_overflow() {
 fn huffman_large_frequencies_fit_u64() {
     // Total ~2^40: well within u64 during merging.
     let freqs: Vec<u64> = (0..1024).map(|_| 1u64 << 30).collect();
-    let t = huffman::build_par(&freqs);
+    let t = huffman::build_par(&freqs, &RunConfig::new()).output;
     assert_eq!(t.height(), 10);
 }
 
@@ -188,7 +188,7 @@ fn huffman_large_frequencies_fit_u64() {
 fn graphs_with_isolated_vertices_everywhere() {
     let g = gen::uniform(100, 30, 5); // sparse: many isolated vertices
     let pri = random_priorities(100, 6);
-    let set = mis::mis_tas(&g, &pri);
+    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
     assert!(mis::is_maximal_independent(&g, &set));
     // Isolated vertices must all be selected.
     for v in 0..100u32 {
@@ -251,7 +251,7 @@ fn crauser_uniform_weights_settle_bfs_layers() {
     // so rounds = eccentricity of the source.
     let g = gen::grid2d(40, 40);
     let wg = gen::with_uniform_weights(&g, 9, 9, 1);
-    let report = sssp::crauser_out(&wg, 0);
+    let report = sssp::crauser_out(&wg, 0, &RunConfig::new());
     assert_eq!(report.output, sssp::dijkstra(&wg, 0));
     assert_eq!(
         report.stats.rounds,

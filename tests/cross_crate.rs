@@ -22,9 +22,9 @@ fn activity_pipeline_end_to_end() {
     for target in [1u64, 30, 3_000] {
         let acts = activity::workload::with_target_rank(30_000, target, target);
         let want = activity::max_weight_seq(&acts);
-        let r1 = activity::max_weight_type1(&acts);
-        let r1p = activity::max_weight_type1_pam(&acts);
-        let r2 = activity::max_weight_type2(&acts);
+        let r1 = activity::max_weight_type1(&acts, &RunConfig::new());
+        let r1p = activity::max_weight_type1_pam(&acts, &RunConfig::new());
+        let r2 = activity::max_weight_type2(&acts, &RunConfig::new());
         assert_eq!(r1.output, want);
         assert_eq!(r1p.output, want);
         assert_eq!(r2.output, want);
@@ -60,7 +60,7 @@ fn knapsack_par_matches_seq_large() {
         .map(|_| Item::new(5 + r.range(50), 1 + r.range(1000)))
         .collect();
     let w = 20_000;
-    let report = max_value_par(&items, w);
+    let report = max_value_par(&items, w, &RunConfig::new());
     assert_eq!(report.output, max_value_seq(&items, w));
     let w_star = items.iter().map(|i| i.weight).min().unwrap();
     assert_eq!(report.stats.rounds as u64, (w).div_ceil(w_star));
@@ -78,7 +78,7 @@ fn huffman_par_optimal_on_all_distributions() {
         .collect();
     for (freqs, label) in [(uniform, "uniform"), (zipf, "zipf"), (expo, "exponential")] {
         let seq = huffman::build_seq(&freqs);
-        let report = huffman::build_par_with_stats(&freqs);
+        let report = huffman::build_par(&freqs, &RunConfig::new());
         let (par, stats) = (report.output, report.stats);
         assert_eq!(
             seq.weighted_path_length(&freqs),
@@ -108,7 +108,11 @@ fn sssp_all_algorithms_on_all_graph_shapes() {
     for (label, g) in shapes {
         let wg = gen::with_uniform_weights(&g, 1 << 10, 1 << 16, 3);
         let base = sssp::dijkstra(&wg, 0);
-        assert_eq!(sssp::bellman_ford(&wg, 0), base, "{label} bellman-ford");
+        assert_eq!(
+            sssp::bellman_ford(&wg, 0, &RunConfig::new()).output,
+            base,
+            "{label} bellman-ford"
+        );
         let d = sssp::sssp_phase_parallel(&wg, 0).output;
         assert_eq!(d, base, "{label} phase-parallel");
         for delta in [1u64 << 8, 1 << 14, 1 << 20] {
@@ -126,17 +130,20 @@ fn graph_greedy_trio_agree_everywhere() {
         let pri = random_priorities(n, seed + 10);
         // MIS.
         let set = mis::mis_seq(&g, &pri);
-        assert_eq!(mis::mis_tas(&g, &pri), set);
-        assert_eq!(mis::mis_rounds(&g, &pri).output, set);
+        assert_eq!(mis::mis_tas(&g, &pri, &RunConfig::new()).output, set);
+        assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, set);
         assert!(mis::is_maximal_independent(&g, &set));
         // Coloring.
         let col = coloring_seq(&g, &pri);
-        assert_eq!(coloring_par(&g, &pri), col);
+        assert_eq!(coloring_par(&g, &pri, &RunConfig::new()).output, col);
         assert!(is_proper_coloring(&g, &col));
         // Matching.
         let epri = matching::random_edge_priorities(&g, seed + 20);
         let m = matching::matching_seq(&g, &epri);
-        assert_eq!(matching::matching_par(&g, &epri).output, m);
+        assert_eq!(
+            matching::matching_par(&g, &epri, &RunConfig::new()).output,
+            m
+        );
         assert!(matching::is_maximal_matching(&g, &m));
     }
 }
@@ -154,10 +161,15 @@ fn results_identical_across_thread_counts() {
     let run_all = || {
         (
             lis::lis_par(&series, &lis_cfg).output,
-            mis::mis_tas(&g, &pri),
-            coloring_par(&g, &pri),
-            activity::max_weight_type1(&acts).output,
-            sssp::sssp_pam(&gen::with_uniform_weights(&g, 10, 100, 6), 0).output,
+            mis::mis_tas(&g, &pri, &RunConfig::new()).output,
+            coloring_par(&g, &pri, &RunConfig::new()).output,
+            activity::max_weight_type1(&acts, &RunConfig::new()).output,
+            sssp::sssp_pam(
+                &gen::with_uniform_weights(&g, 10, 100, 6),
+                0,
+                &RunConfig::new(),
+            )
+            .output,
         )
     };
     let reference = run_all();
@@ -197,7 +209,7 @@ fn weighted_lis_and_coloring_orders_end_to_end() {
         order_largest_degree_first(&g, 5),
         order_largest_log_degree_first(&g, 5),
     ] {
-        let c = coloring_par(&g, &pri);
+        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
         assert_eq!(c, coloring_seq(&g, &pri));
         assert!(is_proper_coloring(&g, &c));
         assert!(num_colors(&c) <= g.max_degree() as u32 + 1);
@@ -258,7 +270,7 @@ fn reservations_framework_end_to_end() {
 
     let g = gen::rmat(10, 8192, 12);
     let pri = matching::random_edge_priorities(&g, 13);
-    let mask = matching::matching_reservations(&g, &pri).output;
+    let mask = matching::matching_reservations(&g, &pri, &RunConfig::new()).output;
     assert_eq!(mask, matching::matching_seq(&g, &pri));
     assert!(matching::is_maximal_matching(&g, &mask));
 }
@@ -277,7 +289,7 @@ fn sssp_relaxed_rank_family_agrees_on_all_shapes() {
             sssp::rho_stepping(&wg, src, &RunConfig::new().with_rho(64)).output,
             want
         );
-        assert_eq!(sssp::crauser_out(&wg, src).output, want);
+        assert_eq!(sssp::crauser_out(&wg, src, &RunConfig::new()).output, want);
         assert_eq!(sssp::sssp_phase_parallel(&wg, src).output, want);
     }
 }
@@ -287,8 +299,8 @@ fn mis_family_maximality_and_greedy_equality() {
     let g = gen::rmat(11, 1 << 14, 17);
     let pri = random_priorities(g.num_vertices(), 18);
     let greedy = mis::mis_seq(&g, &pri);
-    assert_eq!(mis::mis_tas(&g, &pri), greedy);
-    assert_eq!(mis::mis_rounds(&g, &pri).output, greedy);
+    assert_eq!(mis::mis_tas(&g, &pri, &RunConfig::new()).output, greedy);
+    assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, greedy);
     // Luby: maximal but a different (non-greedy) set is allowed.
     let luby = mis::mis_luby(&g, &RunConfig::seeded(19)).output;
     assert!(mis::is_maximal_independent(&g, &luby));

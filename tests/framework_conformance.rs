@@ -41,7 +41,7 @@ use pp_workloads::{ScenarioSpec, WeightDist};
 /// Run every registry entry on one case and assert agreement.
 fn assert_all_agree(case: CaseSpec, cfg: &RunConfig) {
     for entry in registry::registry() {
-        let outcome = entry.run_case(&case, cfg);
+        let outcome = entry.run_case(&case, cfg).unwrap();
         assert!(
             outcome.agrees(),
             "{}: parallel output diverged from sequential on size={} seed={} cfg={cfg:?}",
@@ -133,7 +133,9 @@ fn conformance_with_per_algorithm_knobs() {
 /// assert each query agrees with its fresh one-shot reference.
 fn assert_all_prepared_agree(case: CaseSpec, queries: &[RunConfig]) {
     for entry in registry::registry() {
-        let outcomes = entry.run_batch(&case, queries, &RunConfig::seeded(case.seed));
+        let outcomes = entry
+            .run_batch(&case, queries, &RunConfig::seeded(case.seed))
+            .unwrap();
         assert_eq!(outcomes.len(), queries.len());
         for (i, outcome) in outcomes.iter().enumerate() {
             assert!(
@@ -201,7 +203,7 @@ fn scenario_matrix_par_equals_seq() {
             for (size, seed) in [(2usize, 4u64), (67, 5), (150, 6)] {
                 let case = CaseSpec::new(size, seed).with_scenario(scenario);
                 let outcome = entry
-                    .try_run_case(&case, &RunConfig::seeded(seed))
+                    .run_case(&case, &RunConfig::seeded(seed))
                     .expect("applicable scenario");
                 assert!(
                     outcome.agrees(),
@@ -231,7 +233,7 @@ fn scenario_matrix_prepared_equals_one_shot() {
         for scenario in entry.scenarios() {
             let case = CaseSpec::new(80, 17).with_scenario(scenario);
             let outcomes = entry
-                .try_run_batch(&case, &queries, &RunConfig::seeded(17))
+                .run_batch(&case, &queries, &RunConfig::seeded(17))
                 .expect("applicable scenario");
             assert_eq!(outcomes.len(), queries.len());
             for (i, outcome) in outcomes.iter().enumerate() {
@@ -255,8 +257,8 @@ fn scenario_matrix_is_deterministic() {
     for entry in registry::registry() {
         for scenario in entry.scenarios() {
             let case = CaseSpec::new(60, 8).with_scenario(scenario);
-            let a = entry.try_run_case(&case, &cfg).unwrap();
-            let b = entry.try_run_case(&case, &cfg).unwrap();
+            let a = entry.run_case(&case, &cfg).unwrap();
+            let b = entry.run_case(&case, &cfg).unwrap();
             assert_eq!(
                 a.expected_digest,
                 b.expected_digest,
@@ -284,7 +286,7 @@ fn scenario_matrix_weight_distributions() {
         for scenario in entry.scenarios() {
             for dist in weight_dists {
                 let case = CaseSpec::new(90, 3).with_scenario(scenario.with_weights(dist));
-                let outcome = entry.try_run_case(&case, &RunConfig::seeded(3)).unwrap();
+                let outcome = entry.run_case(&case, &RunConfig::seeded(3)).unwrap();
                 assert!(
                     outcome.agrees(),
                     "{name} diverged on {} × {}",
@@ -324,15 +326,14 @@ fn scenario_matrix_by_string_keys() {
 /// Every entry's prepared query path must reuse its scratch buffers in
 /// steady state: after two warm-up queries, a third query's `take_*`
 /// calls are all served from parked buffers (no per-query scratch
-/// allocations). The `scratch_smoke` bench bin runs the same probe as
-/// a CI gate; this test keeps it enforced under plain `cargo test`.
+/// allocations).
 #[test]
 fn scenario_matrix_steady_state_scratch_reuse() {
     let cfg = RunConfig::seeded(5);
     for entry in registry::registry() {
         for scenario in entry.scenarios() {
             let case = CaseSpec::new(90, 4).with_scenario(scenario);
-            let probe = entry.scratch_probe(&case, &cfg);
+            let probe = entry.scratch_probe(&case, &cfg).unwrap();
             assert!(
                 probe.steady_state_reuse(),
                 "{} on {}: steady-state query took {} buffers but reused only {}",
@@ -360,14 +361,18 @@ fn scenario_matrix_steady_state_scratch_reuse() {
 fn digests_identical_across_thread_counts() {
     let case = CaseSpec::new(180, 21);
     for entry in registry::registry() {
-        let reference = entry.run_case(&case, &RunConfig::seeded(21).with_threads(1));
+        let reference = entry
+            .run_case(&case, &RunConfig::seeded(21).with_threads(1))
+            .unwrap();
         assert!(
             reference.agrees(),
             "{}: 1-thread run diverged",
             entry.name()
         );
         for threads in [2usize, 8] {
-            let outcome = entry.run_case(&case, &RunConfig::seeded(21).with_threads(threads));
+            let outcome = entry
+                .run_case(&case, &RunConfig::seeded(21).with_threads(threads))
+                .unwrap();
             assert!(
                 outcome.agrees(),
                 "{}: {threads}-thread run diverged from sequential",
@@ -399,11 +404,13 @@ fn prepared_digests_identical_across_thread_counts() {
     for entry in registry::registry() {
         let mut reference: Option<Vec<u64>> = None;
         for threads in [1usize, 2, 8] {
-            let outcomes = entry.run_batch(
-                &case,
-                &queries,
-                &RunConfig::seeded(23).with_threads(threads),
-            );
+            let outcomes = entry
+                .run_batch(
+                    &case,
+                    &queries,
+                    &RunConfig::seeded(23).with_threads(threads),
+                )
+                .unwrap();
             for (i, outcome) in outcomes.iter().enumerate() {
                 assert!(
                     outcome.agrees(),
@@ -445,14 +452,10 @@ fn sssp_repeated_runs_race_smoke() {
         );
         for scenario in scenarios.into_iter().take(3) {
             let case = CaseSpec::new(140, 9).with_scenario(scenario);
-            let reference = entry
-                .try_run_case(&case, &cfg)
-                .expect("applicable scenario");
+            let reference = entry.run_case(&case, &cfg).expect("applicable scenario");
             assert!(reference.agrees());
             for iteration in 1..16 {
-                let outcome = entry
-                    .try_run_case(&case, &cfg)
-                    .expect("applicable scenario");
+                let outcome = entry.run_case(&case, &cfg).expect("applicable scenario");
                 assert_eq!(
                     outcome.observed_digest,
                     reference.observed_digest,

@@ -184,21 +184,21 @@ proptest! {
             .collect();
         let acts = activity::sort_by_end(acts);
         let want = activity::max_weight_seq(&acts);
-        prop_assert_eq!(activity::max_weight_type1(&acts).output, want);
-        prop_assert_eq!(activity::max_weight_type2(&acts).output, want);
+        prop_assert_eq!(activity::max_weight_type1(&acts, &RunConfig::new()).output, want);
+        prop_assert_eq!(activity::max_weight_type2(&acts, &RunConfig::new()).output, want);
     }
 
     #[test]
     fn knapsack_par_equals_seq(raw in prop::collection::vec((1u64..30, 0u64..100), 1..15),
                                w in 0u64..400) {
         let items: Vec<Item> = raw.into_iter().map(|(wt, v)| Item::new(wt, v)).collect();
-        prop_assert_eq!(max_value_par(&items, w).output, max_value_seq(&items, w));
+        prop_assert_eq!(max_value_par(&items, w, &RunConfig::new()).output, max_value_seq(&items, w));
     }
 
     #[test]
     fn huffman_par_wpl_is_optimal(freqs in prop::collection::vec(1u64..10_000, 1..200)) {
         let seq = huffman::build_seq(&freqs);
-        let par = huffman::build_par(&freqs);
+        let par = huffman::build_par(&freqs, &RunConfig::new()).output;
         prop_assert_eq!(seq.weighted_path_length(&freqs), par.weighted_path_length(&freqs));
         prop_assert!(par.kraft_holds());
     }
@@ -206,7 +206,7 @@ proptest! {
     #[test]
     fn huffman_canonical_roundtrip(freqs in prop::collection::vec(1u64..500, 2..100),
                                    msg_seed in any::<u64>()) {
-        let tree = huffman::build_par(&freqs);
+        let tree = huffman::build_par(&freqs, &RunConfig::new()).output;
         let code = huffman::CanonicalCode::from_tree(&tree);
         let n = freqs.len();
         let msg: Vec<usize> = (0..300)
@@ -274,7 +274,7 @@ proptest! {
         let base = pp_algos::sssp::dijkstra(&wg, 0);
         let d = pp_algos::sssp::delta_stepping(&wg, 0, &RunConfig::new().with_delta(w_min)).output;
         prop_assert_eq!(&d, &base);
-        let d = pp_algos::sssp::sssp_pam(&wg, 0).output;
+        let d = pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new()).output;
         prop_assert_eq!(&d, &base);
     }
 
@@ -283,13 +283,13 @@ proptest! {
         let g = pp_graph::gen::uniform(150, 600, seed);
         let pri = pp_parlay::shuffle::random_priorities(150, seed + 7);
         let set = pp_algos::mis::mis_seq(&g, &pri);
-        prop_assert_eq!(&pp_algos::mis::mis_tas(&g, &pri), &set);
+        prop_assert_eq!(&pp_algos::mis::mis_tas(&g, &pri, &RunConfig::new()).output, &set);
         prop_assert!(pp_algos::mis::is_maximal_independent(&g, &set));
         let col = pp_algos::coloring::coloring_seq(&g, &pri);
-        prop_assert_eq!(&pp_algos::coloring::coloring_par(&g, &pri), &col);
+        prop_assert_eq!(&pp_algos::coloring::coloring_par(&g, &pri, &RunConfig::new()).output, &col);
         let epri = pp_algos::matching::random_edge_priorities(&g, seed + 9);
         let m = pp_algos::matching::matching_seq(&g, &epri);
-        prop_assert_eq!(&pp_algos::matching::matching_par(&g, &epri).output, &m);
+        prop_assert_eq!(&pp_algos::matching::matching_par(&g, &epri, &RunConfig::new()).output, &m);
     }
 
     #[test]
@@ -449,7 +449,7 @@ proptest! {
         let want = pp_algos::sssp::dijkstra(&wg, 0);
         let rho = pp_algos::sssp::rho_stepping(&wg, 0, &RunConfig::new().with_rho(8)).output;
         prop_assert_eq!(&rho, &want);
-        let cr = pp_algos::sssp::crauser_out(&wg, 0).output;
+        let cr = pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new()).output;
         prop_assert_eq!(&cr, &want);
     }
 
@@ -472,11 +472,11 @@ proptest! {
                 let sparse = entry.run_case(
                     &case,
                     &RunConfig::seeded(seed).with_frontier(FrontierPolicy::Sparse),
-                );
+                ).unwrap();
                 let dense = entry.run_case(
                     &case,
                     &RunConfig::seeded(seed).with_frontier(FrontierPolicy::Dense),
-                );
+                ).unwrap();
                 prop_assert!(sparse.agrees(), "{name}/{} sparse != seq", scenario.key());
                 prop_assert!(dense.agrees(), "{name}/{} dense != seq", scenario.key());
                 prop_assert_eq!(
@@ -493,7 +493,7 @@ proptest! {
         let g = pp_graph::gen::uniform(n, m, seed);
         let pri = matching::random_edge_priorities(&g, seed ^ 3);
         let want = matching::matching_seq(&g, &pri);
-        let got = matching::matching_reservations(&g, &pri).output;
+        let got = matching::matching_reservations(&g, &pri, &RunConfig::new()).output;
         prop_assert_eq!(got, want);
     }
 
@@ -639,7 +639,7 @@ proptest! {
         let case = CaseSpec::new(size, seed);
         let gen_cfg = RunConfig::seeded(seed);
         for entry in registry::registry() {
-            let outcomes = entry.run_batch(&case, &queries, &gen_cfg);
+            let outcomes = entry.run_batch(&case, &queries, &gen_cfg).unwrap();
             prop_assert_eq!(outcomes.len(), queries.len());
             for (i, outcome) in outcomes.iter().enumerate() {
                 prop_assert!(
