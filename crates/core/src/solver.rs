@@ -850,6 +850,28 @@ mod tests {
         }
     }
 
+    /// `CountUp` whose every query busy-waits for 80 us first.
+    struct SpinUp;
+
+    impl PhaseAlgorithm for SpinUp {
+        type Input = [u32];
+        type Output = u64;
+        crate::impl_prepared_by_borrow!();
+        fn name(&self) -> &'static str {
+            "spin-up"
+        }
+        fn solve_seq(&self, input: &[u32]) -> u64 {
+            CountUp.solve_seq(input)
+        }
+        fn solve_par(&self, input: &[u32], cfg: &RunConfig) -> Report<u64> {
+            let start = std::time::Instant::now();
+            while start.elapsed() < std::time::Duration::from_micros(80) {
+                std::hint::spin_loop();
+            }
+            CountUp.solve_par(input, cfg)
+        }
+    }
+
     #[test]
     fn builder_chains() {
         let cfg = RunConfig::seeded(5)
@@ -947,10 +969,17 @@ mod tests {
             );
         }
 
+        // Each query spins 4x the shim's 20 us inline budget, so the
+        // caller runs only the first query inline and publishes the
+        // other seven. Two workers plus the helping caller cannot each
+        // have run at most one of seven jobs, so some executor finished
+        // a job before the batch returned.
+        let spinner = Solver::new(SpinUp).configure(|c| c.with_threads(2));
         let input = [1u32, 2, 3];
-        let prepared = solver.prepare(&input);
-        let queries: Vec<RunConfig> = (0..3).map(RunConfig::seeded).collect();
+        let prepared = spinner.prepare(&input);
+        let queries: Vec<RunConfig> = (0..8).map(RunConfig::seeded).collect();
         let batch = prepared.solve_batch(&queries);
+        assert!(batch.outputs().all(|&o| o == 6));
         assert!(
             batch.stats.counter("sched_jobs").is_some_and(|j| j >= 1),
             "a 2-thread batch fan-out must execute pool jobs"

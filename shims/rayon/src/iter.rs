@@ -4,25 +4,40 @@
 //! is wrapped in a [`Producer`] — an exact-length, `split_at`-able view
 //! — adaptors (`map`, `zip`, `enumerate`, …) wrap producers in
 //! producer combinators, and every consumer (`for_each`, `collect`,
-//! `reduce`, …) drives the pipeline by splitting the producer into
-//! `O(threads)` contiguous chunks, folding each chunk sequentially on a
-//! pool worker (`pool::run_chunks`), and combining the
-//! per-chunk results **in chunk order**. In-order combining is what
-//! keeps every consumer deterministic and sequential-equivalent: a
-//! `collect` or `par_extend` returns exactly the sequential order, a
-//! `min`/`max` breaks ties exactly like `Iterator::min`/`max`, and a
-//! `reduce` regroups (but never reorders) an associative combine.
+//! `reduce`, …) drives the pipeline through one driver, `run_split`,
+//! which cuts the producer into contiguous chunks, folds each chunk
+//! sequentially, and combines the per-chunk results **in chunk order**.
+//!
+//! The driver is *inline-first*: the calling thread folds doubling
+//! prefixes itself (starting at `min_len`, capped at the chunk size)
+//! until the producer runs dry or a fixed inline budget of serial time
+//! has elapsed. Only the remainder is cut into `O(threads)` chunks and
+//! published to the pool (`pool::run_chunks`). A region cheaper than
+//! the budget — the common case in rank-heavy round loops, which run
+//! hundreds of tiny rounds — never touches the deques, the injector or
+//! parking; a large region pays at most about one budget plus one
+//! prefix of serial time before it fans out.
+//!
+//! In-order combining is what keeps every consumer deterministic and
+//! sequential-equivalent however the region was cut: a `collect` or
+//! `par_extend` returns exactly the sequential order, a `min`/`max`
+//! breaks ties exactly like `Iterator::min`/`max`, and a `reduce`
+//! regroups (but never reorders) an associative combine. Only the
+//! *number* of chunks — and so of `fold` accumulators and `map_init`
+//! states — depends on timing.
 //!
 //! Length-erasing adaptors (`filter`, `filter_map`, `flat_map_iter`)
 //! switch the pipeline to [`UnindexedPar`]: the *base* producer is
-//! still split into balanced chunks, and each chunk's sequential
-//! iterator is post-processed by a composed [`ChunkMap`] transform, so
-//! filtering pipelines still run on every worker.
+//! still split into prefixes and balanced chunks, and each chunk's
+//! sequential iterator is post-processed by a composed [`ChunkMap`]
+//! transform, so filtering pipelines still run on every worker.
 //!
 //! Grain control: [`IndexedPar::with_min_len`] / `with_max_len` bound
 //! the per-chunk element count (measured in *base* items for unindexed
 //! pipelines), so hot loops can prevent both over-splitting of tiny
-//! inputs and under-splitting of skewed ones.
+//! inputs and under-splitting of skewed ones. Inline prefixes respect
+//! the same bounds: the first one is `min_len` items, the largest one
+//! is the chunk size.
 //!
 //! Deviation from rayon proper: adaptor closures must be `Clone`
 //! (chunks own a clone of the pipeline), which every capture-by-
@@ -36,11 +51,19 @@ use crate::pool;
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Chunks per worker a driver aims for: enough slack that uneven chunk
 /// costs level out across the shared queue, few enough that queue
 /// traffic stays negligible.
 const CHUNKS_PER_THREAD: usize = 4;
+
+/// Serial time the calling thread spends folding prefixes inline before
+/// it publishes the rest of a region to the pool. Sized on a 2-vCPU
+/// box: long enough that most per-round regions of rank-heavy loops
+/// (knapsack windows, Type 2 wake-up batches) finish inline, short
+/// enough that a served batch still fans out after its first query.
+const INLINE_BUDGET: Duration = Duration::from_micros(20);
 
 // ---------------------------------------------------------------------------
 // Core traits
@@ -162,9 +185,10 @@ pub trait Producer: Send + Sized {
 }
 
 /// A raw pointer that asserts cross-thread use is safe because every
-/// chunk writes a disjoint index range.
+/// piece of a region (inline prefix or published chunk) writes a
+/// disjoint index range.
 struct SendPtr<T>(*mut T);
-// SAFETY: every chunk writes only its own disjoint index range (see the
+// SAFETY: every piece writes only its own disjoint index range (see the
 // drivers below), so concurrent use never aliases a slot.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
@@ -187,10 +211,31 @@ fn chunk_len(len: usize, min_len: usize, max_len: usize, threads: usize) -> usiz
     target.clamp(lo, hi)
 }
 
-/// Split `producer` into grain-bounded chunks and fold each on the
-/// current pool, returning per-chunk results in chunk order. `fold`
-/// receives each chunk's base-item offset (used by the in-place
-/// `collect` writer).
+#[cfg(test)]
+thread_local! {
+    /// Test-only replacement for [`INLINE_BUDGET`] in regions driven
+    /// from this thread (`Duration::ZERO` publishes everything,
+    /// `Duration::MAX` runs everything inline).
+    static BUDGET_OVERRIDE: std::cell::Cell<Option<Duration>> =
+        const { std::cell::Cell::new(None) };
+}
+
+fn inline_budget() -> Duration {
+    #[cfg(test)]
+    if let Some(budget) = BUDGET_OVERRIDE.with(|b| b.get()) {
+        return budget;
+    }
+    INLINE_BUDGET
+}
+
+/// Fold `producer` in grain-bounded pieces and return the per-piece
+/// results in order. `fold` receives each piece's base-item offset
+/// (used by the in-place `collect` writer).
+///
+/// The calling thread first folds doubling prefixes itself — `min_len`
+/// items, then twice that, up to the chunk size — until the producer
+/// is exhausted or [`INLINE_BUDGET`] has elapsed. Only what is left is
+/// cut into chunks and run on the current pool.
 fn run_split<P, R, F>(producer: P, min_len: usize, max_len: usize, fold: F) -> Vec<R>
 where
     P: Producer,
@@ -203,9 +248,24 @@ where
     if registry.is_sequential() || len <= chunk {
         return vec![fold(0, producer)];
     }
-    let mut chunks = Vec::with_capacity(len.div_ceil(chunk));
+    let mut results = Vec::new();
     let mut rest = producer;
     let mut offset = 0usize;
+    let (budget, start) = (inline_budget(), Instant::now());
+    let mut prefix = min_len.clamp(1, chunk);
+    while !rest.is_empty() && start.elapsed() < budget {
+        let take = prefix.min(rest.len());
+        let (head, tail) = rest.split_at(take);
+        results.push(fold(offset, head));
+        offset += take;
+        rest = tail;
+        prefix = (prefix * 2).min(chunk);
+    }
+    if rest.is_empty() {
+        return results;
+    }
+    let chunk = chunk_len(rest.len(), min_len, max_len, registry.parallelism());
+    let mut chunks = Vec::with_capacity(rest.len().div_ceil(chunk));
     while rest.len() > chunk {
         let (head, tail) = rest.split_at(chunk);
         chunks.push((offset, head));
@@ -213,7 +273,10 @@ where
         rest = tail;
     }
     chunks.push((offset, rest));
-    pool::run_chunks(&registry, chunks, move |(off, part)| fold(off, part))
+    results.extend(pool::run_chunks(&registry, chunks, |(off, part)| {
+        fold(off, part)
+    }));
+    results
 }
 
 // ---- base producers -------------------------------------------------------
@@ -1139,23 +1202,28 @@ impl<P: Producer> ParallelIterator for IndexedPar<P> {
         let len = self.producer.len();
         out.reserve(len);
         let base_len = out.len();
-        // SAFETY: `reserve` guarantees capacity for `len` more items;
-        // each chunk writes its own disjoint `[offset, offset+chunk)`
-        // index range exactly once; `set_len` runs only after every
-        // chunk completed (the driver blocks on the batch latch).
+        // SAFETY: `reserve` guarantees capacity for `len` more items.
+        // `run_split` partitions `[0, len)` into pieces: the inline
+        // prefixes, folded one after another on this thread before any
+        // chunk is published, then the published chunks. Each piece
+        // writes its own disjoint `[offset, offset+piece)` index range
+        // exactly once, so no two writers — inline or on a worker —
+        // ever share a slot. `set_len` runs only after every piece
+        // completed (prefixes return before publishing; the driver
+        // blocks on the batch latch for the chunks).
         let base_ptr = SendPtr(unsafe { out.as_mut_ptr().add(base_len) });
         run_split(
             self.producer,
             self.min_len,
             self.max_len,
-            |offset, chunk| {
-                // SAFETY: `offset + chunk.len() <= len` (run_split
+            |offset, piece| {
+                // SAFETY: `offset + piece.len() <= len` (run_split
                 // contract), all within the reserved spare capacity.
                 let mut ptr = unsafe { base_ptr.get().add(offset) };
-                for item in chunk.into_seq_iter() {
-                    // SAFETY: this chunk exclusively owns its target
+                for item in piece.into_seq_iter() {
+                    // SAFETY: this piece exclusively owns its target
                     // subrange; `ptr` stays within it (one write per
-                    // yielded item, chunk length many items).
+                    // yielded item, piece length many items).
                     unsafe {
                         ptr.write(item);
                         ptr = ptr.add(1);
@@ -1163,8 +1231,9 @@ impl<P: Producer> ParallelIterator for IndexedPar<P> {
                 }
             },
         );
-        // SAFETY: every chunk completed (run_split blocks on the batch
-        // latch), so all `len` new slots are initialized.
+        // SAFETY: every piece completed (run_split returns only after
+        // its inline prefixes ran and the batch latch opened), so all
+        // `len` new slots are initialized.
         unsafe { out.set_len(base_len + len) };
     }
 }
@@ -1514,5 +1583,283 @@ where
     type Iter = Self;
     fn into_par_iter(self) -> Self {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Duration, Instant, BUDGET_OVERRIDE, INLINE_BUDGET};
+    use crate::prelude::*;
+    use std::cmp::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    /// Grain bounds the equivalence sweep applies to every pipeline
+    /// (besides the default, ungrained one).
+    const MIN: usize = 8;
+    const CHUNK: usize = 64;
+    const LENS: [usize; 9] = [
+        0,
+        1,
+        MIN - 1,
+        MIN + 1,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        1000,
+        10_000,
+    ];
+    const GRAINS: [(usize, usize); 2] = [(1, usize::MAX), (MIN, CHUNK)];
+
+    fn pool(n: usize) -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .unwrap()
+    }
+
+    /// Run `f` with the inline budget of regions driven from this thread
+    /// replaced by `budget`.
+    fn with_budget<T>(budget: Duration, f: impl FnOnce() -> T) -> T {
+        BUDGET_OVERRIDE.with(|b| b.set(Some(budget)));
+        let out = f();
+        BUDGET_OVERRIDE.with(|b| b.set(None));
+        out
+    }
+
+    /// Run `region` with budget 0 (every chunk published) and with an
+    /// unlimited budget (everything inline) on a 2-worker pool, assert
+    /// both agree, and return the result.
+    fn same_either_way<T: PartialEq + std::fmt::Debug + Send>(region: impl Fn() -> T + Sync) -> T {
+        let pool = pool(2);
+        let published = pool.install(|| with_budget(Duration::ZERO, &region));
+        let inline = pool.install(|| with_budget(Duration::MAX, &region));
+        assert_eq!(published, inline);
+        published
+    }
+
+    fn spin(d: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Equal under `Ord` by key only, so tie-breaking is observable.
+    #[derive(Clone, Copy, Debug)]
+    struct Tied(u32, usize);
+    impl PartialEq for Tied {
+        fn eq(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+    }
+    impl Eq for Tied {}
+    impl PartialOrd for Tied {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tied {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// An associative, non-commutative combine: a polynomial hash of
+    /// the sequence, so any reordering changes the result.
+    fn poly((h1, p1): (u64, u64), (h2, p2): (u64, u64)) -> (u64, u64) {
+        (h1.wrapping_mul(p2).wrapping_add(h2), p1.wrapping_mul(p2))
+    }
+
+    #[test]
+    fn indexed_consumers_match_across_budgets() {
+        for n in LENS {
+            for (lo, hi) in GRAINS {
+                let par = || (0..n).into_par_iter().with_min_len(lo).with_max_len(hi);
+                let seq = || 0..n;
+
+                let collected = same_either_way(|| par().map(|x| x * 3).collect::<Vec<_>>());
+                assert_eq!(collected, seq().map(|x| x * 3).collect::<Vec<_>>());
+
+                let extended = same_either_way(|| {
+                    let mut v = vec![usize::MAX; 3];
+                    v.par_extend(par().map(|x| x + 1));
+                    v
+                });
+                let mut want = vec![usize::MAX; 3];
+                want.extend(seq().map(|x| x + 1));
+                assert_eq!(extended, want);
+
+                let visits = same_either_way(|| {
+                    let hits: Vec<AtomicUsize> = seq().map(|_| AtomicUsize::new(0)).collect();
+                    par().for_each(|i| {
+                        hits[i].fetch_add(1, Relaxed);
+                    });
+                    hits.into_iter().map(|h| h.into_inner()).collect::<Vec<_>>()
+                });
+                assert!(visits.iter().all(|&h| h == 1), "n={n}: each item once");
+
+                let hash = |x: usize| (x as u64 ^ 0x9e37, 31u64);
+                let reduced = same_either_way(|| par().map(hash).reduce(|| (0, 1), poly));
+                assert_eq!(reduced, seq().map(hash).fold((0, 1), poly));
+
+                let folded = same_either_way(|| {
+                    let accs: Vec<Vec<usize>> = par()
+                        .fold(Vec::new, |mut acc, x| {
+                            acc.push(x);
+                            acc
+                        })
+                        .collect();
+                    accs.concat()
+                });
+                assert_eq!(folded, seq().collect::<Vec<_>>());
+
+                let sum = same_either_way(|| par().map(|x| x as u64).sum::<u64>());
+                assert_eq!(sum, seq().map(|x| x as u64).sum::<u64>());
+
+                let tied = |i: usize| Tied((i % 7) as u32, i);
+                let (min, max) = same_either_way(|| {
+                    let min = par().map(tied).min().map(|t| t.1);
+                    let max = par().map(tied).max().map(|t| t.1);
+                    (min, max)
+                });
+                assert_eq!(min, seq().map(tied).min().map(|t| t.1));
+                assert_eq!(max, seq().map(tied).max().map(|t| t.1));
+
+                let key = |x: &usize| x % 5;
+                let by_key = same_either_way(|| (par().min_by_key(key), par().max_by_key(key)));
+                assert_eq!(by_key, (seq().min_by_key(key), seq().max_by_key(key)));
+
+                let late = |x: usize| x % 97 == 96;
+                let first = same_either_way(|| {
+                    (par().position_first(late), par().find_first(|&x| late(x)))
+                });
+                assert_eq!(first, (seq().position(late), seq().find(|&x| late(x))));
+
+                let mapped = same_either_way(|| {
+                    par()
+                        .map_init(
+                            || 0usize,
+                            |seen, x| {
+                                *seen += 1;
+                                x * 2
+                            },
+                        )
+                        .collect::<Vec<_>>()
+                });
+                assert_eq!(mapped, seq().map(|x| x * 2).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn unindexed_consumers_match_across_budgets() {
+        for n in LENS {
+            for (lo, hi) in GRAINS {
+                let par = || (0..n).into_par_iter().with_min_len(lo).with_max_len(hi);
+                let seq = || 0..n;
+
+                let filtered = same_either_way(|| {
+                    let kept: Vec<usize> = par().filter(|x| x % 3 == 0).collect();
+                    let count = par().filter(|x| x % 3 == 0).count();
+                    let sum = par().filter(|x| x % 3 == 0).sum::<usize>();
+                    (kept, count, sum)
+                });
+                let kept: Vec<usize> = seq().filter(|x| x % 3 == 0).collect();
+                assert_eq!(filtered, (kept.clone(), kept.len(), kept.iter().sum()));
+
+                let flat = same_either_way(|| {
+                    let mut out = vec![7usize];
+                    out.par_extend(par().flat_map_iter(|x| 0..x % 4));
+                    let first = par().flat_map_iter(|x| 0..x % 4).find_first(|&y| y == 2);
+                    (out, first)
+                });
+                let mut want = vec![7usize];
+                want.extend(seq().flat_map(|x| 0..x % 4));
+                let first = seq().flat_map(|x| 0..x % 4).find(|&y| y == 2);
+                assert_eq!(flat, (want, first));
+
+                let tied = |i: usize| Tied((i % 7) as u32, i);
+                let extremes = same_either_way(|| {
+                    let min = par().filter(|x| x % 2 == 1).map(tied).min().map(|t| t.1);
+                    let max = par().filter(|x| x % 2 == 1).map(tied).max().map(|t| t.1);
+                    (min, max)
+                });
+                let odd = || seq().filter(|x| x % 2 == 1).map(tied);
+                assert_eq!(
+                    extremes,
+                    (odd().min().map(|t| t.1), odd().max().map(|t| t.1))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sub_budget_region_executes_no_pool_jobs() {
+        // The budget is wall-clock time, so a preemption in the middle
+        // of the region can legitimately publish it; one clean attempt
+        // out of three pins the behaviour.
+        let pool = pool(2);
+        let jobs: Vec<u64> = (0..3)
+            .map(|_| {
+                let before = pool.scheduler_counters();
+                pool.install(|| (0..64u32).into_par_iter().for_each(|x| assert!(x < 64)));
+                pool.scheduler_counters().since(&before).jobs_executed
+            })
+            .collect();
+        assert!(
+            jobs.contains(&0),
+            "a 64-item no-op region ran pool jobs: {jobs:?}"
+        );
+    }
+
+    #[test]
+    fn over_budget_region_publishes_the_remainder() {
+        // The first item alone outlasts the budget, so the seven items
+        // left become seven one-item jobs. Two workers plus the helping
+        // caller cannot each run at most one of seven, so some executor
+        // finished a job before the batch latch opened.
+        let pool = pool(2);
+        let before = pool.scheduler_counters();
+        pool.install(|| {
+            (0..8u32).into_par_iter().with_max_len(1).for_each(|x| {
+                if x == 0 {
+                    spin(4 * INLINE_BUDGET);
+                }
+            })
+        });
+        let delta = pool.scheduler_counters().since(&before);
+        assert!(delta.jobs_executed >= 1, "{delta:?}");
+    }
+
+    #[test]
+    fn inline_prefix_panic_leaves_nothing_queued() {
+        let pool = pool(2);
+        let before = pool.scheduler_counters();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                (0..10_000u32)
+                    .into_par_iter()
+                    .for_each(|x| assert!(x != 0, "boom in the first prefix"))
+            })
+        }));
+        assert!(result.is_err(), "the inline panic must reach the caller");
+        let delta = pool.scheduler_counters().since(&before);
+        assert_eq!(delta.injector_pushes, 0, "nothing was published: {delta:?}");
+        assert_eq!(delta.jobs_executed, 0, "{delta:?}");
+        // The pool is still usable, on both the inline and the
+        // published path.
+        let sum: u64 = pool.install(|| {
+            (0..8u64)
+                .into_par_iter()
+                .with_max_len(1)
+                .map(|x| {
+                    spin(2 * INLINE_BUDGET);
+                    x
+                })
+                .sum()
+        });
+        assert_eq!(sum, 28);
+        let small: u64 = pool.install(|| (0..10u64).into_par_iter().sum());
+        assert_eq!(small, 45);
     }
 }
