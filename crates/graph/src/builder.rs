@@ -3,7 +3,6 @@
 use crate::csr::{Graph, GraphError};
 use pp_parlay::monoid::sum_monoid;
 use pp_parlay::scan::scan_exclusive;
-use pp_parlay::sort::par_sort_by_key;
 use rayon::prelude::*;
 
 /// Accumulates edges and produces a [`Graph`].
@@ -102,7 +101,9 @@ impl GraphBuilder {
         // Drop self-loops.
         edges = pp_parlay::filter(&edges, |&(u, v, _)| u != v);
         // Sort by (u, v, w): dedup keeps the smallest weight per (u, v).
-        par_sort_by_key(&mut edges, |&(u, v, w)| (u, v, w));
+        // The tuple's own order is that key, and equal tuples are
+        // identical, so the unstable sort's output is fully determined.
+        edges.par_sort_unstable();
         let m = edges.len();
         let keep: Vec<bool> = (0..m)
             .into_par_iter()

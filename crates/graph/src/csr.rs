@@ -192,6 +192,20 @@ impl Graph {
         self.weights.iter().copied().max()
     }
 
+    /// The same arcs carrying `weight(u, v)`: `offsets` and `targets`
+    /// are kept as they are, and the weights are filled in CSR order.
+    pub(crate) fn reweighted(&self, weight: impl Fn(u32, u32) -> u64) -> Graph {
+        let mut weights = Vec::with_capacity(self.num_edges());
+        for u in 0..self.num_vertices() as u32 {
+            weights.extend(self.neighbors(u).iter().map(|&v| weight(u, v)));
+        }
+        Graph {
+            offsets: self.offsets.clone(),
+            targets: self.targets.clone(),
+            weights,
+        }
+    }
+
     /// Check structural symmetry (every arc has its reverse): true for
     /// well-formed undirected graphs. `O(m log m)`; for tests.
     pub fn is_symmetric(&self) -> bool {

@@ -200,60 +200,77 @@ pub fn star(n: usize) -> Graph {
     b.build()
 }
 
+/// Attach `weight(u, v)` to every arc of `g`.
+///
+/// A graph as [`GraphBuilder`] makes it (sorted adjacency lists, no
+/// self-loops, no duplicate arcs) keeps its CSR arrays and only gains
+/// weights. Any other input goes through a `GraphBuilder`, which
+/// sorts, drops self-loops and keeps the lightest of duplicate arcs,
+/// so the result is the same either way.
+fn with_weights(g: &Graph, weight: impl Fn(u32, u32) -> u64) -> Graph {
+    let n = g.num_vertices() as u32;
+    let normalized = (0..n).all(|u| {
+        let arcs = g.neighbors(u);
+        arcs.windows(2).all(|w| w[0] < w[1]) && !arcs.contains(&u)
+    });
+    if normalized {
+        return g.reweighted(weight);
+    }
+    let mut b = GraphBuilder::new(g.num_vertices()).weighted();
+    for u in 0..n {
+        for &v in g.neighbors(u) {
+            b.add_weighted(u, v, weight(u, v));
+        }
+    }
+    b.build()
+}
+
+/// Hash key of the undirected edge `{u, v}`: keyed on the canonical arc
+/// so `(u, v)` and `(v, u)` draw the same weight.
+fn edge_key(u: u32, v: u32) -> u64 {
+    let (a, b) = if u <= v { (u, v) } else { (v, u) };
+    (a as u64) << 32 | b as u64
+}
+
 /// Attach weights drawn uniformly from `[w_min, w_max]` to an existing
 /// graph, assigning each undirected edge one weight (both arc directions
 /// agree) — the §6.3 weighting scheme.
+///
+/// Expects a graph as [`GraphBuilder`] makes it: sorted adjacency
+/// lists with no self-loops or duplicate arcs. Other input is
+/// normalized as if its arcs had been added to a `GraphBuilder`.
 pub fn with_uniform_weights(g: &Graph, w_min: u64, w_max: u64, seed: u64) -> Graph {
     assert!(w_min >= 1 && w_min <= w_max);
-    let n = g.num_vertices();
-    let mut b = GraphBuilder::new(n).weighted();
-    let mut edges = Vec::with_capacity(g.num_edges());
-    for u in 0..n as u32 {
-        for &v in g.neighbors(u) {
-            // Weight keyed on the canonical arc so (u,v) and (v,u) match.
-            let (a, bb) = if u <= v { (u, v) } else { (v, u) };
-            let key = (a as u64) << 32 | bb as u64;
-            let w = w_min + bounded(hash64(seed, key), w_max - w_min + 1);
-            edges.push((u, v, w));
-        }
-    }
-    b.extend(edges);
-    b.build()
+    with_weights(g, |u, v| {
+        w_min + bounded(hash64(seed, edge_key(u, v)), w_max - w_min + 1)
+    })
 }
 
 /// Attach unit weights to an existing graph: the weighted view of an
 /// unweighted instance (SSSP degenerates to BFS distances). The `w/unit`
 /// scenario distribution.
+///
+/// Expects a graph as [`GraphBuilder`] makes it: sorted adjacency
+/// lists with no self-loops or duplicate arcs. Other input is
+/// normalized as if its arcs had been added to a `GraphBuilder`.
 pub fn with_unit_weights(g: &Graph) -> Graph {
-    let n = g.num_vertices();
-    let mut b = GraphBuilder::new(n).weighted();
-    for u in 0..n as u32 {
-        for &v in g.neighbors(u) {
-            b.add_weighted(u, v, 1);
-        }
-    }
-    b.build()
+    with_weights(g, |_, _| 1)
 }
 
 /// Attach weights drawn from an exponential distribution with the given
 /// `mean` (floored at 1), assigning each undirected edge one weight —
 /// heavy mass near w* with a long tail, the opposite stress to the
 /// uniform range. The `w/exp` scenario distribution.
+///
+/// Expects a graph as [`GraphBuilder`] makes it: sorted adjacency
+/// lists with no self-loops or duplicate arcs. Other input is
+/// normalized as if its arcs had been added to a `GraphBuilder`.
 pub fn with_exp_weights(g: &Graph, mean: u64, seed: u64) -> Graph {
     assert!(mean >= 1);
-    let n = g.num_vertices();
-    let mut b = GraphBuilder::new(n).weighted();
-    for u in 0..n as u32 {
-        for &v in g.neighbors(u) {
-            // Weight keyed on the canonical arc so (u,v) and (v,u) match.
-            let (a, bb) = if u <= v { (u, v) } else { (v, u) };
-            let key = (a as u64) << 32 | bb as u64;
-            let unit = unit_f64(hash64(seed, key));
-            let w = 1 + (-(mean as f64) * unit.max(1e-300).ln()) as u64;
-            b.add_weighted(u, v, w);
-        }
-    }
-    b.build()
+    with_weights(g, |u, v| {
+        let unit = unit_f64(hash64(seed, edge_key(u, v)));
+        1 + (-(mean as f64) * unit.max(1e-300).ln()) as u64
+    })
 }
 
 #[cfg(test)]
@@ -372,6 +389,30 @@ mod tests {
                 let w = exp.edge_weights(u)[i];
                 let j = exp.neighbors(v).iter().position(|&x| x == u).unwrap();
                 assert_eq!(exp.edge_weights(v)[j], w);
+            }
+        }
+    }
+
+    #[test]
+    fn weights_on_unnormalized_csr_match_graph_builder_output() {
+        // Vertex 0's list is unsorted, has a self-loop and a duplicate.
+        let messy = Graph::from_csr(vec![0, 4, 5, 6], vec![2, 0, 1, 2, 0, 0], vec![]);
+        let clean = Graph::from_csr(vec![0, 2, 3, 4], vec![1, 2, 0, 0], vec![]);
+        for (a, b) in [
+            (with_unit_weights(&messy), with_unit_weights(&clean)),
+            (
+                with_uniform_weights(&messy, 1, 1000, 5),
+                with_uniform_weights(&clean, 1, 1000, 5),
+            ),
+            (
+                with_exp_weights(&messy, 50, 5),
+                with_exp_weights(&clean, 50, 5),
+            ),
+        ] {
+            assert_eq!(a.offsets(), b.offsets());
+            for v in 0..3u32 {
+                assert_eq!(a.neighbors(v), b.neighbors(v));
+                assert_eq!(a.edge_weights(v), b.edge_weights(v));
             }
         }
     }

@@ -81,7 +81,10 @@ pub struct ServeOptions {
     pub instance_size: usize,
     /// Instance-generation seed (`CaseSpec::seed`).
     pub instance_seed: u64,
-    /// Worker threads replaying the trace. 1 = sequential.
+    /// Threads replaying the trace, the calling thread included: the
+    /// serving pool spawns `threads − 1` workers, and the caller of
+    /// [`ServingTier::serve_trace`] serves its share. 1 = sequential,
+    /// on the caller alone.
     pub threads: usize,
     /// Cache cost budget in bytes. The default fits every default
     /// scenario of one entry at once (16 instances' worth).
@@ -269,7 +272,10 @@ pub struct ServingTier {
     /// which must then bypass the leader's own in-flight slot (it may
     /// be stacked on it) and pay a redundant preparation. Preparing
     /// under a one-thread pool runs the nested regions inline instead,
-    /// so flights always have exactly one leader making progress.
+    /// so flights always have exactly one leader making progress. A
+    /// one-thread pool is the caller alone: no OS thread stands behind
+    /// it, so installing it only switches the leader's regions to
+    /// inline execution.
     prep_pool: rayon::ThreadPool,
 }
 

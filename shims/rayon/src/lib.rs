@@ -10,8 +10,10 @@
 //! the full design). It runs [`join`], [`scope`],
 //! [`ThreadPool::install`] and every parallel-iterator driver
 //! (`par_iter`, `par_chunks_mut`, `map_init`, `ParallelExtend`, …) on
-//! the pool's worker threads. [`ThreadPoolBuilder::num_threads`] is
-//! honored and [`current_num_threads`] is truthful, so thread-count
+//! the pool's threads. [`ThreadPoolBuilder::num_threads`] is honored
+//! and [`current_num_threads`] is truthful. As in rayon, the calling
+//! thread counts as one of the N (an N-thread pool spawns N − 1
+//! workers), so thread-count
 //! knobs (`RunConfig::threads`, `RAYON_NUM_THREADS`) change actual
 //! concurrency, not just a label. [`scheduler_counters`] exposes the
 //! scheduler's bookkeeping (queue-lock acquisitions, steals, parks,
@@ -55,10 +57,10 @@ pub mod prelude {
     pub use crate::slice::{ParallelSlice, ParallelSliceMut};
 }
 
-/// Number of worker threads in the current pool: the installed pool's
-/// count inside [`ThreadPool::install`] (and on its workers), the
-/// global pool's otherwise (`RAYON_NUM_THREADS` or the machine's
-/// available parallelism).
+/// Number of threads in the current pool, the calling thread included:
+/// the installed pool's count inside [`ThreadPool::install`] (and on
+/// its workers), the global pool's otherwise (`RAYON_NUM_THREADS` or
+/// the machine's available parallelism).
 pub fn current_num_threads() -> usize {
     pool::current_registry().num_threads()
 }
@@ -139,8 +141,10 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Request `n` worker threads; `0` (or not calling this) means the
-    /// default count (`RAYON_NUM_THREADS` / available parallelism).
+    /// Request an `n`-thread pool; `0` (or not calling this) means the
+    /// default count (`RAYON_NUM_THREADS` / available parallelism). The
+    /// thread that drives a region counts as one of the `n`, so the
+    /// pool spawns `n − 1` workers (none for `n = 1`).
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = Some(n);
         self
@@ -170,11 +174,12 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// A dedicated pool of worker threads. [`ThreadPool::install`] makes it
-/// the current pool for the duration of a closure: parallel regions
-/// inside fan out across this pool's workers (the calling thread helps
-/// drain the queue while it waits). Dropping the pool shuts the workers
-/// down.
+/// A dedicated pool of `n` compute threads: `n − 1` spawned workers
+/// plus the calling thread. [`ThreadPool::install`] runs a closure on
+/// the caller with this pool current: parallel regions inside fan out
+/// across the workers while the caller runs its share and helps drain
+/// the queue until each region completes. A one-thread pool has no
+/// worker at all. Dropping the pool shuts the workers down.
 pub struct ThreadPool {
     registry: std::sync::Arc<pool::Registry>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -187,7 +192,7 @@ impl ThreadPool {
         f()
     }
 
-    /// This pool's worker count.
+    /// This pool's thread count, the calling thread included.
     pub fn current_num_threads(&self) -> usize {
         self.registry.num_threads()
     }
@@ -260,6 +265,102 @@ mod tests {
         assert_eq!(four.current_num_threads(), 4);
         let single = pool(1);
         assert_eq!(single.install(crate::current_num_threads), 1);
+    }
+
+    #[test]
+    fn n_thread_pool_spawns_n_minus_one_workers() {
+        for n in [2, 3, 4, 8] {
+            let p = pool(n);
+            assert_eq!(p.handles.len(), n - 1, "the caller is the {n}th thread");
+            assert_eq!(p.current_num_threads(), n);
+            assert_eq!(p.install(crate::current_num_threads), n);
+        }
+    }
+
+    #[test]
+    fn one_thread_pool_spawns_nothing_and_runs_inline() {
+        let p = pool(1);
+        assert!(p.handles.is_empty(), "a 1-thread pool is the caller alone");
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+        let before = p.scheduler_counters();
+        p.install(|| {
+            (0..1000u32)
+                .into_par_iter()
+                .with_max_len(1)
+                .for_each(|_| on_caller());
+            crate::join(on_caller, on_caller);
+            crate::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|_| on_caller());
+                }
+            });
+            let mut v: Vec<u32> = (0..50_000).rev().collect();
+            v.par_sort_unstable();
+            assert!(v.windows(2).all(|w| w[0] < w[1]));
+        });
+        let delta = p.scheduler_counters().since(&before);
+        assert_eq!(
+            delta,
+            crate::SchedulerCounters::default(),
+            "no job was queued"
+        );
+    }
+
+    #[test]
+    fn a_region_never_runs_more_closures_than_pool_threads() {
+        // 64 items that each spin ~200 µs, driven from this one thread:
+        // only the pool's n threads (n − 1 workers + this caller) may be
+        // inside the closure at once, however the OS schedules them.
+        for n in [2, 4] {
+            let p = pool(n);
+            let (active, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            p.install(|| {
+                (0..64u32).into_par_iter().with_max_len(1).for_each(|_| {
+                    let now = active.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    let start = std::time::Instant::now();
+                    while start.elapsed() < std::time::Duration::from_micros(200) {
+                        std::hint::spin_loop();
+                    }
+                    active.fetch_sub(1, Ordering::SeqCst);
+                });
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                (1..=n).contains(&peak),
+                "{n}-thread pool ran {peak} closures at once"
+            );
+        }
+    }
+
+    #[test]
+    fn two_external_callers_share_one_two_thread_pool() {
+        let p = pool(2);
+        let want: u64 = (0..200_000u64).map(|x| x * 3).sum();
+        // Both callers enter the pool together, so their regions compete
+        // for its one worker while each caller helps with its own.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        p.install(|| {
+                            (0..20)
+                                .map(|_| {
+                                    (0..200_000u64).into_par_iter().map(|x| x * 3).sum::<u64>()
+                                })
+                                .collect::<Vec<u64>>()
+                        })
+                    })
+                })
+                .collect();
+            for caller in callers {
+                let sums = caller.join().expect("caller completes");
+                assert!(sums.iter().all(|&s| s == want));
+            }
+        });
     }
 
     #[test]

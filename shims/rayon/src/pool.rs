@@ -6,6 +6,13 @@
 //! Since PR 8 the scheduler is a Blumofe–Leiserson-style work-stealing
 //! arrangement replacing the original single mutex-protected FIFO:
 //!
+//! - **The caller is one of the N threads.** An N-thread pool spawns
+//!   N − 1 workers; the thread that drives a region (the one inside
+//!   [`crate::ThreadPool::install`], or a global-pool caller) is the
+//!   Nth. It runs inline-first prefixes and helps in
+//!   [`Registry::wait_latch`], so an `nproc`-thread pool puts exactly
+//!   `nproc` compute threads on `nproc` cores instead of time-slicing
+//!   `nproc + 1`.
 //! - **Per-worker deques.** Every worker owns a double-ended queue of
 //!   type-erased [`JobRef`]s. The owner pushes and pops at the *tail*
 //!   (LIFO — the cache-warm, Cilk-style depth-first end); idle workers
@@ -359,10 +366,17 @@ struct ParkState {
 }
 
 /// One thread pool's shared state: per-worker deques, the external
-/// injector, the parking protocol, and the worker count.
+/// injector, the parking protocol, and the thread count.
+///
+/// An N-thread pool is N compute threads, like real rayon's: N − 1
+/// spawned workers plus the calling thread, which runs inline-first
+/// prefixes, publishes through the injector and helps in
+/// [`Registry::wait_latch`] until its region completes.
 pub(crate) struct Registry {
-    /// One mutex-guarded deque per worker. Owner pushes/pops at the
-    /// back (LIFO), thieves pop at the front (FIFO).
+    /// One mutex-guarded deque per spawned worker (N − 1 of them; the
+    /// calling thread has none and submits through the injector).
+    /// Owner pushes/pops at the back (LIFO), thieves pop at the front
+    /// (FIFO).
     deques: Vec<Mutex<VecDeque<JobRef>>>,
     /// Lock-free chain for jobs submitted from non-worker threads.
     injector: Injector,
@@ -388,6 +402,7 @@ pub(crate) struct Registry {
     /// completion (the latter may have opened their latch).
     helper_wake: Condvar,
     counters: SchedCounters,
+    /// Compute threads, the caller included (spawned workers + 1).
     num_threads: usize,
     /// `num_threads` capped by the machine's available parallelism:
     /// the fan-out the chunk drivers size for. Workers beyond the core
@@ -398,20 +413,20 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// Spawn `num_threads` workers around a fresh registry. On a spawn
-    /// failure the already-started workers are shut down before the
-    /// error is returned (the builder surfaces it as a
-    /// [`crate::ThreadPoolBuildError`]).
+    /// Build a `num_threads`-thread registry: spawn `num_threads − 1`
+    /// workers, the calling thread being the last one (so `0` and `1`
+    /// spawn none). On a spawn failure the already-started workers are
+    /// shut down before the error is returned (`ThreadPoolBuilder::build`
+    /// surfaces it as a [`crate::ThreadPoolBuildError`]).
     pub(crate) fn spawn(
         num_threads: usize,
     ) -> std::io::Result<(Arc<Registry>, Vec<std::thread::JoinHandle<()>>)> {
         let hardware = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
+        let workers = num_threads.saturating_sub(1);
         let registry = Arc::new(Registry {
-            deques: (0..num_threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Injector::new(),
             pending: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
@@ -424,16 +439,16 @@ impl Registry {
             job_ready: Condvar::new(),
             helper_wake: Condvar::new(),
             counters: SchedCounters::default(),
-            // Report at least 1 even for the zero-worker fallback
-            // registry: rayon's contract is `current_num_threads() >=
-            // 1`, and callers divide by it (block sizing in scans). A
-            // zero-worker pool reports 1 and `is_sequential()` routes
-            // every region inline, so no job ever needs a worker.
+            // Report at least 1 even when asked for 0: rayon's contract
+            // is `current_num_threads() >= 1`, and callers divide by it
+            // (block sizing in scans). A one-thread pool has no worker,
+            // and `is_sequential()` routes every region inline on the
+            // caller, so no job ever needs one.
             num_threads: num_threads.max(1),
             parallelism: num_threads.min(hardware).max(1),
         });
-        let mut handles = Vec::with_capacity(num_threads);
-        for index in 0..num_threads {
+        let mut handles = Vec::with_capacity(workers);
+        for index in 0..workers {
             let reg = Arc::clone(&registry);
             let spawned = std::thread::Builder::new()
                 .name(format!("pp-rayon-{index}"))
@@ -452,8 +467,8 @@ impl Registry {
         Ok((registry, handles))
     }
 
-    /// The pool's worker count (what [`crate::current_num_threads`]
-    /// reports inside this pool).
+    /// The pool's thread count, the caller included (what
+    /// [`crate::current_num_threads`] reports inside this pool).
     pub(crate) fn num_threads(&self) -> usize {
         self.num_threads
     }
@@ -464,8 +479,8 @@ impl Registry {
         self.parallelism
     }
 
-    /// True when parallel regions should just run inline: a one-worker
-    /// pool gains nothing from queue round-trips.
+    /// True when parallel regions should just run inline: a one-thread
+    /// pool has no worker to hand a job to.
     pub(crate) fn is_sequential(&self) -> bool {
         self.num_threads <= 1
     }
@@ -867,9 +882,10 @@ fn global_registry() -> Arc<Registry> {
     Arc::clone(GLOBAL_REGISTRY.get_or_init(|| {
         let threads = global_thread_count();
         let (registry, _handles) = Registry::spawn(threads).unwrap_or_else(|_| {
-            // Last resort: a pool with no workers still executes
-            // correctly (every driver runs inline).
-            Registry::spawn(0).expect("zero-thread registry cannot fail")
+            // Last resort: a one-thread registry spawns no OS thread, so
+            // it cannot fail, and it still executes correctly (every
+            // parallel region runs inline on the caller).
+            Registry::spawn(1).expect("one-thread registry spawns nothing")
         });
         // Global workers live for the process; handles are detached.
         registry
