@@ -60,48 +60,12 @@ impl SsspInstance {
 /// out-weights) and differs only in how a query runs against it.
 macro_rules! impl_sssp_prepare {
     () => {
-        type Prepared<'i>
-            = sssp::PreparedSssp<'i>
-        where
-            Self: 'i,
-            Self::Input: 'i;
+        type Prepared = sssp::PreparedSssp;
 
-        fn prepare<'i>(&self, input: &'i SsspInstance) -> sssp::PreparedSssp<'i> {
+        fn prepare(&self, input: &SsspInstance) -> sssp::PreparedSssp {
             sssp::PreparedSssp::new(&input.graph, input.source)
         }
     };
-}
-
-/// A prepared greedy-MIS instance: the borrowed input plus the CSR
-/// mirrors (reverse-arc slots, blocking ranks, TAS-tree leaf counts)
-/// that Algorithm 4 walks — built once, queried per run.
-pub struct PreparedMis<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub mirrors: mis::BlockingMirrors,
-}
-
-/// A prepared coloring instance: the borrowed input plus the TAS-tree
-/// leaf counts (blocking-neighbor counts).
-pub struct PreparedColoring<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub counts: Vec<u32>,
-}
-
-/// A prepared matching instance: the borrowed input plus the canonical
-/// undirected edge list.
-pub struct PreparedMatching<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub edges: Vec<(u32, u32)>,
-}
-
-/// A prepared reservations-matching instance: additionally carries the
-/// priority-sorted iterate order the speculative-for baseline consumes
-/// (the round-synchronous [`Matching`] never needs it, so it lives in a
-/// separate type rather than being computed and thrown away).
-pub struct PreparedMatchingReservations<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub edges: Vec<(u32, u32)>,
-    pub order: Vec<u32>,
 }
 
 /// A greedy-graph-algorithm instance: a graph plus one priority per
@@ -124,7 +88,7 @@ pub struct Lis;
 impl PhaseAlgorithm for Lis {
     type Input = [i64];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "lis"
     }
@@ -143,7 +107,7 @@ pub struct WeightedLis;
 impl PhaseAlgorithm for WeightedLis {
     type Input = (Vec<i64>, Vec<u32>);
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "lis/weighted"
     }
@@ -163,7 +127,7 @@ pub struct ActivityType1;
 impl PhaseAlgorithm for ActivityType1 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "activity/type1"
     }
@@ -181,7 +145,7 @@ pub struct ActivityType1Pam;
 impl PhaseAlgorithm for ActivityType1Pam {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "activity/type1-pam"
     }
@@ -199,7 +163,7 @@ pub struct ActivityType2;
 impl PhaseAlgorithm for ActivityType2 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "activity/type2"
     }
@@ -218,7 +182,7 @@ pub struct UnweightedActivity;
 impl PhaseAlgorithm for UnweightedActivity {
     type Input = [Activity];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "activity/unweighted"
     }
@@ -245,7 +209,7 @@ pub struct Knapsack;
 impl PhaseAlgorithm for Knapsack {
     type Input = (Vec<Item>, u64);
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "knapsack"
     }
@@ -265,7 +229,7 @@ pub struct Huffman;
 impl PhaseAlgorithm for Huffman {
     type Input = [u64];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "huffman"
     }
@@ -296,11 +260,12 @@ impl PhaseAlgorithm for DeltaSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::delta_stepping_prepared(prepared, scratch, cfg)
+        sssp::delta_stepping_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -322,11 +287,12 @@ impl PhaseAlgorithm for RhoSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::rho_stepping_prepared(prepared, scratch, cfg)
+        sssp::rho_stepping_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -348,11 +314,12 @@ impl PhaseAlgorithm for CrauserSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::crauser_out_prepared(prepared, scratch, cfg)
+        sssp::crauser_out_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -374,11 +341,12 @@ impl PhaseAlgorithm for PamSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::sssp_pam_prepared(prepared, scratch, cfg)
+        sssp::sssp_pam_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -400,11 +368,12 @@ impl PhaseAlgorithm for BellmanFordSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::bellman_ford_prepared(prepared, scratch, cfg)
+        sssp::bellman_ford_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -433,11 +402,12 @@ impl PhaseAlgorithm for DijkstraSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::dijkstra_prepared(prepared, scratch, cfg)
+        sssp::dijkstra_prepared(&input.graph, prepared, scratch, cfg)
     }
 }
 
@@ -447,11 +417,9 @@ pub struct GreedyMis;
 impl PhaseAlgorithm for GreedyMis {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMis<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The CSR mirrors (reverse-arc slots, blocking ranks, TAS-tree
+    /// leaf counts) that Algorithm 4 walks — built once, queried per run.
+    type Prepared = mis::BlockingMirrors;
 
     fn name(&self) -> &'static str {
         "mis/tas"
@@ -462,20 +430,17 @@ impl PhaseAlgorithm for GreedyMis {
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
         mis::mis_tas(&input.graph, &input.priority, cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMis<'i> {
-        PreparedMis {
-            instance: input,
-            mirrors: mis::blocking_mirrors(&input.graph, &input.priority),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> mis::BlockingMirrors {
+        mis::blocking_mirrors(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMis<'_>,
+        input: &GraphPriorityInstance,
+        mirrors: &mis::BlockingMirrors,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        mis::mis_tas_prepared(&inst.graph, &inst.priority, &prepared.mirrors, scratch, cfg)
+        mis::mis_tas_prepared(&input.graph, &input.priority, mirrors, scratch, cfg)
     }
 }
 
@@ -486,7 +451,7 @@ pub struct RoundsMis;
 impl PhaseAlgorithm for RoundsMis {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "mis/rounds"
     }
@@ -504,11 +469,8 @@ pub struct Coloring;
 impl PhaseAlgorithm for Coloring {
     type Input = GraphPriorityInstance;
     type Output = Vec<u32>;
-    type Prepared<'i>
-        = PreparedColoring<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The TAS-tree leaf counts (blocking-neighbor counts).
+    type Prepared = Vec<u32>;
 
     fn name(&self) -> &'static str {
         "coloring"
@@ -519,26 +481,17 @@ impl PhaseAlgorithm for Coloring {
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<u32>> {
         crate::coloring::coloring_par(&input.graph, &input.priority, cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedColoring<'i> {
-        PreparedColoring {
-            instance: input,
-            counts: crate::coloring::blocking_counts(&input.graph, &input.priority),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> Vec<u32> {
+        crate::coloring::blocking_counts(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedColoring<'_>,
+        input: &GraphPriorityInstance,
+        counts: &Vec<u32>,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u32>> {
-        let inst = prepared.instance;
-        crate::coloring::coloring_par_prepared(
-            &inst.graph,
-            &inst.priority,
-            &prepared.counts,
-            scratch,
-            cfg,
-        )
+        crate::coloring::coloring_par_prepared(&input.graph, &input.priority, counts, scratch, cfg)
     }
 }
 
@@ -549,11 +502,8 @@ pub struct Matching;
 impl PhaseAlgorithm for Matching {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMatching<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The canonical undirected edge list.
+    type Prepared = Vec<(u32, u32)>;
 
     fn name(&self) -> &'static str {
         "matching"
@@ -564,20 +514,17 @@ impl PhaseAlgorithm for Matching {
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
         matching::matching_par(&input.graph, &input.priority, cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatching<'i> {
-        PreparedMatching {
-            instance: input,
-            edges: matching::edge_list(&input.graph),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> Vec<(u32, u32)> {
+        matching::edge_list(&input.graph)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMatching<'_>,
+        input: &GraphPriorityInstance,
+        edges: &Vec<(u32, u32)>,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        matching::matching_par_prepared(&inst.graph, &inst.priority, &prepared.edges, scratch, cfg)
+        matching::matching_par_prepared(&input.graph, &input.priority, edges, scratch, cfg)
     }
 }
 
@@ -588,11 +535,10 @@ pub struct MatchingReservations;
 impl PhaseAlgorithm for MatchingReservations {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMatchingReservations<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The canonical edge list plus the priority-sorted iterate order
+    /// the speculative-for baseline consumes (the round-synchronous
+    /// [`Matching`] never needs the order, so it does not build it).
+    type Prepared = (Vec<(u32, u32)>, Vec<u32>);
 
     fn name(&self) -> &'static str {
         "matching/reservations"
@@ -603,27 +549,20 @@ impl PhaseAlgorithm for MatchingReservations {
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
         matching::matching_reservations(&input.graph, &input.priority, cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatchingReservations<'i> {
-        PreparedMatchingReservations {
-            instance: input,
-            edges: matching::edge_list(&input.graph),
-            order: matching::priority_order(&input.priority),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> Self::Prepared {
+        (
+            matching::edge_list(&input.graph),
+            matching::priority_order(&input.priority),
+        )
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMatchingReservations<'_>,
+        input: &GraphPriorityInstance,
+        (edges, order): &Self::Prepared,
         _scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        matching::matching_reservations_prepared(
-            &inst.graph,
-            &inst.priority,
-            &prepared.edges,
-            &prepared.order,
-            cfg,
-        )
+        matching::matching_reservations_prepared(&input.graph, &input.priority, edges, order, cfg)
     }
 }
 
@@ -633,7 +572,7 @@ pub struct Whac;
 impl PhaseAlgorithm for Whac {
     type Input = [Mole];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "whac"
     }
@@ -651,7 +590,7 @@ pub struct Whac2d;
 impl PhaseAlgorithm for Whac2d {
     type Input = [Mole2d];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "whac/2d"
     }
@@ -669,7 +608,7 @@ pub struct Chain3d;
 impl PhaseAlgorithm for Chain3d {
     type Input = [Point3];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "chain3d"
     }
@@ -687,7 +626,7 @@ pub struct Chain4d;
 impl PhaseAlgorithm for Chain4d {
     type Input = [Point4];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "chain4d"
     }
@@ -707,7 +646,7 @@ pub struct RandomPerm;
 impl PhaseAlgorithm for RandomPerm {
     type Input = (usize, u64);
     type Output = Vec<u32>;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
         "random-perm"
     }

@@ -127,7 +127,7 @@ mod tests {
                 .map(|_| Item::new(1 + r.range(15), r.range(60)))
                 .collect();
             let w = 10 + r.range(150);
-            let (best, dp) = max_value_par_with_dp(&items, w).output;
+            let (best, dp) = max_value_par_with_dp(&items, w, &RunConfig::new()).output;
             let chosen = reconstruct(&items, &dp, w);
             let total_w: u64 = chosen.iter().map(|&i| items[i].weight).sum();
             let total_v: u64 = chosen.iter().map(|&i| items[i].value).sum();

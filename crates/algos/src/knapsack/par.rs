@@ -15,16 +15,16 @@ use rayon::prelude::*;
 /// the config's deadline each round; a trip stops the fill early with a
 /// partial DP table under `RunOutcome::DeadlineExceeded`.
 pub fn max_value_par(items: &[Item], capacity: u64, cfg: &RunConfig) -> Report<u64> {
-    max_value_engine(items, capacity, cfg).map(|(v, _)| v)
+    max_value_par_with_dp(items, capacity, cfg).map(|(v, _)| v)
 }
 
 /// [`max_value_par`] also returning the full DP table (for
 /// [`super::reconstruct`]): the output is `(max value, dp)`.
-pub fn max_value_par_with_dp(items: &[Item], capacity: u64) -> Report<(u64, Vec<u64>)> {
-    max_value_engine(items, capacity, &RunConfig::new())
-}
-
-fn max_value_engine(items: &[Item], capacity: u64, cfg: &RunConfig) -> Report<(u64, Vec<u64>)> {
+pub fn max_value_par_with_dp(
+    items: &[Item],
+    capacity: u64,
+    cfg: &RunConfig,
+) -> Report<(u64, Vec<u64>)> {
     if items.is_empty() || capacity == 0 {
         return Report::plain((0, vec![0; capacity as usize + 1]));
     }

@@ -28,12 +28,15 @@
 //! Every family speaks the same calling convention
 //! ([`phase_parallel::solver`]): a [`RunConfig`] of knobs in, a
 //! [`Report`] (output + unified [`ExecutionStats`]) out — and, for
-//! repeated traffic, the prepare/query split: `prepare` builds the
+//! repeated traffic, the prepare/query split: `prepare` derives the
 //! family's amortizable instance structure (the SSSP family's w* and
 //! minimum out-weights, the graph families' CSR mirrors, TAS-tree leaf
-//! counts and edge lists) once, and `solve_prepared` answers each
-//! query against it with buffers recycled through a
-//! [`phase_parallel::Scratch`] workspace.
+//! counts and edge lists) once, as owned data that never borrows the
+//! input, and `solve_prepared` answers each query from the input plus
+//! that structure, with buffers recycled through a
+//! [`phase_parallel::Scratch`] workspace. Because nothing borrows,
+//! [`serving::SharedPrepared`] keeps an input and its prepared instance
+//! side by side behind one `Arc` without any `unsafe`.
 //!
 //! ```
 //! use pp_algos::lis::{lis_par, lis_seq};

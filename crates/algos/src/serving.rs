@@ -3,35 +3,22 @@
 //!
 //! # Why this module exists
 //!
-//! The prepare/query split ties a prepared instance to a *borrow* of
-//! its input: [`PhaseAlgorithm::prepare`] returns `Prepared<'i>`, which
-//! points into the input's bulk data so preparation never copies it.
-//! That is exactly right for a caller that owns both, but a serving
-//! tier cannot hold a borrow in a cache: the instance must own its
-//! input, live behind `Arc`, move between threads, and outlive every
-//! stack frame that created it.
+//! A serving tier cannot hold a borrow in a cache: the instance must
+//! own its input, live behind `Arc`, move between threads, and outlive
+//! every stack frame that created it. [`PhaseAlgorithm::prepare`]
+//! returns only the data it derived from the input, owned and free of
+//! borrows, so the cell behind [`SharedPrepared`] simply keeps the input
+//! and its prepared instance side by side and hands both to
+//! [`PhaseAlgorithm::solve_prepared`] on every query. Prepared
+//! instances are immutable after `prepare()` — every query takes
+//! `&Prepared` — so any number of workers may query one cell
+//! concurrently, each with its own [`Scratch`].
 //!
-//! [`SharedPrepared`] closes that gap with a heap-pinned *self-cell*:
-//! the cell owns the input in a `Box` whose address never changes
-//! (raw-pointer-held, so no `&mut` to the box can ever exist to
-//! invalidate the borrow), prepares against that pinned allocation at
-//! an unconstrained lifetime, and drops the prepared half strictly
-//! before the input half. Prepared instances are immutable after
-//! `prepare()` — every query takes `&Prepared` — so any number of
-//! workers may query one cell concurrently, each with its own
-//! [`Scratch`].
-//!
-//! This is the one place the serving stack needs `unsafe`: the borrow
-//! checker cannot see that the boxed input outlives the prepared
-//! borrower when both live in one struct. The cell keeps the unsafe
-//! surface to three audited sites (pin + borrow, the `Send`/`Sync`
-//! assertions, and the final free).
-//!
-//! Type erasure: the cell hides behind the object-safe
-//! [`PreparedService`] trait, so the registry can hand out
-//! [`SharedPrepared`] handles for every entry uniformly — queries
-//! come back as output digests plus [`ExecutionStats`], the same
-//! currency the registry's conformance machinery already speaks.
+//! Type erasure: the cell hides behind a private object-safe trait, so
+//! the registry can hand out [`SharedPrepared`] handles for every entry
+//! uniformly — queries come back as output digests plus
+//! [`ExecutionStats`], the same currency the registry's conformance
+//! machinery already speaks.
 
 use crate::registry::Digest;
 use phase_parallel::{ExecutionStats, PhaseAlgorithm, Report, RunConfig, RunOutcome, Scratch};
@@ -64,7 +51,7 @@ impl ServedQuery {
 
 /// Object-safe view of one owned prepared instance: what the serving
 /// tier needs, with the input/prepared types erased.
-pub trait PreparedService: Send + Sync {
+trait PreparedService: Send + Sync {
     /// The registry entry this instance was prepared for.
     fn entry_name(&self) -> &'static str;
 
@@ -85,110 +72,21 @@ pub trait PreparedService: Send + Sync {
     fn seq_digest(&self) -> u64;
 }
 
-/// The self-referential cell: owns the input at a pinned heap address
-/// and the prepared instance borrowing it.
-///
-/// Field order is not what guarantees drop order — [`Drop`] is manual:
-/// `prepared` is cleared first, then the input box is reclaimed.
-struct ServeCell<A, I>
-where
-    A: PhaseAlgorithm + 'static,
-    A::Input: 'static,
-    I: Borrow<A::Input> + 'static,
-{
+/// The owned input side by side with the instance prepared from it.
+struct ServeCell<A: PhaseAlgorithm, I> {
     algo: A,
     entry: &'static str,
     cost: usize,
-    /// `Some` from construction until drop. The `'static` is a
-    /// self-borrow of `*input`, never exposed outside the cell.
-    prepared: Option<A::Prepared<'static>>,
-    /// The pinned input allocation (`Box::into_raw` in `new`). Held as
-    /// a raw pointer so no `&mut I` can ever be formed — the borrow in
-    /// `prepared` stays valid for the cell's whole life.
-    input: *mut I,
-}
-
-// SAFETY: the cell owns its pointee exclusively (the raw pointer is the
-// only handle to the boxed input and is never aliased mutably), so the
-// cell moves between threads whenever all its owned parts do. `prepared`
-// self-borrows `*input`, which moves with the cell.
-unsafe impl<A, I> Send for ServeCell<A, I>
-where
-    A: PhaseAlgorithm + Send + 'static,
-    A::Input: 'static,
-    for<'i> A::Prepared<'i>: Send,
-    I: Borrow<A::Input> + Send + 'static,
-{
-}
-
-// SAFETY: every query path takes `&self` — the prepared instance and the
-// input are only ever read after construction — so shared references are
-// safe across threads whenever the owned parts are `Sync`.
-unsafe impl<A, I> Sync for ServeCell<A, I>
-where
-    A: PhaseAlgorithm + Sync + 'static,
-    A::Input: Sync + 'static,
-    for<'i> A::Prepared<'i>: Sync,
-    I: Borrow<A::Input> + Sync + 'static,
-{
-}
-
-impl<A, I> ServeCell<A, I>
-where
-    A: PhaseAlgorithm + 'static,
-    A::Input: 'static,
-    I: Borrow<A::Input> + 'static,
-{
-    fn new(entry: &'static str, algo: A, input: I, cost: usize) -> Self {
-        let input = Box::into_raw(Box::new(input));
-        // SAFETY: `input` came from `Box::into_raw` above — valid,
-        // aligned, exclusively owned by this cell — and the allocation
-        // is neither moved nor freed until `Drop`, where `prepared` (the
-        // only borrower) is destroyed first. That ordering is what makes
-        // the `'static` ascription sound.
-        let borrowed: &'static A::Input = unsafe { &*input }.borrow();
-        let prepared = algo.prepare(borrowed);
-        Self {
-            algo,
-            entry,
-            cost,
-            prepared: Some(prepared),
-            input,
-        }
-    }
-
-    /// The owned input, borrowed for the caller's lifetime.
-    fn input(&self) -> &A::Input {
-        // SAFETY: `input` is valid for the cell's whole life (see
-        // `new`); this shared borrow lives no longer than `&self` and
-        // coexists fine with the one in `prepared`.
-        unsafe { &*self.input }.borrow()
-    }
-}
-
-impl<A, I> Drop for ServeCell<A, I>
-where
-    A: PhaseAlgorithm + 'static,
-    A::Input: 'static,
-    I: Borrow<A::Input> + 'static,
-{
-    fn drop(&mut self) {
-        // The borrower dies before its referent:
-        self.prepared = None;
-        // SAFETY: `input` came from `Box::into_raw` in `new`, is freed
-        // nowhere else, and nothing borrows it anymore (`prepared` was
-        // just cleared; queries hold `&self`, which drop excludes).
-        unsafe { drop(Box::from_raw(self.input)) };
-    }
+    input: I,
+    prepared: A::Prepared,
 }
 
 impl<A, I> PreparedService for ServeCell<A, I>
 where
-    A: PhaseAlgorithm + Send + Sync + 'static,
-    A::Input: Sync + 'static,
+    A: PhaseAlgorithm + Send + Sync,
     A::Output: Digest + Send,
-    for<'i> A::Prepared<'i>: Send + Sync,
-    I: Borrow<A::Input> + Send + Sync + 'static,
+    A::Prepared: Send + Sync,
+    I: Borrow<A::Input> + Send + Sync,
 {
     fn entry_name(&self) -> &'static str {
         self.entry
@@ -199,26 +97,27 @@ where
     }
 
     fn query(&self, scratch: &mut Scratch, cfg: &RunConfig) -> ServedQuery {
-        let prepared = self.prepared.as_ref().expect("live until drop");
         // The lease's drop check (debug builds) pins the take/put
         // protocol for every family on the serve path: a query that
         // strands a buffer fails here instead of growing memory.
         let mut lease = scratch.lease();
-        ServedQuery::from_report(self.algo.solve_prepared(prepared, &mut lease, cfg))
+        let report = self
+            .algo
+            .solve_prepared(self.input.borrow(), &self.prepared, &mut lease, cfg);
+        ServedQuery::from_report(report)
     }
 
     fn one_shot(&self, cfg: &RunConfig) -> ServedQuery {
-        ServedQuery::from_report(self.algo.solve_par(self.input(), cfg))
+        ServedQuery::from_report(self.algo.solve_par(self.input.borrow(), cfg))
     }
 
     fn seq_digest(&self) -> u64 {
-        self.algo.solve_seq(self.input()).digest()
+        self.algo.solve_seq(self.input.borrow()).digest()
     }
 }
 
 /// An owned, cheaply-clonable handle to one shared prepared instance.
-/// Clones share the instance; the last one to drop frees it (prepared
-/// half first, then the pinned input).
+/// Clones share the instance; the last one to drop frees it.
 ///
 /// ```
 /// use phase_parallel::{RunConfig, Scratch};
@@ -237,18 +136,24 @@ pub struct SharedPrepared {
 }
 
 impl SharedPrepared {
-    /// Pin `input`, prepare it once, and wrap the pair for sharing.
-    /// `cost_bytes` is the instance's cache-cost estimate.
+    /// Take ownership of `input`, prepare it once, and wrap the pair
+    /// for sharing. `cost_bytes` is the instance's cache-cost estimate.
     pub fn new<A, I>(entry: &'static str, algo: A, input: I, cost_bytes: usize) -> Self
     where
         A: PhaseAlgorithm + Send + Sync + 'static,
-        A::Input: Sync + 'static,
         A::Output: Digest + Send,
-        for<'i> A::Prepared<'i>: Send + Sync,
+        A::Prepared: Send + Sync + 'static,
         I: Borrow<A::Input> + Send + Sync + 'static,
     {
+        let prepared = algo.prepare(input.borrow());
         Self {
-            inner: Arc::new(ServeCell::new(entry, algo, input, cost_bytes)),
+            inner: Arc::new(ServeCell {
+                algo,
+                entry,
+                cost: cost_bytes,
+                input,
+                prepared,
+            }),
         }
     }
 
@@ -359,8 +264,8 @@ mod tests {
 
     #[test]
     fn unsized_borrowed_inputs_work() {
-        // `Lis::Input = [i64]`: the cell pins a `Vec<i64>` and borrows
-        // the slice out of it.
+        // `Lis::Input = [i64]`: the cell owns a `Vec<i64>` and borrows
+        // the slice out of it per query.
         let series: Vec<i64> = vec![4, 7, 3, 2, 8, 1, 6, 5];
         let shared = SharedPrepared::new("lis", Lis, series, 1024);
         let cfg = RunConfig::seeded(42);

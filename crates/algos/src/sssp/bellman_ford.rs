@@ -26,11 +26,12 @@ pub fn bellman_ford(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>>
 /// distance array and frontier engine recycled through `scratch`.
 /// Output is identical to [`bellman_ford`].
 pub fn bellman_ford_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    bellman_ford_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
+    bellman_ford_core(g, prepared.source_for(cfg), scratch, cfg)
 }
 
 fn bellman_ford_core(
@@ -149,9 +150,14 @@ mod tests {
         let prepared = PreparedSssp::new(&wg, 0);
         let mut scratch = Scratch::new();
         let pinned = |policy| RunConfig::new().with_frontier(policy);
-        let sparse =
-            bellman_ford_prepared(&prepared, &mut scratch, &pinned(FrontierPolicy::Sparse));
-        let dense = bellman_ford_prepared(&prepared, &mut scratch, &pinned(FrontierPolicy::Dense));
+        let sparse = bellman_ford_prepared(
+            &wg,
+            &prepared,
+            &mut scratch,
+            &pinned(FrontierPolicy::Sparse),
+        );
+        let dense =
+            bellman_ford_prepared(&wg, &prepared, &mut scratch, &pinned(FrontierPolicy::Dense));
         assert_eq!(sparse.output, dense.output);
         assert_eq!(
             sparse.output,

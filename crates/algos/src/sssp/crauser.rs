@@ -60,17 +60,12 @@ pub fn crauser_out(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> 
 /// buffers are recycled through `scratch`. Output is identical to
 /// [`crauser_out`].
 pub fn crauser_out_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    crauser_out_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        &prepared.mow,
-        scratch,
-        cfg,
-    )
+    crauser_out_core(g, prepared.source_for(cfg), &prepared.mow, scratch, cfg)
 }
 
 fn crauser_out_core(
@@ -261,11 +256,13 @@ mod tests {
         let prepared = PreparedSssp::new(&wg, 0);
         let mut scratch = Scratch::new();
         let sparse = crauser_out_prepared(
+            &wg,
             &prepared,
             &mut scratch,
             &RunConfig::new().with_frontier(FrontierPolicy::Sparse),
         );
         let dense = crauser_out_prepared(
+            &wg,
             &prepared,
             &mut scratch,
             &RunConfig::new().with_frontier(FrontierPolicy::Dense),

@@ -50,18 +50,13 @@ pub fn delta_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64
 /// frontier engine are recycled through `scratch`. Output is identical
 /// to [`delta_stepping`] under the same configuration.
 pub fn delta_stepping_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     let delta = cfg.delta.unwrap_or(prepared.w_star);
-    delta_stepping_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        delta,
-        scratch,
-        cfg,
-    )
+    delta_stepping_core(g, prepared.source_for(cfg), delta, scratch, cfg)
 }
 
 fn delta_stepping_core(
@@ -317,7 +312,7 @@ mod tests {
         let mut scratch = Scratch::new();
         for (i, &src) in [0u32, 5, 123].iter().enumerate() {
             let cfg = RunConfig::seeded(1).with_source(src);
-            let from_prepared = delta_stepping_prepared(&prepared, &mut scratch, &cfg);
+            let from_prepared = delta_stepping_prepared(&wg, &prepared, &mut scratch, &cfg);
             let one_shot = delta_stepping(&wg, src, &RunConfig::seeded(1));
             assert_eq!(from_prepared.output, one_shot.output, "source {src}");
             assert_eq!(from_prepared.stats.rounds, one_shot.stats.rounds);
@@ -339,10 +334,20 @@ mod tests {
         let prepared = PreparedSssp::new(&wg, 0);
         let mut scratch = Scratch::new();
         for &src in &[0u32, 17, 99] {
-            delta_stepping_prepared(&prepared, &mut scratch, &RunConfig::new().with_source(src));
+            delta_stepping_prepared(
+                &wg,
+                &prepared,
+                &mut scratch,
+                &RunConfig::new().with_source(src),
+            );
         }
         let (takes, reuses) = (scratch.takes(), scratch.reuses());
-        delta_stepping_prepared(&prepared, &mut scratch, &RunConfig::new().with_source(311));
+        delta_stepping_prepared(
+            &wg,
+            &prepared,
+            &mut scratch,
+            &RunConfig::new().with_source(311),
+        );
         assert_eq!(
             scratch.takes() - takes,
             scratch.reuses() - reuses,

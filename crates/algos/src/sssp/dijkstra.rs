@@ -28,11 +28,12 @@ pub fn dijkstra(g: &Graph, source: u32) -> Vec<u64> {
 /// vertices exact, the rest upper bounds or [`INF`]) under
 /// `RunOutcome::DeadlineExceeded`.
 pub fn dijkstra_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    dijkstra_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
+    dijkstra_core(g, prepared.source_for(cfg), scratch, cfg)
 }
 
 /// Runs Dijkstra drawing the heap's backing storage from `scratch`. The

@@ -94,10 +94,10 @@ pub fn sssp_phase_parallel(g: &Graph, source: u32) -> Report<Vec<u64>> {
 ///   one-shot [`crauser_out`] repeats per call.
 ///
 /// The query-time source comes from [`RunConfig::source`], falling back
-/// to the instance's own `source`.
-pub struct PreparedSssp<'g> {
-    /// The (borrowed) CSR graph queries run against.
-    pub graph: &'g Graph,
+/// to the instance's own `source`. The graph itself is not held: every
+/// `*_prepared` query takes the graph this was built from as its first
+/// argument.
+pub struct PreparedSssp {
     /// Default source when a query does not override it.
     pub source: u32,
     /// Minimum edge weight (1 on edgeless graphs): the phase-parallel
@@ -107,9 +107,9 @@ pub struct PreparedSssp<'g> {
     pub mow: Vec<u64>,
 }
 
-impl<'g> PreparedSssp<'g> {
+impl PreparedSssp {
     /// Precompute the family's shared instance structure for `graph`.
-    pub fn new(graph: &'g Graph, source: u32) -> Self {
+    pub fn new(graph: &Graph, source: u32) -> Self {
         let n = graph.num_vertices();
         assert!((source as usize) < n, "source {source} out of range ({n})");
         let w_star = graph.min_weight().unwrap_or(1).max(1);
@@ -118,7 +118,6 @@ impl<'g> PreparedSssp<'g> {
             .map(|v| graph.edge_weights(v).iter().copied().min().unwrap_or(INF))
             .collect();
         Self {
-            graph,
             source,
             w_star,
             mow,
@@ -129,7 +128,7 @@ impl<'g> PreparedSssp<'g> {
     /// [`RunConfig::source`] override, or the instance default.
     pub fn source_for(&self, cfg: &RunConfig) -> u32 {
         let s = cfg.source.unwrap_or(self.source);
-        let n = self.graph.num_vertices();
+        let n = self.mow.len();
         assert!((s as usize) < n, "query source {s} out of range ({n})");
         s
     }

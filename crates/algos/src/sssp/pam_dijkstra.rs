@@ -38,16 +38,12 @@ pub fn sssp_pam(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
 /// and the source from [`RunConfig::source`]. Output is identical to
 /// [`sssp_pam`].
 pub fn sssp_pam_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     _scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    sssp_pam_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        prepared.w_star,
-        cfg,
-    )
+    sssp_pam_core(g, prepared.source_for(cfg), prepared.w_star, cfg)
 }
 
 fn sssp_pam_core(g: &Graph, source: u32, w_star: u64, cfg: &RunConfig) -> Report<Vec<u64>> {

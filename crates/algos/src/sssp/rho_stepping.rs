@@ -51,11 +51,12 @@ pub fn rho_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>>
 /// `scratch`. Output is identical to [`rho_stepping`] under the same
 /// configuration.
 pub fn rho_stepping_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    rho_stepping_core(prepared.graph, prepared.source_for(cfg), scratch, cfg)
+    rho_stepping_core(g, prepared.source_for(cfg), scratch, cfg)
 }
 
 fn rho_stepping_core(

@@ -344,31 +344,30 @@ impl<T> Report<T> {
 /// # Prepare/query
 ///
 /// Families additionally split their execution into an amortizable
-/// *prepare* step ([`PhaseAlgorithm::prepare`], building the instance's
+/// *prepare* step ([`PhaseAlgorithm::prepare`], deriving the instance's
 /// dependence structure: CSR mirrors, precomputed weights, edge lists)
 /// and a repeatable *query* step ([`PhaseAlgorithm::solve_prepared`],
-/// running rounds against the prepared structure, drawing hot per-query
-/// buffers from a [`Scratch`] workspace). The contract extends to:
-/// `solve_prepared(&prepare(input), scratch, cfg).output ==
+/// running rounds against the input plus its prepared structure,
+/// drawing hot per-query buffers from a [`Scratch`] workspace). The
+/// prepared structure owns only what it derived; the query receives the
+/// input next to it. The contract extends to:
+/// `solve_prepared(input, &prepare(input), scratch, cfg).output ==
 /// solve_par(input, cfg).output` for every `cfg` and any workspace
 /// state — checked per registry entry by the conformance suite.
 ///
 /// Simple families whose instances need no preprocessing opt in with
-/// one line via [`impl_prepared_by_borrow!`](crate::impl_prepared_by_borrow),
-/// which sets `Prepared<'i> = &'i Input` and routes queries to the
-/// family's `solve_par`.
+/// one line via [`impl_no_prepare!`](crate::impl_no_prepare), which
+/// sets `Prepared = ()` and routes queries to the family's `solve_par`.
 pub trait PhaseAlgorithm {
     /// Problem instance. `?Sized` so slice inputs (`[i64]`) work.
     type Input: ?Sized;
     /// Solution type (shared by both executions).
     type Output;
     /// The amortized form of an instance: everything `solve_prepared`
-    /// needs that does not change between queries. Borrows the input
-    /// (`'i`), so preparation never copies the instance's bulk data.
-    type Prepared<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// needs that does not change between queries, derived from the
+    /// input and owned — it never borrows the input, so any holder can
+    /// keep the pair side by side.
+    type Prepared;
 
     /// Stable, human-readable name (`"lis"`, `"sssp/delta"`, …) — the
     /// key used by string-keyed registries.
@@ -377,33 +376,35 @@ pub trait PhaseAlgorithm {
     /// The sequential iterative baseline.
     fn solve_seq(&self, input: &Self::Input) -> Self::Output;
 
-    /// Build the amortized instance once; queries run against it via
+    /// Derive the amortized instance once; queries run against it via
     /// [`PhaseAlgorithm::solve_prepared`].
-    fn prepare<'i>(&self, input: &'i Self::Input) -> Self::Prepared<'i>;
+    fn prepare(&self, input: &Self::Input) -> Self::Prepared;
 
-    /// One query against a prepared instance. Hot per-query buffers
-    /// come from (and return to) `scratch`, so repeated queries on the
-    /// same workspace run allocation-free in steady state. Output must
-    /// equal `solve_par(input, cfg).output`.
+    /// One query against `input` and its prepared instance, which must
+    /// have come from `prepare(input)`. Hot per-query buffers come from
+    /// (and return to) `scratch`, so repeated queries on the same
+    /// workspace run allocation-free in steady state. Output must equal
+    /// `solve_par(input, cfg).output`.
     fn solve_prepared(
         &self,
-        prepared: &Self::Prepared<'_>,
+        input: &Self::Input,
+        prepared: &Self::Prepared,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Self::Output>;
 
     /// The one-shot phase-parallel execution under `cfg`. Kept a
     /// required method (not defaulted to `prepare` + `solve_prepared`)
-    /// so that [`impl_prepared_by_borrow!`](crate::impl_prepared_by_borrow) —
-    /// whose `solve_prepared` delegates here — can never silently form
-    /// a mutual recursion with a defaulted body; forgetting `solve_par`
+    /// so that [`impl_no_prepare!`](crate::impl_no_prepare) — whose
+    /// `solve_prepared` delegates here — can never silently form a
+    /// mutual recursion with a defaulted body; forgetting `solve_par`
     /// is a compile error, not a runtime stack overflow.
     fn solve_par(&self, input: &Self::Input, cfg: &RunConfig) -> Report<Self::Output>;
 }
 
 /// Implements the prepare/query half of [`PhaseAlgorithm`] for a family
-/// whose instances need no preprocessing: `Prepared<'i>` is just a
-/// borrow of the input and `solve_prepared` delegates to `solve_par`.
+/// whose instances need no preprocessing: `Prepared` is `()` and
+/// `solve_prepared` delegates to `solve_par`.
 ///
 /// Use inside the `impl PhaseAlgorithm for …` block.
 ///
@@ -414,7 +415,7 @@ pub trait PhaseAlgorithm {
 /// impl PhaseAlgorithm for Doubler {
 ///     type Input = [u64];
 ///     type Output = Vec<u64>;
-///     phase_parallel::impl_prepared_by_borrow!();
+///     phase_parallel::impl_no_prepare!();
 ///     fn name(&self) -> &'static str { "doubler" }
 ///     fn solve_seq(&self, input: &[u64]) -> Vec<u64> {
 ///         input.iter().map(|x| x * 2).collect()
@@ -429,25 +430,20 @@ pub trait PhaseAlgorithm {
 /// assert_eq!(prepared.solve().output, vec![2, 4, 6]);
 /// ```
 #[macro_export]
-macro_rules! impl_prepared_by_borrow {
+macro_rules! impl_no_prepare {
     () => {
-        type Prepared<'i>
-            = &'i Self::Input
-        where
-            Self: 'i,
-            Self::Input: 'i;
+        type Prepared = ();
 
-        fn prepare<'i>(&self, input: &'i Self::Input) -> Self::Prepared<'i> {
-            input
-        }
+        fn prepare(&self, _input: &Self::Input) {}
 
         fn solve_prepared(
             &self,
-            prepared: &Self::Prepared<'_>,
+            input: &Self::Input,
+            _prepared: &(),
             _scratch: &mut $crate::Scratch,
             cfg: &$crate::RunConfig,
         ) -> $crate::Report<Self::Output> {
-            self.solve_par(prepared, cfg)
+            self.solve_par(input, cfg)
         }
     };
 }
@@ -462,7 +458,7 @@ macro_rules! impl_prepared_by_borrow {
 /// impl PhaseAlgorithm for Doubler {
 ///     type Input = [u64];
 ///     type Output = Vec<u64>;
-///     phase_parallel::impl_prepared_by_borrow!();
+///     phase_parallel::impl_no_prepare!();
 ///     fn name(&self) -> &'static str { "doubler" }
 ///     fn solve_seq(&self, input: &[u64]) -> Vec<u64> {
 ///         input.iter().map(|x| x * 2).collect()
@@ -574,12 +570,10 @@ impl<A: PhaseAlgorithm> Solver<A> {
     /// Build the amortized instance for `input` and return a handle
     /// that serves repeated queries against it. The handle borrows this
     /// solver (configuration + cached pool) and the input.
-    pub fn prepare<'s, 'i>(&'s self, input: &'i A::Input) -> PreparedSolver<'s, 'i, A>
-    where
-        A: 'i,
-    {
+    pub fn prepare<'s, 'i>(&'s self, input: &'i A::Input) -> PreparedSolver<'s, 'i, A> {
         PreparedSolver {
             solver: self,
+            input,
             prepared: self.algo.prepare(input),
             scratch: Scratch::new(),
             batch_scratch: std::sync::Mutex::new(Vec::new()),
@@ -621,13 +615,10 @@ impl<A: PhaseAlgorithm> Solver<A> {
 /// ([`PreparedSolver::solve_batch`]) fan out across the solver's cached
 /// thread pool with one workspace per worker, drawn from (and returned
 /// to) a pool that persists across batches.
-pub struct PreparedSolver<'s, 'i, A>
-where
-    A: PhaseAlgorithm + 'i,
-    A::Input: 'i,
-{
+pub struct PreparedSolver<'s, 'i, A: PhaseAlgorithm> {
     solver: &'s Solver<A>,
-    prepared: A::Prepared<'i>,
+    input: &'i A::Input,
+    prepared: A::Prepared,
     scratch: Scratch,
     /// Worker workspaces parked between `solve_batch` calls, so batch
     /// buffer reuse spans the handle's whole lifetime, not one batch.
@@ -653,20 +644,10 @@ impl Drop for PooledScratch<'_> {
     }
 }
 
-impl<'s, 'i, A> PreparedSolver<'s, 'i, A>
-where
-    A: PhaseAlgorithm + 'i,
-    A::Input: 'i,
-{
+impl<A: PhaseAlgorithm> PreparedSolver<'_, '_, A> {
     /// The configuration queries run under by default.
     pub fn config(&self) -> &RunConfig {
         self.solver.config()
-    }
-
-    /// The prepared instance (for callers that drive
-    /// [`PhaseAlgorithm::solve_prepared`] themselves).
-    pub fn prepared(&self) -> &A::Prepared<'i> {
-        &self.prepared
     }
 
     /// The internal workspace (diagnostics: buffer-reuse counters).
@@ -678,7 +659,8 @@ where
     pub fn solve(&mut self) -> Report<A::Output>
     where
         A: Sync,
-        for<'q> A::Prepared<'q>: Sync,
+        A::Input: Sync,
+        A::Prepared: Sync,
         A::Output: Send,
     {
         let solver = self.solver;
@@ -692,15 +674,16 @@ where
     pub fn solve_with(&mut self, cfg: &RunConfig) -> Report<A::Output>
     where
         A: Sync,
-        for<'q> A::Prepared<'q>: Sync,
+        A::Input: Sync,
+        A::Prepared: Sync,
         A::Output: Send,
     {
         let solver = self.solver;
         let algo = &solver.algo;
-        let (prepared, scratch) = (&self.prepared, &mut self.scratch);
+        let (input, prepared, scratch) = (self.input, &self.prepared, &mut self.scratch);
         let mut run = move || {
             let before = rayon::scheduler_counters();
-            let mut report = algo.solve_prepared(prepared, scratch, cfg);
+            let mut report = algo.solve_prepared(input, prepared, scratch, cfg);
             let delta = rayon::scheduler_counters().since(&before);
             record_sched_counters(&mut report.stats, delta);
             report
@@ -722,13 +705,14 @@ where
     pub fn solve_batch(&self, queries: &[RunConfig]) -> BatchReport<A::Output>
     where
         A: Sync,
-        for<'q> A::Prepared<'q>: Sync,
+        A::Input: Sync,
+        A::Prepared: Sync,
         A::Output: Send,
     {
         use rayon::prelude::*;
         let solver = self.solver;
         let algo = &solver.algo;
-        let prepared = &self.prepared;
+        let (input, prepared) = (self.input, &self.prepared);
         let pool = &self.batch_scratch;
         let run = move || {
             let before = rayon::scheduler_counters();
@@ -747,7 +731,7 @@ where
                     },
                     |pooled, q| {
                         let scratch = pooled.scratch.as_mut().expect("present until drop");
-                        algo.solve_prepared(prepared, scratch, q)
+                        algo.solve_prepared(input, prepared, scratch, q)
                     },
                 )
                 .collect::<Vec<Report<A::Output>>>();
@@ -835,7 +819,7 @@ mod tests {
     impl PhaseAlgorithm for CountUp {
         type Input = [u32];
         type Output = u64;
-        crate::impl_prepared_by_borrow!();
+        crate::impl_no_prepare!();
         fn name(&self) -> &'static str {
             "count-up"
         }
@@ -856,7 +840,7 @@ mod tests {
     impl PhaseAlgorithm for SpinUp {
         type Input = [u32];
         type Output = u64;
-        crate::impl_prepared_by_borrow!();
+        crate::impl_no_prepare!();
         fn name(&self) -> &'static str {
             "spin-up"
         }

@@ -79,7 +79,7 @@ struct SumWithScratch;
 impl PhaseAlgorithm for SumWithScratch {
     type Input = [u64];
     type Output = u64;
-    type Prepared<'i> = &'i [u64];
+    type Prepared = ();
 
     fn name(&self) -> &'static str {
         "sum-with-scratch"
@@ -90,17 +90,16 @@ impl PhaseAlgorithm for SumWithScratch {
     fn solve_par(&self, input: &[u64], _cfg: &RunConfig) -> Report<u64> {
         Report::plain(self.solve_seq(input))
     }
-    fn prepare<'i>(&self, input: &'i [u64]) -> &'i [u64] {
-        input
-    }
+    fn prepare(&self, _input: &[u64]) {}
     fn solve_prepared(
         &self,
-        prepared: &&[u64],
+        input: &[u64],
+        _prepared: &(),
         scratch: &mut Scratch,
         _cfg: &RunConfig,
     ) -> Report<u64> {
         let mut buf = scratch.take_vec::<u64>("sum-buf");
-        buf.extend_from_slice(prepared);
+        buf.extend_from_slice(input);
         let total = buf.iter().sum();
         scratch.put_vec("sum-buf", buf);
         let mut stats = ExecutionStats::default();

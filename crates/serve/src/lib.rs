@@ -63,7 +63,7 @@ pub mod hist;
 pub use admission::{AdmissionGate, AdmissionPermit};
 pub use cache::{CacheCounters, InstanceCache};
 pub use hist::LatencyHistogram;
-pub use pp_algos::serving::{estimated_cost_bytes, PreparedService, ServedQuery, SharedPrepared};
+pub use pp_algos::serving::{estimated_cost_bytes, ServedQuery, SharedPrepared};
 
 use phase_parallel::{CancelToken, ExecutionStats, RunConfig, Scratch};
 use pp_algos::registry::{self, AlgorithmEntry, CaseSpec, Digest, RegistryError};

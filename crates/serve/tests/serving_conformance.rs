@@ -10,7 +10,7 @@
 
 use phase_parallel::{RunConfig, Scratch};
 use pp_algos::registry::{self, CaseSpec};
-use pp_serve::{ServeOptions, ServingTier};
+use pp_serve::{CacheCounters, ServeOptions, ServingTier};
 use pp_workloads::{QueryTrace, ScenarioSpec, TraceConfig};
 use rayon::prelude::*;
 
@@ -76,6 +76,25 @@ fn shared_concurrent_digests_match_prepared_registry_wide() {
     }
 }
 
+/// The cache's schedule-free accounting for one replay of `queries`
+/// queries over `tenants` distinct tenants: each tenant is prepared
+/// exactly once and every query makes exactly one lookup. How the other
+/// lookups split between hits and followers coalesced onto a
+/// preparation in flight depends on the schedule, so no hit-rate floor.
+fn assert_prepared_once_per_tenant(counters: &CacheCounters, tenants: usize, queries: usize) {
+    assert_eq!(counters.prepares, tenants as u64, "{counters:?}");
+    assert_eq!(
+        counters.misses,
+        counters.prepares + counters.coalesced,
+        "{counters:?}"
+    );
+    assert_eq!(
+        counters.hits + counters.misses,
+        queries as u64,
+        "{counters:?}"
+    );
+}
+
 /// The full stack for a graph entry: Zipf trace through the cache on 1
 /// and 8 worker threads, digest-checked against the freshly-prepared
 /// reference, with the cache actually getting exercised.
@@ -102,16 +121,7 @@ fn cache_served_trace_matches_fresh_for_graph_entry() {
             tier.reference_digest(&trace),
             "{threads}-thread served trace diverged from fresh"
         );
-        assert_eq!(report.counters.prepares, scenarios.len() as u64);
-        // Misses are the flight leaders plus whoever coalesced onto
-        // them while a preparation was in flight.
-        assert_eq!(
-            report.counters.misses,
-            report.counters.prepares + report.counters.coalesced,
-            "{:?}",
-            report.counters
-        );
-        assert!(report.counters.hit_rate() > 0.9, "{:?}", report.counters);
+        assert_prepared_once_per_tenant(&report.counters, scenarios.len(), trace.len());
         assert_eq!(report.latency.count(), trace.len() as u64);
         digests.push(report.digest);
     }
@@ -137,7 +147,7 @@ fn cache_served_trace_matches_fresh_for_seq_entry() {
             tier.reference_digest(&trace),
             "{threads}-thread served trace diverged from fresh"
         );
-        assert!(report.counters.hit_rate() > 0.9, "{:?}", report.counters);
+        assert_prepared_once_per_tenant(&report.counters, scenarios.len(), trace.len());
     }
 }
 
