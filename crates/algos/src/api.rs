@@ -82,7 +82,7 @@ impl GraphPriorityInstance {
     }
 }
 
-/// Longest increasing subsequence (Algorithm 3, Type 2).
+/// Longest increasing subsequence (prefix-minima rounds, Type 1).
 pub struct Lis;
 
 impl PhaseAlgorithm for Lis {
@@ -100,8 +100,8 @@ impl PhaseAlgorithm for Lis {
     }
 }
 
-/// Weighted LIS (§5.2 generalization): input `(values, weights)`,
-/// output the maximum total weight.
+/// Weighted LIS (§5.2 generalization, Algorithm 3, Type 2): input
+/// `(values, weights)`, output the maximum total weight.
 pub struct WeightedLis;
 
 impl PhaseAlgorithm for WeightedLis {

@@ -39,7 +39,7 @@
 //! side by side behind one `Arc` without any `unsafe`.
 //!
 //! ```
-//! use pp_algos::lis::{lis_par, lis_seq};
+//! use pp_algos::lis::{lis_par, lis_seq, lis_weighted_par};
 //! use pp_algos::RunConfig;
 //!
 //! // Fig. 1's example sequence: the LIS (e.g. 4 7 8) has length 3.
@@ -47,7 +47,11 @@
 //! let report = lis_par(&s, &RunConfig::seeded(42));
 //! assert_eq!(report.output, 3);
 //! assert_eq!(report.output, lis_seq(&s));
-//! // Round-efficiency: one virtual round plus one per rank.
+//! // Round-efficiency: one round per rank.
+//! assert_eq!(report.stats.rounds, 3);
+//! // Algorithm 3 (unit weights) runs one virtual round plus one per rank.
+//! let report = lis_weighted_par(&s, &[1; 8], &RunConfig::seeded(42));
+//! assert_eq!(report.output.0, 3);
 //! assert_eq!(report.stats.rounds, 4);
 //! ```
 //!

@@ -1,13 +1,21 @@
 //! Longest increasing subsequence (§5.2, Algorithm 3; experiments §6.4).
 //!
-//! The paper's headline Type 2 result: the first nearly work-efficient
-//! (`Õ(n)` work) parallel LIS with round-efficiency (`Õ(k)` span for LIS
-//! length `k`), via random pivots over an augmented 2D range tree.
+//! The paper's headline Type 2 result is Algorithm 3: the first nearly
+//! work-efficient (`Õ(n)` work) parallel LIS with round-efficiency
+//! (`Õ(k)` span for LIS length `k`), via random pivots over an augmented
+//! 2D range tree. Unweighted LIS is also Type 1: the elements of each
+//! rank are the prefix minima of the elements not yet ranked, so a round
+//! can *extract* its frontier by one pruned traversal of a min segment
+//! tree, in `O(n log n)` total work.
 //!
 //! * [`lis_seq`] — the classic `O(n log n)` sequential DP baseline.
-//! * [`lis_par`] — Algorithm 3 on [`pp_ranges::RangeTree2d`], with the
-//!   pivot strategy selectable: [`PivotMode::Random`] (the analyzed one,
-//!   Lemma 5.5) or [`PivotMode::RightMost`] (§6.4's heuristic).
+//! * [`lis_par`] — the prefix-minima rounds (Type 1) on
+//!   [`pp_ranges::SegTree`]: exactly `k` rounds, no wake-ups.
+//! * [`lis_weighted_par`] — Algorithm 3 on [`pp_ranges::RangeTree2d`],
+//!   with the pivot strategy selectable: [`PivotMode::Random`] (the
+//!   analyzed one, Lemma 5.5) or [`PivotMode::RightMost`] (§6.4's
+//!   heuristic). With unit weights it is the unweighted Algorithm 3, and
+//!   the Table 2 and Fig. 8–9 reproductions run it that way.
 //! * [`patterns`] — the segment / line input generators of Fig. 10.
 //! * [`reconstruct`] — recover one optimal subsequence from DP values.
 
@@ -112,15 +120,22 @@ mod tests {
 
     #[test]
     fn sorted_and_reverse() {
+        let ones = vec![1u32; 500];
         let v: Vec<i64> = (0..500).collect();
         assert_eq!(lis_seq(&v), 500);
         let res = lis_par(&v, &cfg(PivotMode::RightMost, 0));
         assert_eq!(res.output, 500);
+        assert_eq!(res.stats.rounds, 500); // one round per rank
+        let res = lis_weighted_par(&v, &ones, &cfg(PivotMode::RightMost, 0));
+        assert_eq!(res.output.0, 500);
         assert_eq!(res.stats.rounds, 501); // virtual round + k rounds
         let v: Vec<i64> = (0..500).rev().collect();
         assert_eq!(lis_seq(&v), 1);
         let res = lis_par(&v, &cfg(PivotMode::Random, 0));
         assert_eq!(res.output, 1);
+        assert_eq!(res.stats.rounds, 1); // one frontier
+        let res = lis_weighted_par(&v, &ones, &cfg(PivotMode::Random, 0));
+        assert_eq!(res.output.0, 1);
         assert_eq!(res.stats.rounds, 2); // virtual round + one frontier
     }
 
@@ -160,7 +175,7 @@ mod tests {
         let mut r = Rng::new(14);
         let n = 5000;
         let vals: Vec<i64> = (0..n).map(|_| r.range(1 << 30) as i64).collect();
-        let res = lis_par(&vals, &cfg(PivotMode::Random, 9));
+        let res = lis_weighted_par(&vals, &vec![1; n], &cfg(PivotMode::Random, 9));
         let avg = res.stats.avg_wakeups();
         assert!(avg < 14.0, "avg wake-ups {avg} too high (log2 n ≈ 12)");
     }

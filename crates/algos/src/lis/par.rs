@@ -1,50 +1,107 @@
-//! Algorithm 3: the parallel LIS algorithm.
+//! The two parallel LIS engines.
 //!
-//! Objects are 2D points `(i, a_i)`; the predecessors of an object are
-//! exactly the points in its lower-left quadrant (Fig. 3). A virtual
-//! point `p[0] = (0, -∞)` with DP value 0 seeds the computation and is
-//! every object's initial pivot. Each round, the objects whose pivot
-//! just finished are *attempted*: a prefix-rectangle query on the
-//! augmented 2D range tree either certifies readiness (no unfinished
-//! predecessor — DP value = max DP in the rectangle + 1) or yields a new
+//! **Unweighted: prefix-minima rounds (Type 1).** The elements of rank
+//! `r` are exactly the prefix minima of the elements left after ranks
+//! `1..r−1` are removed: element `i` is ready iff no remaining `j < i`
+//! has `a_j < a_i`, i.e. iff `a_i ≤ min{a_j : j < i, j left}`. So each
+//! round is one frontier *extraction* ([`SegTree::prefix_minima`] over a
+//! min segment tree on positions, then a batch removal), and no
+//! dependence is ever evaluated. Every visited subtree holds a reported
+//! leaf, so the total work is `O(n log n)` and each round's span is
+//! `O(log n)`.
+//!
+//! **Weighted: Algorithm 3 (Type 2).** Objects are 2D points
+//! `(i, a_i)`; the predecessors of an object are exactly the points in
+//! its lower-left quadrant (Fig. 3). A virtual point `p[0] = (0, -∞)`
+//! with DP value 0 seeds the computation and is every object's initial
+//! pivot. Each round, the objects whose pivot just finished are
+//! *attempted*: a prefix-rectangle query on the augmented 2D range tree
+//! either certifies readiness (no unfinished predecessor — DP value =
+//! max weighted DP in the rectangle + own weight) or yields a new
 //! unfinished pivot (uniformly random, or right-most under the §6.4
-//! heuristic).
+//! heuristic). Weighted DP values need the rectangle's maximum, which
+//! the prefix-minima rounds do not provide.
 
-use phase_parallel::{run_type2, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{
+    run_type1, run_type2, Report, RunConfig, Type1Problem, Type2Problem, WakeResult,
+};
+use pp_parlay::monoid::MinMonoid;
 use pp_parlay::rng::{hash64, Rng};
-use pp_ranges::RangeTree2d;
+use pp_ranges::{RangeTree2d, SegTree};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Parallel LIS (Algorithm 3). Deterministic in `cfg.seed` for a fixed
-/// schedule; the resulting length is schedule-independent. The report's
-/// `stats.rounds` is `k + 1` (one virtual round plus one per rank);
-/// Table 2's "Average # of Wake-ups" is `stats.avg_wakeups()`.
+/// Parallel LIS by prefix-minima rounds (Type 1). Deterministic and
+/// schedule-independent; the pivot mode and seed are unused. The
+/// report's `stats.rounds` is the LIS length `k`, and
+/// `stats.frontier_sizes[r − 1]` is the number of elements of rank `r`.
 pub fn lis_par(values: &[i64], cfg: &RunConfig) -> Report<u32> {
     lis_par_with_dp(values, cfg).map(|(length, _)| length)
 }
 
 /// [`lis_par`] also returning per-element DP values: the output is
-/// `(length, dp)` where `dp[i]` is the LIS length ending at element `i`.
+/// `(length, dp)` where `dp[i]` is the LIS length ending at element `i`
+/// — the round that extracted it.
 pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>)> {
-    lis_engine(values, None, cfg)
+    // Leaves are widened to `i128` so that the removed-leaf sentinel
+    // lies above every real value, `i64::MAX` included.
+    const REMOVED: i128 = i128::MAX;
+    const ANY_VALUE: i128 = i64::MAX as i128;
+    assert!(values.len() < u32::MAX as usize, "object ids are u32");
+
+    struct PrefixMinima {
+        tree: SegTree<MinMonoid<i128>>,
+        dp: Vec<u32>,
+        round: u32,
+    }
+
+    impl Type1Problem for PrefixMinima {
+        type Output = (u32, Vec<u32>);
+
+        fn extract_frontier(&mut self) -> Vec<u32> {
+            let frontier = self.tree.prefix_minima(&ANY_VALUE);
+            let removals: Vec<(usize, i128)> = frontier.iter().map(|&i| (i, REMOVED)).collect();
+            self.tree.update_batch(&removals);
+            frontier.into_iter().map(|i| i as u32).collect()
+        }
+
+        fn process(&mut self, frontier: &[u32]) {
+            self.round += 1;
+            for &i in frontier {
+                self.dp[i as usize] = self.round;
+            }
+        }
+
+        fn finish(self) -> (u32, Vec<u32>) {
+            (self.round, self.dp)
+        }
+    }
+
+    let leaves: Vec<i128> = values.iter().map(|&v| i128::from(v)).collect();
+    let problem = PrefixMinima {
+        tree: SegTree::new(MinMonoid(REMOVED), &leaves),
+        dp: vec![0; values.len()],
+        round: 0,
+    };
+    run_type1(problem, cfg)
 }
 
 /// Weighted LIS (§5.2: "our algorithm can be generalized to the
-/// weighted case"): maximize the total *weight* of a strictly
-/// increasing subsequence. The rank structure (rounds, pivots) is the
-/// unweighted one — only the DP combine changes. Weight sums must fit
-/// in `u32`. The output is `(best_weight, dp)`.
+/// weighted case") by Algorithm 3: maximize the total *weight* of a
+/// strictly increasing subsequence. The rank structure (rounds, pivots,
+/// wake-ups) is the unweighted one — only the DP combine changes, so
+/// unit weights reproduce Algorithm 3's unweighted run exactly and this
+/// is the engine Table 2's wake-up counts are measured on. Deterministic
+/// in `cfg.seed` for a fixed schedule; the report's `stats.rounds` is
+/// `k + 1` (one virtual round plus one per rank), and Table 2's
+/// "Average # of Wake-ups" is `stats.avg_wakeups()`. Weight sums must
+/// fit in `u32`. The output is `(best_weight, dp)`.
 pub fn lis_weighted_par(
     values: &[i64],
     weights: &[u32],
     cfg: &RunConfig,
 ) -> Report<(u32, Vec<u32>)> {
     assert_eq!(values.len(), weights.len());
-    lis_engine(values, Some(weights), cfg)
-}
-
-fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Report<(u32, Vec<u32>)> {
     let (mode, seed) = (cfg.pivot_mode, cfg.seed);
     let n = values.len();
     if n == 0 {
@@ -76,20 +133,13 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         qy: Vec<u32>,
         /// DP per tree point (0 = virtual).
         dp: Vec<u32>,
-        /// Per-object weights (None = unit weights, the length LIS).
-        weights: Option<&'w [u32]>,
+        /// Per-object weights, indexed by tree-x minus 1.
+        weights: &'w [u32],
         /// Wake-up attempt counter per tree point, for deterministic
         /// per-attempt randomness.
         attempts: Vec<AtomicU32>,
         seed: u64,
         n: usize,
-    }
-
-    impl Problem<'_> {
-        #[inline]
-        fn weight_of(&self, x: u32) -> u32 {
-            self.weights.map_or(1, |w| w[x as usize - 1])
-        }
     }
 
     impl Type2Problem for Problem<'_> {
@@ -113,7 +163,7 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
                 // Ready: the rectangle always contains the (finished)
                 // virtual point, so max_dp is present.
                 let base = info.max_dp.expect("virtual point in range");
-                WakeResult::Ready(base + self.weight_of(x))
+                WakeResult::Ready(base + self.weights[x as usize - 1])
             } else {
                 let attempt = self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
                 let mut rng = Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64));
@@ -154,33 +204,108 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
 mod tests {
     use super::*;
 
+    use crate::lis::lis_seq_with_dp;
     use phase_parallel::PivotMode;
+    use pp_parlay::rng::Rng;
 
     #[test]
     fn round_frontiers_follow_ranks() {
-        // 1 5 2 6 3 7: dp = 1,2,2,3,3,4 → frontiers are the virtual
-        // point, then the rank classes {1}, {5,2}, {6,3}, {7}.
+        // 1 5 2 6 3 7: dp = 1,2,2,3,3,4 → frontiers are the rank classes
+        // {1}, {5,2}, {6,3}, {7}; Algorithm 3 runs the virtual point
+        // first.
         let v = vec![1, 5, 2, 6, 3, 7];
         let cfg = RunConfig::seeded(0).with_pivot_mode(PivotMode::RightMost);
         let report = lis_par_with_dp(&v, &cfg);
         let (length, dp) = &report.output;
         assert_eq!(*dp, vec![1, 2, 2, 3, 3, 4]);
         assert_eq!(*length, 4);
+        assert_eq!(report.stats.rounds, 4);
+        assert_eq!(report.stats.frontier_sizes, vec![1, 2, 2, 1]);
+        assert_eq!(report.stats.wakeup_attempts, 0);
+
+        let report = lis_weighted_par(&v, &[1; 6], &cfg);
+        assert_eq!(report.output, (4, vec![1, 2, 2, 3, 3, 4]));
         assert_eq!(report.stats.rounds, 5);
         assert_eq!(report.stats.frontier_sizes, vec![1, 1, 2, 2, 1]);
     }
 
     #[test]
     fn pivot_modes_same_answer_different_wakeups() {
+        // Algorithm 3's counters on this input, pinned: unit weights
+        // reproduce the unweighted rounds, pivots and wake-ups exactly.
         let v: Vec<i64> = (0..2000).map(|i| ((i * 7919) % 4001) as i64).collect();
-        let a = lis_par(&v, &RunConfig::seeded(3));
-        let b = lis_par(
+        let ones = vec![1u32; v.len()];
+        let a = lis_weighted_par(&v, &ones, &RunConfig::seeded(3));
+        let b = lis_weighted_par(
             &v,
+            &ones,
             &RunConfig::seeded(3).with_pivot_mode(PivotMode::RightMost),
         );
         assert_eq!(a.output, b.output);
-        // Both should be modest; the heuristic usually needs fewer.
+        assert_eq!(a.output.0, 43);
+        let counters = |r: &Report<(u32, Vec<u32>)>| {
+            (
+                r.stats.rounds,
+                r.stats.wakeup_attempts,
+                r.stats.failed_wakeups,
+            )
+        };
+        assert_eq!(counters(&a), (44, 9144, 7144));
+        assert_eq!(counters(&b), (44, 10831, 8831));
         assert!(a.stats.avg_wakeups() < 16.0);
         assert!(b.stats.avg_wakeups() < 16.0);
+        // The prefix-minima rounds wake nothing and run exactly k rounds.
+        let c = lis_par_with_dp(&v, &RunConfig::seeded(3));
+        assert_eq!(c.output, a.output);
+        assert_eq!(counters(&c), (43, 0, 0));
+    }
+
+    fn assert_dp_matches_seq(v: &[i64], label: &str) {
+        let (k, dp) = lis_seq_with_dp(v);
+        let report = lis_par_with_dp(v, &RunConfig::seeded(1));
+        assert_eq!(report.output, (k, dp), "{label}");
+        assert_eq!(report.stats.rounds, k as usize, "{label}");
+    }
+
+    #[test]
+    fn prefix_minima_rounds_match_seq_on_edge_cases() {
+        assert_dp_matches_seq(&[], "empty");
+        assert_dp_matches_seq(&[i64::MAX], "one");
+        assert_dp_matches_seq(&[2, 1], "two, decreasing");
+        assert_dp_matches_seq(&[1, 2], "two, increasing");
+        // A removed leaf must never read as a real `i64::MAX`.
+        assert_dp_matches_seq(&[5, i64::MAX, i64::MIN, i64::MAX], "extremes");
+        assert_dp_matches_seq(&[i64::MAX; 5], "all i64::MAX");
+        assert_dp_matches_seq(&[i64::MIN, i64::MAX, i64::MIN, i64::MAX], "alternating");
+        assert_dp_matches_seq(&[7; 1000], "all equal");
+        let interleaved: Vec<i64> = (0..777).flat_map(|i| [i, i]).collect();
+        assert_dp_matches_seq(&interleaved, "interleaved duplicates");
+        let mut r = Rng::new(9);
+        for n in [3usize, 5, 100, 1000, 4097, 10_001] {
+            let v: Vec<i64> = (0..n).map(|_| r.range(n as u64 / 2 + 1) as i64).collect();
+            assert_dp_matches_seq(&v, &format!("random n = {n}"));
+        }
+    }
+
+    #[test]
+    fn large_input_is_identical_across_pools() {
+        // 2^16 leaves: the traversal joins its children above the grain.
+        let mut r = Rng::new(10);
+        let v: Vec<i64> = (0..1 << 16)
+            .map(|_| r.range(1 << 20) as i64 - (1 << 19))
+            .collect();
+        let (k, dp) = lis_seq_with_dp(&v);
+        let mut frontiers = Vec::new();
+        for threads in [1usize, 2, 8] {
+            let report = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| lis_par_with_dp(&v, &RunConfig::seeded(2)));
+            assert_eq!(report.output, (k, dp.clone()), "{threads} threads");
+            frontiers.push(report.stats.frontier_sizes);
+        }
+        assert_eq!(frontiers[0].len(), k as usize);
+        assert!(frontiers.iter().all(|f| *f == frontiers[0]));
     }
 }

@@ -458,7 +458,7 @@ pub fn registry() -> &'static [AlgorithmEntry] {
         };
     }
     static ENTRIES: &[AlgorithmEntry] = &[
-        entry!("lis", Type2, Seq, Lis, gen_series),
+        entry!("lis", Type1, Seq, Lis, gen_series),
         entry!("lis/weighted", Type2, Seq, WeightedLis, gen_weighted_series),
         entry!("activity/type1", Type1, Seq, ActivityType1, gen_activities),
         entry!(
@@ -507,7 +507,7 @@ pub fn registry() -> &'static [AlgorithmEntry] {
             MatchingReservations,
             gen_edge_priorities
         ),
-        entry!("whac", Type2, Seq, Whac, gen_moles),
+        entry!("whac", Type1, Seq, Whac, gen_moles),
         entry!("whac/2d", Type2, Seq, Whac2d, gen_moles_2d),
         entry!("chain3d", Type2, Seq, Chain3d, gen_points3),
         entry!("chain4d", Type2, Seq, Chain4d, gen_points4),
@@ -867,6 +867,44 @@ mod tests {
             for (i, o) in outcomes.iter().enumerate() {
                 assert!(o.agrees(), "{} diverged on query {i}", entry.name());
             }
+        }
+    }
+
+    #[test]
+    fn lis_family_round_contract_on_every_seq_scenario() {
+        // `lis` and `whac` extract one frontier per rank, so their
+        // served rounds equal their served output (compared through
+        // its digest); `lis/weighted` runs Algorithm 3, whose virtual
+        // round comes on top of the unweighted rank.
+        let size = 300;
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        let scenarios = lookup("lis").unwrap().scenarios();
+        let keys: Vec<String> = scenarios.iter().map(ScenarioSpec::key).collect();
+        for key in ["seq/adversarial-chain", "seq/sorted"] {
+            assert!(keys.iter().any(|k| k == key), "{key} missing from {keys:?}");
+        }
+        for scenario in scenarios {
+            let case = CaseSpec::new(size, 4).with_scenario(scenario);
+            let key = scenario.key();
+            let mut serve = |name: &str| {
+                let shared = lookup(name).unwrap().prepare_shared(&case, &cfg);
+                let served = shared.query(&mut scratch, &cfg);
+                assert_eq!(served.digest, shared.seq_digest(), "{name} on {key}");
+                served
+            };
+            for name in ["lis", "whac"] {
+                let served = serve(name);
+                let rounds = served.stats.rounds;
+                assert_eq!(served.digest, (rounds as u32).digest(), "{name} on {key}");
+                if key == "seq/adversarial-chain" && name == "lis" {
+                    assert_eq!(rounds, size, "rank = n on {key}");
+                }
+            }
+            let served = serve("lis/weighted");
+            let (values, _) = gen_weighted_series(&case, &cfg);
+            let rank = crate::lis::lis_seq(&values) as usize;
+            assert_eq!(served.stats.rounds, rank + 1, "lis/weighted on {key}");
         }
     }
 

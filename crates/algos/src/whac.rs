@@ -9,10 +9,12 @@
 //!
 //! Rotating to `(u, v) = (t + p, t - p)` turns the DP into *exactly* the
 //! LIS problem on the `v`-sequence sorted by `u` — the appendix's point
-//! that the pivoting idea transfers wholesale. We reuse both LIS
-//! implementations. (Note the rotation also subsumes the time order:
-//! `u_j < u_i ∧ v_j < v_i` implies `t_j < t_i`, which is why 1D moles
-//! need only a 2D query.)
+//! that the pivoting idea transfers wholesale. [`whac_seq`] and
+//! [`whac_par`] run the LIS solvers on that sequence: the classic
+//! sequential DP, and the prefix-minima rounds of
+//! [`crate::lis::lis_par`]. (Note the rotation also subsumes the time
+//! order: `u_j < u_i ∧ v_j < v_i` implies `t_j < t_i`, which is why 1D
+//! moles need only a 2D query.)
 //!
 //! **The 2D-grid setting** (appendix closing remark): with moles at 2D
 //! positions, the reachability cone `|dx| + |dy| ≤ dt` has *four*
@@ -41,7 +43,7 @@ pub struct Mole {
 /// Rotate moles to `(u, v)` coordinates and produce the `v`-sequence in
 /// `u`-order with ties arranged so that strict LIS = strict dominance
 /// chains (equal `u`: descending `v`, so no two tie-mates chain).
-fn rotated_v_sequence(moles: &[Mole]) -> Vec<i64> {
+pub fn rotated_v_sequence(moles: &[Mole]) -> Vec<i64> {
     let mut uv: Vec<(i64, i64)> = moles.iter().map(|m| (m.t + m.p, m.t - m.p)).collect();
     pp_parlay::par_sort_by(&mut uv, |a, b| {
         (a.0, std::cmp::Reverse(a.1)) < (b.0, std::cmp::Reverse(b.1))
@@ -54,8 +56,10 @@ pub fn whac_seq(moles: &[Mole]) -> u32 {
     lis_seq(&rotated_v_sequence(moles))
 }
 
-/// Maximum number of moles hittable — phase-parallel (Appendix B:
-/// `O(n log^3 n)` work, `O(rank(S) log^2 n)` span).
+/// Maximum number of moles hittable — phase-parallel, by the LIS
+/// prefix-minima rounds on the rotated sequence: `O(n log n)` work and
+/// exactly `rank(S)` rounds of `O(log n)` span each. (Appendix B's
+/// Algorithm 3 route costs `O(n log^3 n)` work.)
 pub fn whac_par(moles: &[Mole], cfg: &RunConfig) -> Report<u32> {
     lis_par(&rotated_v_sequence(moles), cfg)
 }

@@ -7,7 +7,9 @@ use pp_algos::chain3d::{chain3d_par, chain3d_seq, Point3};
 use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
 use pp_algos::lis::{lis_weighted_par, lis_weighted_seq, patterns, PivotMode};
 use pp_algos::random_perm::random_permutation_reservations;
-use pp_algos::whac::{whac2d_par, whac2d_seq, whac_par, whac_seq, Mole, Mole2d};
+use pp_algos::whac::{
+    rotated_v_sequence, whac2d_par, whac2d_seq, whac_par, whac_seq, Mole, Mole2d,
+};
 use pp_algos::RunConfig;
 use pp_pam::{Multimap, NestedMultimap};
 use pp_parlay::rng::{bounded, hash64};
@@ -36,6 +38,13 @@ fn bench_misc(c: &mut Criterion) {
         .collect();
     let rm5 = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
     group.bench_function("whac_par", |b| b.iter(|| whac_par(&moles, &rm5)));
+    // Appendix B's route: Algorithm 3 (unit weights) on the rotation.
+    group.bench_function("whac_alg3", |b| {
+        b.iter(|| {
+            let series = rotated_v_sequence(&moles);
+            lis_weighted_par(&series, &vec![1; series.len()], &rm5)
+        })
+    });
     group.bench_function("whac_seq", |b| b.iter(|| whac_seq(&moles)));
 
     // Weighted LIS: 100k elements, k ≈ 100.

@@ -1,7 +1,8 @@
 //! Ablations for the design choices DESIGN.md §5 calls out:
 //!
 //! 1. LIS pivot strategy: uniformly random (analyzed, Lemma 5.5) vs
-//!    right-most unfinished (§6.4 heuristic) — wake-up counts and time.
+//!    right-most unfinished (§6.4 heuristic) — wake-up counts and time
+//!    of Algorithm 3 (`lis_weighted_par` with unit weights).
 //! 2. MIS: asynchronous TAS trees (Algorithm 4) vs round-synchronous
 //!    deterministic reservations — time and total edge checks.
 //! 3. Activity selection Type 1: flat arrays (§6.4 engineering) vs the
@@ -12,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
-use pp_algos::lis::{lis_par, patterns, PivotMode};
+use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
 use pp_algos::mis;
 use pp_algos::RunConfig;
 use pp_bench::{scale, secs, time_best, Table};
@@ -35,16 +36,17 @@ fn main() {
     ]);
     for k in [10usize, 100, 1000] {
         let series = patterns::segment(1_000_000 * s, k, 1);
+        let ones = vec![1; series.len()];
         let cfg_ra = RunConfig::seeded(2).with_pivot_mode(PivotMode::Random);
         let cfg_rm = RunConfig::seeded(2).with_pivot_mode(PivotMode::RightMost);
-        let ra = lis_par(&series, &cfg_ra);
-        let rm = lis_par(&series, &cfg_rm);
+        let ra = lis_weighted_par(&series, &ones, &cfg_ra);
+        let rm = lis_weighted_par(&series, &ones, &cfg_rm);
         assert_eq!(ra.output, rm.output);
         let t_ra = time_best(1, || {
-            std::hint::black_box(lis_par(&series, &cfg_ra));
+            std::hint::black_box(lis_weighted_par(&series, &ones, &cfg_ra));
         });
         let t_rm = time_best(1, || {
-            std::hint::black_box(lis_par(&series, &cfg_rm));
+            std::hint::black_box(lis_weighted_par(&series, &ones, &cfg_rm));
         });
         table.row(&[
             k.to_string(),

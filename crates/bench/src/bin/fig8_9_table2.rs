@@ -1,6 +1,8 @@
 //! Figures 8/9 and Table 2: parallel LIS on the segment and line
 //! patterns — time, self-speedup, and average wake-up counts vs output
-//! size.
+//! size. "Ours" is the paper's Algorithm 3, which this workspace runs
+//! as `lis_weighted_par` with unit weights (the rounds, pivots and
+//! wake-ups of the unweighted algorithm).
 //!
 //! Paper setup: n = 10^8, output sizes 3..10^4; "Classic seq" is the
 //! `O(n log n)` DP, "Ours seq." the parallel algorithm on one core,
@@ -12,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-use pp_algos::lis::{lis_par, lis_seq, patterns, PivotMode};
+use pp_algos::lis::{lis_seq, lis_weighted_par, patterns, PivotMode};
 use pp_algos::RunConfig;
 use pp_bench::{run_single_threaded, scale, secs, time_best, Table};
 
@@ -31,21 +33,22 @@ fn run_pattern(name: &str, gen: impl Fn(usize, usize) -> Vec<i64>) {
     ]);
     for target in [3usize, 10, 30, 100, 300, 1000] {
         let series = gen(n, target);
+        let ones = vec![1; series.len()];
         let k = lis_seq(&series);
         let t_classic = time_best(1, || {
             std::hint::black_box(lis_seq(&series));
         });
         let cfg = RunConfig::seeded(3).with_pivot_mode(PivotMode::RightMost);
         let t_par = time_best(1, || {
-            std::hint::black_box(lis_par(&series, &cfg));
+            std::hint::black_box(lis_weighted_par(&series, &ones, &cfg));
         });
         let t_ours_seq = run_single_threaded(|| {
             time_best(1, || {
-                std::hint::black_box(lis_par(&series, &cfg));
+                std::hint::black_box(lis_weighted_par(&series, &ones, &cfg));
             })
         });
-        let res = lis_par(&series, &cfg);
-        assert_eq!(res.output, k);
+        let res = lis_weighted_par(&series, &ones, &cfg);
+        assert_eq!(res.output.0, k);
         table.row(&[
             k.to_string(),
             secs(t_classic),

@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
-use pp_algos::lis::{lis_par, patterns, PivotMode};
+use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
 use pp_algos::mis;
 use pp_algos::RunConfig;
 use pp_bench::{scale, secs, time_best, Table};
@@ -38,7 +38,9 @@ fn main() {
     }
     println!("Self-speedup sweep (hardware threads: {hw}), n = {n}\n");
 
+    // LIS runs Algorithm 3 (unit weights), Table 2's algorithm.
     let series = patterns::segment(n, 100, 1);
+    let ones = vec![1; series.len()];
     let acts = workload::with_target_rank(n, 1000, 2);
     let g = gen::rmat(16, (1 << 19) * scale(), 3);
     let pri = random_priorities(g.num_vertices(), 4);
@@ -49,7 +51,7 @@ fn main() {
         let lis_cfg = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
         let t_lis = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(lis_par(&series, &lis_cfg));
+                std::hint::black_box(lis_weighted_par(&series, &ones, &lis_cfg));
             })
         });
         let t_act = with_threads(t, || {

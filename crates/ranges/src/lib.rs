@@ -8,7 +8,8 @@
 //! change between rounds).
 //!
 //! * [`segtree`] — a generic monoid segment tree with parallel batch
-//!   construction and parallel batch point updates.
+//!   construction and parallel batch point updates; a min tree also
+//!   reports its prefix minima in one pruned traversal (the LIS rounds).
 //! * [`fenwick`] — Fenwick (binary indexed) trees: prefix sums, prefix
 //!   max, and an atomic prefix-max variant that admits concurrent
 //!   `fetch_max` updates from a parallel frontier.

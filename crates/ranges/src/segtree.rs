@@ -7,7 +7,7 @@
 //! children of any node are contiguous sub-slices — which is what lets
 //! batch updates recurse with `rayon::join` on disjoint `&mut` halves.
 
-use pp_parlay::monoid::Monoid;
+use pp_parlay::monoid::{MinMonoid, Monoid};
 use pp_parlay::GRAIN;
 
 /// A segment tree over a fixed-length sequence of monoid values.
@@ -101,6 +101,25 @@ impl<M: Monoid> SegTree<M> {
             return None;
         }
         find_rec(&self.seg, 0, self.n, from, &pred)
+    }
+}
+
+impl<T: Ord + Clone + Send + Sync> SegTree<MinMonoid<T>> {
+    /// The prefix minima not above `bound`, in increasing index order:
+    /// every leaf `i` with `leaf(i) <= bound` and `leaf(i) <= leaf(j)`
+    /// for all `j < i`. One pruned left-to-right traversal carries the
+    /// running minimum of `bound` and the leaves to its left, and skips
+    /// every subtree whose aggregate exceeds it. The leftmost minimum of
+    /// a subtree that is not skipped is reported, so each visited
+    /// subtree holds a reported leaf: `O(k log(n/k) + k)` work for `k`
+    /// reported leaves, `O(log n)` span (children join above [`GRAIN`]
+    /// leaves).
+    pub fn prefix_minima(&self, bound: &T) -> Vec<usize> {
+        let mut out = Vec::new();
+        if self.n > 0 && self.seg[0] <= *bound {
+            prefix_minima_rec(&self.seg, 0, self.n, bound, &mut out);
+        }
+        out
     }
 }
 
@@ -223,6 +242,44 @@ fn find_rec<T, F: Fn(&T) -> bool>(
     find_rec(rseg, mid, hi, from, pred)
 }
 
+/// Report the prefix minima of a subtree whose aggregate is at most
+/// `running`, the minimum of the bound and every leaf to its left.
+fn prefix_minima_rec<T: Ord + Clone + Send + Sync>(
+    seg: &[T],
+    lo: usize,
+    hi: usize,
+    running: &T,
+    out: &mut Vec<usize>,
+) {
+    if hi - lo == 1 {
+        out.push(lo);
+        return;
+    }
+    let mid = (lo + hi) / 2;
+    let lsize = 2 * (mid - lo) - 1;
+    let lseg = &seg[1..1 + lsize];
+    let rseg = &seg[1 + lsize..];
+    // The right child's running minimum is known before the left child
+    // is traversed: it folds in the left child's aggregate.
+    let rrunning = running.min(&lseg[0]);
+    let (left, right) = (lseg[0] <= *running, rseg[0] <= *rrunning);
+    if left && right && hi - lo > GRAIN {
+        let mut rout = Vec::new();
+        rayon::join(
+            || prefix_minima_rec(lseg, lo, mid, running, out),
+            || prefix_minima_rec(rseg, mid, hi, rrunning, &mut rout),
+        );
+        out.append(&mut rout);
+        return;
+    }
+    if left {
+        prefix_minima_rec(lseg, lo, mid, running, out);
+    }
+    if right {
+        prefix_minima_rec(rseg, mid, hi, rrunning, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +379,38 @@ mod tests {
         assert_eq!(t.find_first(3, |&x| x <= 3), Some(4));
         assert_eq!(t.find_first(5, |&x| x <= 3), None);
         assert_eq!(t.find_first(0, |&x| x == 0), None);
+    }
+
+    /// Prefix minima not above `bound` by a left-to-right scan.
+    fn naive_prefix_minima(v: &[i64], bound: i64) -> Vec<usize> {
+        let mut running = bound;
+        let mut out = Vec::new();
+        for (i, &x) in v.iter().enumerate() {
+            if x <= running {
+                out.push(i);
+                running = x;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prefix_minima_match_a_scan() {
+        let mut r = Rng::new(3);
+        for n in [0usize, 1, 2, 3, 7, 100, 1000, 3 * GRAIN + 5] {
+            let v: Vec<i64> = (0..n).map(|_| r.range(50) as i64).collect();
+            let t = SegTree::new(MinMonoid(i64::MAX), &v);
+            for bound in [i64::MAX, 25, 0, -1] {
+                assert_eq!(
+                    t.prefix_minima(&bound),
+                    naive_prefix_minima(&v, bound),
+                    "n = {n}, bound = {bound}"
+                );
+            }
+        }
+        // Duplicates of the running minimum are all reported.
+        let t = SegTree::new(MinMonoid(u64::MAX), &[4u64, 4, 5, 4, 3, 3]);
+        assert_eq!(t.prefix_minima(&u64::MAX), vec![0, 1, 3, 4, 5]);
     }
 
     #[test]

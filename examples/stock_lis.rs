@@ -1,12 +1,13 @@
 //! Longest run of increasing prices in a simulated price series.
 //!
 //! Uses the §6.4 input patterns (segment and line) as "market regimes"
-//! and compares the parallel LIS (Algorithm 3) against the classic
-//! sequential DP, reporting the wake-up statistics of Table 2.
+//! and compares the parallel LIS — Algorithm 3 (`lis_weighted_par` with
+//! unit weights) and the prefix-minima rounds (`lis_par`) — against the
+//! classic sequential DP, reporting the wake-up statistics of Table 2.
 //!
 //! Run with: `cargo run --release -p pp-algos --example stock_lis`
 
-use pp_algos::lis::{lis_par, lis_seq, patterns, PivotMode};
+use pp_algos::lis::{lis_par, lis_seq, lis_weighted_par, patterns, PivotMode};
 use pp_algos::RunConfig;
 use std::time::Instant;
 
@@ -30,17 +31,26 @@ fn main() {
         let t_seq = t.elapsed();
         println!("  classic sequential: k={k_seq:<6} in {t_seq:?}");
 
+        let ones = vec![1; series.len()];
         for mode in [PivotMode::RightMost, PivotMode::Random] {
             let t = Instant::now();
-            let res = lis_par(&series, &RunConfig::seeded(4).with_pivot_mode(mode));
+            let res = lis_weighted_par(&series, &ones, &RunConfig::seeded(4).with_pivot_mode(mode));
             let dt = t.elapsed();
-            assert_eq!(res.output, k_seq);
+            assert_eq!(res.output.0, k_seq);
             println!(
-                "  parallel {mode:?}: k={} in {dt:?} ({} rounds, avg wake-ups {:.2})",
-                res.output,
+                "  Algorithm 3 {mode:?}: k={} in {dt:?} ({} rounds, avg wake-ups {:.2})",
+                res.output.0,
                 res.stats.rounds,
                 res.stats.avg_wakeups()
             );
         }
+        let t = Instant::now();
+        let res = lis_par(&series, &RunConfig::new());
+        let dt = t.elapsed();
+        assert_eq!(res.output, k_seq);
+        println!(
+            "  prefix-minima rounds: k={} in {dt:?} ({} rounds)",
+            res.output, res.stats.rounds
+        );
     }
 }

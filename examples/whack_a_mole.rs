@@ -4,8 +4,9 @@
 //! the maximum number of moles a perfectly played hammer can hit:
 //!
 //! * **1D strip** — the appendix's setting: rotating `(t, p)` to
-//!   `(t+p, t−p)` turns the DP into LIS, solved by Algorithm 3's pivot
-//!   machinery (`O(n log^3 n)` work, `O(k log^2 n)` span).
+//!   `(t+p, t−p)` turns the DP into LIS, solved by the prefix-minima
+//!   rounds of `lis_par` (`O(n log n)` work, `k` rounds of `O(log n)`
+//!   span).
 //! * **2D grid** — the appendix's closing remark: the L1 reachability
 //!   cone becomes four rotated dominance constraints, one extra range
 //!   tree level, one extra `log` in work and span (`pp-ranges`'
@@ -55,16 +56,14 @@ fn main() {
         let want = whac_seq(&moles);
         let t_seq = t0.elapsed();
         let t0 = Instant::now();
-        let cfg = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
-        let report = whac_par(&moles, &cfg);
+        let report = whac_par(&moles, &RunConfig::seeded(5));
         let (got, stats) = (report.output, report.stats);
         let t_par = t0.elapsed();
         assert_eq!(got, want);
         println!(
             "  {label:<26} n=200000: hit {got} moles \
-             (seq {t_seq:?}, par {t_par:?}, {} rounds, {:.2} avg wake-ups)",
-            stats.rounds,
-            stats.avg_wakeups()
+             (seq {t_seq:?}, par {t_par:?}, {} rounds)",
+            stats.rounds
         );
     }
 

@@ -574,17 +574,26 @@ mod tests {
 
     #[test]
     fn scheduler_counters_move_under_load() {
+        // Every item spins for 1 us, so the 2,000-item region outlasts
+        // the 20 us inline budget whatever the build profile: the caller
+        // folds a few prefixes and publishes the rest as chunk jobs.
         let pool = pool(4);
         let before = pool.scheduler_counters();
         let total: u64 = pool.install(|| {
-            (0..100_000u64)
+            (0..2_000u64)
                 .into_par_iter()
-                .map(|x| x.wrapping_mul(2654435761))
+                .map(|x| {
+                    let start = std::time::Instant::now();
+                    while start.elapsed() < std::time::Duration::from_micros(1) {
+                        std::hint::spin_loop();
+                    }
+                    x.wrapping_mul(2654435761)
+                })
                 .sum()
         });
         assert_eq!(
             total,
-            (0..100_000u64).map(|x| x.wrapping_mul(2654435761)).sum()
+            (0..2_000u64).map(|x| x.wrapping_mul(2654435761)).sum()
         );
         let delta = pool.scheduler_counters().since(&before);
         assert!(

@@ -16,13 +16,15 @@ use pp_parlay::shuffle::random_priorities;
 #[test]
 fn lis_rank_equals_n_chain() {
     // Strictly increasing input: rank = n, the worst case for span —
-    // but still correct and exactly n+1 rounds.
+    // but still correct and exactly n rounds (Algorithm 3: n + 1, with
+    // its virtual round).
     let v: Vec<i64> = (0..2000).collect();
-    let res = lis::lis_par(
-        &v,
-        &RunConfig::seeded(1).with_pivot_mode(PivotMode::RightMost),
-    );
+    let cfg = RunConfig::seeded(1).with_pivot_mode(PivotMode::RightMost);
+    let res = lis::lis_par(&v, &cfg);
     assert_eq!(res.output, 2000);
+    assert_eq!(res.stats.rounds, 2000);
+    let res = lis::lis_weighted_par(&v, &vec![1; v.len()], &cfg);
+    assert_eq!(res.output.0, 2000);
     assert_eq!(res.stats.rounds, 2001);
 }
 

@@ -11,7 +11,7 @@ use pp_algos::lis::{self, PivotMode};
 use pp_algos::matching;
 use pp_algos::mis;
 use pp_algos::sssp;
-use pp_algos::whac::{whac_par, whac_seq, Mole};
+use pp_algos::whac::{rotated_v_sequence, whac_par, whac_seq, Mole};
 use pp_algos::RunConfig;
 use pp_graph::gen;
 use pp_parlay::rng::Rng;
@@ -44,10 +44,16 @@ fn lis_pipeline_on_both_patterns() {
         (lis::patterns::line_with_target(n, 100, 2), "line"),
     ] {
         let want = lis::lis_seq(&series);
+        let ones = vec![1; series.len()];
         for mode in [PivotMode::Random, PivotMode::RightMost] {
-            let res = lis::lis_par(&series, &RunConfig::seeded(3).with_pivot_mode(mode));
+            let cfg = RunConfig::seeded(3).with_pivot_mode(mode);
+            let res = lis::lis_par(&series, &cfg);
             assert_eq!(res.output, want, "{label} {mode:?}");
-            // Round-efficiency: rounds == LIS length + 1 (virtual round).
+            // Round-efficiency: rounds == LIS length.
+            assert_eq!(res.stats.rounds, want as usize, "{label} {mode:?}");
+            // Algorithm 3: rounds == LIS length + 1 (virtual round).
+            let res = lis::lis_weighted_par(&series, &ones, &cfg);
+            assert_eq!(res.output.0, want, "{label} {mode:?}");
             assert_eq!(res.stats.rounds, want as usize + 1, "{label} {mode:?}");
         }
     }
@@ -226,11 +232,14 @@ fn whac_a_mole_reuses_lis_machinery() {
         })
         .collect();
     let want = whac_seq(&moles);
-    let report = whac_par(
-        &moles,
-        &RunConfig::seeded(7).with_pivot_mode(PivotMode::RightMost),
-    );
+    let cfg = RunConfig::seeded(7).with_pivot_mode(PivotMode::RightMost);
+    let report = whac_par(&moles, &cfg);
     assert_eq!(report.output, want);
+    assert_eq!(report.stats.rounds, want as usize);
+    // Algorithm 3 on the same rotated sequence adds its virtual round.
+    let series = rotated_v_sequence(&moles);
+    let report = lis::lis_weighted_par(&series, &vec![1; series.len()], &cfg);
+    assert_eq!(report.output.0, want);
     assert_eq!(report.stats.rounds, want as usize + 1);
 }
 

@@ -178,6 +178,19 @@ proptest! {
     }
 
     #[test]
+    fn lis_par_dp_equals_seq_dp(raw in prop::collection::vec((0u8..8, -30i64..30), 0..400)) {
+        // Dense duplicates, with about a quarter of the values at the
+        // extremes of `i64`.
+        let v: Vec<i64> = raw.into_iter()
+            .map(|(tag, x)| match tag { 0 => i64::MIN, 1 => i64::MAX, _ => x })
+            .collect();
+        let (k, dp) = lis::lis_seq_with_dp(&v);
+        let report = lis::lis_par_with_dp(&v, &RunConfig::new());
+        prop_assert_eq!(report.stats.rounds, k as usize);
+        prop_assert_eq!(report.output, (k, dp));
+    }
+
+    #[test]
     fn activity_par_equals_seq(raw in prop::collection::vec((0u64..1000, 1u64..200, 1u64..50), 0..300)) {
         let acts: Vec<Activity> = raw.into_iter()
             .map(|(s, len, w)| Activity::new(s, s + len, w))
