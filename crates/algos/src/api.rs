@@ -22,8 +22,7 @@
 //! ```
 
 use crate::activity::{self, Activity};
-use crate::chain3d::{chain3d_par, chain3d_seq, Point3};
-use crate::chain4d::{chain4d_par, chain4d_seq, Point4};
+use crate::chain::{chain_par, chain_seq, ChainPoint};
 use crate::coloring::coloring_seq;
 use crate::huffman;
 use crate::knapsack::{self, Item};
@@ -602,39 +601,30 @@ impl PhaseAlgorithm for Whac2d {
     }
 }
 
-/// Longest 3D-dominance chain (the appendix's range-query extension).
-pub struct Chain3d;
+/// Longest `D`-dimensional dominance chain: `Chain<3>` is the
+/// appendix's 3D range-query extension, `Chain<4>` the 2D-grid
+/// Whac-A-Mole substrate.
+pub struct Chain<const D: usize>;
 
-impl PhaseAlgorithm for Chain3d {
-    type Input = [Point3];
+impl<const D: usize> PhaseAlgorithm for Chain<D>
+where
+    [i64; D]: ChainPoint,
+{
+    type Input = [[i64; D]];
     type Output = u32;
     phase_parallel::impl_no_prepare!();
     fn name(&self) -> &'static str {
-        "chain3d"
+        match D {
+            3 => "chain3d",
+            4 => "chain4d",
+            _ => unreachable!("chains run in 3 or 4 dimensions"),
+        }
     }
-    fn solve_seq(&self, pts: &[Point3]) -> u32 {
-        chain3d_seq(pts)
+    fn solve_seq(&self, pts: &[[i64; D]]) -> u32 {
+        chain_seq(pts)
     }
-    fn solve_par(&self, pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
-        chain3d_par(pts, cfg)
-    }
-}
-
-/// Longest 4D-dominance chain (the 2D-grid Whac-A-Mole substrate).
-pub struct Chain4d;
-
-impl PhaseAlgorithm for Chain4d {
-    type Input = [Point4];
-    type Output = u32;
-    phase_parallel::impl_no_prepare!();
-    fn name(&self) -> &'static str {
-        "chain4d"
-    }
-    fn solve_seq(&self, pts: &[Point4]) -> u32 {
-        chain4d_seq(pts)
-    }
-    fn solve_par(&self, pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
-        chain4d_par(pts, cfg)
+    fn solve_par(&self, pts: &[[i64; D]], cfg: &RunConfig) -> Report<u32> {
+        chain_par(pts, cfg)
     }
 }
 

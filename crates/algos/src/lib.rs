@@ -10,12 +10,12 @@
 //! | [`knapsack`] | unlimited knapsack | §4.2 | 1 |
 //! | [`huffman`] | Huffman tree construction | §4.3, §6.2 | 1 (relaxed rank) |
 //! | [`sssp`] | SSSP: Dijkstra, Bellman-Ford, Δ-stepping (Δ = w*) | §4.3, §6.3 | 1 (relaxed rank) |
-//! | [`lis`] | longest increasing subsequence | §5.2, §6.4 | 2 |
+//! | [`lis`] | longest increasing subsequence (prefix-minima rounds); weighted LIS (Algorithm 3) | §5.2, §6.4 | 1; weighted 2 |
 //! | [`mis`] | greedy maximal independent set via TAS trees | §5.3 | 2 |
 //! | [`coloring`] | greedy (Jones–Plassmann) coloring via TAS trees | §5.3 | 2 |
 //! | [`matching`] | greedy maximal matching | §5.3 | 2 |
-//! | [`whac`] | Whac-A-Mole DP | Appendix B | 2 |
-//! | [`chain3d`] | longest 3D-dominance chain (the appendix's 3D range-query extension) | Appendix B | 2 |
+//! | [`whac`] | Whac-A-Mole DP on a line (as LIS); on a 2D grid (as a 4D chain) | Appendix B | 1; 2D grid 2 |
+//! | [`chain`] | longest dominance chain over `[i64; D]` points, d = 3, 4 (the appendix's range-query extension) | Appendix B | 2 |
 //! | [`random_perm`] | random permutation (Knuth shuffle) via deterministic reservations | §5.3, baseline \[10, 64\] | — |
 //!
 //! All parallel implementations are deterministic given their seeds and
@@ -79,8 +79,7 @@
 
 pub mod activity;
 pub mod api;
-pub mod chain3d;
-pub mod chain4d;
+pub mod chain;
 pub mod coloring;
 pub mod coloring_orders;
 pub mod huffman;

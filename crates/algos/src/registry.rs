@@ -53,8 +53,6 @@
 
 use crate::activity::{self, Activity};
 use crate::api::*;
-use crate::chain3d::Point3;
-use crate::chain4d::Point4;
 use crate::knapsack::Item;
 use crate::matching;
 use crate::serving::{estimated_cost_bytes, SharedPrepared};
@@ -509,8 +507,8 @@ pub fn registry() -> &'static [AlgorithmEntry] {
         ),
         entry!("whac", Type1, Seq, Whac, gen_moles),
         entry!("whac/2d", Type2, Seq, Whac2d, gen_moles_2d),
-        entry!("chain3d", Type2, Seq, Chain3d, gen_points3),
-        entry!("chain4d", Type2, Seq, Chain4d, gen_points4),
+        entry!("chain3d", Type2, Seq, Chain::<3>, gen_points::<3>),
+        entry!("chain4d", Type2, Seq, Chain::<4>, gen_points::<4>),
         entry!("random-perm", Reservations, Seq, RandomPerm, gen_perm),
     ];
     ENTRIES
@@ -752,58 +750,23 @@ fn gen_moles_2d(case: &CaseSpec, _cfg: &RunConfig) -> Vec<Mole2d> {
         .collect()
 }
 
-fn gen_points3(case: &CaseSpec, _cfg: &RunConfig) -> Vec<Point3> {
+fn gen_points<const D: usize>(case: &CaseSpec, _cfg: &RunConfig) -> Vec<[i64; D]> {
     let range = 2 * case.size as u64 + 8;
+    let salt = 0x9d0 + D as u64;
     // Every coordinate is scenario-shaped: under `seq/adversarial-chain`
-    // all three ramp together, producing the full n-deep dominance chain.
-    if let (Some(a), Some(b), Some(c)) = (
-        seq_draws(case, case.size, range, 0x9d3),
-        seq_draws(case, case.size, range, 0x9d3 ^ 0x10000),
-        seq_draws(case, case.size, range, 0x9d3 ^ 0x20000),
-    ) {
+    // all of them ramp together, producing the full n-deep dominance
+    // chain.
+    let draws: Option<Vec<Vec<u64>>> = (0..D as u64)
+        .map(|j| seq_draws(case, case.size, range, salt ^ (j << 16)))
+        .collect();
+    if let Some(draws) = draws {
         return (0..case.size)
-            .map(|i| Point3 {
-                a: a[i] as i64,
-                b: b[i] as i64,
-                c: c[i] as i64,
-            })
+            .map(|i| std::array::from_fn(|j| draws[j][i] as i64))
             .collect();
     }
-    let mut r = Rng::new(case.seed ^ 0x9d3);
+    let mut r = Rng::new(case.seed ^ salt);
     (0..case.size)
-        .map(|_| Point3 {
-            a: r.range(range) as i64,
-            b: r.range(range) as i64,
-            c: r.range(range) as i64,
-        })
-        .collect()
-}
-
-fn gen_points4(case: &CaseSpec, _cfg: &RunConfig) -> Vec<Point4> {
-    let range = 2 * case.size as u64 + 8;
-    if let (Some(a), Some(b), Some(c), Some(d)) = (
-        seq_draws(case, case.size, range, 0x9d4),
-        seq_draws(case, case.size, range, 0x9d4 ^ 0x10000),
-        seq_draws(case, case.size, range, 0x9d4 ^ 0x20000),
-        seq_draws(case, case.size, range, 0x9d4 ^ 0x30000),
-    ) {
-        return (0..case.size)
-            .map(|i| Point4 {
-                a: a[i] as i64,
-                b: b[i] as i64,
-                c: c[i] as i64,
-                d: d[i] as i64,
-            })
-            .collect();
-    }
-    let mut r = Rng::new(case.seed ^ 0x9d4);
-    (0..case.size)
-        .map(|_| Point4 {
-            a: r.range(range) as i64,
-            b: r.range(range) as i64,
-            c: r.range(range) as i64,
-            d: r.range(range) as i64,
-        })
+        .map(|_| std::array::from_fn(|_| r.range(range) as i64))
         .collect()
 }
 
@@ -905,6 +868,88 @@ mod tests {
             let (values, _) = gen_weighted_series(&case, &cfg);
             let rank = crate::lis::lis_seq(&values) as usize;
             assert_eq!(served.stats.rounds, rank + 1, "lis/weighted on {key}");
+        }
+    }
+
+    #[test]
+    fn type2_chain_round_contract_on_every_seq_scenario() {
+        // The Type 2 chain entries finish one rank per round, so their
+        // served rounds equal their served output (compared through its
+        // digest), and the n-deep adversarial chain takes n rounds.
+        let size = 300;
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        for name in ["chain3d", "chain4d", "whac/2d"] {
+            let entry = lookup(name).unwrap();
+            for scenario in entry.scenarios() {
+                let case = CaseSpec::new(size, 4).with_scenario(scenario);
+                let key = scenario.key();
+                let shared = entry.prepare_shared(&case, &cfg);
+                let served = shared.query(&mut scratch, &cfg);
+                let rounds = served.stats.rounds;
+                assert_eq!(served.digest, shared.seq_digest(), "{name} on {key}");
+                assert_eq!(served.digest, (rounds as u32).digest(), "{name} on {key}");
+                if key == "seq/adversarial-chain" && name != "whac/2d" {
+                    assert_eq!(rounds, size, "{name}: rank = n on {key}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn type2_chain_pivots_are_pinned() {
+        // Rounds, wake-up attempts and failed wake-ups of the Type 2
+        // chain entries at size 300, seed 4. They are fixed by the seed
+        // (the same at any pool width), so a change to the dominance
+        // trees' pivot choice or RNG draws shows up here.
+        use phase_parallel::PivotMode::{self, Random, RightMost};
+        #[rustfmt::skip]
+        const PINS: [(&str, &str, PivotMode, usize, usize, usize); 24] = [
+            ("chain3d", "seq/uniform", Random, 11, 703, 427),
+            ("chain3d", "seq/uniform", RightMost, 11, 541, 265),
+            ("chain3d", "seq/sorted", Random, 176, 1473, 1174),
+            ("chain3d", "seq/sorted", RightMost, 176, 299, 0),
+            ("chain3d", "seq/adversarial-chain", Random, 300, 1616, 1317),
+            ("chain3d", "seq/adversarial-chain", RightMost, 300, 299, 0),
+            ("chain3d", "seq/zipf", Random, 12, 576, 371),
+            ("chain3d", "seq/zipf", RightMost, 12, 510, 305),
+            ("chain4d", "seq/uniform", Random, 8, 475, 233),
+            ("chain4d", "seq/uniform", RightMost, 8, 393, 151),
+            ("chain4d", "seq/sorted", Random, 170, 1453, 1154),
+            ("chain4d", "seq/sorted", RightMost, 170, 299, 0),
+            ("chain4d", "seq/adversarial-chain", Random, 300, 1596, 1297),
+            ("chain4d", "seq/adversarial-chain", RightMost, 300, 299, 0),
+            ("chain4d", "seq/zipf", Random, 7, 339, 158),
+            ("chain4d", "seq/zipf", RightMost, 7, 291, 110),
+            ("whac/2d", "seq/uniform", Random, 70, 1289, 995),
+            ("whac/2d", "seq/uniform", RightMost, 70, 941, 647),
+            ("whac/2d", "seq/sorted", Random, 65, 1287, 994),
+            ("whac/2d", "seq/sorted", RightMost, 65, 323, 30),
+            ("whac/2d", "seq/adversarial-chain", Random, 69, 1287, 992),
+            ("whac/2d", "seq/adversarial-chain", RightMost, 69, 331, 36),
+            ("whac/2d", "seq/zipf", Random, 51, 1051, 797),
+            ("whac/2d", "seq/zipf", RightMost, 51, 833, 579),
+        ];
+        let mut scratch = Scratch::new();
+        for (name, key, mode, rounds, attempts, failed) in PINS {
+            let case = CaseSpec::new(300, 4).with_scenario_key(key).unwrap();
+            let cfg = RunConfig::seeded(4).with_pivot_mode(mode);
+            let shared = lookup(name).unwrap().prepare_shared(&case, &cfg);
+            let stats = shared.query(&mut scratch, &cfg).stats;
+            assert_eq!(
+                (stats.rounds, stats.wakeup_attempts, stats.failed_wakeups),
+                (rounds, attempts, failed),
+                "{name} on {key} with {mode:?}"
+            );
+        }
+        // The table covers every seq scenario of each entry.
+        for name in ["chain3d", "chain4d", "whac/2d"] {
+            let pinned = PINS.iter().filter(|p| p.0 == name).count();
+            assert_eq!(
+                pinned,
+                2 * lookup(name).unwrap().scenarios().len(),
+                "{name}"
+            );
         }
     }
 

@@ -21,13 +21,13 @@
 //! rotated halfspace constraints (`t ± (x+y)` and `t ± (x−y)`, using
 //! `|dx| + |dy| = max(|d(x+y)|, |d(x−y)|)`), whose coordinates satisfy
 //! one linear dependency — one more constraint than pure 3D dominance.
-//! [`whac2d_par`] solves it exactly as a 4D dominance chain on
-//! [`pp_ranges::RangeTree4d`] (via [`crate::chain4d`]), paying the one
-//! extra `log` per tree level the appendix describes; [`whac2d_seq`]
+//! [`whac2d_par`] solves it exactly as a 4D dominance chain (via
+//! [`crate::chain`]) on the 4D [`pp_ranges::Layered`] tree, paying the
+//! one extra `log` per tree level the appendix describes; [`whac2d_seq`]
 //! is the sequential counterpart using the appendix's literal "3D range
 //! query" (the fourth constraint handled by processing order).
 
-use crate::chain4d::{chain4d_brute, chain4d_par, chain4d_seq, Point4};
+use crate::chain::{chain_brute, chain_par, chain_seq};
 use crate::lis::{lis_par, lis_seq};
 use phase_parallel::{Report, RunConfig};
 
@@ -99,35 +99,35 @@ pub struct Mole2d {
 /// Rotate a 2D mole into the four halfspace coordinates: mole `j` can
 /// precede mole `i` iff all four strictly increase (Eq. (5)/(6) one
 /// dimension up: `|dx| + |dy| < dt` in every rotated direction).
-fn rotate2d(m: &Mole2d) -> Point4 {
-    Point4 {
-        a: m.t + m.x + m.y,
-        b: m.t + m.x - m.y,
-        c: m.t - m.x + m.y,
-        d: m.t - m.x - m.y,
-    }
+fn rotate2d(m: &Mole2d) -> [i64; 4] {
+    [
+        m.t + m.x + m.y,
+        m.t + m.x - m.y,
+        m.t - m.x + m.y,
+        m.t - m.x - m.y,
+    ]
 }
 
 /// Maximum number of 2D-grid moles hittable — quadratic oracle straight
 /// from the rotated constraints (tests only).
 pub fn whac2d_brute(moles: &[Mole2d]) -> u32 {
-    let pts: Vec<Point4> = moles.iter().map(rotate2d).collect();
-    chain4d_brute(&pts)
+    let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
+    chain_brute(&pts)
 }
 
 /// Maximum number of 2D-grid moles hittable — sequential
 /// `O(n log^3 n)` DP (sort on one rotated coordinate, 3D range queries
 /// on the rest: the appendix's "requires a 3D range query").
 pub fn whac2d_seq(moles: &[Mole2d]) -> u32 {
-    let pts: Vec<Point4> = moles.iter().map(rotate2d).collect();
-    chain4d_seq(&pts)
+    let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
+    chain_seq(&pts)
 }
 
 /// Maximum number of 2D-grid moles hittable — phase-parallel Type 2 over
 /// the 4D dominance tree: `O(n log^5 n)` work, `O(rank(S) log^4 n)` span.
 pub fn whac2d_par(moles: &[Mole2d], cfg: &RunConfig) -> Report<u32> {
-    let pts: Vec<Point4> = moles.iter().map(rotate2d).collect();
-    chain4d_par(&pts, cfg)
+    let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
+    chain_par(&pts, cfg)
 }
 
 #[cfg(test)]

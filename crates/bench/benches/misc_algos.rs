@@ -3,7 +3,7 @@
 //! generalization), and the multimap substrates (flat vs nested).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pp_algos::chain3d::{chain3d_par, chain3d_seq, Point3};
+use pp_algos::chain::{chain_par, chain_seq};
 use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
 use pp_algos::lis::{lis_weighted_par, lis_weighted_seq, patterns, PivotMode};
 use pp_algos::random_perm::random_permutation_reservations;
@@ -61,16 +61,12 @@ fn bench_misc(c: &mut Criterion) {
     });
 
     // 3D dominance chain (Appendix B's 3D range-query extension).
-    let pts: Vec<Point3> = (0..20_000u64)
-        .map(|i| Point3 {
-            a: (hash64(11, i) % 100_000) as i64,
-            b: (hash64(12, i) % 100_000) as i64,
-            c: (hash64(13, i) % 100_000) as i64,
-        })
+    let pts: Vec<[i64; 3]> = (0..20_000u64)
+        .map(|i| std::array::from_fn(|j| (hash64(11 + j as u64, i) % 100_000) as i64))
         .collect();
     let rm14 = RunConfig::seeded(14).with_pivot_mode(PivotMode::RightMost);
-    group.bench_function("chain3d_par", |b| b.iter(|| chain3d_par(&pts, &rm14)));
-    group.bench_function("chain3d_seq", |b| b.iter(|| chain3d_seq(&pts)));
+    group.bench_function("chain3d_par", |b| b.iter(|| chain_par(&pts, &rm14)));
+    group.bench_function("chain3d_seq", |b| b.iter(|| chain_seq(&pts)));
 
     // 2D-grid Whac-A-Mole (4D dominance, one more tree level).
     let moles2d: Vec<Mole2d> = (0..10_000u64)

@@ -21,19 +21,24 @@
 //!   descent, or the right-most heuristic of §6.4), and parallel batch
 //!   "finish" updates. Work `O(log^2 n)` per operation, batch updates with
 //!   `O(log^2 n)` span — matching Theorem 2.1 for k = 2.
+//! * [`layered`] — dominance range trees in any dimension: the
+//!   [`Dominance`] trait over prefix-box queries, implemented by the 2D
+//!   tree and by [`Layered`], which adds one coordinate on top of any
+//!   dominance tree (`Layered<RangeTree2d>` is 3D,
+//!   `Layered<Layered<RangeTree2d>>` 4D). `O(log^d n)` per query and
+//!   `O(n log^(d−1) n)` space for `d` coordinates — Appendix B's "extra
+//!   `O(log n)` factor" per constraint.
 
 #![forbid(unsafe_code)]
 
 pub mod fenwick;
+pub mod layered;
 pub mod range2d;
-pub mod range3d;
-pub mod range4d;
 pub mod segtree;
 pub mod sparse;
 
 pub use fenwick::{AtomicFenwickMax, Fenwick, FenwickMax};
+pub use layered::{Dominance, Layered};
 pub use range2d::{PivotMode, PrefixInfo, RangeTree2d};
-pub use range3d::RangeTree3d;
-pub use range4d::RangeTree4d;
 pub use segtree::SegTree;
 pub use sparse::SparseTable;

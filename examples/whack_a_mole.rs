@@ -10,7 +10,7 @@
 //! * **2D grid** — the appendix's closing remark: the L1 reachability
 //!   cone becomes four rotated dominance constraints, one extra range
 //!   tree level, one extra `log` in work and span (`pp-ranges`'
-//!   `RangeTree4d`).
+//!   `Layered<Layered<RangeTree2d>>`).
 //!
 //! Run with: `cargo run --release -p pp-algos --example whack_a_mole`
 

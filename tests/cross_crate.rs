@@ -246,7 +246,7 @@ fn whac_a_mole_reuses_lis_machinery() {
 #[test]
 fn grid_whac_exercises_the_full_4d_stack() {
     // Mole generation → rotation → slot compression (parlay sort) →
-    // RangeTree4d (nesting 3D → 2D trees) → Type 2 engine.
+    // the 4D layered dominance tree (nesting 3D → 2D trees) → Type 2 engine.
     let mut r = Rng::new(8);
     let moles: Vec<pp_algos::whac::Mole2d> = (0..3000)
         .map(|_| pp_algos::whac::Mole2d {

@@ -9,7 +9,7 @@ use pp_algos::lis::{self, PivotMode};
 use pp_algos::RunConfig;
 use pp_pam::{AugTree, MaxAug, NoAug};
 use pp_parlay::monoid::{sum_monoid, MaxMonoid};
-use pp_ranges::{FenwickMax, RangeTree2d, SegTree};
+use pp_ranges::{Dominance, FenwickMax, Layered, RangeTree2d, SegTree};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -316,16 +316,12 @@ proptest! {
     }
 
     #[test]
-    fn chain3d_matches_brute(raw in prop::collection::vec((0i64..40, 0i64..40, 0i64..40), 0..100),
+    fn chain3d_matches_brute(raw in prop::collection::vec((0i64..40, 0i64..40, 0i64..40, 0i64..40), 0..100),
                              seed in any::<u64>()) {
-        let pts: Vec<pp_algos::chain3d::Point3> = raw.into_iter()
-            .map(|(a, b, c)| pp_algos::chain3d::Point3 { a, b, c }).collect();
-        let want = pp_algos::chain3d::chain3d_brute(&pts);
-        prop_assert_eq!(pp_algos::chain3d::chain3d_seq(&pts), want);
-        let cfg = RunConfig::seeded(seed);
-        prop_assert_eq!(pp_algos::chain3d::chain3d_par(&pts, &cfg).output, want);
-        let cfg = cfg.with_pivot_mode(PivotMode::RightMost);
-        prop_assert_eq!(pp_algos::chain3d::chain3d_par(&pts, &cfg).output, want);
+        let pts3: Vec<[i64; 3]> = raw.iter().map(|&(a, b, c, _)| [a, b, c]).collect();
+        let pts4: Vec<[i64; 4]> = raw.iter().map(|&(a, b, c, d)| [a, b, c, d]).collect();
+        chain_matches_brute(&pts3, seed)?;
+        chain_matches_brute(&pts4, seed)?;
     }
 
     #[test]
@@ -352,35 +348,8 @@ proptest! {
 
     #[test]
     fn range3d_matches_bruteforce(n in 1usize..150, seed in any::<u64>()) {
-        use pp_ranges::RangeTree3d;
-        let a = pp_parlay::shuffle::random_permutation(n, seed);
-        let b = pp_parlay::shuffle::random_permutation(n, seed + 1);
-        let c = pp_parlay::shuffle::random_permutation(n, seed + 2);
-        let mut tree = RangeTree3d::new(&a, &b, &c, PivotMode::Random);
-        let batch: Vec<(u32, u32)> = (0..n as u32)
-            .filter(|&i| pp_parlay::hash64(seed, i as u64).is_multiple_of(3))
-            .map(|i| (i, i % 11))
-            .collect();
-        tree.finish_batch(&batch);
-        for q in 0..8u64 {
-            let qa = (pp_parlay::hash64(seed ^ 3, q) % (n as u64 + 1)) as u32;
-            let qb = (pp_parlay::hash64(seed ^ 4, q) % (n as u64 + 1)) as u32;
-            let qc = (pp_parlay::hash64(seed ^ 5, q) % (n as u64 + 1)) as u32;
-            let info = tree.query_prefix(qa, qb, qc);
-            let mut cnt = 0u32;
-            let mut maxdp: Option<u32> = None;
-            for i in 0..n as u32 {
-                if a[i as usize] < qa && b[i as usize] < qb && c[i as usize] < qc {
-                    if let Some(&(_, d)) = batch.iter().find(|&&(x, _)| x == i) {
-                        maxdp = Some(maxdp.map_or(d, |m| m.max(d)));
-                    } else {
-                        cnt += 1;
-                    }
-                }
-            }
-            prop_assert_eq!(info.unfinished, cnt);
-            prop_assert_eq!(info.max_dp, maxdp);
-        }
+        layered_matches_bruteforce::<RangeTree2d>(n, seed)?;
+        layered_matches_bruteforce::<Layered<RangeTree2d>>(n, seed)?;
     }
 
     // ---- newer substrates and algorithms ----
@@ -663,4 +632,56 @@ proptest! {
             }
         }
     }
+}
+
+/// The chain algorithms agree with the quadratic oracle in both pivot
+/// modes.
+fn chain_matches_brute<const D: usize>(pts: &[[i64; D]], seed: u64) -> Result<(), TestCaseError>
+where
+    [i64; D]: pp_algos::chain::ChainPoint,
+{
+    use pp_algos::chain::{chain_brute, chain_par, chain_seq};
+    let want = chain_brute(pts);
+    prop_assert_eq!(chain_seq(pts), want);
+    let cfg = RunConfig::seeded(seed);
+    prop_assert_eq!(chain_par(pts, &cfg).output, want);
+    let cfg = cfg.with_pivot_mode(PivotMode::RightMost);
+    prop_assert_eq!(chain_par(pts, &cfg).output, want);
+    Ok(())
+}
+
+/// A `Layered<I>` tree over random slots, after a hashed finish batch,
+/// answers hashed prefix-box queries like a scan.
+fn layered_matches_bruteforce<I: Dominance>(n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let d = I::DIM + 1;
+    let slots: Vec<Vec<u32>> = (0..d as u64)
+        .map(|j| pp_parlay::shuffle::random_permutation(n, seed.wrapping_add(j)))
+        .collect();
+    let refs: Vec<&[u32]> = slots.iter().map(Vec::as_slice).collect();
+    let mut tree = Layered::<I>::new(&refs, PivotMode::Random);
+    let batch: Vec<(u32, u32)> = (0..n as u32)
+        .filter(|&i| pp_parlay::hash64(seed, i as u64).is_multiple_of(3))
+        .map(|i| (i, i % 11))
+        .collect();
+    tree.finish_batch(&batch);
+    for q in 0..8u64 {
+        let bounds: Vec<u32> = (0..d as u64)
+            .map(|j| (pp_parlay::hash64(seed ^ (3 + j), q) % (n as u64 + 1)) as u32)
+            .collect();
+        let info = tree.query_prefix(&bounds);
+        let mut cnt = 0u32;
+        let mut maxdp: Option<u32> = None;
+        for i in 0..n {
+            if slots.iter().zip(&bounds).all(|(s, &b)| s[i] < b) {
+                if let Some(&(_, dp)) = batch.iter().find(|&&(x, _)| x as usize == i) {
+                    maxdp = Some(maxdp.map_or(dp, |m| m.max(dp)));
+                } else {
+                    cnt += 1;
+                }
+            }
+        }
+        prop_assert_eq!(info.unfinished, cnt);
+        prop_assert_eq!(info.max_dp, maxdp);
+    }
+    Ok(())
 }
