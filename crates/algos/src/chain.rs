@@ -246,16 +246,18 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
     }
 }
 
+/// Helpers for the per-dimension tests of this module, which run under
+/// the registry names `chain3d` and `chain4d` (see the crate root).
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
     use pp_parlay::rng::Rng as TRng;
 
-    fn cfg(mode: PivotMode, seed: u64) -> RunConfig {
+    pub(crate) fn cfg(mode: PivotMode, seed: u64) -> RunConfig {
         RunConfig::seeded(seed).with_pivot_mode(mode)
     }
 
-    fn random_points<const D: usize>(n: usize, range: u64, seed: u64) -> Vec<[i64; D]> {
+    pub(crate) fn random_points<const D: usize>(n: usize, range: u64, seed: u64) -> Vec<[i64; D]> {
         let mut r = TRng::new(seed);
         (0..n)
             .map(|_| std::array::from_fn(|_| r.range(range) as i64))
@@ -263,7 +265,7 @@ mod tests {
     }
 
     /// Brute force, sweep and both pivot modes agree on random points.
-    fn agree_small<const D: usize>(seeds: u64, n: usize, range: u64)
+    pub(crate) fn agree_small<const D: usize>(seeds: u64, n: usize, range: u64)
     where
         [i64; D]: ChainPoint,
     {
@@ -278,14 +280,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_agree_small() {
-        agree_small::<3>(15, 80, 30);
-        agree_small::<4>(12, 70, 25);
-    }
-
     /// Larger instances agree, in exactly one round per rank.
-    fn agree_larger<const D: usize>(n: usize, range: u64)
+    pub(crate) fn agree_larger<const D: usize>(n: usize, range: u64)
     where
         [i64; D]: ChainPoint,
     {
@@ -294,80 +290,5 @@ mod tests {
         let report = chain_par(&pts, &cfg(PivotMode::Random, 8));
         assert_eq!(report.output, want, "{D}D");
         assert_eq!(report.stats.rounds as u32, want, "{D}D");
-    }
-
-    #[test]
-    fn agree_larger_and_round_efficient() {
-        agree_larger::<3>(3000, 1000);
-        agree_larger::<4>(1500, 400);
-    }
-
-    #[test]
-    fn fully_dominating_chain() {
-        let pts: Vec<[i64; 3]> = (0..200).map(|i| [i, 2 * i, 3 * i]).collect();
-        assert_eq!(chain_seq(&pts), 200);
-        let report = chain_par(&pts, &cfg(PivotMode::RightMost, 1));
-        assert_eq!(report.output, 200);
-        assert_eq!(report.stats.rounds, 200);
-        let pts: Vec<[i64; 4]> = (0..150).map(|i| [i, 2 * i, 3 * i, -100 + i]).collect();
-        assert_eq!(chain_seq(&pts), 150);
-        assert_eq!(chain_par(&pts, &cfg(PivotMode::RightMost, 1)).output, 150);
-    }
-
-    #[test]
-    fn antichain_is_one_round() {
-        // One shared coordinate: nothing dominates anything.
-        let pts: Vec<[i64; 3]> = (0..100).map(|i| [5, i, -i]).collect();
-        let pts4: Vec<[i64; 4]> = (0..80).map(|i| [i, i, i, 9]).collect();
-        assert_eq!(chain_seq(&pts), 1);
-        assert_eq!(chain_seq(&pts4), 1);
-        for report in [
-            chain_par(&pts, &cfg(PivotMode::Random, 2)),
-            chain_par(&pts4, &cfg(PivotMode::Random, 2)),
-        ] {
-            assert_eq!(report.output, 1);
-            assert_eq!(report.stats.rounds, 1);
-        }
-    }
-
-    #[test]
-    fn duplicate_points_do_not_chain() {
-        let pts = [[1, 1, 1], [1, 1, 1], [2, 2, 2]];
-        assert_eq!(chain_brute(&pts), 2);
-        assert_eq!(chain_seq(&pts), 2);
-        assert_eq!(chain_par(&pts, &cfg(PivotMode::Random, 3)).output, 2);
-    }
-
-    #[test]
-    fn lis_as_degenerate_3d() {
-        // LIS embeds as (index, value, value).
-        let mut r = TRng::new(4);
-        let vals: Vec<i64> = (0..500).map(|_| r.range(200) as i64).collect();
-        let pts: Vec<[i64; 3]> = vals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| [i as i64, v, v])
-            .collect();
-        let want = crate::lis::lis_seq(&vals);
-        assert_eq!(chain_seq(&pts), want);
-        assert_eq!(chain_par(&pts, &cfg(PivotMode::Random, 5)).output, want);
-    }
-
-    #[test]
-    fn chain3d_embeds() {
-        // (a, b, c) chains embed as (a, b, c, a).
-        let pts3 = random_points::<3>(400, 100, 4);
-        let pts4: Vec<[i64; 4]> = pts3.iter().map(|&[a, b, c]| [a, b, c, a]).collect();
-        let want = chain_seq(&pts3);
-        assert_eq!(chain_seq(&pts4), want);
-        assert_eq!(chain_par(&pts4, &cfg(PivotMode::Random, 5)).output, want);
-    }
-
-    #[test]
-    fn empty() {
-        assert_eq!(chain_seq::<3>(&[]), 0);
-        assert_eq!(chain_par::<3>(&[], &cfg(PivotMode::Random, 0)).output, 0);
-        assert_eq!(chain_seq::<4>(&[]), 0);
-        assert_eq!(chain_par::<4>(&[], &cfg(PivotMode::Random, 0)).output, 0);
     }
 }

@@ -96,3 +96,128 @@ pub mod whac;
 pub use phase_parallel::{
     ExecutionStats, PhaseAlgorithm, PivotMode, PrioritySource, Report, RunConfig, Solver,
 };
+
+/// Tests of [`chain`] at `D = 3`, under the registry name it backs.
+#[cfg(test)]
+mod chain3d {
+    mod tests {
+        use crate::chain::testing as t;
+        use crate::chain::{chain_brute, chain_par, chain_seq};
+        use phase_parallel::PivotMode;
+        use pp_parlay::rng::Rng;
+
+        #[test]
+        fn all_agree_small() {
+            t::agree_small::<3>(15, 80, 30);
+        }
+
+        #[test]
+        fn agree_larger() {
+            t::agree_larger::<3>(3000, 1000);
+        }
+
+        #[test]
+        fn fully_dominating_chain() {
+            let pts: Vec<[i64; 3]> = (0..200).map(|i| [i, 2 * i, 3 * i]).collect();
+            assert_eq!(chain_seq(&pts), 200);
+            let report = chain_par(&pts, &t::cfg(PivotMode::RightMost, 1));
+            assert_eq!(report.output, 200);
+            assert_eq!(report.stats.rounds, 200);
+        }
+
+        #[test]
+        fn antichain_is_one_round() {
+            // All points share a coordinate: no dominations.
+            let pts: Vec<[i64; 3]> = (0..100).map(|i| [5, i, -i]).collect();
+            assert_eq!(chain_seq(&pts), 1);
+            let report = chain_par(&pts, &t::cfg(PivotMode::Random, 2));
+            assert_eq!(report.output, 1);
+            assert_eq!(report.stats.rounds, 1);
+        }
+
+        #[test]
+        fn duplicate_points_do_not_chain() {
+            let pts = [[1, 1, 1], [1, 1, 1], [2, 2, 2]];
+            assert_eq!(chain_brute(&pts), 2);
+            assert_eq!(chain_seq(&pts), 2);
+            assert_eq!(chain_par(&pts, &t::cfg(PivotMode::Random, 3)).output, 2);
+        }
+
+        #[test]
+        fn lis_as_degenerate_3d() {
+            // LIS embeds as (index, value, value).
+            let mut r = Rng::new(4);
+            let vals: Vec<i64> = (0..500).map(|_| r.range(200) as i64).collect();
+            let pts: Vec<[i64; 3]> = vals
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| [i as i64, v, v])
+                .collect();
+            let want = crate::lis::lis_seq(&vals);
+            assert_eq!(chain_seq(&pts), want);
+            assert_eq!(chain_par(&pts, &t::cfg(PivotMode::Random, 5)).output, want);
+        }
+
+        #[test]
+        fn empty() {
+            assert_eq!(chain_seq::<3>(&[]), 0);
+            assert_eq!(chain_par::<3>(&[], &t::cfg(PivotMode::Random, 0)).output, 0);
+        }
+    }
+}
+
+/// Tests of [`chain`] at `D = 4`, under the registry name it backs.
+#[cfg(test)]
+mod chain4d {
+    mod tests {
+        use crate::chain::testing as t;
+        use crate::chain::{chain_par, chain_seq};
+        use phase_parallel::PivotMode;
+
+        #[test]
+        fn all_agree_small() {
+            t::agree_small::<4>(12, 70, 25);
+        }
+
+        #[test]
+        fn agree_larger_and_round_efficient() {
+            t::agree_larger::<4>(1500, 400);
+        }
+
+        #[test]
+        fn fully_dominating_chain() {
+            let pts: Vec<[i64; 4]> = (0..150).map(|i| [i, 2 * i, 3 * i, -100 + i]).collect();
+            assert_eq!(chain_seq(&pts), 150);
+            assert_eq!(
+                chain_par(&pts, &t::cfg(PivotMode::RightMost, 1)).output,
+                150
+            );
+        }
+
+        #[test]
+        fn antichain_on_one_coordinate() {
+            // The last coordinate is shared: nothing dominates.
+            let pts: Vec<[i64; 4]> = (0..80).map(|i| [i, i, i, 9]).collect();
+            assert_eq!(chain_seq(&pts), 1);
+            let report = chain_par(&pts, &t::cfg(PivotMode::Random, 2));
+            assert_eq!(report.output, 1);
+            assert_eq!(report.stats.rounds, 1);
+        }
+
+        #[test]
+        fn chain3d_embeds() {
+            // (a, b, c) chains embed as (a, b, c, a).
+            let pts3 = t::random_points::<3>(400, 100, 4);
+            let pts4: Vec<[i64; 4]> = pts3.iter().map(|&[a, b, c]| [a, b, c, a]).collect();
+            let want = chain_seq(&pts3);
+            assert_eq!(chain_seq(&pts4), want);
+            assert_eq!(chain_par(&pts4, &t::cfg(PivotMode::Random, 5)).output, want);
+        }
+
+        #[test]
+        fn empty() {
+            assert_eq!(chain_seq::<4>(&[]), 0);
+            assert_eq!(chain_par::<4>(&[], &t::cfg(PivotMode::Random, 0)).output, 0);
+        }
+    }
+}

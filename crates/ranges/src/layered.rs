@@ -484,13 +484,15 @@ fn build<I: Dominance>(
     build(mid, hi, id_of_a, rest_by_a, mode, out);
 }
 
+/// The oracle the per-dimension tests of this module drive the tree
+/// against; they run under the names `range3d` and `range4d` (see the
+/// crate root).
 #[cfg(test)]
-mod tests {
+pub(crate) mod testing {
     use super::*;
     use pp_parlay::shuffle::random_permutation;
 
-    type Tree3 = Layered<RangeTree2d>;
-    type Tree4 = Layered<Tree3>;
+    pub(crate) const LEAF_SIZE: usize = super::LEAF_SIZE;
 
     /// Brute-force oracle over `d`-coordinate points.
     struct Oracle {
@@ -520,7 +522,7 @@ mod tests {
     /// Drive a `Layered<I>` over `n` random points through random box
     /// queries and pivots between random finish batches, against the
     /// oracle.
-    fn check<I: Dominance>(n: usize, seed: u64, mode: PivotMode) {
+    pub(crate) fn check<I: Dominance>(n: usize, seed: u64, mode: PivotMode) {
         let d = I::DIM + 1;
         let slots: Vec<Vec<u32>> = (0..d as u64)
             .map(|j| random_permutation(n, seed + j))
@@ -559,34 +561,5 @@ mod tests {
             }
             tree.finish_batch(&batch);
         }
-    }
-
-    #[test]
-    fn matches_oracle_small() {
-        check::<RangeTree2d>(30, 1, PivotMode::Random);
-        check::<RangeTree2d>(30, 2, PivotMode::RightMost);
-        check::<Tree3>(25, 1, PivotMode::Random);
-        check::<Tree3>(25, 2, PivotMode::RightMost);
-    }
-
-    #[test]
-    fn matches_oracle_spanning_leaves() {
-        check::<RangeTree2d>(LEAF_SIZE + 5, 3, PivotMode::Random);
-        check::<RangeTree2d>(4 * LEAF_SIZE + 7, 4, PivotMode::Random);
-        check::<RangeTree2d>(300, 5, PivotMode::RightMost);
-        check::<Tree3>(LEAF_SIZE + 5, 3, PivotMode::Random);
-        check::<Tree3>(3 * LEAF_SIZE + 7, 4, PivotMode::Random);
-        check::<Tree3>(250, 5, PivotMode::RightMost);
-    }
-
-    #[test]
-    fn empty_tree() {
-        let t = Tree3::new(&[&[], &[], &[]], PivotMode::Random);
-        assert!(t.is_empty());
-        assert_eq!(t.query_prefix(&[0, 0, 0]).unfinished, 0);
-        let t = Tree4::new(&[&[], &[], &[], &[]], PivotMode::Random);
-        assert!(t.is_empty());
-        assert_eq!(t.query_prefix(&[0, 0, 0, 0]).unfinished, 0);
-        assert_eq!(t.select_pivot(&[1, 1, 1, 1], &mut Rng::new(1)), None);
     }
 }

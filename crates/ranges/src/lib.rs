@@ -42,3 +42,63 @@ pub use layered::{Dominance, Layered};
 pub use range2d::{PivotMode, PrefixInfo, RangeTree2d};
 pub use segtree::SegTree;
 pub use sparse::SparseTable;
+
+/// Tests of [`Layered`] as the 3D tree, `Layered<RangeTree2d>`.
+#[cfg(test)]
+mod range3d {
+    mod tests {
+        use crate::layered::testing::{check, LEAF_SIZE};
+        use crate::{Dominance, Layered, PivotMode, RangeTree2d};
+
+        #[test]
+        fn matches_oracle_small() {
+            check::<RangeTree2d>(30, 1, PivotMode::Random);
+            check::<RangeTree2d>(30, 2, PivotMode::RightMost);
+        }
+
+        #[test]
+        fn matches_oracle_spanning_leaves() {
+            check::<RangeTree2d>(LEAF_SIZE + 5, 3, PivotMode::Random);
+            check::<RangeTree2d>(4 * LEAF_SIZE + 7, 4, PivotMode::Random);
+            check::<RangeTree2d>(300, 5, PivotMode::RightMost);
+        }
+
+        #[test]
+        fn empty_tree() {
+            let t = Layered::<RangeTree2d>::new(&[&[], &[], &[]], PivotMode::Random);
+            assert!(t.is_empty());
+            assert_eq!(t.query_prefix(&[0, 0, 0]).unfinished, 0);
+        }
+    }
+}
+
+/// Tests of [`Layered`] as the 4D tree, `Layered<Layered<RangeTree2d>>`.
+#[cfg(test)]
+mod range4d {
+    mod tests {
+        use crate::layered::testing::{check, LEAF_SIZE};
+        use crate::{Dominance, Layered, PivotMode, RangeTree2d};
+        use pp_parlay::rng::Rng;
+
+        #[test]
+        fn matches_oracle_small() {
+            check::<Layered<RangeTree2d>>(25, 1, PivotMode::Random);
+            check::<Layered<RangeTree2d>>(25, 2, PivotMode::RightMost);
+        }
+
+        #[test]
+        fn matches_oracle_spanning_leaves() {
+            check::<Layered<RangeTree2d>>(LEAF_SIZE + 5, 3, PivotMode::Random);
+            check::<Layered<RangeTree2d>>(3 * LEAF_SIZE + 7, 4, PivotMode::Random);
+            check::<Layered<RangeTree2d>>(250, 5, PivotMode::RightMost);
+        }
+
+        #[test]
+        fn empty_tree() {
+            let t = Layered::<Layered<RangeTree2d>>::new(&[&[], &[], &[], &[]], PivotMode::Random);
+            assert!(t.is_empty());
+            assert_eq!(t.query_prefix(&[0, 0, 0, 0]).unfinished, 0);
+            assert_eq!(t.select_pivot(&[1, 1, 1, 1], &mut Rng::new(1)), None);
+        }
+    }
+}
