@@ -132,9 +132,7 @@ where
                 (by_b[i as usize], dp)
             })
             .collect();
-        for &(_, dp) in &batch {
-            best = best.max(dp);
-        }
+        best = batch.iter().map(|&(_, dp)| dp).fold(best, u32::max);
         tree.finish_batch(&batch);
         i0 = i1;
     }
@@ -165,7 +163,6 @@ where
             dp: vec![0; n],
             attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
             seed: cfg.seed,
-            n,
         },
         cfg,
     )
@@ -181,7 +178,6 @@ struct ChainProblem<T> {
     dp: Vec<u32>,
     attempts: Vec<AtomicU32>,
     seed: u64,
-    n: usize,
 }
 
 impl<T: Dominance> ChainProblem<T> {
@@ -210,7 +206,7 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
     fn initial_pivots(&self) -> Vec<(u32, u32)> {
         // No virtual point here: probe every object once up front;
         // blocked ones hang off their first pivot.
-        (0..self.n as u32)
+        (0..self.dp.len() as u32)
             .into_par_iter()
             .filter_map(|x| match self.probe(x) {
                 WakeResult::Ready(_) => None,
@@ -220,7 +216,7 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
     }
 
     fn initial_frontier(&self) -> Vec<(u32, u32)> {
-        (0..self.n as u32)
+        (0..self.dp.len() as u32)
             .into_par_iter()
             .filter_map(|x| match self.probe(x) {
                 WakeResult::Ready(dp) => Some((x, dp)),
@@ -253,15 +249,27 @@ pub(crate) mod testing {
     use super::*;
     use pp_parlay::rng::Rng as TRng;
 
-    pub(crate) fn cfg(mode: PivotMode, seed: u64) -> RunConfig {
-        RunConfig::seeded(seed).with_pivot_mode(mode)
-    }
-
     pub(crate) fn random_points<const D: usize>(n: usize, range: u64, seed: u64) -> Vec<[i64; D]> {
         let mut r = TRng::new(seed);
         (0..n)
             .map(|_| std::array::from_fn(|_| r.range(range) as i64))
             .collect()
+    }
+
+    /// The longest chain in `pts` has `rank` points by [`chain_seq`] and
+    /// by [`chain_par`], which takes one round per rank.
+    pub(crate) fn assert_rank<const D: usize>(
+        pts: &[[i64; D]],
+        rank: u32,
+        mode: PivotMode,
+        seed: u64,
+    ) where
+        [i64; D]: ChainPoint,
+    {
+        assert_eq!(chain_seq(pts), rank, "{D}D seq seed={seed}");
+        let report = chain_par(pts, &RunConfig::seeded(seed).with_pivot_mode(mode));
+        assert_eq!(report.output, rank, "{D}D par/{mode:?} seed={seed}");
+        assert_eq!(report.stats.rounds as u32, rank, "{D}D rounds seed={seed}");
     }
 
     /// Brute force, sweep and both pivot modes agree on random points.
@@ -272,10 +280,8 @@ pub(crate) mod testing {
         for seed in 0..seeds {
             let pts = random_points::<D>(n, range, seed);
             let want = chain_brute(&pts);
-            assert_eq!(chain_seq(&pts), want, "{D}D seq seed={seed}");
             for mode in [PivotMode::Random, PivotMode::RightMost] {
-                let got = chain_par(&pts, &cfg(mode, seed)).output;
-                assert_eq!(got, want, "{D}D par/{mode:?} seed={seed}");
+                assert_rank(&pts, want, mode, seed);
             }
         }
     }
@@ -286,9 +292,6 @@ pub(crate) mod testing {
         [i64; D]: ChainPoint,
     {
         let pts = random_points::<D>(n, range, 7);
-        let want = chain_seq(&pts);
-        let report = chain_par(&pts, &cfg(PivotMode::Random, 8));
-        assert_eq!(report.output, want, "{D}D");
-        assert_eq!(report.stats.rounds as u32, want, "{D}D");
+        assert_rank(&pts, chain_seq(&pts), PivotMode::Random, 8);
     }
 }

@@ -101,9 +101,9 @@ pub use phase_parallel::{
 #[cfg(test)]
 mod chain3d {
     mod tests {
+        use crate::chain::chain_brute;
         use crate::chain::testing as t;
-        use crate::chain::{chain_brute, chain_par, chain_seq};
-        use phase_parallel::PivotMode;
+        use phase_parallel::PivotMode::{Random, RightMost};
         use pp_parlay::rng::Rng;
 
         #[test]
@@ -119,28 +119,21 @@ mod chain3d {
         #[test]
         fn fully_dominating_chain() {
             let pts: Vec<[i64; 3]> = (0..200).map(|i| [i, 2 * i, 3 * i]).collect();
-            assert_eq!(chain_seq(&pts), 200);
-            let report = chain_par(&pts, &t::cfg(PivotMode::RightMost, 1));
-            assert_eq!(report.output, 200);
-            assert_eq!(report.stats.rounds, 200);
+            t::assert_rank(&pts, 200, RightMost, 1);
         }
 
         #[test]
         fn antichain_is_one_round() {
             // All points share a coordinate: no dominations.
             let pts: Vec<[i64; 3]> = (0..100).map(|i| [5, i, -i]).collect();
-            assert_eq!(chain_seq(&pts), 1);
-            let report = chain_par(&pts, &t::cfg(PivotMode::Random, 2));
-            assert_eq!(report.output, 1);
-            assert_eq!(report.stats.rounds, 1);
+            t::assert_rank(&pts, 1, Random, 2);
         }
 
         #[test]
         fn duplicate_points_do_not_chain() {
             let pts = [[1, 1, 1], [1, 1, 1], [2, 2, 2]];
             assert_eq!(chain_brute(&pts), 2);
-            assert_eq!(chain_seq(&pts), 2);
-            assert_eq!(chain_par(&pts, &t::cfg(PivotMode::Random, 3)).output, 2);
+            t::assert_rank(&pts, 2, Random, 3);
         }
 
         #[test]
@@ -148,20 +141,13 @@ mod chain3d {
             // LIS embeds as (index, value, value).
             let mut r = Rng::new(4);
             let vals: Vec<i64> = (0..500).map(|_| r.range(200) as i64).collect();
-            let pts: Vec<[i64; 3]> = vals
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| [i as i64, v, v])
-                .collect();
-            let want = crate::lis::lis_seq(&vals);
-            assert_eq!(chain_seq(&pts), want);
-            assert_eq!(chain_par(&pts, &t::cfg(PivotMode::Random, 5)).output, want);
+            let pts: Vec<[i64; 3]> = (0..).zip(&vals).map(|(i, &v)| [i, v, v]).collect();
+            t::assert_rank(&pts, crate::lis::lis_seq(&vals), Random, 5);
         }
 
         #[test]
         fn empty() {
-            assert_eq!(chain_seq::<3>(&[]), 0);
-            assert_eq!(chain_par::<3>(&[], &t::cfg(PivotMode::Random, 0)).output, 0);
+            t::assert_rank::<3>(&[], 0, Random, 0);
         }
     }
 }
@@ -170,9 +156,9 @@ mod chain3d {
 #[cfg(test)]
 mod chain4d {
     mod tests {
+        use crate::chain::chain_seq;
         use crate::chain::testing as t;
-        use crate::chain::{chain_par, chain_seq};
-        use phase_parallel::PivotMode;
+        use phase_parallel::PivotMode::{Random, RightMost};
 
         #[test]
         fn all_agree_small() {
@@ -187,21 +173,14 @@ mod chain4d {
         #[test]
         fn fully_dominating_chain() {
             let pts: Vec<[i64; 4]> = (0..150).map(|i| [i, 2 * i, 3 * i, -100 + i]).collect();
-            assert_eq!(chain_seq(&pts), 150);
-            assert_eq!(
-                chain_par(&pts, &t::cfg(PivotMode::RightMost, 1)).output,
-                150
-            );
+            t::assert_rank(&pts, 150, RightMost, 1);
         }
 
         #[test]
         fn antichain_on_one_coordinate() {
             // The last coordinate is shared: nothing dominates.
             let pts: Vec<[i64; 4]> = (0..80).map(|i| [i, i, i, 9]).collect();
-            assert_eq!(chain_seq(&pts), 1);
-            let report = chain_par(&pts, &t::cfg(PivotMode::Random, 2));
-            assert_eq!(report.output, 1);
-            assert_eq!(report.stats.rounds, 1);
+            t::assert_rank(&pts, 1, Random, 2);
         }
 
         #[test]
@@ -209,15 +188,12 @@ mod chain4d {
             // (a, b, c) chains embed as (a, b, c, a).
             let pts3 = t::random_points::<3>(400, 100, 4);
             let pts4: Vec<[i64; 4]> = pts3.iter().map(|&[a, b, c]| [a, b, c, a]).collect();
-            let want = chain_seq(&pts3);
-            assert_eq!(chain_seq(&pts4), want);
-            assert_eq!(chain_par(&pts4, &t::cfg(PivotMode::Random, 5)).output, want);
+            t::assert_rank(&pts4, chain_seq(&pts3), Random, 5);
         }
 
         #[test]
         fn empty() {
-            assert_eq!(chain_seq::<4>(&[]), 0);
-            assert_eq!(chain_par::<4>(&[], &t::cfg(PivotMode::Random, 0)).output, 0);
+            t::assert_rank::<4>(&[], 0, Random, 0);
         }
     }
 }

@@ -28,9 +28,9 @@ use pp_parlay::rng::Rng;
 /// Outer bucket size; leaves are scanned directly.
 const LEAF_SIZE: usize = 64;
 
-/// Most coordinates a [`Layered`] tree takes. Its queries rank their
-/// bounds into stack buffers of [`Local`] bounds.
-const MAX_DIM: usize = 5;
+/// Most coordinates a [`Layered`] tree takes (the 4D tree). Its queries
+/// rank their bounds into stack buffers of [`Local`] bounds.
+const MAX_DIM: usize = 4;
 
 /// A box ranked into an internal node's local slots: the bounds for its
 /// inner tree, in the first `DIM − 1` entries.
@@ -335,33 +335,25 @@ impl<I: Dominance> Dominance for Layered<I> {
     }
 
     fn finish_batch(&mut self, items: &[(u32, u32)]) {
+        // Per point: record its state, then walk its outer path, updating
+        // each node's inner tree at the point's local position. Leaf
+        // buckets scan live state, so the walk stops there.
         for &(id, dp) in items {
             debug_assert!(!self.finished[id as usize]);
             self.finished[id as usize] = true;
             self.dp[id as usize] = dp;
-        }
-        if self.nodes.is_empty() {
-            return;
-        }
-        // Per point: walk its outer path, updating each node's inner
-        // tree at the point's local position. Leaf buckets scan live
-        // state, so the walk stops there.
-        for &(id, dp) in items {
             let a = self.a_of_id[id as usize];
             let b = self.rest_by_a[a as usize * I::DIM];
             let mut idx = 0usize;
             loop {
                 let nd = &mut self.nodes[idx];
                 debug_assert!(nd.lo <= a && a < nd.hi);
-                if nd.is_leaf() {
+                let Some(inner) = nd.inner.as_mut() else {
                     break;
-                }
+                };
                 let pos = nd.sorted[..nd.ids.len()].partition_point(|&x| x < b);
                 debug_assert_eq!(nd.sorted[pos], b);
-                nd.inner
-                    .as_mut()
-                    .expect("internal node")
-                    .finish_batch(&[(pos as u32, dp)]);
+                inner.finish_batch(&[(pos as u32, dp)]);
                 let mid = (nd.lo + nd.hi) / 2;
                 idx = if a < mid {
                     idx + 1
@@ -484,9 +476,9 @@ fn build<I: Dominance>(
     build(mid, hi, id_of_a, rest_by_a, mode, out);
 }
 
-/// The oracle the per-dimension tests of this module drive the tree
-/// against; they run under the names `range3d` and `range4d` (see the
-/// crate root).
+/// The brute-force oracle the per-dimension tests of this module drive
+/// the tree against; they run under the names `range3d` and `range4d`
+/// (see the crate root).
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
@@ -494,35 +486,10 @@ pub(crate) mod testing {
 
     pub(crate) const LEAF_SIZE: usize = super::LEAF_SIZE;
 
-    /// Brute-force oracle over `d`-coordinate points.
-    struct Oracle {
-        slots: Vec<Vec<u32>>,
-        finished: Vec<bool>,
-        dp: Vec<u32>,
-    }
-
-    impl Oracle {
-        /// (#unfinished, max finished DP, the unfinished points).
-        fn query(&self, q: &[u32]) -> (u32, Option<u32>, Vec<u32>) {
-            let mut unfin = Vec::new();
-            let mut max_dp = None;
-            for i in 0..self.finished.len() {
-                if self.slots.iter().zip(q).all(|(s, &b)| s[i] < b) {
-                    if self.finished[i] {
-                        max_dp = Some(max_dp.map_or(self.dp[i], |m: u32| m.max(self.dp[i])));
-                    } else {
-                        unfin.push(i as u32);
-                    }
-                }
-            }
-            (unfin.len() as u32, max_dp, unfin)
-        }
-    }
-
-    /// Drive a `Layered<I>` over `n` random points through random box
-    /// queries and pivots between random finish batches, against the
-    /// oracle.
-    pub(crate) fn check<I: Dominance>(n: usize, seed: u64, mode: PivotMode) {
+    /// Drive a `Layered<I>` over `n` random points through `queries`
+    /// random box queries and pivots between random finish batches,
+    /// checking each against a scan of the points.
+    pub(crate) fn check<I: Dominance>(n: usize, seed: u64, mode: PivotMode, queries: usize) {
         let d = I::DIM + 1;
         let slots: Vec<Vec<u32>> = (0..d as u64)
             .map(|j| random_permutation(n, seed + j))
@@ -530,34 +497,37 @@ pub(crate) mod testing {
         let refs: Vec<&[u32]> = slots.iter().map(Vec::as_slice).collect();
         let mut tree = Layered::<I>::new(&refs, mode);
         assert_eq!(tree.len(), n);
-        let mut oracle = Oracle {
-            slots,
-            finished: vec![false; n],
-            dp: vec![0; n],
-        };
+        // The DP value of each finished point.
+        let mut dp: Vec<Option<u32>> = vec![None; n];
         let mut rng = Rng::new(seed ^ 99);
         let mut remaining: Vec<u32> = (0..n as u32).collect();
         while !remaining.is_empty() {
-            for _ in 0..12 {
+            for _ in 0..queries {
                 let q: Vec<u32> = (0..d).map(|_| rng.range(n as u64 + 1) as u32).collect();
+                let inside: Vec<u32> = (0..n as u32)
+                    .filter(|&i| slots.iter().zip(&q).all(|(s, &b)| s[i as usize] < b))
+                    .collect();
+                let unfin: Vec<u32> = inside
+                    .iter()
+                    .copied()
+                    .filter(|&i| dp[i as usize].is_none())
+                    .collect();
                 let info = tree.query_prefix(&q);
-                let (cnt, max_dp, unfin) = oracle.query(&q);
-                assert_eq!(info.unfinished, cnt);
-                assert_eq!(info.max_dp, max_dp);
-                assert_eq!(info.maxx_unfinished.is_some(), cnt > 0);
+                assert_eq!(info.unfinished, unfin.len() as u32);
+                assert_eq!(
+                    info.max_dp,
+                    inside.iter().filter_map(|&i| dp[i as usize]).max()
+                );
+                assert_eq!(info.maxx_unfinished.is_some(), !unfin.is_empty());
                 match tree.select_pivot(&q, &mut rng) {
                     None => assert!(unfin.is_empty()),
                     Some(p) => assert!(unfin.contains(&p), "pivot {p} not in region"),
                 }
             }
             let take = (rng.range(remaining.len() as u64) + 1) as usize;
-            let batch: Vec<(u32, u32)> = remaining
-                .drain(..take.min(remaining.len()))
-                .map(|id| (id, id % 13))
-                .collect();
-            for &(id, dp) in &batch {
-                oracle.finished[id as usize] = true;
-                oracle.dp[id as usize] = dp;
+            let batch: Vec<(u32, u32)> = remaining.drain(..take).map(|id| (id, id % 13)).collect();
+            for &(id, v) in &batch {
+                dp[id as usize] = Some(v);
             }
             tree.finish_batch(&batch);
         }

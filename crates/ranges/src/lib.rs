@@ -52,15 +52,15 @@ mod range3d {
 
         #[test]
         fn matches_oracle_small() {
-            check::<RangeTree2d>(30, 1, PivotMode::Random);
-            check::<RangeTree2d>(30, 2, PivotMode::RightMost);
+            check::<RangeTree2d>(30, 1, PivotMode::Random, 15);
+            check::<RangeTree2d>(30, 2, PivotMode::RightMost, 15);
         }
 
         #[test]
         fn matches_oracle_spanning_leaves() {
-            check::<RangeTree2d>(LEAF_SIZE + 5, 3, PivotMode::Random);
-            check::<RangeTree2d>(4 * LEAF_SIZE + 7, 4, PivotMode::Random);
-            check::<RangeTree2d>(300, 5, PivotMode::RightMost);
+            check::<RangeTree2d>(LEAF_SIZE + 5, 3, PivotMode::Random, 15);
+            check::<RangeTree2d>(4 * LEAF_SIZE + 7, 4, PivotMode::Random, 15);
+            check::<RangeTree2d>(300, 5, PivotMode::RightMost, 15);
         }
 
         #[test]
@@ -82,15 +82,15 @@ mod range4d {
 
         #[test]
         fn matches_oracle_small() {
-            check::<Layered<RangeTree2d>>(25, 1, PivotMode::Random);
-            check::<Layered<RangeTree2d>>(25, 2, PivotMode::RightMost);
+            check::<Layered<RangeTree2d>>(25, 1, PivotMode::Random, 12);
+            check::<Layered<RangeTree2d>>(25, 2, PivotMode::RightMost, 12);
         }
 
         #[test]
         fn matches_oracle_spanning_leaves() {
-            check::<Layered<RangeTree2d>>(LEAF_SIZE + 5, 3, PivotMode::Random);
-            check::<Layered<RangeTree2d>>(3 * LEAF_SIZE + 7, 4, PivotMode::Random);
-            check::<Layered<RangeTree2d>>(250, 5, PivotMode::RightMost);
+            check::<Layered<RangeTree2d>>(LEAF_SIZE + 5, 3, PivotMode::Random, 12);
+            check::<Layered<RangeTree2d>>(3 * LEAF_SIZE + 7, 4, PivotMode::Random, 12);
+            check::<Layered<RangeTree2d>>(250, 5, PivotMode::RightMost, 12);
         }
 
         #[test]

@@ -182,22 +182,6 @@ impl RangeTree2d {
         self.n == 0
     }
 
-    /// The pivot-selection mode this tree was built with.
-    pub fn mode(&self) -> PivotMode {
-        self.mode
-    }
-
-    /// Whether point `x` is finished.
-    pub fn is_finished(&self, x: u32) -> bool {
-        self.finished[x as usize]
-    }
-
-    /// DP value of a finished point `x`.
-    pub fn dp_of(&self, x: u32) -> u32 {
-        debug_assert!(self.finished[x as usize]);
-        self.dp[x as usize]
-    }
-
     /// Total number of unfinished points.
     pub fn unfinished_total(&self) -> usize {
         if self.n == 0 {
