@@ -7,6 +7,11 @@
 //! input structs ([`SsspInstance`], [`GraphPriorityInstance`]) instead
 //! of anonymous tuples where field names carry meaning.
 //!
+//! The impl is each family's only entry to its parallel algorithm.
+//! Families that prepare something (SSSP, MIS, coloring, matching)
+//! answer a one-shot `solve_par` as `prepare` plus one `solve_prepared`
+//! query, so one-shot and served queries run one code path.
+//!
 //! Luby's MIS is deliberately absent: it is *not* sequential-equivalent
 //! (values are redrawn every round), so it cannot satisfy the trait's
 //! `solve_par == solve_seq` contract; call [`crate::mis::mis_luby`]
@@ -23,7 +28,7 @@
 
 use crate::activity::{self, Activity};
 use crate::chain::{chain_par, chain_seq, ChainPoint};
-use crate::coloring::coloring_seq;
+use crate::coloring;
 use crate::huffman;
 use crate::knapsack::{self, Item};
 use crate::lis;
@@ -46,23 +51,29 @@ impl SsspInstance {
     pub fn new(graph: Graph, source: u32) -> Self {
         Self { graph, source }
     }
-
-    /// The source a given query runs from: the query's override or
-    /// this instance's default.
-    pub fn source_for(&self, cfg: &RunConfig) -> u32 {
-        cfg.source.unwrap_or(self.source)
-    }
 }
 
-/// Shared prepare/query boilerplate for the SSSP family: every member
+/// Shared boilerplate for the SSSP family: every member maps an
+/// [`SsspInstance`] to distances, checks against sequential Dijkstra,
 /// amortizes the same [`sssp::PreparedSssp`] (w*, per-vertex minimum
-/// out-weights) and differs only in how a query runs against it.
+/// out-weights) and runs a one-shot solve as prepare + query; members
+/// differ only in how a query runs against the prepared instance.
 macro_rules! impl_sssp_prepare {
     () => {
+        type Input = SsspInstance;
+        type Output = Vec<u64>;
         type Prepared = sssp::PreparedSssp;
+
+        fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
+            sssp::dijkstra(&input.graph, input.source)
+        }
 
         fn prepare(&self, input: &SsspInstance) -> sssp::PreparedSssp {
             sssp::PreparedSssp::new(&input.graph, input.source)
+        }
+
+        fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
+            self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
         }
     };
 }
@@ -245,17 +256,9 @@ impl PhaseAlgorithm for Huffman {
 pub struct DeltaSssp;
 
 impl PhaseAlgorithm for DeltaSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/delta"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::delta_stepping(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -264,7 +267,8 @@ impl PhaseAlgorithm for DeltaSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::delta_stepping_prepared(&input.graph, prepared, scratch, cfg)
+        let delta = cfg.delta.unwrap_or(prepared.w_star);
+        sssp::delta_stepping(&input.graph, prepared.source_for(cfg), delta, scratch, cfg)
     }
 }
 
@@ -272,17 +276,9 @@ impl PhaseAlgorithm for DeltaSssp {
 pub struct RhoSssp;
 
 impl PhaseAlgorithm for RhoSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/rho"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::rho_stepping(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -291,7 +287,7 @@ impl PhaseAlgorithm for RhoSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::rho_stepping_prepared(&input.graph, prepared, scratch, cfg)
+        sssp::rho_stepping(&input.graph, prepared.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -299,17 +295,9 @@ impl PhaseAlgorithm for RhoSssp {
 pub struct CrauserSssp;
 
 impl PhaseAlgorithm for CrauserSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/crauser"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::crauser_out(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -318,7 +306,8 @@ impl PhaseAlgorithm for CrauserSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::crauser_out_prepared(&input.graph, prepared, scratch, cfg)
+        let source = prepared.source_for(cfg);
+        sssp::crauser_out(&input.graph, source, &prepared.mow, scratch, cfg)
     }
 }
 
@@ -326,26 +315,19 @@ impl PhaseAlgorithm for CrauserSssp {
 pub struct PamSssp;
 
 impl PhaseAlgorithm for PamSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/pam"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::sssp_pam(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
         input: &SsspInstance,
         prepared: &sssp::PreparedSssp,
-        scratch: &mut Scratch,
+        _scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::sssp_pam_prepared(&input.graph, prepared, scratch, cfg)
+        let source = prepared.source_for(cfg);
+        sssp::sssp_pam(&input.graph, source, prepared.w_star, cfg)
     }
 }
 
@@ -353,17 +335,9 @@ impl PhaseAlgorithm for PamSssp {
 pub struct BellmanFordSssp;
 
 impl PhaseAlgorithm for BellmanFordSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/bellman-ford"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::bellman_ford(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
@@ -372,7 +346,7 @@ impl PhaseAlgorithm for BellmanFordSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::bellman_ford_prepared(&input.graph, prepared, scratch, cfg)
+        sssp::bellman_ford(&input.graph, prepared.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -382,22 +356,9 @@ impl PhaseAlgorithm for BellmanFordSssp {
 pub struct DijkstraSssp;
 
 impl PhaseAlgorithm for DijkstraSssp {
-    type Input = SsspInstance;
-    type Output = Vec<u64>;
     impl_sssp_prepare!();
     fn name(&self) -> &'static str {
         "sssp/dijkstra"
-    }
-    fn solve_seq(&self, input: &SsspInstance) -> Vec<u64> {
-        sssp::dijkstra(&input.graph, input.source)
-    }
-    fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::dijkstra_core(
-            &input.graph,
-            input.source_for(cfg),
-            &mut Scratch::new(),
-            cfg,
-        )
     }
     fn solve_prepared(
         &self,
@@ -406,7 +367,7 @@ impl PhaseAlgorithm for DijkstraSssp {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::dijkstra_prepared(&input.graph, prepared, scratch, cfg)
+        sssp::dijkstra_core(&input.graph, prepared.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -427,7 +388,7 @@ impl PhaseAlgorithm for GreedyMis {
         mis::mis_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        mis::mis_tas(&input.graph, &input.priority, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
     fn prepare(&self, input: &GraphPriorityInstance) -> mis::BlockingMirrors {
         mis::blocking_mirrors(&input.graph, &input.priority)
@@ -439,7 +400,7 @@ impl PhaseAlgorithm for GreedyMis {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        mis::mis_tas_prepared(&input.graph, &input.priority, mirrors, scratch, cfg)
+        mis::mis_tas(&input.graph, &input.priority, mirrors, scratch, cfg)
     }
 }
 
@@ -475,13 +436,13 @@ impl PhaseAlgorithm for Coloring {
         "coloring"
     }
     fn solve_seq(&self, input: &GraphPriorityInstance) -> Vec<u32> {
-        coloring_seq(&input.graph, &input.priority)
+        coloring::coloring_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<u32>> {
-        crate::coloring::coloring_par(&input.graph, &input.priority, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
     fn prepare(&self, input: &GraphPriorityInstance) -> Vec<u32> {
-        crate::coloring::blocking_counts(&input.graph, &input.priority)
+        coloring::blocking_counts(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
@@ -490,7 +451,7 @@ impl PhaseAlgorithm for Coloring {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u32>> {
-        crate::coloring::coloring_par_prepared(&input.graph, &input.priority, counts, scratch, cfg)
+        coloring::coloring_par(&input.graph, &input.priority, counts, scratch, cfg)
     }
 }
 
@@ -511,7 +472,7 @@ impl PhaseAlgorithm for Matching {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_par(&input.graph, &input.priority, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
     fn prepare(&self, input: &GraphPriorityInstance) -> Vec<(u32, u32)> {
         matching::edge_list(&input.graph)
@@ -523,7 +484,7 @@ impl PhaseAlgorithm for Matching {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        matching::matching_par_prepared(&input.graph, &input.priority, edges, scratch, cfg)
+        matching::matching_par(&input.graph, &input.priority, edges, scratch, cfg)
     }
 }
 
@@ -546,7 +507,7 @@ impl PhaseAlgorithm for MatchingReservations {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_reservations(&input.graph, &input.priority, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
     fn prepare(&self, input: &GraphPriorityInstance) -> Self::Prepared {
         (
@@ -561,7 +522,7 @@ impl PhaseAlgorithm for MatchingReservations {
         _scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        matching::matching_reservations_prepared(&input.graph, &input.priority, edges, order, cfg)
+        matching::matching_reservations(&input.graph, &input.priority, edges, order, cfg)
     }
 }
 

@@ -11,18 +11,19 @@
 //! Both implementations produce the *identical* coloring (a function of
 //! the priorities alone).
 
-use phase_parallel::{Report, RunConfig, RunOutcome, Scratch, TasForest};
+use crate::mis::run_cascades;
+use phase_parallel::{Report, RunConfig, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Color sentinel for "not yet colored".
 const UNCOLORED: u32 = u32::MAX;
 
 /// Per-vertex count of blocking (higher-priority) neighbors — the
-/// TAS-tree leaf counts [`coloring_par`] builds its forest from. A pure
-/// function of graph + priorities: the preprocessing half of the
-/// prepared coloring query.
+/// TAS-tree leaf counts the parallel coloring builds its forest from. A
+/// pure function of graph + priorities: the preprocessing half of
+/// [`Coloring`](crate::api::Coloring).
 pub fn blocking_counts(g: &Graph, priority: &[u32]) -> Vec<u32> {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
@@ -59,29 +60,12 @@ pub fn coloring_seq(g: &Graph, priority: &[u32]) -> Vec<u32> {
     color
 }
 
-/// Asynchronous Jones–Plassmann coloring via TAS trees. Same output as
-/// [`coloring_seq`].
-pub fn coloring_par(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<u32>> {
-    coloring_par_prepared(
-        g,
-        priority,
-        &blocking_counts(g, priority),
-        &mut Scratch::new(),
-        cfg,
-    )
-}
-
-/// The query half of [`coloring_par`]: run the coloring cascades
-/// against prebuilt [`blocking_counts`], drawing the color array from
-/// `scratch`. Same output as [`coloring_par`] (and [`coloring_seq`]).
-///
-/// Like the MIS cascades, the config's deadline is polled at
-/// *cascade-level* granularity: each cascade checks it between levels
-/// and abandons its remaining frontier on a trip. Uncolored vertices
-/// keep the `u32::MAX` sentinel and the run is tagged
-/// [`RunOutcome::DeadlineExceeded`]; an untripped token leaves the
-/// output byte-identical to a run without one.
-pub fn coloring_par_prepared(
+/// Asynchronous Jones–Plassmann coloring via TAS trees: run the
+/// coloring cascades ([`run_cascades`], shared with MIS) against
+/// prebuilt [`blocking_counts`], drawing the color array from
+/// `scratch`. Same output as [`coloring_seq`]. On a deadline trip,
+/// uncolored vertices keep the `u32::MAX` sentinel.
+pub(crate) fn coloring_par(
     g: &Graph,
     priority: &[u32],
     counts: &[u32],
@@ -104,22 +88,6 @@ pub fn coloring_par_prepared(
         priority: &'a [u32],
         forest: TasForest,
         color: &'a [AtomicU32],
-        cfg: &'a RunConfig,
-        tripped: AtomicBool,
-    }
-
-    impl Ctx<'_> {
-        /// Cascade-level poll: latches on the first observed trip.
-        fn tripped(&self) -> bool {
-            if self.tripped.load(Ordering::Relaxed) {
-                return true;
-            }
-            if self.cfg.is_cancelled() {
-                self.tripped.store(true, Ordering::Relaxed);
-                return true;
-            }
-            false
-        }
     }
 
     /// Color `v` (all its blocking neighbors are colored) and return the
@@ -162,41 +130,15 @@ pub fn coloring_par_prepared(
             .collect()
     }
 
-    /// Iterative cascade (loop, not recursion, so adversarial
-    /// priority chains of depth Θ(n) cannot overflow the stack). The
-    /// two level buffers ping-pong so a deep cascade reuses their
-    /// capacity instead of collecting a fresh vector per level.
-    fn cascade(ctx: &Ctx<'_>, v0: u32) {
-        let mut frontier = vec![v0];
-        let mut next: Vec<u32> = Vec::new();
-        while !frontier.is_empty() {
-            if ctx.tripped() {
-                return; // abandon the rest of this cascade
-            }
-            next.clear();
-            next.par_extend(frontier.par_iter().flat_map_iter(|&v| assign(ctx, v)));
-            std::mem::swap(&mut frontier, &mut next);
-        }
-    }
-
     let ctx = Ctx {
         g,
         priority,
         forest,
         color: &color,
-        cfg,
-        tripped: AtomicBool::new(false),
     };
-    (0..n as u32).into_par_iter().for_each(|v| {
-        if ctx.forest.leaves_of(v as usize) == 0 && !ctx.tripped() {
-            cascade(&ctx, v);
-        }
+    let outcome = run_cascades(&ctx.forest, cfg, |frontier, _, next| {
+        next.par_extend(frontier.par_iter().flat_map_iter(|&v| assign(&ctx, v)));
     });
-    let outcome = if ctx.tripped.load(Ordering::Relaxed) {
-        RunOutcome::DeadlineExceeded
-    } else {
-        RunOutcome::Completed
-    };
     let out = color.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     scratch.put_vec("coloring_color", color);
     Report::plain(out).with_outcome(outcome)
@@ -214,52 +156,52 @@ pub fn is_proper_coloring(g: &Graph, color: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Coloring, GraphPriorityInstance};
+    use phase_parallel::PhaseAlgorithm;
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
-    fn check(g: &Graph, seed: u64) {
+    fn check(g: Graph, seed: u64) {
         let pri = random_priorities(g.num_vertices(), seed);
-        let a = coloring_seq(g, &pri);
-        let b = coloring_par(g, &pri, &RunConfig::new()).output;
-        assert!(is_proper_coloring(g, &a), "seq improper");
+        let inst = GraphPriorityInstance::new(g, pri);
+        let a = coloring_seq(&inst.graph, &inst.priority);
+        let b = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert!(is_proper_coloring(&inst.graph, &a), "seq improper");
         assert_eq!(a, b, "par differs from greedy");
     }
 
     #[test]
     fn agree_on_many_graphs() {
-        check(&gen::uniform(300, 1500, 1), 10);
-        check(&gen::cycle(101), 11);
-        check(&gen::star(100), 12);
-        check(&gen::grid2d(15, 20), 13);
-        check(&gen::rmat(9, 4096, 5), 14);
+        check(gen::uniform(300, 1500, 1), 10);
+        check(gen::cycle(101), 11);
+        check(gen::star(100), 12);
+        check(gen::grid2d(15, 20), 13);
+        check(gen::rmat(9, 4096, 5), 14);
     }
 
     #[test]
     fn colors_bounded_by_degree_plus_one() {
-        let g = gen::uniform(500, 3000, 2);
-        let pri = random_priorities(500, 3);
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-        let dmax = g.max_degree() as u32;
+        let inst =
+            GraphPriorityInstance::new(gen::uniform(500, 3000, 2), random_priorities(500, 3));
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        let dmax = inst.graph.max_degree() as u32;
         assert!(c.iter().all(|&x| x <= dmax));
     }
 
     #[test]
     fn bipartite_grid_two_colorable_greedily_small() {
         // Greedy on a grid uses few colors (not necessarily 2, but ≤ 4).
-        let g = gen::grid2d(20, 20);
-        let pri = random_priorities(400, 4);
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-        assert!(is_proper_coloring(&g, &c));
+        let inst = GraphPriorityInstance::new(gen::grid2d(20, 20), random_priorities(400, 4));
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert!(is_proper_coloring(&inst.graph, &c));
         assert!(*c.iter().max().unwrap() <= 4);
     }
 
     #[test]
     fn edgeless_all_color_zero() {
         let g = pp_graph::GraphBuilder::new(20).build();
-        let pri = random_priorities(20, 5);
-        assert!(coloring_par(&g, &pri, &RunConfig::new())
-            .output
-            .iter()
-            .all(|&c| c == 0));
+        let inst = GraphPriorityInstance::new(g, random_priorities(20, 5));
+        let colors = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert!(colors.iter().all(|&c| c == 0));
     }
 }

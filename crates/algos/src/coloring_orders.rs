@@ -14,7 +14,7 @@
 //!   `degeneracy + 1` colors, the strongest quality guarantee of \[48\].
 //!
 //! All heuristics plug into the same TAS-tree engine
-//! ([`crate::coloring::coloring_par`]) — the paper's point is precisely
+//! ([`crate::api::Coloring`]) — the paper's point is precisely
 //! that the wake-up mechanism is orthogonal to the order.
 
 use phase_parallel::{PrioritySource, RunConfig};
@@ -124,26 +124,30 @@ pub fn num_colors(coloring: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coloring::{coloring_par, coloring_seq, is_proper_coloring};
+    use crate::api::{Coloring, GraphPriorityInstance};
+    use crate::coloring::is_proper_coloring;
+    use phase_parallel::{PhaseAlgorithm, Solver};
     use pp_graph::gen;
 
     #[test]
     fn heuristics_are_valid_priorities() {
         let g = gen::rmat(10, 8192, 1);
-        for pri in [
+        let orders = [
             order_random(&g, 2),
             order_largest_degree_first(&g, 2),
             order_largest_log_degree_first(&g, 2),
             order_smallest_degree_last(&g, 2),
-        ] {
+        ];
+        let mut inst = GraphPriorityInstance::new(g, Vec::new());
+        for pri in orders {
             // A permutation of 0..n.
             let mut sorted = pri.clone();
             sorted.sort_unstable();
             assert!(sorted.iter().enumerate().all(|(i, &p)| p == i as u32));
             // Par and seq agree under every heuristic.
-            let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-            assert_eq!(c, coloring_seq(&g, &pri));
-            assert!(is_proper_coloring(&g, &c));
+            inst.priority = pri;
+            let c = Solver::new(Coloring).solve_checked(&inst).output;
+            assert!(is_proper_coloring(&inst.graph, &c));
         }
     }
 
@@ -158,8 +162,9 @@ mod tests {
         }
         let g = b.build();
         let pri = order_smallest_degree_last(&g, 5);
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-        assert!(is_proper_coloring(&g, &c));
+        let inst = GraphPriorityInstance::new(g, pri);
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert!(is_proper_coloring(&inst.graph, &c));
         assert_eq!(num_colors(&c), 2, "SL on a tree = degeneracy + 1");
     }
 
@@ -169,8 +174,9 @@ mod tests {
         // order, coloring uses ≤ 3 colors.
         let g = gen::cycle(100);
         let pri = order_smallest_degree_last(&g, 6);
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-        assert!(is_proper_coloring(&g, &c));
+        let inst = GraphPriorityInstance::new(g, pri);
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert!(is_proper_coloring(&inst.graph, &c));
         assert!(num_colors(&c) <= 3);
     }
 
@@ -180,7 +186,8 @@ mod tests {
         let pri = order_largest_degree_first(&g, 1);
         // The hub has the unique largest degree → the top priority.
         assert_eq!(pri[0], 99);
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, pri);
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
         assert_eq!(num_colors(&c), 2);
         assert_eq!(c[0], 0); // hub colored first, gets color 0
     }
@@ -189,8 +196,11 @@ mod tests {
     fn lf_no_worse_than_random_on_skewed_graph() {
         // On power-law graphs LF typically uses no more colors than R.
         let g = gen::rmat(11, 1 << 14, 3);
-        let c_r = coloring_par(&g, &order_random(&g, 4), &RunConfig::new()).output;
-        let c_lf = coloring_par(&g, &order_largest_degree_first(&g, 4), &RunConfig::new()).output;
+        let (r, lf) = (order_random(&g, 4), order_largest_degree_first(&g, 4));
+        let mut inst = GraphPriorityInstance::new(g, r);
+        let c_r = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        inst.priority = lf;
+        let c_lf = Coloring.solve_par(&inst, &RunConfig::new()).output;
         assert!(
             num_colors(&c_lf) <= num_colors(&c_r),
             "LF {} vs R {}",

@@ -36,7 +36,10 @@
 //! that structure, with buffers recycled through a
 //! [`phase_parallel::Scratch`] workspace. Because nothing borrows,
 //! [`serving::SharedPrepared`] keeps an input and its prepared instance
-//! side by side behind one `Arc` without any `unsafe`.
+//! side by side behind one `Arc` without any `unsafe`. For the families
+//! that prepare something (SSSP, MIS, coloring, matching) the [`api`]
+//! impl is the only public entry: its `solve_par` is `prepare` plus one
+//! `solve_prepared` query.
 //!
 //! ```
 //! use pp_algos::lis::{lis_par, lis_seq, lis_weighted_par};

@@ -52,27 +52,21 @@ pub fn matching_seq(g: &Graph, priority: &[u32]) -> Vec<bool> {
     in_matching
 }
 
-/// Round-synchronous parallel greedy matching. Same output as
-/// [`matching_seq`]. The report's `stats.rounds` equals the greedy
+/// Round-synchronous parallel greedy matching over a prebuilt
+/// [`edge_list`] (the prepare step), drawing the per-query endpoint
+/// tables, live set and round buffer from `scratch`. Same output as
+/// [`matching_seq`]. The live edge set runs on the [`Frontier`] engine
+/// over edge indices (dense bitmap while most edges are live, sparse
+/// list for the tail). The report's `stats.rounds` equals the greedy
 /// dependence depth (`O(log n)` whp for random priorities by
 /// Fischer–Noever), with per-round matched-edge counts in
 /// `frontier_sizes`.
-pub fn matching_par(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
-    matching_par_prepared(g, priority, &edge_list(g), &mut Scratch::new(), cfg)
-}
-
-/// The query half of [`matching_par`]: run the rounds against a
-/// prebuilt [`edge_list`] (the prepare step), drawing the per-query
-/// endpoint tables, live set and round buffer from `scratch`. The live
-/// edge set runs on the [`Frontier`] engine over edge indices (dense
-/// bitmap while most edges are live, sparse list for the tail). Same
-/// output as [`matching_par`] (and [`matching_seq`]).
 ///
 /// The round loop polls the config's deadline at its top; a trip leaves
 /// the remaining live edges unmatched under
 /// `RunOutcome::DeadlineExceeded` (the partial mask is a valid — not
 /// maximal — matching).
-pub fn matching_par_prepared(
+pub(crate) fn matching_par(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
@@ -156,36 +150,29 @@ pub fn matching_par_prepared(
     Report::new(in_matching, stats).with_outcome(outcome)
 }
 
-/// Greedy maximal matching via deterministic reservations (the paper's
-/// prior-work framework \[10\]), as an ablation baseline for
-/// [`matching_par`]. Same output as [`matching_seq`].
-///
-/// Each edge, in priority order, reserves both endpoints and commits iff
-/// it wins both — the textbook speculative-for instance from \[10\]. The
-/// framework re-examines every live edge each round, which is the
-/// `O(D·m)` work pattern the SPAA 2022 paper removes; the report's
-/// `"attempts"` counter exposes the re-examination factor
-/// (`attempts / m`).
-pub fn matching_reservations(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
-    let edges = edge_list(g);
-    matching_reservations_prepared(g, priority, &edges, &priority_order(priority), cfg)
-}
-
 /// Edge indices sorted by priority — the iterate order of the
-/// reservations baseline, a pure function of the priorities (the
-/// prepare half of [`matching_reservations_prepared`]).
+/// reservations baseline, a pure function of the priorities (with
+/// [`edge_list`], the prepare half of
+/// [`MatchingReservations`](crate::api::MatchingReservations)).
 pub fn priority_order(priority: &[u32]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..priority.len() as u32).collect();
     order.par_sort_unstable_by_key(|&e| priority[e as usize]);
     order
 }
 
-/// The query half of [`matching_reservations`]: speculative-for over a
-/// prebuilt [`edge_list`] and [`priority_order`]. Same output as
-/// [`matching_seq`]. The speculative-for round loop polls the config's
+/// Greedy maximal matching via deterministic reservations (the paper's
+/// prior-work framework \[10\]) over a prebuilt [`edge_list`] and
+/// [`priority_order`]. Same output as [`matching_seq`].
+///
+/// Each edge, in priority order, reserves both endpoints and commits iff
+/// it wins both — the textbook speculative-for instance from \[10\]. The
+/// framework re-examines every live edge each round, which is the
+/// `O(D·m)` work pattern the SPAA 2022 paper removes; the report's
+/// `"attempts"` counter exposes the re-examination factor
+/// (`attempts / m`). The speculative-for round loop polls the config's
 /// deadline; a trip abandons the uncommitted iterates under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn matching_reservations_prepared(
+pub(crate) fn matching_reservations(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
@@ -283,56 +270,61 @@ pub fn random_edge_priorities(g: &Graph, seed: u64) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{GraphPriorityInstance, Matching, MatchingReservations};
+    use phase_parallel::PhaseAlgorithm;
     use pp_graph::gen;
 
-    fn check(g: &Graph, seed: u64) {
-        let pri = random_edge_priorities(g, seed);
-        let a = matching_seq(g, &pri);
-        let b = matching_par(g, &pri, &RunConfig::new()).output;
-        assert!(is_maximal_matching(g, &a), "seq not maximal");
+    fn instance(g: Graph, seed: u64) -> GraphPriorityInstance {
+        let pri = random_edge_priorities(&g, seed);
+        GraphPriorityInstance::new(g, pri)
+    }
+
+    fn check(g: Graph, seed: u64) {
+        let inst = instance(g, seed);
+        let a = matching_seq(&inst.graph, &inst.priority);
+        let b = Matching.solve_par(&inst, &RunConfig::new()).output;
+        assert!(is_maximal_matching(&inst.graph, &a), "seq not maximal");
         assert_eq!(a, b, "par differs from greedy");
-        let c = matching_reservations(g, &pri, &RunConfig::new()).output;
-        assert_eq!(a, c, "reservations baseline differs from greedy");
+        let c = MatchingReservations.solve_par(&inst, &RunConfig::new());
+        assert_eq!(a, c.output, "reservations baseline differs from greedy");
     }
 
     #[test]
     fn agree_on_many_graphs() {
-        check(&gen::uniform(300, 1200, 1), 20);
-        check(&gen::cycle(100), 21);
-        check(&gen::cycle(101), 22);
-        check(&gen::star(50), 23);
-        check(&gen::grid2d(12, 18), 24);
-        check(&gen::rmat(8, 2048, 6), 25);
+        check(gen::uniform(300, 1200, 1), 20);
+        check(gen::cycle(100), 21);
+        check(gen::cycle(101), 22);
+        check(gen::star(50), 23);
+        check(gen::grid2d(12, 18), 24);
+        check(gen::rmat(8, 2048, 6), 25);
     }
 
     #[test]
     fn rounds_logarithmic_on_random() {
-        let g = gen::uniform(4000, 16_000, 2);
-        let pri = random_edge_priorities(&g, 3);
-        let report = matching_par(&g, &pri, &RunConfig::new());
-        assert!(is_maximal_matching(&g, &report.output));
+        let inst = instance(gen::uniform(4000, 16_000, 2), 3);
+        let report = Matching.solve_par(&inst, &RunConfig::new());
+        assert!(is_maximal_matching(&inst.graph, &report.output));
         assert!(report.stats.rounds <= 40, "rounds {}", report.stats.rounds);
     }
 
     #[test]
     fn star_matches_exactly_one_edge() {
-        let g = gen::star(64);
-        let pri = random_edge_priorities(&g, 4);
-        let m = matching_par(&g, &pri, &RunConfig::new()).output;
+        let inst = instance(gen::star(64), 4);
+        let m = Matching.solve_par(&inst, &RunConfig::new()).output;
         assert_eq!(m.iter().filter(|&&x| x).count(), 1);
     }
 
     #[test]
     fn reservations_rounds_match_dependence_depth() {
-        let g = gen::uniform(4000, 16_000, 2);
-        let pri = random_edge_priorities(&g, 3);
-        let report = matching_reservations(&g, &pri, &RunConfig::new());
-        assert!(is_maximal_matching(&g, &report.output));
+        let inst = instance(gen::uniform(4000, 16_000, 2), 3);
+        let report = MatchingReservations.solve_par(&inst, &RunConfig::new());
+        assert!(is_maximal_matching(&inst.graph, &report.output));
         assert!(report.stats.rounds <= 60, "rounds {}", report.stats.rounds);
         // The re-examination factor is the baseline's work overhead the
         // paper's Type 2 machinery removes; it is > 1 whenever any round
         // retries.
-        assert!(report.stats.counter("attempts").unwrap() >= edge_list(&g).len() as u64);
+        let m = edge_list(&inst.graph).len() as u64;
+        assert!(report.stats.counter("attempts").unwrap() >= m);
     }
 
     #[test]
@@ -347,9 +339,9 @@ mod tests {
         let g = b.build();
         // Priorities in edge order → greedy matches 0-1, 2-3, ...
         let m_edges = edge_list(&g).len();
-        let pri: Vec<u32> = (0..m_edges as u32).collect();
-        let a = matching_seq(&g, &pri);
-        let b2 = matching_par(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, (0..m_edges as u32).collect());
+        let a = matching_seq(&inst.graph, &inst.priority);
+        let b2 = Matching.solve_par(&inst, &RunConfig::new()).output;
         assert_eq!(a, b2);
         assert_eq!(a.iter().filter(|&&x| x).count(), n / 2);
     }

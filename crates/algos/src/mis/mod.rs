@@ -6,10 +6,10 @@
 //! all three implementations here produce the identical set:
 //!
 //! * [`mis_seq`] — the sequential greedy.
-//! * [`mis_tas`] — the paper's fully asynchronous algorithm: a TAS tree
-//!   per vertex over its blocking (higher-priority) neighbors detects
-//!   the instant the last blocker resolves, in `O(m)` work and
-//!   `O(log n log d_max)` span whp.
+//! * [`GreedyMis`](crate::api::GreedyMis) — the paper's fully
+//!   asynchronous algorithm: a TAS tree per vertex over its blocking
+//!   (higher-priority) neighbors detects the instant the last blocker
+//!   resolves, in `O(m)` work and `O(log n log d_max)` span whp.
 //! * [`mis_rounds`] — the round-synchronous deterministic-reservation
 //!   baseline the paper improves on (`O(D·m)` work worst case),
 //!   kept for the ablation benchmark.
@@ -25,7 +25,8 @@ mod tas;
 pub use luby::mis_luby;
 pub use rounds::mis_rounds;
 pub use seq::mis_seq;
-pub use tas::{blocking_mirrors, mis_tas, mis_tas_prepared, BlockingMirrors};
+pub use tas::{blocking_mirrors, BlockingMirrors};
+pub(crate) use tas::{mis_tas, run_cascades};
 
 use pp_graph::Graph;
 
@@ -59,15 +60,18 @@ pub fn is_maximal_independent(g: &Graph, set: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phase_parallel::RunConfig;
+    use crate::api::{GraphPriorityInstance, GreedyMis};
+    use phase_parallel::{PhaseAlgorithm, RunConfig, Solver};
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
-    fn check_graph(g: &Graph, seed: u64) {
+    fn check_graph(g: Graph, seed: u64) {
         let pri = random_priorities(g.num_vertices(), seed);
-        let a = mis_seq(g, &pri);
-        let b = mis_tas(g, &pri, &RunConfig::new()).output;
-        let c = mis_rounds(g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, pri);
+        let (g, pri) = (&inst.graph, &inst.priority);
+        let a = mis_seq(g, pri);
+        let b = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+        let c = mis_rounds(g, pri, &RunConfig::new()).output;
         assert!(is_maximal_independent(g, &a), "seq not an MIS");
         assert_eq!(a, b, "tas differs from greedy");
         assert_eq!(a, c, "rounds differs from greedy");
@@ -77,32 +81,30 @@ mod tests {
     fn agree_on_uniform_graphs() {
         for seed in 0..6 {
             let g = gen::uniform(400, 1600, seed);
-            check_graph(&g, seed + 50);
+            check_graph(g, seed + 50);
         }
     }
 
     #[test]
     fn agree_on_structured_graphs() {
-        check_graph(&gen::cycle(101), 1);
-        check_graph(&gen::star(200), 2);
-        check_graph(&gen::grid2d(17, 23), 3);
-        check_graph(&gen::rmat(9, 4096, 4), 4);
+        check_graph(gen::cycle(101), 1);
+        check_graph(gen::star(200), 2);
+        check_graph(gen::grid2d(17, 23), 3);
+        check_graph(gen::rmat(9, 4096, 4), 4);
     }
 
     #[test]
     fn edgeless_graph_selects_everything() {
         let g = pp_graph::GraphBuilder::new(50).build();
-        let pri = random_priorities(50, 1);
-        let a = mis_tas(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, random_priorities(50, 1));
+        let a = Solver::new(GreedyMis).solve_checked(&inst).output;
         assert!(a.iter().all(|&x| x));
-        assert_eq!(mis_seq(&g, &pri), a);
     }
 
     #[test]
     fn star_selects_center_or_all_leaves() {
-        let g = gen::star(100);
-        let pri = random_priorities(100, 9);
-        let set = mis_tas(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(gen::star(100), random_priorities(100, 9));
+        let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
         if set[0] {
             assert_eq!(set.iter().filter(|&&x| x).count(), 1);
         } else {
@@ -118,11 +120,11 @@ mod tests {
         // rounds baseline: priorities descending = selection order.
         // We verify the invariant rather than the exact picture: the
         // highest-priority vertex is always selected.
-        let g = gen::uniform(14, 30, 77);
-        let pri = random_priorities(14, 8);
-        let set = mis_seq(&g, &pri);
+        let inst = GraphPriorityInstance::new(gen::uniform(14, 30, 77), random_priorities(14, 8));
+        let pri = &inst.priority;
+        let set = mis_seq(&inst.graph, pri);
         let top = (0..14u32).max_by_key(|&v| pri[v as usize]).unwrap();
         assert!(set[top as usize]);
-        assert_eq!(mis_tas(&g, &pri, &RunConfig::new()).output, set);
+        assert_eq!(GreedyMis.solve_par(&inst, &RunConfig::new()).output, set);
     }
 }

@@ -13,6 +13,7 @@
 //! that impossible — see the argument in the module tests — but the CAS
 //! keeps the code robust under any interleaving).
 
+use crate::coloring::blocking_counts;
 use phase_parallel::{Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
@@ -36,20 +37,13 @@ pub struct BlockingMirrors {
     /// tree when `u` blocks `v`.
     blocking_rank: Vec<u32>,
     /// Per-vertex count of blocking (higher-priority) neighbors — the
-    /// TAS-tree leaf counts.
+    /// TAS-tree leaf counts ([`blocking_counts`]).
     counts: Vec<u32>,
-}
-
-impl BlockingMirrors {
-    /// Per-vertex blocking-neighbor counts (TAS-tree leaf counts).
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
-    }
 }
 
 /// Build the CSR mirrors (offsets, reverse-arc slots, blocking ranks,
 /// blocking counts) for `g` under `priority` — the preprocessing half
-/// of [`mis_tas`].
+/// of [`GreedyMis`](crate::api::GreedyMis).
 pub fn blocking_mirrors(g: &Graph, priority: &[u32]) -> BlockingMirrors {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
@@ -61,20 +55,10 @@ pub fn blocking_mirrors(g: &Graph, priority: &[u32]) -> BlockingMirrors {
     let m = offsets[n];
     let mut rev_slot = vec![0u32; m];
     let mut blocking_rank = vec![0u32; m];
-    let mut counts = vec![0u32; n];
-    // blocking_rank and counts: sequential per vertex, parallel over vertices.
-    counts.par_iter_mut().enumerate().for_each(|(v, c)| {
-        let v = v as u32;
-        let mut k = 0u32;
-        for &u in g.neighbors(v) {
-            if priority[u as usize] > priority[v as usize] {
-                k += 1;
-            }
-        }
-        *c = k;
-    });
+    let counts = blocking_counts(g, priority);
     {
-        // Fill blocking_rank (prefix counts) and rev_slot.
+        // Fill blocking_rank (prefix counts) and rev_slot: sequential
+        // per vertex, parallel over vertices.
         let br = SyncSlice(blocking_rank.as_mut_ptr());
         let rs = SyncSlice(rev_slot.as_mut_ptr());
         (0..n as u32).into_par_iter().for_each(|v| {
@@ -113,51 +97,62 @@ struct State<'g> {
     status: &'g [AtomicU8],
     forest: TasForest,
     mirrors: &'g BlockingMirrors,
-    /// The query's config, whose deadline is polled once per cascade
-    /// level.
-    cfg: &'g RunConfig,
-    /// Set by the first cascade that observes a trip, so the driver can
-    /// report [`RunOutcome::DeadlineExceeded`] without re-polling.
-    tripped: AtomicBool,
 }
 
-impl State<'_> {
-    /// Cascade-level poll: latches `tripped` on the first observation.
-    fn tripped(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
+/// The wake-up loop both TAS-tree families share (MIS, coloring): from
+/// every vertex of `forest` whose tree has no leaves, in parallel, run
+/// one cascade. A cascade advances level by level — a loop rather than
+/// recursion, so a priority chain of depth `Θ(n)` (the worst case)
+/// cannot overflow the stack, while each level still fans out through
+/// `rayon` and many cascades run concurrently. `level(frontier, spare,
+/// next)` processes one level and fills `next` with the vertices whose
+/// trees it completes; the buffers ping-pong across levels, so a deep
+/// cascade reuses their capacity.
+///
+/// The algorithms have no rounds, so `cfg`'s deadline is polled at
+/// *cascade-level* granularity: the first cascade that observes a trip
+/// latches it, every cascade abandons its remaining frontier at its next
+/// level, and the run returns [`RunOutcome::DeadlineExceeded`]. With an
+/// untripped token the output is byte-identical to a run without one.
+pub(crate) fn run_cascades<L>(forest: &TasForest, cfg: &RunConfig, level: L) -> RunOutcome
+where
+    L: Fn(&[u32], &mut Vec<u32>, &mut Vec<u32>) + Sync,
+{
+    let tripped = AtomicBool::new(false);
+    let poll = || {
+        if tripped.load(Ordering::Relaxed) {
             return true;
         }
-        if self.cfg.is_cancelled() {
-            self.tripped.store(true, Ordering::Relaxed);
-            return true;
+        let trip = cfg.is_cancelled();
+        if trip {
+            tripped.store(true, Ordering::Relaxed);
         }
-        false
+        trip
+    };
+    (0..forest.len() as u32).into_par_iter().for_each(|v0| {
+        if forest.leaves_of(v0 as usize) != 0 || poll() {
+            return;
+        }
+        let (mut frontier, mut spare, mut next) = (vec![v0], Vec::new(), Vec::new());
+        while !frontier.is_empty() && !poll() {
+            next.clear();
+            level(&frontier, &mut spare, &mut next);
+            std::mem::swap(&mut frontier, &mut next);
+        }
+    });
+    if tripped.into_inner() {
+        RunOutcome::DeadlineExceeded
+    } else {
+        RunOutcome::Completed
     }
 }
 
-/// Asynchronous greedy MIS via TAS trees. Returns the same set as
-/// [`super::mis_seq`] for the same priorities.
-pub fn mis_tas(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
-    mis_tas_prepared(
-        g,
-        priority,
-        &blocking_mirrors(g, priority),
-        &mut Scratch::new(),
-        cfg,
-    )
-}
-
-/// The query half of [`mis_tas`]: run the wake cascades against
-/// prebuilt [`BlockingMirrors`], drawing the status array from
-/// `scratch`. Same output as [`mis_tas`] (and [`super::mis_seq`]).
-///
-/// The algorithm has no rounds, so the config's deadline is polled at
-/// *cascade-level* granularity: each cascade checks it between levels
-/// and abandons its remaining frontier on a trip. The partial selection
-/// is a valid independent set (never maximal) and is tagged
-/// [`RunOutcome::DeadlineExceeded`]; with an untripped token the output
-/// is byte-identical to a run without one.
-pub fn mis_tas_prepared(
+/// Asynchronous greedy MIS via TAS trees: run the wake cascades
+/// ([`run_cascades`]) against prebuilt [`BlockingMirrors`], drawing the
+/// status array from `scratch`. Returns the same set as
+/// [`super::mis_seq`] for the same priorities. On a deadline trip the
+/// partial selection is a valid independent set (never maximal).
+pub(crate) fn mis_tas(
     g: &Graph,
     priority: &[u32],
     mirrors: &BlockingMirrors,
@@ -176,22 +171,10 @@ pub fn mis_tas_prepared(
         status: &status,
         forest: TasForest::new(&mirrors.counts),
         mirrors,
-        cfg,
-        tripped: AtomicBool::new(false),
     };
-
-    // Kick off every vertex with no blocking neighbor, in parallel.
-    (0..n as u32).into_par_iter().for_each(|v| {
-        if state.forest.leaves_of(v as usize) == 0 && !state.tripped() {
-            wake_cascade(&state, v);
-        }
+    let outcome = run_cascades(&state.forest, cfg, |frontier, claimed, next| {
+        wake_level(&state, frontier, claimed, next)
     });
-
-    let outcome = if state.tripped.load(Ordering::Relaxed) {
-        RunOutcome::DeadlineExceeded
-    } else {
-        RunOutcome::Completed
-    };
     let out = status
         .iter()
         .map(|s| s.load(Ordering::Relaxed) == SELECTED)
@@ -200,50 +183,33 @@ pub fn mis_tas_prepared(
     Report::plain(out).with_outcome(outcome)
 }
 
-/// Select `v` and run the whole wake cascade it triggers (Algorithm 4's
-/// `WakeUp`, iterated). The cascade advances level by level within this
-/// call — a loop rather than recursion so that a priority chain of depth
-/// `Θ(n)` (the worst case) cannot overflow the stack; the breadth at
-/// each level still fans out through `rayon`. Many cascades started from
-/// different roots run concurrently.
-fn wake_cascade(state: &State<'_>, v0: u32) {
-    let mut frontier = vec![v0];
-    // Level buffers ping-pong across the cascade's levels so a deep
-    // cascade reuses their capacity instead of collecting two fresh
-    // vectors per level.
-    let mut claimed: Vec<u32> = Vec::new();
-    let mut next: Vec<u32> = Vec::new();
-    while !frontier.is_empty() {
-        if state.tripped() {
-            return; // abandon the rest of this cascade
-        }
-        // Select this level. Vertices arriving here are never adjacent:
-        // a TAS-tree only completes when all higher-priority neighbors
-        // are removed, and a vertex being selected is not removed.
-        for &v in &frontier {
-            let ok = state.status[v as usize]
-                .compare_exchange(UNDECIDED, SELECTED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            debug_assert!(ok, "TAS-tree completion implies undecided");
-        }
-        // Remove neighbors and collect the vertices whose TAS trees the
-        // removals complete — the next level of this cascade.
-        claimed.clear();
-        claimed.par_extend(
-            frontier
-                .par_iter()
-                .flat_map_iter(|&v| state.g.neighbors(v).iter().copied())
-                .filter(|&u| {
-                    // First claim of the removal processes it exactly once.
-                    state.status[u as usize]
-                        .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                }),
-        );
-        next.clear();
-        next.par_extend(claimed.par_iter().flat_map_iter(|&u| removed(state, u)));
-        std::mem::swap(&mut frontier, &mut next);
+/// One level of a wake cascade (Algorithm 4's `WakeUp`): select every
+/// vertex of `frontier`, remove its undecided neighbors into `claimed`,
+/// and collect into `next` the vertices whose TAS trees the removals
+/// complete.
+fn wake_level(state: &State<'_>, frontier: &[u32], claimed: &mut Vec<u32>, next: &mut Vec<u32>) {
+    // Select this level. Vertices arriving here are never adjacent:
+    // a TAS-tree only completes when all higher-priority neighbors
+    // are removed, and a vertex being selected is not removed.
+    for &v in frontier {
+        let ok = state.status[v as usize]
+            .compare_exchange(UNDECIDED, SELECTED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok();
+        debug_assert!(ok, "TAS-tree completion implies undecided");
     }
+    claimed.clear();
+    claimed.par_extend(
+        frontier
+            .par_iter()
+            .flat_map_iter(|&v| state.g.neighbors(v).iter().copied())
+            .filter(|&u| {
+                // First claim of the removal processes it exactly once.
+                state.status[u as usize]
+                    .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            }),
+    );
+    next.par_extend(claimed.par_iter().flat_map_iter(|&u| removed(state, u)));
 }
 
 /// `u` just became unavailable: notify the TAS trees of all vertices `w`
@@ -290,7 +256,8 @@ impl<T> SyncSlice<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::api::{GraphPriorityInstance, GreedyMis};
+    use phase_parallel::{PhaseAlgorithm, RunConfig};
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
@@ -300,8 +267,8 @@ mod tests {
         b.add(0, 1);
         b.add(1, 2);
         b.add(0, 2);
-        let g = b.build();
-        let set = mis_tas(&g, &[5, 9, 1], &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(b.build(), vec![5, 9, 1]);
+        let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
         assert_eq!(set, vec![false, true, false]);
     }
 
@@ -311,18 +278,18 @@ mod tests {
         // (different schedules) must agree.
         let g = gen::rmat(10, 8192, 3);
         let pri = random_priorities(g.num_vertices(), 42);
-        let first = mis_tas(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, pri);
+        let first = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
         for _ in 0..5 {
-            assert_eq!(mis_tas(&g, &pri, &RunConfig::new()).output, first);
+            assert_eq!(GreedyMis.solve_par(&inst, &RunConfig::new()).output, first);
         }
     }
 
     #[test]
     fn high_degree_stress() {
         // Star-of-stars: deep wake chains through high-degree hubs.
-        let g = gen::star(5000);
-        let pri = random_priorities(5000, 7);
-        let set = mis_tas(&g, &pri, &RunConfig::new()).output;
-        assert!(super::super::is_maximal_independent(&g, &set));
+        let inst = GraphPriorityInstance::new(gen::star(5000), random_priorities(5000, 7));
+        let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+        assert!(super::super::is_maximal_independent(&inst.graph, &set));
     }
 }

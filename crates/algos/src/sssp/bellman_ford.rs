@@ -7,7 +7,7 @@
 //! representation adapts sparse↔dense as it grows and shrinks, and
 //! relaxation is split into edge-balanced packets.
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
@@ -15,26 +15,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shortest distances from `source` by round-synchronous relaxation,
 /// honoring the config's [`RunConfig::frontier`] representation pin and
-/// deadline (polled once per round). The report's `stats.rounds` counts
-/// relaxation rounds with per-round frontier sizes, and
-/// `"relaxations"` totals edge relaxations.
-pub fn bellman_ford(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    bellman_ford_core(g, source, &mut Scratch::new(), cfg)
-}
-
-/// Per-query prepared Bellman-Ford: source from [`RunConfig::source`],
-/// distance array and frontier engine recycled through `scratch`.
-/// Output is identical to [`bellman_ford`].
-pub fn bellman_ford_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    bellman_ford_core(g, prepared.source_for(cfg), scratch, cfg)
-}
-
-fn bellman_ford_core(
+/// deadline (polled once per round), with the distance array and
+/// frontier engine recycled through `scratch`. The report's
+/// `stats.rounds` counts relaxation rounds with per-round frontier
+/// sizes, and `"relaxations"` totals edge relaxations.
+pub(crate) fn bellman_ford(
     g: &Graph,
     source: u32,
     scratch: &mut Scratch,
@@ -125,8 +110,10 @@ fn bellman_ford_core(
 
 #[cfg(test)]
 mod tests {
+    use super::super::dijkstra;
     use super::*;
-    use phase_parallel::FrontierPolicy;
+    use crate::api::{BellmanFordSssp, SsspInstance};
+    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Solver};
     use pp_graph::GraphBuilder;
 
     #[test]
@@ -136,9 +123,9 @@ mod tests {
         b.add_weighted(1, 2, 1);
         b.add_weighted(2, 3, 1);
         b.add_weighted(0, 3, 10);
-        let g = b.build();
+        let inst = SsspInstance::new(b.build(), 0);
         assert_eq!(
-            bellman_ford(&g, 0, &RunConfig::new()).output,
+            BellmanFordSssp.solve_par(&inst, &RunConfig::new()).output,
             vec![0, 1, 2, 3]
         );
     }
@@ -146,32 +133,23 @@ mod tests {
     #[test]
     fn pinned_policies_agree() {
         let g = pp_graph::gen::uniform(400, 1600, 2);
-        let wg = pp_graph::gen::with_uniform_weights(&g, 1, 50, 3);
-        let prepared = PreparedSssp::new(&wg, 0);
-        let mut scratch = Scratch::new();
+        let inst = SsspInstance::new(pp_graph::gen::with_uniform_weights(&g, 1, 50, 3), 0);
+        let solver = Solver::new(BellmanFordSssp);
+        let mut prepared = solver.prepare(&inst);
         let pinned = |policy| RunConfig::new().with_frontier(policy);
-        let sparse = bellman_ford_prepared(
-            &wg,
-            &prepared,
-            &mut scratch,
-            &pinned(FrontierPolicy::Sparse),
-        );
-        let dense =
-            bellman_ford_prepared(&wg, &prepared, &mut scratch, &pinned(FrontierPolicy::Dense));
+        let sparse = prepared.solve_with(&pinned(FrontierPolicy::Sparse));
+        let dense = prepared.solve_with(&pinned(FrontierPolicy::Dense));
         assert_eq!(sparse.output, dense.output);
-        assert_eq!(
-            sparse.output,
-            bellman_ford(&wg, 0, &RunConfig::new()).output
-        );
+        assert_eq!(sparse.output, dijkstra(&inst.graph, 0));
     }
 
     #[test]
     fn tripped_token_yields_typed_outcome() {
         let g = pp_graph::gen::uniform(300, 1200, 4);
-        let wg = pp_graph::gen::with_uniform_weights(&g, 1, 50, 5);
+        let inst = SsspInstance::new(pp_graph::gen::with_uniform_weights(&g, 1, 50, 5), 0);
         let token = phase_parallel::CancelToken::new();
         token.cancel();
-        let report = bellman_ford(&wg, 0, &RunConfig::new().with_cancel_token(token));
+        let report = BellmanFordSssp.solve_par(&inst, &RunConfig::new().with_cancel_token(token));
         assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
         // Only the source has a distance: the run stopped before round 1.
         assert_eq!(report.output[0], 0);

@@ -27,15 +27,18 @@
 //! extraction and compaction run against its stamps — no per-round list
 //! reallocations) and settled batches relax in edge-balanced packets.
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shortest distances from `source` using the OUT-criterion relaxed rank.
-/// Unreachable vertices get [`INF`]. Requires a weighted graph with
-/// positive weights.
+/// Shortest distances from `source` using the OUT-criterion relaxed
+/// rank, given each vertex's minimum out-edge weight `mow` ([`INF`] for
+/// sinks — they constrain nothing, since no path continues through
+/// them). Unreachable vertices get [`INF`]. Requires a weighted graph
+/// with positive weights. The distance array, active set and batch
+/// buffers are recycled through `scratch`.
 ///
 /// The report's `stats.rounds` equals the maximum OUT-criterion relaxed
 /// rank, `stats.max_frontier()` the largest settled batch, and the
@@ -43,32 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// check: equals the number of edges out of reachable vertices). Honors
 /// the config's [`RunConfig::frontier`] representation pin and deadline
 /// (polled once per round).
-pub fn crauser_out(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    // mow[v]: minimum out-edge weight (INF for sinks — they constrain
-    // nothing, since no path continues through them).
-    let mow: Vec<u64> = (0..g.num_vertices() as u32)
-        .into_par_iter()
-        .map(|v| g.edge_weights(v).iter().copied().min().unwrap_or(INF))
-        .collect();
-    crauser_out_core(g, source, &mow, &mut Scratch::new(), cfg)
-}
-
-/// Per-query prepared OUT-criterion SSSP: the per-vertex minimum
-/// out-edge weights come precomputed from [`PreparedSssp::mow`]
-/// (skipping the one-shot version's `O(m)` rescan), the source from
-/// [`RunConfig::source`], and the distance array, active set and batch
-/// buffers are recycled through `scratch`. Output is identical to
-/// [`crauser_out`].
-pub fn crauser_out_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    crauser_out_core(g, prepared.source_for(cfg), &prepared.mow, scratch, cfg)
-}
-
-fn crauser_out_core(
+pub(crate) fn crauser_out(
     g: &Graph,
     source: u32,
     mow: &[u64],
@@ -175,19 +153,20 @@ fn crauser_out_core(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{dijkstra, sssp_phase_parallel};
+    use super::super::dijkstra;
     use super::*;
-    use phase_parallel::FrontierPolicy;
+    use crate::api::{CrauserSssp, DeltaSssp, SsspInstance};
+    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Solver};
     use pp_graph::{gen, GraphBuilder};
 
     #[test]
     fn agrees_with_dijkstra() {
         for seed in 0..5 {
             let g = gen::uniform(300, 1200, seed);
-            let wg = gen::with_uniform_weights(&g, 1, 1000, seed + 10);
+            let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1000, seed + 10), 0);
             assert_eq!(
-                crauser_out(&wg, 0, &RunConfig::new()).output,
-                dijkstra(&wg, 0),
+                CrauserSssp.solve_par(&inst, &RunConfig::new()).output,
+                dijkstra(&inst.graph, 0),
                 "seed={seed}"
             );
         }
@@ -196,26 +175,24 @@ mod tests {
     #[test]
     fn agrees_on_grid_and_rmat() {
         let g = gen::grid2d(18, 22);
-        let wg = gen::with_uniform_weights(&g, 3, 60, 2);
-        assert_eq!(
-            crauser_out(&wg, 5, &RunConfig::new()).output,
-            dijkstra(&wg, 5)
-        );
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 3, 60, 2), 5);
+        // `solve_checked` asserts equality with Dijkstra from the
+        // instance's source.
+        let solver = Solver::new(CrauserSssp);
+        solver.solve_checked(&inst);
 
         let g = gen::rmat(9, 4096, 11);
-        let wg = gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 12);
-        assert_eq!(
-            crauser_out(&wg, 0, &RunConfig::new()).output,
-            dijkstra(&wg, 0)
-        );
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 12), 0);
+        solver.solve_checked(&inst);
     }
 
     #[test]
     fn work_efficient_relaxations() {
         // Each reachable vertex's edges are relaxed exactly once.
         let g = gen::uniform(500, 2000, 7);
-        let wg = gen::with_uniform_weights(&g, 1, 100, 8);
-        let report = crauser_out(&wg, 0, &RunConfig::new());
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 100, 8), 0);
+        let wg = &inst.graph;
+        let report = CrauserSssp.solve_par(&inst, &RunConfig::new());
         let d = &report.output;
         let want: u64 = (0..wg.num_vertices() as u32)
             .filter(|&v| d[v as usize] != INF)
@@ -230,8 +207,8 @@ mod tests {
         // settles every active vertex within one edge of the boundary —
         // but more interestingly, on a star all leaves settle in round 2.
         let g = gen::star(100);
-        let wg = gen::with_uniform_weights(&g, 10, 10, 1);
-        let report = crauser_out(&wg, 0, &RunConfig::new());
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 10, 10, 1), 0);
+        let report = CrauserSssp.solve_par(&inst, &RunConfig::new());
         assert!(report.output[1..].iter().all(|&x| x == 10));
         assert_eq!(report.stats.rounds, 2);
         assert_eq!(report.stats.max_frontier(), 99);
@@ -240,34 +217,26 @@ mod tests {
     #[test]
     fn rounds_never_exceed_settled_vertices() {
         let g = gen::uniform(400, 1600, 3);
-        let wg = gen::with_uniform_weights(&g, 1, 1 << 20, 4);
-        let report = crauser_out(&wg, 0, &RunConfig::new());
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1 << 20, 4), 0);
+        let report = CrauserSssp.solve_par(&inst, &RunConfig::new());
         let d = report.output;
         let reachable = d.iter().filter(|&&x| x != INF).count();
         assert!(report.stats.rounds <= reachable);
         // And agrees with the phase-parallel Δ = w* algorithm.
-        assert_eq!(d, sssp_phase_parallel(&wg, 0).output);
+        assert_eq!(d, DeltaSssp.solve_par(&inst, &RunConfig::new()).output);
     }
 
     #[test]
     fn pinned_policies_agree() {
         let g = gen::rmat(8, 2048, 6);
-        let wg = gen::with_uniform_weights(&g, 1, 1 << 12, 7);
-        let prepared = PreparedSssp::new(&wg, 0);
-        let mut scratch = Scratch::new();
-        let sparse = crauser_out_prepared(
-            &wg,
-            &prepared,
-            &mut scratch,
-            &RunConfig::new().with_frontier(FrontierPolicy::Sparse),
-        );
-        let dense = crauser_out_prepared(
-            &wg,
-            &prepared,
-            &mut scratch,
-            &RunConfig::new().with_frontier(FrontierPolicy::Dense),
-        );
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1 << 12, 7), 0);
+        let solver = Solver::new(CrauserSssp);
+        let mut prepared = solver.prepare(&inst);
+        let pinned = |policy| RunConfig::new().with_frontier(policy);
+        let sparse = prepared.solve_with(&pinned(FrontierPolicy::Sparse));
+        let dense = prepared.solve_with(&pinned(FrontierPolicy::Dense));
         assert_eq!(sparse.output, dense.output);
+        assert_eq!(sparse.output, dijkstra(&inst.graph, 0));
         assert_eq!(sparse.stats.rounds, dense.stats.rounds);
     }
 
@@ -276,13 +245,16 @@ mod tests {
         let mut b = GraphBuilder::new(4).symmetric().weighted();
         b.add_weighted(0, 1, 5);
         b.add_weighted(2, 3, 7);
-        let g = b.build();
+        let inst = SsspInstance::new(b.build(), 0);
         assert_eq!(
-            crauser_out(&g, 0, &RunConfig::new()).output,
+            CrauserSssp.solve_par(&inst, &RunConfig::new()).output,
             vec![0, 5, INF, INF]
         );
 
-        let g1 = GraphBuilder::new(1).weighted().build();
-        assert_eq!(crauser_out(&g1, 0, &RunConfig::new()).output, vec![0]);
+        let single = SsspInstance::new(GraphBuilder::new(1).weighted().build(), 0);
+        assert_eq!(
+            CrauserSssp.solve_par(&single, &RunConfig::new()).output,
+            vec![0]
+        );
     }
 }

@@ -19,15 +19,18 @@
 //! through [`Scratch`], so prepared queries allocate nothing in steady
 //! state.
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Δ-stepping from `source` with bucket width `cfg.delta`; when unset,
-/// Δ defaults to w* — the paper's phase-parallel relaxed rank
-/// (Theorem 4.5). Panics on unweighted graphs with edges.
+/// Δ-stepping from `source` with bucket width `delta` (the
+/// [`DeltaSssp`](crate::api::DeltaSssp) query passes `cfg.delta`, or
+/// w* — the paper's phase-parallel relaxed rank, Theorem 4.5 — when it
+/// is unset). Panics on unweighted graphs with edges. The distance
+/// arrays, bucket queue and frontier engine are recycled through
+/// `scratch`.
 ///
 /// The report's `stats.rounds` counts non-empty buckets drained
 /// (≈ the relaxed rank of the instance when Δ = w*), with per-bucket
@@ -36,30 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// `"relaxations"` (total edge relaxations, the work driver — compare
 /// with `m` for work-efficiency), and the frontier engine's
 /// `"dense_substeps"` / `"sparse_substeps"` representation split.
-pub fn delta_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    // Default Δ = w*; an edgeless graph has no w*, and any Δ ≥ 1 works.
-    let delta = cfg
-        .delta
-        .unwrap_or_else(|| g.min_weight().unwrap_or(1).max(1));
-    delta_stepping_core(g, source, delta, &mut Scratch::new(), cfg)
-}
-
-/// The per-query half of prepared Δ-stepping: Δ defaults to the
-/// precomputed `w_star` (no weight rescan), the source comes from
-/// [`RunConfig::source`], and the distance arrays, bucket queue and
-/// frontier engine are recycled through `scratch`. Output is identical
-/// to [`delta_stepping`] under the same configuration.
-pub fn delta_stepping_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    let delta = cfg.delta.unwrap_or(prepared.w_star);
-    delta_stepping_core(g, prepared.source_for(cfg), delta, scratch, cfg)
-}
-
-fn delta_stepping_core(
+pub(crate) fn delta_stepping(
     g: &Graph,
     source: u32,
     delta: u64,
@@ -259,8 +239,13 @@ fn delta_stepping_core(
 
 #[cfg(test)]
 mod tests {
+    use super::super::{dijkstra, PreparedSssp};
     use super::*;
-    use phase_parallel::{CancelToken, FrontierPolicy};
+    use crate::api::{
+        BellmanFordSssp, CrauserSssp, DeltaSssp, DijkstraSssp, PamSssp, RhoSssp, SsspInstance,
+    };
+    use phase_parallel::FrontierPolicy::{Dense, Sparse};
+    use phase_parallel::{CancelToken, PhaseAlgorithm};
     use pp_graph::{gen, GraphBuilder};
 
     fn with_delta(delta: u64) -> RunConfig {
@@ -271,20 +256,20 @@ mod tests {
     fn large_delta_behaves_like_bellman_ford() {
         // Δ ≥ max distance → a single bucket.
         let g = gen::grid2d(10, 10);
-        let wg = gen::with_uniform_weights(&g, 1, 10, 1);
-        let report = delta_stepping(&wg, 0, &with_delta(1 << 40));
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 10, 1), 0);
+        let report = DeltaSssp.solve_par(&inst, &with_delta(1 << 40));
         assert_eq!(report.stats.rounds, 1);
-        assert_eq!(report.output[99], super::super::dijkstra(&wg, 0)[99]);
+        assert_eq!(report.output[99], dijkstra(&inst.graph, 0)[99]);
     }
 
     #[test]
     fn small_delta_many_buckets_fewer_relaxations() {
         let g = gen::uniform(500, 4000, 2);
-        let wg = gen::with_uniform_weights(&g, 100, 200, 3);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 100, 200, 3), 0);
         // Δ = w*: work-efficient — relaxation count close to m.
-        let tight = delta_stepping(&wg, 0, &with_delta(100)).stats;
+        let tight = DeltaSssp.solve_par(&inst, &with_delta(100)).stats;
         // Huge Δ: Bellman-Ford-ish — strictly more relaxations.
-        let loose = delta_stepping(&wg, 0, &with_delta(1 << 40)).stats;
+        let loose = DeltaSssp.solve_par(&inst, &with_delta(1 << 40)).stats;
         assert!(
             tight.counter("relaxations") <= loose.counter("relaxations"),
             "tight {:?} loose {:?}",
@@ -297,9 +282,9 @@ mod tests {
     #[test]
     fn default_delta_is_w_star() {
         let g = gen::uniform(200, 900, 5);
-        let wg = gen::with_uniform_weights(&g, 7, 60, 6);
-        let explicit = delta_stepping(&wg, 0, &with_delta(7));
-        let default = delta_stepping(&wg, 0, &RunConfig::new());
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 7, 60, 6), 0);
+        let explicit = DeltaSssp.solve_par(&inst, &with_delta(7));
+        let default = DeltaSssp.solve_par(&inst, &RunConfig::new());
         assert_eq!(default.output, explicit.output);
         assert_eq!(default.stats.rounds, explicit.stats.rounds);
     }
@@ -307,19 +292,51 @@ mod tests {
     #[test]
     fn prepared_matches_one_shot_and_reuses_buffers() {
         let g = gen::uniform(300, 1200, 8);
-        let wg = gen::with_uniform_weights(&g, 1, 500, 9);
-        let prepared = PreparedSssp::new(&wg, 0);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 500, 9), 0);
+        let prepared = PreparedSssp::new(&inst.graph, 0);
         let mut scratch = Scratch::new();
         for (i, &src) in [0u32, 5, 123].iter().enumerate() {
             let cfg = RunConfig::seeded(1).with_source(src);
-            let from_prepared = delta_stepping_prepared(&wg, &prepared, &mut scratch, &cfg);
-            let one_shot = delta_stepping(&wg, src, &RunConfig::seeded(1));
-            assert_eq!(from_prepared.output, one_shot.output, "source {src}");
+            let from_prepared = DeltaSssp.solve_prepared(&inst, &prepared, &mut scratch, &cfg);
+            let one_shot = DeltaSssp.solve_par(&inst, &cfg);
+            let want = dijkstra(&inst.graph, src);
+            assert_eq!(from_prepared.output, want, "source {src}");
             assert_eq!(from_prepared.stats.rounds, one_shot.stats.rounds);
             if i > 0 {
                 // Distance arrays, bucket queue and frontier engine all
                 // came back recycled.
                 assert!(scratch.reuses() >= 3, "reuses {}", scratch.reuses());
+            }
+        }
+        // Every SSSP member against the same prepared instance and the
+        // same (now warm, interleaved) workspace, per source and under
+        // mixed knobs: each answer must be Dijkstra's at that source,
+        // an independent check of the prepared w* and `mow`.
+        type Member =
+            dyn PhaseAlgorithm<Input = SsspInstance, Output = Vec<u64>, Prepared = PreparedSssp>;
+        let family: [&Member; 6] = [
+            &DeltaSssp,
+            &RhoSssp,
+            &CrauserSssp,
+            &PamSssp,
+            &BellmanFordSssp,
+            &DijkstraSssp,
+        ];
+        let queries = [
+            (0u32, RunConfig::seeded(2)),
+            (5, with_delta(1).with_frontier(Sparse)),
+            (123, with_delta(64).with_rho(1)),
+            (299, with_delta(1 << 20).with_frontier(Dense)),
+            (42, RunConfig::new().with_rho(8).with_frontier(Dense)),
+            (200, RunConfig::new().with_rho(1 << 20)),
+            (77, with_delta(3).with_rho(2).with_frontier(Sparse)),
+        ];
+        for (src, cfg) in queries {
+            let want = dijkstra(&inst.graph, src);
+            let cfg = cfg.with_source(src);
+            for algo in family {
+                let got = algo.solve_prepared(&inst, &prepared, &mut scratch, &cfg);
+                assert_eq!(got.output, want, "{} from source {src}", algo.name());
             }
         }
     }
@@ -330,24 +347,16 @@ mod tests {
         // parked buffer: the inner loop performs no steady-state scratch
         // allocations (the no-sort/no-alloc acceptance criterion).
         let g = gen::rmat(9, 4096, 4);
-        let wg = gen::with_uniform_weights(&g, 1 << 4, 1 << 10, 5);
-        let prepared = PreparedSssp::new(&wg, 0);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 4, 1 << 10, 5), 0);
+        let prepared = PreparedSssp::new(&inst.graph, 0);
         let mut scratch = Scratch::new();
         for &src in &[0u32, 17, 99] {
-            delta_stepping_prepared(
-                &wg,
-                &prepared,
-                &mut scratch,
-                &RunConfig::new().with_source(src),
-            );
+            let cfg = RunConfig::new().with_source(src);
+            DeltaSssp.solve_prepared(&inst, &prepared, &mut scratch, &cfg);
         }
         let (takes, reuses) = (scratch.takes(), scratch.reuses());
-        delta_stepping_prepared(
-            &wg,
-            &prepared,
-            &mut scratch,
-            &RunConfig::new().with_source(311),
-        );
+        let cfg = RunConfig::new().with_source(311);
+        DeltaSssp.solve_prepared(&inst, &prepared, &mut scratch, &cfg);
         assert_eq!(
             scratch.takes() - takes,
             scratch.reuses() - reuses,
@@ -360,17 +369,12 @@ mod tests {
         for seed in 0..3 {
             let g = gen::rmat(8, 2048, seed);
             let wg = gen::with_uniform_weights(&g, 1 << 10, 1 << 16, seed + 7);
-            let sparse = delta_stepping(
-                &wg,
-                0,
-                &RunConfig::new().with_frontier(FrontierPolicy::Sparse),
-            );
-            let dense = delta_stepping(
-                &wg,
-                0,
-                &RunConfig::new().with_frontier(FrontierPolicy::Dense),
-            );
+            let inst = SsspInstance::new(wg, 0);
+            let pinned = |policy| RunConfig::new().with_frontier(policy);
+            let sparse = DeltaSssp.solve_par(&inst, &pinned(Sparse));
+            let dense = DeltaSssp.solve_par(&inst, &pinned(Dense));
             assert_eq!(sparse.output, dense.output, "seed {seed}");
+            assert_eq!(sparse.output, dijkstra(&inst.graph, 0), "seed {seed}");
             assert_eq!(sparse.stats.rounds, dense.stats.rounds);
             assert_eq!(
                 sparse.stats.counter("substeps"),
@@ -384,22 +388,21 @@ mod tests {
     #[test]
     fn tripped_token_is_typed_and_generous_deadline_is_invisible() {
         let g = gen::uniform(500, 2000, 11);
-        let wg = gen::with_uniform_weights(&g, 1, 1000, 12);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1000, 12), 0);
         // Pre-tripped token: the run stops at the first substep poll
         // and says so in the outcome instead of panicking or spinning.
         let token = CancelToken::new();
         token.cancel();
-        let report = delta_stepping(&wg, 0, &RunConfig::new().with_cancel_token(token));
+        let report = DeltaSssp.solve_par(&inst, &RunConfig::new().with_cancel_token(token));
         assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
         assert!(!report.is_complete());
         // Generous deadline: polling is observation-free, output and
         // outcome match the no-deadline run exactly.
-        let generous = delta_stepping(
-            &wg,
-            0,
+        let generous = DeltaSssp.solve_par(
+            &inst,
             &RunConfig::new().with_deadline(std::time::Duration::from_secs(3600)),
         );
-        let plain = delta_stepping(&wg, 0, &RunConfig::new());
+        let plain = DeltaSssp.solve_par(&inst, &RunConfig::new());
         assert!(generous.is_complete());
         assert_eq!(generous.output, plain.output);
         assert_eq!(generous.stats.rounds, plain.stats.rounds);
@@ -413,8 +416,8 @@ mod tests {
         b.add_weighted(0, 2, 100);
         b.add_weighted(0, 1, 30);
         b.add_weighted(1, 2, 30);
-        let g = b.build();
-        let d = delta_stepping(&g, 0, &with_delta(10)).output;
+        let inst = SsspInstance::new(b.build(), 0);
+        let d = DeltaSssp.solve_par(&inst, &with_delta(10)).output;
         assert_eq!(d, vec![0, 30, 60]);
     }
 }

@@ -3,7 +3,7 @@
 //! sequential iterative algorithm the phase-parallel version
 //! parallelizes.
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use std::cmp::Reverse;
@@ -19,27 +19,14 @@ pub fn dijkstra(g: &Graph, source: u32) -> Vec<u64> {
     dijkstra_core(g, source, &mut Scratch::new(), &RunConfig::new()).output
 }
 
-/// Per-query prepared Dijkstra — the sequential engine for serving
-/// point queries from a prepared instance: source from
-/// [`RunConfig::source`], heap storage recycled through `scratch`.
-/// Output is identical to [`dijkstra`]. The heap loop polls the
-/// query's [`RunConfig::cancel`] token every `POLL_EVERY` (1024) settled
-/// vertices; a trip returns the partial distance array (settled
-/// vertices exact, the rest upper bounds or [`INF`]) under
-/// `RunOutcome::DeadlineExceeded`.
-pub fn dijkstra_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    dijkstra_core(g, prepared.source_for(cfg), scratch, cfg)
-}
-
 /// Runs Dijkstra drawing the heap's backing storage from `scratch`. The
 /// distance array is *moved* into the return value: it is the query's
 /// output, so cloning it just to park a copy (as an earlier revision
-/// did) would be a redundant `O(n)` copy per query.
+/// did) would be a redundant `O(n)` copy per query. The heap loop polls
+/// the query's [`RunConfig::cancel`] token every `POLL_EVERY` (1024)
+/// settled vertices; a trip returns the partial distance array (settled
+/// vertices exact, the rest upper bounds or [`INF`]) under
+/// `RunOutcome::DeadlineExceeded`.
 pub(crate) fn dijkstra_core(
     g: &Graph,
     source: u32,

@@ -8,14 +8,14 @@
 //! Δ = w\** (the paper's observation, tested in Fig. 6).
 //!
 //! * [`dijkstra`] — the sequential work-efficient baseline.
-//! * [`bellman_ford`] — the parallel work-inefficient baseline.
-//! * [`delta_stepping`] — bucketed Δ-stepping; `delta = w*` gives the
-//!   phase-parallel algorithm of Theorem 4.5.
-//! * [`sssp_phase_parallel`] — the Δ = w* instantiation.
-//! * [`rho_stepping`] — the count-based stepping of the paper's \[39\],
-//!   the implementation family Fig. 6 is measured with.
-//! * [`crauser_out`] — Crauser et al.'s OUT-criterion \[31\], the
-//!   alternative relaxed rank §4.3 points at.
+//! * [`BellmanFordSssp`](crate::api::BellmanFordSssp) — the parallel
+//!   work-inefficient baseline.
+//! * [`DeltaSssp`](crate::api::DeltaSssp) — bucketed Δ-stepping; the
+//!   default Δ = w* gives the phase-parallel algorithm of Theorem 4.5.
+//! * [`RhoSssp`](crate::api::RhoSssp) — the count-based stepping of the
+//!   paper's \[39\], the implementation family Fig. 6 is measured with.
+//! * [`CrauserSssp`](crate::api::CrauserSssp) — Crauser et al.'s
+//!   OUT-criterion \[31\], the alternative relaxed rank §4.3 points at.
 
 mod bellman_ford;
 mod crauser;
@@ -24,15 +24,16 @@ mod dijkstra;
 mod pam_dijkstra;
 mod rho_stepping;
 
-pub use bellman_ford::{bellman_ford, bellman_ford_prepared};
-pub use crauser::{crauser_out, crauser_out_prepared};
-pub use delta_stepping::{delta_stepping, delta_stepping_prepared};
+pub(crate) use bellman_ford::bellman_ford;
+pub(crate) use crauser::crauser_out;
+pub(crate) use delta_stepping::delta_stepping;
+pub use dijkstra::dijkstra;
 pub(crate) use dijkstra::dijkstra_core;
-pub use dijkstra::{dijkstra, dijkstra_prepared};
-pub use pam_dijkstra::{sssp_pam, sssp_pam_prepared};
-pub use rho_stepping::{rho_stepping, rho_stepping_prepared, DEFAULT_RHO};
+pub(crate) use pam_dijkstra::sssp_pam;
+pub(crate) use rho_stepping::rho_stepping;
+pub use rho_stepping::DEFAULT_RHO;
 
-use phase_parallel::{Report, RunConfig};
+use phase_parallel::RunConfig;
 use pp_graph::Graph;
 use rayon::prelude::*;
 
@@ -75,28 +76,18 @@ where
     total
 }
 
-/// The paper's phase-parallel SSSP: Δ-stepping with Δ = w*
-/// (Theorem 4.5). Panics on unweighted or edgeless graphs.
-pub fn sssp_phase_parallel(g: &Graph, source: u32) -> Report<Vec<u64>> {
-    let w_star = g.min_weight().expect("weighted graph required").max(1);
-    delta_stepping(g, source, &RunConfig::new().with_delta(w_star))
-}
-
 /// The amortized SSSP instance shared by the whole family: everything
 /// that depends on the *graph* alone is computed here once, so each
-/// per-source query (`*_prepared`) starts straight at the rounds.
+/// per-source query (`solve_prepared`) starts straight at the rounds.
 ///
 /// * `w_star` — the minimum edge weight, Δ-stepping's default bucket
-///   width (Theorem 4.5) and the PA-BST algorithm's window width; a
-///   one-shot solve rescans all `m` weights for it on every call.
+///   width (Theorem 4.5) and the PA-BST algorithm's window width.
 /// * `mow` — per-vertex minimum out-edge weight, the OUT-criterion's
-///   settling threshold input (Crauser et al.); again an `O(m)` scan a
-///   one-shot [`crauser_out`] repeats per call.
+///   settling threshold input (Crauser et al.).
 ///
-/// The query-time source comes from [`RunConfig::source`], falling back
-/// to the instance's own `source`. The graph itself is not held: every
-/// `*_prepared` query takes the graph this was built from as its first
-/// argument.
+/// Both are `O(m)` scans, paid once per prepared instance (a one-shot
+/// `solve_par` prepares too). The query-time source comes from
+/// [`RunConfig::source`], falling back to the instance's own `source`.
 pub struct PreparedSssp {
     /// Default source when a query does not override it.
     pub source: u32,
@@ -137,17 +128,21 @@ impl PreparedSssp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{BellmanFordSssp, DeltaSssp, SsspInstance};
+    use phase_parallel::PhaseAlgorithm;
     use pp_graph::gen;
 
-    fn check_all_agree(g: &Graph, source: u32) {
-        let d1 = dijkstra(g, source);
-        let d2 = bellman_ford(g, source, &RunConfig::new()).output;
+    fn check_all_agree(inst: &SsspInstance, source: u32) {
+        let cfg = RunConfig::new().with_source(source);
+        let d1 = dijkstra(&inst.graph, source);
+        let d2 = BellmanFordSssp.solve_par(inst, &cfg).output;
         assert_eq!(d1, d2, "dijkstra vs bellman-ford");
         for delta in [1u64, 7, 1 << 10, 1 << 20] {
-            let d3 = delta_stepping(g, source, &RunConfig::new().with_delta(delta)).output;
-            assert_eq!(d1, d3, "dijkstra vs delta={delta}");
+            let d3 = DeltaSssp.solve_par(inst, &cfg.clone().with_delta(delta));
+            assert_eq!(d1, d3.output, "dijkstra vs delta={delta}");
         }
-        assert_eq!(d1, sssp_phase_parallel(g, source).output);
+        // Default Δ = w*: the paper's phase-parallel SSSP (Theorem 4.5).
+        assert_eq!(d1, DeltaSssp.solve_par(inst, &cfg).output);
     }
 
     #[test]
@@ -155,23 +150,23 @@ mod tests {
         for seed in 0..5 {
             let g = gen::uniform(300, 1200, seed);
             let wg = gen::with_uniform_weights(&g, 1, 1000, seed + 100);
-            check_all_agree(&wg, 0);
+            check_all_agree(&SsspInstance::new(wg, 0), 0);
         }
     }
 
     #[test]
     fn agree_on_grid() {
         let g = gen::grid2d(20, 30);
-        let wg = gen::with_uniform_weights(&g, 5, 50, 3);
-        check_all_agree(&wg, 0);
-        check_all_agree(&wg, 599);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 5, 50, 3), 0);
+        check_all_agree(&inst, 0);
+        check_all_agree(&inst, 599);
     }
 
     #[test]
     fn agree_on_rmat() {
         let g = gen::rmat(9, 4096, 17);
         let wg = gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 18);
-        check_all_agree(&wg, 0);
+        check_all_agree(&SsspInstance::new(wg, 0), 0);
     }
 
     #[test]
@@ -180,12 +175,15 @@ mod tests {
         let mut b = pp_graph::GraphBuilder::new(4).symmetric().weighted();
         b.add_weighted(0, 1, 5);
         b.add_weighted(2, 3, 7);
-        let g = b.build();
-        let d = dijkstra(&g, 0);
+        let inst = SsspInstance::new(b.build(), 0);
+        let d = dijkstra(&inst.graph, 0);
         assert_eq!(d, vec![0, 5, INF, INF]);
-        let d2 = delta_stepping(&g, 0, &RunConfig::new().with_delta(5)).output;
-        assert_eq!(d2, d);
-        assert_eq!(bellman_ford(&g, 0, &RunConfig::new()).output, d);
+        let d2 = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(5));
+        assert_eq!(d2.output, d);
+        assert_eq!(
+            BellmanFordSssp.solve_par(&inst, &RunConfig::new()).output,
+            d
+        );
     }
 
     #[test]
@@ -197,8 +195,8 @@ mod tests {
         for i in 0..n - 1 {
             b.add_weighted(i as u32, i as u32 + 1, 10);
         }
-        let g = b.build();
-        let report = delta_stepping(&g, 0, &RunConfig::new().with_delta(10));
+        let inst = SsspInstance::new(b.build(), 0);
+        let report = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(10));
         assert_eq!(report.output[n - 1], 10 * (n as u64 - 1));
         // Relaxed rank = d_max / w* = 49.
         assert_eq!(report.stats.rounds, 49 + 1); // bucket 0 included
@@ -206,9 +204,9 @@ mod tests {
 
     #[test]
     fn single_vertex() {
-        let g = pp_graph::GraphBuilder::new(1).weighted().build();
-        assert_eq!(dijkstra(&g, 0), vec![0]);
-        let d = delta_stepping(&g, 0, &RunConfig::new().with_delta(1)).output;
-        assert_eq!(d, vec![0]);
+        let inst = SsspInstance::new(pp_graph::GraphBuilder::new(1).weighted().build(), 0);
+        assert_eq!(dijkstra(&inst.graph, 0), vec![0]);
+        let d = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(1));
+        assert_eq!(d.output, vec![0]);
     }
 }

@@ -9,44 +9,27 @@
 //! delete+insert — `O(|E| log |V|)` work and `O(rank(V) log |V|)` span,
 //! with `rank(V) = d_max / w*`.
 //!
-//! The array-backed [`super::delta_stepping`] with Δ = w* is the
+//! The array-backed Δ-stepping with Δ = w* is the
 //! practical equivalent (§6.3 footnote: "almost none of the parallel
 //! SSSP implementations uses tree-based structures ... due to their
 //! worse cache locality than flat arrays"); both are kept so the
 //! flat-vs-tree contrast is measurable here too.
 
-use super::{PreparedSssp, INF};
-use phase_parallel::{ExecutionStats, Report, RunConfig, RunOutcome, Scratch};
+use super::INF;
+use phase_parallel::{ExecutionStats, Report, RunConfig, RunOutcome};
 use pp_graph::Graph;
 use pp_pam::{AugTree, NoAug};
 use rayon::prelude::*;
 
-/// Phase-parallel Dijkstra on a PA-BST. The report's `stats.rounds`
-/// counts settled `w*`-wide windows, with per-window frontier sizes in
-/// `frontier_sizes`. Panics on unweighted graphs with edges.
+/// Phase-parallel Dijkstra on a PA-BST, settling `w_star`-wide
+/// windows. The report's `stats.rounds` counts settled windows, with
+/// per-window frontier sizes in `frontier_sizes`. Panics on unweighted
+/// graphs with edges.
 ///
 /// The window loop polls the config's deadline each round; a trip
 /// returns the partial distances (settled windows exact, the rest
 /// tentative or [`INF`]) under `RunOutcome::DeadlineExceeded`.
-pub fn sssp_pam(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    let w_star = g.min_weight().unwrap_or(1).max(1);
-    sssp_pam_core(g, source, w_star, cfg)
-}
-
-/// Per-query prepared PA-BST SSSP: the window width w* comes
-/// precomputed from [`PreparedSssp::w_star`] (no per-call weight scan)
-/// and the source from [`RunConfig::source`]. Output is identical to
-/// [`sssp_pam`].
-pub fn sssp_pam_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    _scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    sssp_pam_core(g, prepared.source_for(cfg), prepared.w_star, cfg)
-}
-
-fn sssp_pam_core(g: &Graph, source: u32, w_star: u64, cfg: &RunConfig) -> Report<Vec<u64>> {
+pub(crate) fn sssp_pam(g: &Graph, source: u32, w_star: u64, cfg: &RunConfig) -> Report<Vec<u64>> {
     let n = g.num_vertices();
     // The distance array is the output: filled in place and moved into
     // the report (no clone-and-park round trip).
@@ -114,18 +97,20 @@ fn sssp_pam_core(g: &Graph, source: u32, w_star: u64, cfg: &RunConfig) -> Report
 
 #[cfg(test)]
 mod tests {
-    use super::super::{delta_stepping, dijkstra};
+    use super::super::dijkstra;
     use super::*;
+    use crate::api::{DeltaSssp, PamSssp, SsspInstance};
+    use phase_parallel::PhaseAlgorithm;
     use pp_graph::gen;
 
     #[test]
     fn matches_dijkstra_on_random_graphs() {
         for seed in 0..4 {
             let g = gen::uniform(400, 1600, seed);
-            let wg = gen::with_uniform_weights(&g, 10, 500, seed + 9);
+            let inst = SsspInstance::new(gen::with_uniform_weights(&g, 10, 500, seed + 9), 0);
             assert_eq!(
-                sssp_pam(&wg, 0, &RunConfig::new()).output,
-                dijkstra(&wg, 0),
+                PamSssp.solve_par(&inst, &RunConfig::new()).output,
+                dijkstra(&inst.graph, 0),
                 "seed {seed}"
             );
         }
@@ -135,9 +120,9 @@ mod tests {
     fn rounds_match_delta_stepping_buckets() {
         // Same windowing: rounds ≈ Δ-stepping's bucket count at Δ = w*.
         let g = gen::grid2d(20, 20);
-        let wg = gen::with_uniform_weights(&g, 100, 150, 1);
-        let pam = sssp_pam(&wg, 0, &RunConfig::new());
-        let delta = delta_stepping(&wg, 0, &RunConfig::new().with_delta(100));
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 100, 150, 1), 0);
+        let pam = PamSssp.solve_par(&inst, &RunConfig::new());
+        let delta = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(100));
         assert_eq!(pam.output, delta.output);
         // Both settle w*-wide windows; counts agree up to empty windows.
         let rounds = pam.stats.rounds;
@@ -148,8 +133,8 @@ mod tests {
 
     #[test]
     fn single_vertex_and_disconnected() {
-        let g = pp_graph::GraphBuilder::new(3).weighted().build();
-        let report = sssp_pam(&g, 1, &RunConfig::new());
+        let inst = SsspInstance::new(pp_graph::GraphBuilder::new(3).weighted().build(), 1);
+        let report = PamSssp.solve_par(&inst, &RunConfig::new());
         assert_eq!(report.output, vec![INF, 0, INF]);
         assert_eq!(report.stats.rounds, 1);
     }

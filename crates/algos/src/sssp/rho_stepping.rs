@@ -6,7 +6,7 @@
 //! work-vs-parallelism tradeoff curve that the relaxed rank formalizes:
 //! Δ-stepping widens each round by *distance*, ρ-stepping widens it by
 //! *count*. We implement ρ-stepping so the tradeoff can be benchmarked
-//! against `delta_stepping` with Δ = w* (the phase-parallel choice).
+//! against Δ-stepping with Δ = w* (the phase-parallel choice).
 //!
 //! Algorithm: keep a pool of *active* vertices (tentative distance
 //! improved since last processed). Each step extracts the ρ active
@@ -23,7 +23,7 @@
 //! extraction is a stamp-`retain`, and batch relaxation runs in
 //! edge-balanced packets. All buffers recycle through [`Scratch`].
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use rayon::prelude::*;
@@ -35,31 +35,16 @@ pub const DEFAULT_RHO: usize = 4096;
 
 /// Shortest distances from `source` by ρ-stepping with batch size
 /// `cfg.rho` (default [`DEFAULT_RHO`]). Unreachable vertices get
-/// [`INF`]. Requires a weighted graph; `rho == 0` is rejected.
+/// [`INF`]. Requires a weighted graph; `rho == 0` is rejected. The
+/// distance array, active pool and batch buffers are recycled through
+/// `scratch`.
 ///
 /// The report's `stats.rounds` counts steps (each processes ≤ ρ
 /// vertices plus ties) with per-step batch sizes in `frontier_sizes`
 /// (so `stats.processed()` totals vertex processings, re-processing
 /// included); the `"relaxations"` counter is the work proxy (`/ m`
 /// measures the overhead vs Dijkstra's exactly-once relaxation).
-pub fn rho_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
-    rho_stepping_core(g, source, &mut Scratch::new(), cfg)
-}
-
-/// Per-query prepared ρ-stepping: source from [`RunConfig::source`],
-/// distance array, active pool and batch buffers recycled through
-/// `scratch`. Output is identical to [`rho_stepping`] under the same
-/// configuration.
-pub fn rho_stepping_prepared(
-    g: &Graph,
-    prepared: &PreparedSssp,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> Report<Vec<u64>> {
-    rho_stepping_core(g, prepared.source_for(cfg), scratch, cfg)
-}
-
-fn rho_stepping_core(
+pub(crate) fn rho_stepping(
     g: &Graph,
     source: u32,
     scratch: &mut Scratch,
@@ -167,17 +152,18 @@ fn rho_stepping_core(
 mod tests {
     use super::super::dijkstra;
     use super::*;
-    use phase_parallel::FrontierPolicy;
+    use crate::api::{RhoSssp, SsspInstance};
+    use phase_parallel::{FrontierPolicy, PhaseAlgorithm};
     use pp_graph::{gen, GraphBuilder};
 
     fn with_rho(rho: usize) -> RunConfig {
         RunConfig::new().with_rho(rho)
     }
 
-    fn check(g: &Graph, source: u32) {
-        let want = dijkstra(g, source);
+    fn check(inst: &SsspInstance) {
+        let want = dijkstra(&inst.graph, inst.source);
         for rho in [1usize, 2, 16, 1 << 20] {
-            let got = rho_stepping(g, source, &with_rho(rho)).output;
+            let got = RhoSssp.solve_par(inst, &with_rho(rho)).output;
             assert_eq!(got, want, "rho={rho}");
         }
     }
@@ -187,10 +173,13 @@ mod tests {
         for seed in 0..4 {
             let g = gen::uniform(250, 1000, seed);
             let wg = gen::with_uniform_weights(&g, 1, 1000, seed + 50);
-            check(&wg, 0);
+            check(&SsspInstance::new(wg, 0));
         }
         let g = gen::grid2d(15, 20);
-        check(&gen::with_uniform_weights(&g, 5, 50, 9), 7);
+        check(&SsspInstance::new(
+            gen::with_uniform_weights(&g, 5, 50, 9),
+            7,
+        ));
     }
 
     #[test]
@@ -198,8 +187,8 @@ mod tests {
         let mut b = GraphBuilder::new(4).symmetric().weighted();
         b.add_weighted(0, 1, 5);
         b.add_weighted(2, 3, 7);
-        let g = b.build();
-        let d = rho_stepping(&g, 0, &with_rho(4)).output;
+        let inst = SsspInstance::new(b.build(), 0);
+        let d = RhoSssp.solve_par(&inst, &with_rho(4)).output;
         assert_eq!(d, vec![0, 5, INF, INF]);
     }
 
@@ -208,10 +197,11 @@ mod tests {
         // ρ = 1 processes vertices in exact distance order → every vertex
         // processed once (Dijkstra), m relaxations total.
         let g = gen::uniform(400, 1600, 3);
-        let wg = gen::with_uniform_weights(&g, 1, 1_000_000, 4);
-        let report = rho_stepping(&wg, 0, &with_rho(1));
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1_000_000, 4), 0);
+        let wg = &inst.graph;
+        let report = RhoSssp.solve_par(&inst, &with_rho(1));
         let d = &report.output;
-        assert_eq!(*d, dijkstra(&wg, 0));
+        assert_eq!(*d, dijkstra(wg, 0));
         let reachable_edges: u64 = (0..wg.num_vertices() as u32)
             .filter(|&v| d[v as usize] != INF)
             .map(|v| wg.degree(v) as u64)
@@ -222,9 +212,9 @@ mod tests {
     #[test]
     fn large_rho_fewer_steps() {
         let g = gen::uniform(2000, 8000, 5);
-        let wg = gen::with_uniform_weights(&g, 1, 100, 6);
-        let s_small = rho_stepping(&wg, 0, &with_rho(4)).stats;
-        let s_big = rho_stepping(&wg, 0, &with_rho(512)).stats;
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 100, 6), 0);
+        let s_small = RhoSssp.solve_par(&inst, &with_rho(4)).stats;
+        let s_big = RhoSssp.solve_par(&inst, &with_rho(512)).stats;
         assert!(s_big.rounds < s_small.rounds);
         // And more steps ⇒ less re-relaxation (work-parallelism tradeoff).
         assert!(s_big.counter("relaxations") >= s_small.counter("relaxations"));
@@ -233,10 +223,11 @@ mod tests {
     #[test]
     fn pinned_policies_agree() {
         let g = gen::uniform(800, 3200, 8);
-        let wg = gen::with_uniform_weights(&g, 1, 200, 9);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 200, 9), 0);
         for rho in [4usize, 64] {
-            let sparse = rho_stepping(&wg, 0, &with_rho(rho).with_frontier(FrontierPolicy::Sparse));
-            let dense = rho_stepping(&wg, 0, &with_rho(rho).with_frontier(FrontierPolicy::Dense));
+            let pinned = |policy| with_rho(rho).with_frontier(policy);
+            let sparse = RhoSssp.solve_par(&inst, &pinned(FrontierPolicy::Sparse));
+            let dense = RhoSssp.solve_par(&inst, &pinned(FrontierPolicy::Dense));
             // Outputs must agree; step counts may legitimately differ
             // (member order differs between representations, and
             // in-batch relaxation order shifts when re-activations
@@ -247,7 +238,7 @@ mod tests {
 
     #[test]
     fn single_vertex() {
-        let g = GraphBuilder::new(1).weighted().build();
-        assert_eq!(rho_stepping(&g, 0, &with_rho(8)).output, vec![0]);
+        let inst = SsspInstance::new(GraphBuilder::new(1).weighted().build(), 0);
+        assert_eq!(RhoSssp.solve_par(&inst, &with_rho(8)).output, vec![0]);
     }
 }

@@ -2,8 +2,9 @@
 //! sequential), Jones–Plassmann coloring, and greedy matching.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pp_algos::RunConfig;
+use pp_algos::api::{Coloring, GraphPriorityInstance, GreedyMis, Matching, MatchingReservations};
 use pp_algos::{coloring, matching, mis};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_graph::gen;
 use pp_parlay::shuffle::random_priorities;
 
@@ -15,36 +16,37 @@ fn bench_graph_greedy(c: &mut Criterion) {
         ("rmat_2^15", gen::rmat(15, 1 << 18, 2)),
     ] {
         let pri = random_priorities(g.num_vertices(), 3);
-        group.bench_with_input(BenchmarkId::new("mis_seq", name), &g, |b, g| {
-            b.iter(|| mis::mis_seq(g, &pri))
+        let mut inst = GraphPriorityInstance::new(g, pri);
+        group.bench_with_input(BenchmarkId::new("mis_seq", name), &inst, |b, i| {
+            b.iter(|| mis::mis_seq(&i.graph, &i.priority))
         });
-        group.bench_with_input(BenchmarkId::new("mis_tas", name), &g, |b, g| {
-            b.iter(|| mis::mis_tas(g, &pri, &RunConfig::new()).output)
+        group.bench_with_input(BenchmarkId::new("mis_tas", name), &inst, |b, i| {
+            b.iter(|| GreedyMis.solve_par(i, &RunConfig::new()).output)
         });
-        group.bench_with_input(BenchmarkId::new("mis_rounds", name), &g, |b, g| {
-            b.iter(|| mis::mis_rounds(g, &pri, &RunConfig::new()))
+        group.bench_with_input(BenchmarkId::new("mis_rounds", name), &inst, |b, i| {
+            b.iter(|| mis::mis_rounds(&i.graph, &i.priority, &RunConfig::new()))
         });
         let luby_cfg = RunConfig::seeded(5);
-        group.bench_with_input(BenchmarkId::new("mis_luby", name), &g, |b, g| {
-            b.iter(|| mis::mis_luby(g, &luby_cfg))
+        group.bench_with_input(BenchmarkId::new("mis_luby", name), &inst, |b, i| {
+            b.iter(|| mis::mis_luby(&i.graph, &luby_cfg))
         });
-        group.bench_with_input(BenchmarkId::new("coloring_seq", name), &g, |b, g| {
-            b.iter(|| coloring::coloring_seq(g, &pri))
+        group.bench_with_input(BenchmarkId::new("coloring_seq", name), &inst, |b, i| {
+            b.iter(|| coloring::coloring_seq(&i.graph, &i.priority))
         });
-        group.bench_with_input(BenchmarkId::new("coloring_par", name), &g, |b, g| {
-            b.iter(|| coloring::coloring_par(g, &pri, &RunConfig::new()).output)
+        group.bench_with_input(BenchmarkId::new("coloring_par", name), &inst, |b, i| {
+            b.iter(|| Coloring.solve_par(i, &RunConfig::new()).output)
         });
-        let epri = matching::random_edge_priorities(&g, 4);
-        group.bench_with_input(BenchmarkId::new("matching_seq", name), &g, |b, g| {
-            b.iter(|| matching::matching_seq(g, &epri))
+        inst.priority = matching::random_edge_priorities(&inst.graph, 4);
+        group.bench_with_input(BenchmarkId::new("matching_seq", name), &inst, |b, i| {
+            b.iter(|| matching::matching_seq(&i.graph, &i.priority))
         });
-        group.bench_with_input(BenchmarkId::new("matching_par", name), &g, |b, g| {
-            b.iter(|| matching::matching_par(g, &epri, &RunConfig::new()))
+        group.bench_with_input(BenchmarkId::new("matching_par", name), &inst, |b, i| {
+            b.iter(|| Matching.solve_par(i, &RunConfig::new()))
         });
         group.bench_with_input(
             BenchmarkId::new("matching_reservations", name),
-            &g,
-            |b, g| b.iter(|| matching::matching_reservations(g, &epri, &RunConfig::new())),
+            &inst,
+            |b, i| b.iter(|| MatchingReservations.solve_par(i, &RunConfig::new())),
         );
     }
     group.finish();

@@ -13,9 +13,12 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{
+    CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, PamSssp, RhoSssp, SsspInstance,
+};
 use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
 use pp_algos::mis;
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_bench::{scale, secs, time_best, Table};
 use pp_graph::gen;
 use pp_parlay::shuffle::random_priorities;
@@ -90,13 +93,15 @@ fn main() {
         ),
     ] {
         let pri = pri.unwrap_or_else(|| random_priorities(g.num_vertices(), 5));
+        let inst = GraphPriorityInstance::new(g, pri);
+        let (g, pri) = (&inst.graph, &inst.priority);
         let t_tas = time_best(1, || {
-            std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
+            std::hint::black_box(GreedyMis.solve_par(&inst, &RunConfig::new()).output);
         });
         let t_rounds = time_best(1, || {
-            std::hint::black_box(mis::mis_rounds(&g, &pri, &RunConfig::new()));
+            std::hint::black_box(mis::mis_rounds(g, pri, &RunConfig::new()));
         });
-        let rs = mis::mis_rounds(&g, &pri, &RunConfig::new()).stats;
+        let rs = mis::mis_rounds(g, pri, &RunConfig::new()).stats;
         table.row(&[
             name.to_string(),
             secs(t_tas),
@@ -144,15 +149,15 @@ fn main() {
         ("rmat 2^15", gen::rmat(15, (1 << 18) * s, 7)),
         ("grid 300x300", pp_graph::gen::grid2d(300, 300)),
     ] {
-        let wg = gen::with_uniform_weights(&g, 1 << 21, 1 << 23, 8);
-        let flat = pp_algos::sssp::sssp_phase_parallel(&wg, 0);
-        let pam = pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new());
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 21, 1 << 23, 8), 0);
+        let flat = DeltaSssp.solve_par(&inst, &RunConfig::new());
+        let pam = PamSssp.solve_par(&inst, &RunConfig::new());
         assert_eq!(flat.output, pam.output);
         let t_flat = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::sssp_phase_parallel(&wg, 0));
+            std::hint::black_box(DeltaSssp.solve_par(&inst, &RunConfig::new()));
         });
         let t_pam = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new()));
+            std::hint::black_box(PamSssp.solve_par(&inst, &RunConfig::new()));
         });
         table.row(&[
             name.to_string(),
@@ -206,21 +211,21 @@ fn main() {
             pp_graph::gen::grid2d(300, 300),
         ),
     ] {
-        let wg = gen::with_uniform_weights(&g, 1 << 21, 1 << 23, 8);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 21, 1 << 23, 8), 0);
         let rho_cfg = RunConfig::new().with_rho(pp_algos::sssp::DEFAULT_RHO);
-        let delta = pp_algos::sssp::sssp_phase_parallel(&wg, 0);
-        let rho = pp_algos::sssp::rho_stepping(&wg, 0, &rho_cfg);
-        let cr = pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new());
+        let delta = DeltaSssp.solve_par(&inst, &RunConfig::new());
+        let rho = RhoSssp.solve_par(&inst, &rho_cfg);
+        let cr = CrauserSssp.solve_par(&inst, &RunConfig::new());
         assert_eq!(delta.output, rho.output);
         assert_eq!(delta.output, cr.output);
         let t_delta = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::sssp_phase_parallel(&wg, 0));
+            std::hint::black_box(DeltaSssp.solve_par(&inst, &RunConfig::new()));
         });
         let t_rho = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::rho_stepping(&wg, 0, &rho_cfg));
+            std::hint::black_box(RhoSssp.solve_par(&inst, &rho_cfg));
         });
         let t_cr = time_best(1, || {
-            std::hint::black_box(pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new()));
+            std::hint::black_box(CrauserSssp.solve_par(&inst, &RunConfig::new()));
         });
         table.row(&[
             name.to_string(),

@@ -11,12 +11,15 @@
 //! social networks, at a laptop scale (2^16 vertices, ~2^20 edges by
 //! default; PP_SCALE multiplies edges).
 //!
+//! Each weighted graph is prepared once and every Δ runs as a per-query
+//! knob (`PreparedSolver::solve_with`), so the timings are query times.
+//!
 //! `cargo run --release -p pp-bench --bin fig6`
 
 #![forbid(unsafe_code)]
 
-use pp_algos::sssp::delta_stepping;
-use pp_algos::RunConfig;
+use pp_algos::api::{DeltaSssp, SsspInstance};
+use pp_algos::{RunConfig, Solver};
 use pp_bench::{scale, secs, time_best};
 use pp_graph::gen;
 
@@ -37,14 +40,17 @@ fn main() {
         let mut head = vec!["log2_w*".to_string(), "best_Δ".to_string()];
         head.extend(deltas.iter().map(|d| format!("Δ=2^{d}")));
         println!("{}", head.join("  "));
+        let solver = Solver::new(DeltaSssp);
         for wlog in [17u32, 18, 19, 20, 21, 22] {
             let g = gen::with_uniform_weights(&base, 1 << wlog, w_max, 5 + wlog as u64);
+            let instance = SsspInstance::new(g, 0);
+            let mut prepared = solver.prepare(&instance);
             let mut cells = Vec::new();
             let mut best = (f64::MAX, 0u32);
             for &dlog in &deltas {
                 let cfg = RunConfig::new().with_delta(1 << dlog);
                 let t = time_best(1, || {
-                    std::hint::black_box(delta_stepping(&g, 0, &cfg));
+                    std::hint::black_box(prepared.solve_with(&cfg));
                 });
                 let s = t.as_secs_f64();
                 if s < best.0 {

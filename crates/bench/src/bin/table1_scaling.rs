@@ -14,12 +14,12 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{DeltaSssp, GraphPriorityInstance, GreedyMis, SsspInstance};
 use pp_algos::huffman;
 use pp_algos::knapsack::{max_value_par, Item};
 use pp_algos::lis::{self, PivotMode};
-use pp_algos::mis;
 use pp_algos::sssp;
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_bench::{scale, secs, time_best, Table};
 use pp_graph::gen;
 use pp_parlay::shuffle::random_priorities;
@@ -83,16 +83,18 @@ fn main() {
         ]);
 
         // MIS on uniform graph, m = 5n.
-        let g = gen::uniform(n, 5 * n, 5);
-        let pri = random_priorities(n, 6);
+        let graph = GraphPriorityInstance::new(gen::uniform(n, 5 * n, 5), random_priorities(n, 6));
         let t = time_best(1, || {
-            std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
+            std::hint::black_box(GreedyMis.solve_par(&graph, &RunConfig::new()).output);
         });
         table.row(&[
             "mis_tas".into(),
             n.to_string(),
             secs(t),
-            format!("{:.1}", t.as_nanos() as f64 / g.num_edges() as f64),
+            format!(
+                "{:.1}",
+                t.as_nanos() as f64 / graph.graph.num_edges() as f64
+            ),
             "-".into(),
             "-".into(),
         ]);
@@ -114,8 +116,8 @@ fn main() {
     // SSSP: buckets = relaxed rank.
     println!("\nSSSP (relaxed rank): Δ = w* buckets ≈ d_max / w*\n");
     let g = gen::rmat(14, 1 << 17, 7);
-    let g = gen::with_uniform_weights(&g, 1 << 20, 1 << 23, 8);
-    let report = sssp::sssp_phase_parallel(&g, 0);
+    let instance = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 20, 1 << 23, 8), 0);
+    let report = DeltaSssp.solve_par(&instance, &RunConfig::new());
     let d_max = report
         .output
         .iter()

@@ -13,9 +13,9 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{GraphPriorityInstance, GreedyMis};
 use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
-use pp_algos::mis;
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_bench::{scale, secs, time_best, Table};
 use pp_graph::gen;
 use pp_parlay::shuffle::random_priorities;
@@ -44,6 +44,7 @@ fn main() {
     let acts = workload::with_target_rank(n, 1000, 2);
     let g = gen::rmat(16, (1 << 19) * scale(), 3);
     let pri = random_priorities(g.num_vertices(), 4);
+    let graph = GraphPriorityInstance::new(g, pri);
 
     let table = Table::new(&["threads", "lis_par_s", "activity_t1_s", "mis_tas_s"]);
     let mut base: Option<(Duration, Duration, Duration)> = None;
@@ -61,7 +62,7 @@ fn main() {
         });
         let t_mis = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(mis::mis_tas(&g, &pri, &RunConfig::new()).output);
+                std::hint::black_box(GreedyMis.solve_par(&graph, &RunConfig::new()).output);
             })
         });
         base.get_or_insert((t_lis, t_act, t_mis));

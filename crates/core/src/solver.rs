@@ -353,7 +353,10 @@ impl<T> Report<T> {
 /// input next to it. The contract extends to:
 /// `solve_prepared(input, &prepare(input), scratch, cfg).output ==
 /// solve_par(input, cfg).output` for every `cfg` and any workspace
-/// state — checked per registry entry by the conformance suite.
+/// state — checked per registry entry by the conformance suite. A
+/// family that prepares something defines `solve_par` as prepare + one
+/// query on a fresh workspace, so its one-shot and served queries run
+/// one code path, and its impl is the family's only public entry.
 ///
 /// Simple families whose instances need no preprocessing opt in with
 /// one line via [`impl_no_prepare!`](crate::impl_no_prepare), which

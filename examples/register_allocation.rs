@@ -17,8 +17,9 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example register_allocation`
 
-use phase_parallel::RunConfig;
-use pp_algos::coloring::{coloring_par, coloring_seq, is_proper_coloring};
+use phase_parallel::Solver;
+use pp_algos::api::{Coloring, GraphPriorityInstance};
+use pp_algos::coloring::is_proper_coloring;
 use pp_algos::coloring_orders::{
     num_colors, order_largest_degree_first, order_largest_log_degree_first, order_random,
 };
@@ -111,7 +112,7 @@ fn main() {
     }
     println!("Maximum register pressure (optimal colors): {clique}");
 
-    for (name, priority) in [
+    let orders = [
         ("random (R)", order_random(&g, 7)),
         (
             "largest-degree-first (LF)",
@@ -121,13 +122,15 @@ fn main() {
             "largest-log-degree-first (LLF)",
             order_largest_log_degree_first(&g, 7),
         ),
-    ] {
-        let colors = coloring_par(&g, &priority, &RunConfig::new()).output;
-        assert!(is_proper_coloring(&g, &colors), "{name}: improper coloring");
-        assert_eq!(
-            colors,
-            coloring_seq(&g, &priority),
-            "{name}: parallel differs from sequential greedy"
+    ];
+    let mut instance = GraphPriorityInstance::new(g, Vec::new());
+    let solver = Solver::new(Coloring);
+    for (name, priority) in orders {
+        instance.priority = priority;
+        let colors = solver.solve_checked(&instance).output;
+        assert!(
+            is_proper_coloring(&instance.graph, &colors),
+            "{name}: improper coloring"
         );
         println!(
             "  {name:<28} → {} physical registers ({:.2}x optimal)",

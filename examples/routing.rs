@@ -4,7 +4,8 @@
 //! phase-parallel relaxed rank) is both work-efficient and parallel; on
 //! high-diameter road-like graphs small frontiers dominate and larger Δ
 //! wins. This example reproduces that contrast on a synthetic social
-//! network (RMAT) and a synthetic road grid.
+//! network (RMAT) and a synthetic road grid, preparing each graph once
+//! and sweeping Δ as a per-query knob.
 //!
 //! The closing section is the engine view: the road network is
 //! **prepared once** (`Solver::prepare`) and then serves a whole batch
@@ -15,12 +16,13 @@
 
 use phase_parallel::Solver;
 use pp_algos::api::{DeltaSssp, SsspInstance};
-use pp_algos::sssp::{delta_stepping, dijkstra};
+use pp_algos::sssp::dijkstra;
 use pp_algos::RunConfig;
 use pp_workloads::{ScenarioSpec, WeightDist};
 use std::time::Instant;
 
-fn run(name: &str, g: &pp_graph::Graph) {
+fn run(name: &str, instance: &SsspInstance) {
+    let g = &instance.graph;
     let w_star = g.min_weight().unwrap();
     let w_max = g.max_weight().unwrap();
     println!(
@@ -32,13 +34,15 @@ fn run(name: &str, g: &pp_graph::Graph) {
     let base = dijkstra(g, 0);
     println!("  dijkstra (sequential): {:?}", t.elapsed());
 
+    let solver = Solver::new(DeltaSssp);
+    let mut prepared = solver.prepare(instance);
     for (label, delta) in [
         ("Δ = w*   (phase-parallel)", w_star),
         ("Δ = 4 w*", 4 * w_star),
         ("Δ = w_max (≈ Bellman-Ford)", w_max * 1024),
     ] {
         let t = Instant::now();
-        let report = delta_stepping(g, 0, &RunConfig::new().with_delta(delta));
+        let report = prepared.solve_with(&RunConfig::new().with_delta(delta));
         assert_eq!(report.output, base);
         println!(
             "  {label:28}: {:>10?}  buckets={:<6} substeps={:<6} relaxations={}",
@@ -66,7 +70,10 @@ fn main() {
         .with_degree(16)
         .weighted_graph(1 << 16, 1)
         .unwrap();
-    run("RMAT social network (graph/rmat)", &social);
+    run(
+        "RMAT social network (graph/rmat)",
+        &SsspInstance::new(social, 0),
+    );
 
     // Road-network stand-in: high diameter, constant degree.
     let road = ScenarioSpec::parse("graph/grid2d")
@@ -74,12 +81,12 @@ fn main() {
         .with_weights(weights)
         .weighted_graph(400 * 400, 3)
         .unwrap();
-    run("road grid 400x400 (graph/grid2d)", &road);
+    let instance = SsspInstance::new(road, 0);
+    run("road grid 400x400 (graph/grid2d)", &instance);
 
     // The engine view: prepare the road network once, then serve a
     // batch of per-source queries against it.
-    let n = road.num_vertices();
-    let instance = SsspInstance::new(road, 0);
+    let n = instance.graph.num_vertices();
     let queries: Vec<RunConfig> = (0..16u64)
         .map(|i| RunConfig::seeded(i).with_source((pp_parlay::hash64(9, i) % n as u64) as u32))
         .collect();

@@ -2,12 +2,15 @@
 //! degenerate shapes, and boundary conditions for every algorithm.
 
 use pp_algos::activity::{self, Activity};
+use pp_algos::api::{
+    CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, RhoSssp, SsspInstance,
+};
 use pp_algos::huffman;
 use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::mis;
 use pp_algos::sssp;
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig, Solver};
 use pp_graph::{gen, GraphBuilder};
 use pp_parlay::shuffle::random_priorities;
 
@@ -45,10 +48,9 @@ fn mis_priority_chain_worst_case() {
     for i in 0..n - 1 {
         b.add(i as u32, i as u32 + 1);
     }
-    let g = b.build();
     let pri: Vec<u32> = (0..n as u32).rev().collect();
-    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
-    assert_eq!(set, mis::mis_seq(&g, &pri));
+    let inst = GraphPriorityInstance::new(b.build(), pri);
+    let set = Solver::new(GreedyMis).solve_checked(&inst).output;
     // Greedy with decreasing priorities selects every even vertex.
     assert!(set.iter().step_by(2).all(|&x| x));
     assert!(!set.iter().skip(1).step_by(2).any(|&x| x));
@@ -123,10 +125,10 @@ fn sssp_parallel_heavy_multi_edges_collapse() {
     b.add_weighted(0, 1, 100);
     b.add_weighted(0, 1, 3);
     b.add_weighted(0, 1, 50);
-    let g = b.build();
-    assert_eq!(sssp::dijkstra(&g, 0), vec![0, 3]);
-    let d = sssp::delta_stepping(&g, 0, &RunConfig::new().with_delta(1)).output;
-    assert_eq!(d, vec![0, 3]);
+    let inst = SsspInstance::new(b.build(), 0);
+    assert_eq!(sssp::dijkstra(&inst.graph, 0), vec![0, 3]);
+    let d = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(1));
+    assert_eq!(d.output, vec![0, 3]);
 }
 
 #[test]
@@ -138,11 +140,10 @@ fn mis_on_complete_graph_selects_exactly_one() {
             b.add(i, j);
         }
     }
-    let g = b.build();
-    let pri = random_priorities(n, 3);
-    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
+    let inst = GraphPriorityInstance::new(b.build(), random_priorities(n, 3));
+    let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
     assert_eq!(set.iter().filter(|&&x| x).count(), 1);
-    let top = (0..n).max_by_key(|&v| pri[v]).unwrap();
+    let top = (0..n).max_by_key(|&v| inst.priority[v]).unwrap();
     assert!(set[top]);
 }
 
@@ -156,9 +157,9 @@ fn self_loops_and_duplicates_cleaned_by_builder() {
     b.add(1, 0);
     let g = b.build();
     assert_eq!(g.num_edges(), 2);
-    let pri = random_priorities(3, 1);
-    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
-    assert!(mis::is_maximal_independent(&g, &set));
+    let inst = GraphPriorityInstance::new(g, random_priorities(3, 1));
+    let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+    assert!(mis::is_maximal_independent(&inst.graph, &set));
 }
 
 // ---- overflow-adjacent values ----
@@ -189,9 +190,10 @@ fn huffman_large_frequencies_fit_u64() {
 #[test]
 fn graphs_with_isolated_vertices_everywhere() {
     let g = gen::uniform(100, 30, 5); // sparse: many isolated vertices
-    let pri = random_priorities(100, 6);
-    let set = mis::mis_tas(&g, &pri, &RunConfig::new()).output;
-    assert!(mis::is_maximal_independent(&g, &set));
+    let inst = GraphPriorityInstance::new(g, random_priorities(100, 6));
+    let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+    let g = &inst.graph;
+    assert!(mis::is_maximal_independent(g, &set));
     // Isolated vertices must all be selected.
     for v in 0..100u32 {
         if g.degree(v) == 0 {
@@ -240,10 +242,10 @@ fn rho_stepping_path_graph_worst_case() {
     for i in 0..n - 1 {
         b.add_weighted(i as u32, i as u32 + 1, 7);
     }
-    let g = b.build();
+    let inst = SsspInstance::new(b.build(), 0);
     for rho in [1usize, 3, 1000] {
-        let d = sssp::rho_stepping(&g, 0, &RunConfig::new().with_rho(rho)).output;
-        assert_eq!(d[n - 1], 7 * (n as u64 - 1), "rho={rho}");
+        let d = RhoSssp.solve_par(&inst, &RunConfig::new().with_rho(rho));
+        assert_eq!(d.output[n - 1], 7 * (n as u64 - 1), "rho={rho}");
     }
 }
 
@@ -252,9 +254,9 @@ fn crauser_uniform_weights_settle_bfs_layers() {
     // Uniform weights: OUT-criterion settles whole BFS layers per round,
     // so rounds = eccentricity of the source.
     let g = gen::grid2d(40, 40);
-    let wg = gen::with_uniform_weights(&g, 9, 9, 1);
-    let report = sssp::crauser_out(&wg, 0, &RunConfig::new());
-    assert_eq!(report.output, sssp::dijkstra(&wg, 0));
+    let inst = SsspInstance::new(gen::with_uniform_weights(&g, 9, 9, 1), 0);
+    let report = CrauserSssp.solve_par(&inst, &RunConfig::new());
+    assert_eq!(report.output, sssp::dijkstra(&inst.graph, 0));
     assert_eq!(
         report.stats.rounds,
         78 + 1,

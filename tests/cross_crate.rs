@@ -4,7 +4,11 @@
 //! engines → algorithms).
 
 use pp_algos::activity;
-use pp_algos::coloring::{coloring_par, coloring_seq, is_proper_coloring};
+use pp_algos::api::{
+    BellmanFordSssp, Coloring, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, Matching,
+    MatchingReservations, PamSssp, RhoSssp, SsspInstance,
+};
+use pp_algos::coloring::{coloring_seq, is_proper_coloring};
 use pp_algos::huffman;
 use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
@@ -12,7 +16,7 @@ use pp_algos::matching;
 use pp_algos::mis;
 use pp_algos::sssp;
 use pp_algos::whac::{rotated_v_sequence, whac_par, whac_seq, Mole};
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig, Solver};
 use pp_graph::gen;
 use pp_parlay::rng::Rng;
 use pp_parlay::shuffle::random_priorities;
@@ -112,18 +116,18 @@ fn sssp_all_algorithms_on_all_graph_shapes() {
         ("cycle", gen::cycle(500)),
     ];
     for (label, g) in shapes {
-        let wg = gen::with_uniform_weights(&g, 1 << 10, 1 << 16, 3);
-        let base = sssp::dijkstra(&wg, 0);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 10, 1 << 16, 3), 0);
+        let base = sssp::dijkstra(&inst.graph, 0);
         assert_eq!(
-            sssp::bellman_ford(&wg, 0, &RunConfig::new()).output,
+            BellmanFordSssp.solve_par(&inst, &RunConfig::new()).output,
             base,
             "{label} bellman-ford"
         );
-        let d = sssp::sssp_phase_parallel(&wg, 0).output;
+        let d = DeltaSssp.solve_par(&inst, &RunConfig::new()).output;
         assert_eq!(d, base, "{label} phase-parallel");
         for delta in [1u64 << 8, 1 << 14, 1 << 20] {
-            let d = sssp::delta_stepping(&wg, 0, &RunConfig::new().with_delta(delta)).output;
-            assert_eq!(d, base, "{label} delta={delta}");
+            let d = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(delta));
+            assert_eq!(d.output, base, "{label} delta={delta}");
         }
     }
 }
@@ -134,23 +138,23 @@ fn graph_greedy_trio_agree_everywhere() {
         let g = gen::rmat(10, 16_384, seed);
         let n = g.num_vertices();
         let pri = random_priorities(n, seed + 10);
+        let mut inst = GraphPriorityInstance::new(g, pri);
+        let (g, pri) = (&inst.graph, &inst.priority);
         // MIS.
-        let set = mis::mis_seq(&g, &pri);
-        assert_eq!(mis::mis_tas(&g, &pri, &RunConfig::new()).output, set);
-        assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, set);
-        assert!(mis::is_maximal_independent(&g, &set));
+        let set = mis::mis_seq(g, pri);
+        assert_eq!(mis::mis_rounds(g, pri, &RunConfig::new()).output, set);
+        assert!(mis::is_maximal_independent(g, &set));
         // Coloring.
-        let col = coloring_seq(&g, &pri);
-        assert_eq!(coloring_par(&g, &pri, &RunConfig::new()).output, col);
-        assert!(is_proper_coloring(&g, &col));
+        let col = coloring_seq(g, pri);
+        assert!(is_proper_coloring(g, &col));
         // Matching.
-        let epri = matching::random_edge_priorities(&g, seed + 20);
-        let m = matching::matching_seq(&g, &epri);
-        assert_eq!(
-            matching::matching_par(&g, &epri, &RunConfig::new()).output,
-            m
-        );
-        assert!(matching::is_maximal_matching(&g, &m));
+        let epri = matching::random_edge_priorities(g, seed + 20);
+        let m = matching::matching_seq(g, &epri);
+        assert!(matching::is_maximal_matching(g, &m));
+        assert_eq!(GreedyMis.solve_par(&inst, &RunConfig::new()).output, set);
+        assert_eq!(Coloring.solve_par(&inst, &RunConfig::new()).output, col);
+        inst.priority = epri;
+        assert_eq!(Matching.solve_par(&inst, &RunConfig::new()).output, m);
     }
 }
 
@@ -161,21 +165,18 @@ fn results_identical_across_thread_counts() {
     // than the hardware still exercise different schedules).
     let series = lis::patterns::segment(20_000, 50, 1);
     let g = gen::rmat(9, 4096, 2);
+    let weighted = SsspInstance::new(gen::with_uniform_weights(&g, 10, 100, 6), 0);
     let pri = random_priorities(g.num_vertices(), 3);
+    let graph = GraphPriorityInstance::new(g, pri);
     let acts = activity::workload::with_target_rank(20_000, 100, 4);
     let lis_cfg = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
     let run_all = || {
         (
             lis::lis_par(&series, &lis_cfg).output,
-            mis::mis_tas(&g, &pri, &RunConfig::new()).output,
-            coloring_par(&g, &pri, &RunConfig::new()).output,
+            GreedyMis.solve_par(&graph, &RunConfig::new()).output,
+            Coloring.solve_par(&graph, &RunConfig::new()).output,
             activity::max_weight_type1(&acts, &RunConfig::new()).output,
-            sssp::sssp_pam(
-                &gen::with_uniform_weights(&g, 10, 100, 6),
-                0,
-                &RunConfig::new(),
-            )
-            .output,
+            PamSssp.solve_par(&weighted, &RunConfig::new()).output,
         )
     };
     let reference = run_all();
@@ -210,14 +211,17 @@ fn weighted_lis_and_coloring_orders_end_to_end() {
         num_colors, order_largest_degree_first, order_largest_log_degree_first, order_random,
     };
     let g = gen::rmat(11, 1 << 14, 4);
-    for pri in [
+    let orders = [
         order_random(&g, 5),
         order_largest_degree_first(&g, 5),
         order_largest_log_degree_first(&g, 5),
-    ] {
-        let c = coloring_par(&g, &pri, &RunConfig::new()).output;
-        assert_eq!(c, coloring_seq(&g, &pri));
-        assert!(is_proper_coloring(&g, &c));
+    ];
+    let mut inst = GraphPriorityInstance::new(g, Vec::new());
+    for pri in orders {
+        inst.priority = pri;
+        let g = &inst.graph;
+        let c = Solver::new(Coloring).solve_checked(&inst).output;
+        assert!(is_proper_coloring(g, &c));
         assert!(num_colors(&c) <= g.max_degree() as u32 + 1);
     }
 }
@@ -279,9 +283,11 @@ fn reservations_framework_end_to_end() {
 
     let g = gen::rmat(10, 8192, 12);
     let pri = matching::random_edge_priorities(&g, 13);
-    let mask = matching::matching_reservations(&g, &pri, &RunConfig::new()).output;
-    assert_eq!(mask, matching::matching_seq(&g, &pri));
-    assert!(matching::is_maximal_matching(&g, &mask));
+    let inst = GraphPriorityInstance::new(g, pri);
+    let mask = Solver::new(MatchingReservations)
+        .solve_checked(&inst)
+        .output;
+    assert!(matching::is_maximal_matching(&inst.graph, &mask));
 }
 
 #[test]
@@ -292,14 +298,12 @@ fn sssp_relaxed_rank_family_agrees_on_all_shapes() {
         (gen::rmat(10, 8192, 15), 0),
         (gen::star(500), 3),
     ] {
-        let wg = gen::with_uniform_weights(&g, 1, 10_000, 16);
-        let want = sssp::dijkstra(&wg, src);
-        assert_eq!(
-            sssp::rho_stepping(&wg, src, &RunConfig::new().with_rho(64)).output,
-            want
-        );
-        assert_eq!(sssp::crauser_out(&wg, src, &RunConfig::new()).output, want);
-        assert_eq!(sssp::sssp_phase_parallel(&wg, src).output, want);
+        let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 10_000, 16), src);
+        let want = sssp::dijkstra(&inst.graph, src);
+        let rho = RhoSssp.solve_par(&inst, &RunConfig::new().with_rho(64));
+        assert_eq!(rho.output, want);
+        assert_eq!(CrauserSssp.solve_par(&inst, &RunConfig::new()).output, want);
+        assert_eq!(DeltaSssp.solve_par(&inst, &RunConfig::new()).output, want);
     }
 }
 
@@ -307,11 +311,13 @@ fn sssp_relaxed_rank_family_agrees_on_all_shapes() {
 fn mis_family_maximality_and_greedy_equality() {
     let g = gen::rmat(11, 1 << 14, 17);
     let pri = random_priorities(g.num_vertices(), 18);
-    let greedy = mis::mis_seq(&g, &pri);
-    assert_eq!(mis::mis_tas(&g, &pri, &RunConfig::new()).output, greedy);
-    assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, greedy);
+    let inst = GraphPriorityInstance::new(g, pri);
+    let (g, pri) = (&inst.graph, &inst.priority);
+    let greedy = mis::mis_seq(g, pri);
+    assert_eq!(GreedyMis.solve_par(&inst, &RunConfig::new()).output, greedy);
+    assert_eq!(mis::mis_rounds(g, pri, &RunConfig::new()).output, greedy);
     // Luby: maximal but a different (non-greedy) set is allowed.
-    let luby = mis::mis_luby(&g, &RunConfig::seeded(19)).output;
-    assert!(mis::is_maximal_independent(&g, &luby));
-    assert!(mis::is_maximal_independent(&g, &greedy));
+    let luby = mis::mis_luby(g, &RunConfig::seeded(19)).output;
+    assert!(mis::is_maximal_independent(g, &luby));
+    assert!(mis::is_maximal_independent(g, &greedy));
 }

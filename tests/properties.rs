@@ -3,10 +3,14 @@
 //! sequential agreement under arbitrary inputs.
 
 use pp_algos::activity::{self, Activity};
+use pp_algos::api::{
+    Coloring, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, Matching,
+    MatchingReservations, PamSssp, RhoSssp, SsspInstance,
+};
 use pp_algos::huffman;
 use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
-use pp_algos::RunConfig;
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_pam::{AugTree, MaxAug, NoAug};
 use pp_parlay::monoid::{sum_monoid, MaxMonoid};
 use pp_ranges::{Dominance, FenwickMax, Layered, RangeTree2d, SegTree};
@@ -284,10 +288,11 @@ proptest! {
     fn sssp_variants_agree(seed in 0u64..500, w_min in 1u64..100) {
         let g = pp_graph::gen::uniform(120, 500, seed);
         let wg = pp_graph::gen::with_uniform_weights(&g, w_min, w_min + 200, seed + 1);
-        let base = pp_algos::sssp::dijkstra(&wg, 0);
-        let d = pp_algos::sssp::delta_stepping(&wg, 0, &RunConfig::new().with_delta(w_min)).output;
+        let inst = SsspInstance::new(wg, 0);
+        let base = pp_algos::sssp::dijkstra(&inst.graph, 0);
+        let d = DeltaSssp.solve_par(&inst, &RunConfig::new().with_delta(w_min)).output;
         prop_assert_eq!(&d, &base);
-        let d = pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new()).output;
+        let d = PamSssp.solve_par(&inst, &RunConfig::new()).output;
         prop_assert_eq!(&d, &base);
     }
 
@@ -295,14 +300,17 @@ proptest! {
     fn graph_greedy_trio_agree(seed in 0u64..500) {
         let g = pp_graph::gen::uniform(150, 600, seed);
         let pri = pp_parlay::shuffle::random_priorities(150, seed + 7);
-        let set = pp_algos::mis::mis_seq(&g, &pri);
-        prop_assert_eq!(&pp_algos::mis::mis_tas(&g, &pri, &RunConfig::new()).output, &set);
-        prop_assert!(pp_algos::mis::is_maximal_independent(&g, &set));
-        let col = pp_algos::coloring::coloring_seq(&g, &pri);
-        prop_assert_eq!(&pp_algos::coloring::coloring_par(&g, &pri, &RunConfig::new()).output, &col);
-        let epri = pp_algos::matching::random_edge_priorities(&g, seed + 9);
-        let m = pp_algos::matching::matching_seq(&g, &epri);
-        prop_assert_eq!(&pp_algos::matching::matching_par(&g, &epri, &RunConfig::new()).output, &m);
+        let mut inst = GraphPriorityInstance::new(g, pri);
+        let (g, pri) = (&inst.graph, &inst.priority);
+        let set = pp_algos::mis::mis_seq(g, pri);
+        prop_assert!(pp_algos::mis::is_maximal_independent(g, &set));
+        let col = pp_algos::coloring::coloring_seq(g, pri);
+        let epri = pp_algos::matching::random_edge_priorities(g, seed + 9);
+        let m = pp_algos::matching::matching_seq(g, &epri);
+        prop_assert_eq!(&GreedyMis.solve_par(&inst, &RunConfig::new()).output, &set);
+        prop_assert_eq!(&Coloring.solve_par(&inst, &RunConfig::new()).output, &col);
+        inst.priority = epri;
+        prop_assert_eq!(&Matching.solve_par(&inst, &RunConfig::new()).output, &m);
     }
 
     #[test]
@@ -428,10 +436,11 @@ proptest! {
     fn sssp_new_relaxed_ranks_agree(n in 2usize..120, m in 1usize..500, seed in any::<u64>()) {
         let g = pp_graph::gen::uniform(n, m, seed);
         let wg = pp_graph::gen::with_uniform_weights(&g, 1, 1000, seed ^ 7);
-        let want = pp_algos::sssp::dijkstra(&wg, 0);
-        let rho = pp_algos::sssp::rho_stepping(&wg, 0, &RunConfig::new().with_rho(8)).output;
+        let inst = SsspInstance::new(wg, 0);
+        let want = pp_algos::sssp::dijkstra(&inst.graph, 0);
+        let rho = RhoSssp.solve_par(&inst, &RunConfig::new().with_rho(8)).output;
         prop_assert_eq!(&rho, &want);
-        let cr = pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new()).output;
+        let cr = CrauserSssp.solve_par(&inst, &RunConfig::new()).output;
         prop_assert_eq!(&cr, &want);
     }
 
@@ -474,8 +483,9 @@ proptest! {
         use pp_algos::matching;
         let g = pp_graph::gen::uniform(n, m, seed);
         let pri = matching::random_edge_priorities(&g, seed ^ 3);
-        let want = matching::matching_seq(&g, &pri);
-        let got = matching::matching_reservations(&g, &pri, &RunConfig::new()).output;
+        let inst = GraphPriorityInstance::new(g, pri);
+        let want = matching::matching_seq(&inst.graph, &inst.priority);
+        let got = MatchingReservations.solve_par(&inst, &RunConfig::new()).output;
         prop_assert_eq!(got, want);
     }
 
