@@ -5,7 +5,7 @@
 //! before `e_x` — by Lemma 4.1 exactly the activities of the current
 //! rank — and process them in parallel against `T_DP`.
 //!
-//! Two interchangeable implementations:
+//! Two interchangeable implementations, behind the [`crate::api`] impls:
 //!
 //! * [`max_weight_type1`] — flat arrays (§6.4 engineering): the
 //!   unprocessed set in start order is always a *suffix* (each round
@@ -26,7 +26,7 @@ use rayon::prelude::*;
 /// The report's `stats.rounds == rank(S)`. The round loop polls the
 /// config's deadline; a trip returns the best DP value seen so far under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
+pub(crate) fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {
@@ -116,7 +116,7 @@ pub fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
 
 /// Literal Algorithm 2 on PA-BSTs. `acts` sorted by end time. Same
 /// deadline semantics as [`max_weight_type1`].
-pub fn max_weight_type1_pam(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
+pub(crate) fn max_weight_type1_pam(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {

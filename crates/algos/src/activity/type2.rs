@@ -17,7 +17,7 @@ use pp_ranges::AtomicFenwickMax;
 /// `stats.rounds == rank(S)`. The wake-up round loop polls the config's
 /// deadline; a trip returns the best committed DP value under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn max_weight_type2(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
+pub(crate) fn max_weight_type2(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
     if n == 0 {

@@ -44,7 +44,7 @@ pub fn ranks(acts: &[Activity]) -> Vec<u32> {
 /// polled at the phase boundaries: before the pivot-forest build and
 /// before the depth computation. A trip yields `0` under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn max_count_unweighted(acts: &[Activity], cfg: &RunConfig) -> Report<u32> {
+pub(crate) fn max_count_unweighted(acts: &[Activity], cfg: &RunConfig) -> Report<u32> {
     if cfg.is_cancelled() {
         return Report::plain(0).with_outcome(RunOutcome::DeadlineExceeded);
     }

@@ -7,10 +7,13 @@
 //! input structs ([`SsspInstance`], [`GraphPriorityInstance`]) instead
 //! of anonymous tuples where field names carry meaning.
 //!
-//! The impl is each family's only entry to its parallel algorithm.
-//! Families that prepare something (SSSP, MIS, coloring, matching)
-//! answer a one-shot `solve_par` as `prepare` plus one `solve_prepared`
-//! query, so one-shot and served queries run one code path.
+//! The impl is each family's only entry to its parallel algorithm;
+//! [`lis::lis_par_with_dp`], [`lis::lis_weighted_par`],
+//! [`knapsack::max_value_par_with_dp`] and [`huffman::build_par`] stay
+//! public for the DP values or tree an `Output` drops. Families that
+//! prepare something (SSSP, MIS, coloring, matching) answer a one-shot
+//! `solve_par` as `prepare` plus one `solve_prepared` query, so one-shot
+//! and served queries run one code path.
 //!
 //! Luby's MIS is deliberately absent: it is *not* sequential-equivalent
 //! (values are redrawn every round), so it cannot satisfy the trait's
@@ -36,7 +39,7 @@ use crate::matching;
 use crate::mis;
 use crate::random_perm;
 use crate::sssp;
-use crate::whac::{whac2d_par, whac2d_seq, whac_par, whac_seq, Mole, Mole2d};
+use crate::whac::{rotate2d, rotated_v_sequence, whac2d_seq, whac_seq, Mole, Mole2d};
 use phase_parallel::{PhaseAlgorithm, Report, RunConfig, Scratch};
 use pp_graph::Graph;
 
@@ -106,7 +109,7 @@ impl PhaseAlgorithm for Lis {
         lis::lis_seq(input)
     }
     fn solve_par(&self, input: &[i64], cfg: &RunConfig) -> Report<u32> {
-        lis::lis_par(input, cfg)
+        lis::lis_par_with_dp(input, cfg).map(|(length, _)| length)
     }
 }
 
@@ -227,7 +230,7 @@ impl PhaseAlgorithm for Knapsack {
         knapsack::max_value_seq(items, *capacity)
     }
     fn solve_par(&self, (items, capacity): &Self::Input, cfg: &RunConfig) -> Report<u64> {
-        knapsack::max_value_par(items, *capacity, cfg)
+        knapsack::max_value_par_with_dp(items, *capacity, cfg).map(|(best, _)| best)
     }
 }
 
@@ -526,7 +529,8 @@ impl PhaseAlgorithm for MatchingReservations {
     }
 }
 
-/// 1D Whac-A-Mole (Appendix B): reduction to LIS.
+/// 1D Whac-A-Mole (Appendix B): [`Lis`] on the rotated sequence, in
+/// `O(n log n)` work and `rank(S)` rounds of `O(log n)` span.
 pub struct Whac;
 
 impl PhaseAlgorithm for Whac {
@@ -540,11 +544,12 @@ impl PhaseAlgorithm for Whac {
         whac_seq(moles)
     }
     fn solve_par(&self, moles: &[Mole], cfg: &RunConfig) -> Report<u32> {
-        whac_par(moles, cfg)
+        Lis.solve_par(&rotated_v_sequence(moles), cfg)
     }
 }
 
-/// 2D-grid Whac-A-Mole (Appendix B closing remark): 4D dominance.
+/// 2D-grid Whac-A-Mole (Appendix B closing remark): [`Chain<4>`](Chain)
+/// on the rotated points, in `O(n log^5 n)` work.
 pub struct Whac2d;
 
 impl PhaseAlgorithm for Whac2d {
@@ -558,7 +563,8 @@ impl PhaseAlgorithm for Whac2d {
         whac2d_seq(moles)
     }
     fn solve_par(&self, moles: &[Mole2d], cfg: &RunConfig) -> Report<u32> {
-        whac2d_par(moles, cfg)
+        let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
+        Chain::<4>.solve_par(&pts, cfg)
     }
 }
 
@@ -605,12 +611,7 @@ impl PhaseAlgorithm for RandomPerm {
         random_perm::knuth_shuffle_seq(n, &random_perm::swap_targets(n, seed))
     }
     fn solve_par(&self, &(n, seed): &Self::Input, cfg: &RunConfig) -> Report<Vec<u32>> {
-        // The shuffle's randomness comes from the *instance* seed, but
-        // the query's deadline must still apply: rebuild the seeded
-        // config and carry the caller's cancel token across.
-        let mut inner = RunConfig::seeded(seed);
-        inner.cancel = cfg.cancel.clone();
-        random_perm::random_permutation_reservations(n, &inner)
+        random_perm::random_permutation_reservations(n, seed, cfg)
     }
 }
 

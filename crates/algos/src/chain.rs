@@ -10,14 +10,14 @@
 //! increases). LIS is the 2D special case (index, value). For `D = 3`
 //! this is the exact shape of the appendix's range-query extension; the
 //! 2D-grid Whac-A-Mole cone rotates into four halfspace constraints, so
-//! [`crate::whac::whac2d_par`] runs the `D = 4` chain.
+//! [`Whac2d`](crate::api::Whac2d) runs the `D = 4` chain.
 //!
-//! [`chain_par`] runs on the `D`-dimensional [`Layered`] dominance tree:
-//! `O(n log^(D+1) n)` work and `O(k log^D n)` span for chain length `k`
-//! — each extra dimension costs the one extra `log` the appendix
-//! describes. [`chain_seq`] sweeps the points in first-coordinate order
-//! over the `(D − 1)`-dimensional tree, and [`chain_brute`] is the
-//! quadratic oracle.
+//! [`Chain`](crate::api::Chain) runs on the `D`-dimensional [`Layered`]
+//! dominance tree: `O(n log^(D+1) n)` work and `O(k log^D n)` span for
+//! chain length `k` — each extra dimension costs the one extra `log` the
+//! appendix describes. [`chain_seq`] sweeps the points in
+//! first-coordinate order over the `(D − 1)`-dimensional tree, and
+//! [`chain_brute`] is the quadratic oracle.
 
 use phase_parallel::{run_type2, PivotMode, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A point dimension the chain algorithms run in: `Sweep` is the
 /// dominance tree over all coordinates but the first, which
-/// [`chain_seq`] queries and [`chain_par`]'s tree layers one level over.
+/// [`chain_seq`] queries and [`Chain`](crate::api::Chain) layers over.
 pub trait ChainPoint {
     /// The `(D − 1)`-dimensional dominance tree.
     type Sweep: Dominance;
@@ -139,10 +139,10 @@ where
     best
 }
 
-/// Phase-parallel longest `D`-dimensional dominance chain (Type 2 over
-/// the `D`-dimensional dominance tree). The report's `stats.rounds`
-/// equals the chain length (round-efficiency, one rank per round).
-pub fn chain_par<const D: usize>(pts: &[[i64; D]], cfg: &RunConfig) -> Report<u32>
+/// [`Chain`](crate::api::Chain)'s body: Type 2 over the `D`-dimensional
+/// dominance tree. The report's `stats.rounds` equals the chain length
+/// (round-efficiency, one rank per round).
+pub(crate) fn chain_par<const D: usize>(pts: &[[i64; D]], cfg: &RunConfig) -> Report<u32>
 where
     [i64; D]: ChainPoint,
 {

@@ -10,7 +10,7 @@
 mod par;
 mod seq;
 
-pub use par::{max_value_par, max_value_par_with_dp};
+pub use par::max_value_par_with_dp;
 pub use seq::max_value_seq;
 
 /// Recover one optimal item multiset from the DP table: returns item
@@ -65,6 +65,10 @@ mod tests {
     use phase_parallel::RunConfig;
     use pp_parlay::rng::Rng;
 
+    fn par(items: &[Item], w: u64) -> u64 {
+        max_value_par_with_dp(items, w, &RunConfig::new()).output.0
+    }
+
     /// Exponential-ish oracle: plain recursion with memo over small W.
     fn oracle(items: &[Item], w: u64) -> u64 {
         let mut dp = vec![0u64; w as usize + 1];
@@ -89,11 +93,7 @@ mod tests {
             let w = r.range(200);
             let want = oracle(&items, w);
             assert_eq!(max_value_seq(&items, w), want, "seq trial {trial}");
-            assert_eq!(
-                max_value_par(&items, w, &RunConfig::new()).output,
-                want,
-                "par trial {trial}"
-            );
+            assert_eq!(par(&items, w), want, "par trial {trial}");
         }
     }
 
@@ -102,19 +102,19 @@ mod tests {
         // Coins {1,5,11} with values equal to weights fill W exactly.
         let items = vec![Item::new(1, 1), Item::new(5, 5), Item::new(11, 11)];
         assert_eq!(max_value_seq(&items, 100), 100);
-        assert_eq!(max_value_par(&items, 100, &RunConfig::new()).output, 100);
+        assert_eq!(par(&items, 100), 100);
         // Value-dense small item dominates: three copies of (3, 7).
         let items = vec![Item::new(3, 7), Item::new(5, 9)];
         assert_eq!(max_value_seq(&items, 10), 21);
-        assert_eq!(max_value_par(&items, 10, &RunConfig::new()).output, 21);
+        assert_eq!(par(&items, 10), 21);
     }
 
     #[test]
     fn rounds_equal_relaxed_rank() {
         // rank(W) = W / w* (Theorem 4.3).
         let items = vec![Item::new(4, 10), Item::new(7, 15)];
-        let report = max_value_par(&items, 100, &RunConfig::new());
-        assert_eq!(report.output, max_value_seq(&items, 100));
+        let report = max_value_par_with_dp(&items, 100, &RunConfig::new());
+        assert_eq!(report.output.0, max_value_seq(&items, 100));
         assert_eq!(report.stats.rounds as u64, 100 / 4); // w*-wide windows covering 1..=100
     }
 
@@ -139,11 +139,11 @@ mod tests {
     #[test]
     fn empty_and_unreachable() {
         assert_eq!(max_value_seq(&[], 50), 0);
-        assert_eq!(max_value_par(&[], 50, &RunConfig::new()).output, 0);
+        assert_eq!(par(&[], 50), 0);
         // All items heavier than W.
         let items = vec![Item::new(100, 5)];
         assert_eq!(max_value_seq(&items, 50), 0);
-        assert_eq!(max_value_par(&items, 50, &RunConfig::new()).output, 0);
+        assert_eq!(par(&items, 50), 0);
     }
 
     #[test]

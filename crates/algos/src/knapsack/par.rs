@@ -10,16 +10,13 @@ use super::Item;
 use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};
 use rayon::prelude::*;
 
-/// Parallel unlimited knapsack. The report's `stats.rounds ==
-/// ⌈W / w*⌉` = the relaxed rank of the instance. The window loop polls
-/// the config's deadline each round; a trip stops the fill early with a
-/// partial DP table under `RunOutcome::DeadlineExceeded`.
-pub fn max_value_par(items: &[Item], capacity: u64, cfg: &RunConfig) -> Report<u64> {
-    max_value_par_with_dp(items, capacity, cfg).map(|(v, _)| v)
-}
-
-/// [`max_value_par`] also returning the full DP table (for
-/// [`super::reconstruct`]): the output is `(max value, dp)`.
+/// Parallel unlimited knapsack. The output is `(max value, dp)`, with
+/// the full DP table for [`super::reconstruct`];
+/// [`Knapsack`](crate::api::Knapsack) reports only the value. The
+/// report's `stats.rounds == ⌈W / w*⌉` = the relaxed rank of the
+/// instance. The window loop polls the config's deadline each round; a
+/// trip stops the fill early with a partial DP table under
+/// `RunOutcome::DeadlineExceeded`.
 pub fn max_value_par_with_dp(
     items: &[Item],
     capacity: u64,
@@ -103,7 +100,7 @@ mod tests {
     fn window_boundaries_exact() {
         // w* = 3, W = 9: windows [1,4), [4,7), [7,10) → 3 rounds.
         let items = vec![Item::new(3, 4), Item::new(5, 7)];
-        let stats = max_value_par(&items, 9, &RunConfig::new()).stats;
+        let stats = max_value_par_with_dp(&items, 9, &RunConfig::new()).stats;
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.frontier_sizes, vec![3, 3, 3]);
     }
@@ -112,8 +109,8 @@ mod tests {
     fn w_star_one_is_sequential_rank() {
         // w* = 1 → every state is its own round: rank = W.
         let items = vec![Item::new(1, 1)];
-        let report = max_value_par(&items, 20, &RunConfig::new());
-        assert_eq!(report.output, 20);
+        let report = max_value_par_with_dp(&items, 20, &RunConfig::new());
+        assert_eq!(report.output.0, 20);
         assert_eq!(report.stats.rounds, 20);
     }
 }

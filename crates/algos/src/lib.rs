@@ -36,18 +36,18 @@
 //! that structure, with buffers recycled through a
 //! [`phase_parallel::Scratch`] workspace. Because nothing borrows,
 //! [`serving::SharedPrepared`] keeps an input and its prepared instance
-//! side by side behind one `Arc` without any `unsafe`. For the families
-//! that prepare something (SSSP, MIS, coloring, matching) the [`api`]
-//! impl is the only public entry: its `solve_par` is `prepare` plus one
-//! `solve_prepared` query.
+//! side by side behind one `Arc` without any `unsafe`. Each family's
+//! [`api`] impl is its public parallel entry; for the families that
+//! prepare something (SSSP, MIS, coloring, matching) its `solve_par` is
+//! `prepare` plus one `solve_prepared` query.
 //!
 //! ```
-//! use pp_algos::lis::{lis_par, lis_seq, lis_weighted_par};
-//! use pp_algos::RunConfig;
+//! use pp_algos::lis::{lis_seq, lis_weighted_par};
+//! use pp_algos::{api::Lis, PhaseAlgorithm, RunConfig};
 //!
 //! // Fig. 1's example sequence: the LIS (e.g. 4 7 8) has length 3.
 //! let s: Vec<i64> = vec![4, 7, 3, 2, 8, 1, 6, 5];
-//! let report = lis_par(&s, &RunConfig::seeded(42));
+//! let report = Lis.solve_par(&s, &RunConfig::seeded(42));
 //! assert_eq!(report.output, 3);
 //! assert_eq!(report.output, lis_seq(&s));
 //! // Round-efficiency: one round per rank.

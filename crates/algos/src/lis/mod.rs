@@ -9,8 +9,9 @@
 //! tree, in `O(n log n)` total work.
 //!
 //! * [`lis_seq`] — the classic `O(n log n)` sequential DP baseline.
-//! * [`lis_par`] — the prefix-minima rounds (Type 1) on
-//!   [`pp_ranges::SegTree`]: exactly `k` rounds, no wake-ups.
+//! * [`lis_par_with_dp`] — the prefix-minima rounds (Type 1) on
+//!   [`pp_ranges::SegTree`]: exactly `k` rounds, no wake-ups. The
+//!   [`Lis`](crate::api::Lis) impl keeps only the length.
 //! * [`lis_weighted_par`] — Algorithm 3 on [`pp_ranges::RangeTree2d`],
 //!   with the pivot strategy selectable: [`PivotMode::Random`] (the
 //!   analyzed one, Lemma 5.5) or [`PivotMode::RightMost`] (§6.4's
@@ -24,7 +25,7 @@ pub mod patterns;
 mod seq;
 mod weighted;
 
-pub use par::{lis_par, lis_par_with_dp, lis_weighted_par};
+pub use par::{lis_par_with_dp, lis_weighted_par};
 pub use phase_parallel::PivotMode;
 pub use seq::{lis_seq, lis_seq_with_dp};
 pub use weighted::lis_weighted_seq;
@@ -71,6 +72,7 @@ pub fn lis_brute(values: &[i64]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{api::Lis, PhaseAlgorithm};
     use pp_parlay::rng::Rng;
 
     fn cfg(mode: PivotMode, seed: u64) -> phase_parallel::RunConfig {
@@ -83,8 +85,8 @@ mod tests {
         let v = vec![4, 7, 3, 2, 8, 1, 6, 5];
         assert_eq!(lis_brute(&v), 3);
         assert_eq!(lis_seq(&v), 3);
-        assert_eq!(lis_par(&v, &cfg(PivotMode::Random, 1)).output, 3);
-        assert_eq!(lis_par(&v, &cfg(PivotMode::RightMost, 1)).output, 3);
+        assert_eq!(Lis.solve_par(&v, &cfg(PivotMode::Random, 1)).output, 3);
+        assert_eq!(Lis.solve_par(&v, &cfg(PivotMode::RightMost, 1)).output, 3);
     }
 
     #[test]
@@ -96,12 +98,13 @@ mod tests {
             let want = lis_brute(&vals);
             assert_eq!(lis_seq(&vals), want, "seq trial {trial}");
             assert_eq!(
-                lis_par(&vals, &cfg(PivotMode::Random, trial)).output,
+                Lis.solve_par(&vals, &cfg(PivotMode::Random, trial)).output,
                 want,
                 "par/random trial {trial}"
             );
             assert_eq!(
-                lis_par(&vals, &cfg(PivotMode::RightMost, trial)).output,
+                Lis.solve_par(&vals, &cfg(PivotMode::RightMost, trial))
+                    .output,
                 want,
                 "par/rightmost trial {trial}"
             );
@@ -112,10 +115,10 @@ mod tests {
     fn duplicates_are_not_increasing() {
         let v = vec![3, 3, 3, 3];
         assert_eq!(lis_seq(&v), 1);
-        assert_eq!(lis_par(&v, &cfg(PivotMode::Random, 0)).output, 1);
+        assert_eq!(Lis.solve_par(&v, &cfg(PivotMode::Random, 0)).output, 1);
         let v = vec![1, 2, 2, 3];
         assert_eq!(lis_seq(&v), 3);
-        assert_eq!(lis_par(&v, &cfg(PivotMode::RightMost, 0)).output, 3);
+        assert_eq!(Lis.solve_par(&v, &cfg(PivotMode::RightMost, 0)).output, 3);
     }
 
     #[test]
@@ -123,7 +126,7 @@ mod tests {
         let ones = vec![1u32; 500];
         let v: Vec<i64> = (0..500).collect();
         assert_eq!(lis_seq(&v), 500);
-        let res = lis_par(&v, &cfg(PivotMode::RightMost, 0));
+        let res = Lis.solve_par(&v, &cfg(PivotMode::RightMost, 0));
         assert_eq!(res.output, 500);
         assert_eq!(res.stats.rounds, 500); // one round per rank
         let res = lis_weighted_par(&v, &ones, &cfg(PivotMode::RightMost, 0));
@@ -131,7 +134,7 @@ mod tests {
         assert_eq!(res.stats.rounds, 501); // virtual round + k rounds
         let v: Vec<i64> = (0..500).rev().collect();
         assert_eq!(lis_seq(&v), 1);
-        let res = lis_par(&v, &cfg(PivotMode::Random, 0));
+        let res = Lis.solve_par(&v, &cfg(PivotMode::Random, 0));
         assert_eq!(res.output, 1);
         assert_eq!(res.stats.rounds, 1); // one frontier
         let res = lis_weighted_par(&v, &ones, &cfg(PivotMode::Random, 0));
@@ -164,19 +167,29 @@ mod tests {
     #[test]
     fn empty_and_single() {
         assert_eq!(lis_seq(&[]), 0);
-        assert_eq!(lis_par(&[], &cfg(PivotMode::Random, 0)).output, 0);
+        assert_eq!(Lis.solve_par(&[], &cfg(PivotMode::Random, 0)).output, 0);
         assert_eq!(lis_seq(&[42]), 1);
-        assert_eq!(lis_par(&[42], &cfg(PivotMode::RightMost, 0)).output, 1);
+        assert_eq!(
+            Lis.solve_par(&[42], &cfg(PivotMode::RightMost, 0)).output,
+            1
+        );
     }
 
     #[test]
     fn wakeup_attempts_stay_logarithmic() {
         // Lemma 5.5: O(log n) wake-ups per object whp; §6.4 observes ≤ 8.4.
-        let mut r = Rng::new(14);
-        let n = 5000;
-        let vals: Vec<i64> = (0..n).map(|_| r.range(1 << 30) as i64).collect();
-        let res = lis_weighted_par(&vals, &vec![1; n], &cfg(PivotMode::Random, 9));
-        let avg = res.stats.avg_wakeups();
-        assert!(avg < 14.0, "avg wake-ups {avg} too high (log2 n ≈ 12)");
+        for n in (8..=14).map(|e| 1usize << e).chain([5000]) {
+            let mut r = Rng::new(14);
+            let vals: Vec<i64> = (0..n).map(|_| r.range(1 << 30) as i64).collect();
+            let bound = 0.75 * (n as f64).log2();
+            for mode in [PivotMode::Random, PivotMode::RightMost] {
+                let res = lis_weighted_par(&vals, &vec![1; n], &cfg(mode, 9));
+                let avg = res.stats.avg_wakeups();
+                assert!(
+                    avg <= bound,
+                    "n = {n} {mode:?}: avg wake-ups {avg} above 0.75·log2 n = {bound}"
+                );
+            }
+        }
     }
 }

@@ -31,17 +31,12 @@ use pp_ranges::{RangeTree2d, SegTree};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Parallel LIS by prefix-minima rounds (Type 1). Deterministic and
-/// schedule-independent; the pivot mode and seed are unused. The
-/// report's `stats.rounds` is the LIS length `k`, and
+/// Parallel LIS by prefix-minima rounds (Type 1), the body of
+/// [`Lis`](crate::api::Lis). Deterministic and schedule-independent; the
+/// pivot mode and seed are unused. The output is `(length, dp)` where
+/// `dp[i]` is the LIS length ending at element `i` — the round that
+/// extracted it. The report's `stats.rounds` is the LIS length `k`, and
 /// `stats.frontier_sizes[r − 1]` is the number of elements of rank `r`.
-pub fn lis_par(values: &[i64], cfg: &RunConfig) -> Report<u32> {
-    lis_par_with_dp(values, cfg).map(|(length, _)| length)
-}
-
-/// [`lis_par`] also returning per-element DP values: the output is
-/// `(length, dp)` where `dp[i]` is the LIS length ending at element `i`
-/// — the round that extracted it.
 pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>)> {
     // Leaves are widened to `i128` so that the removed-leaf sentinel
     // lies above every real value, `i64::MAX` included.

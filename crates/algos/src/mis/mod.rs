@@ -10,9 +10,9 @@
 //!   asynchronous algorithm: a TAS tree per vertex over its blocking
 //!   (higher-priority) neighbors detects the instant the last blocker
 //!   resolves, in `O(m)` work and `O(log n log d_max)` span whp.
-//! * [`mis_rounds`] — the round-synchronous deterministic-reservation
-//!   baseline the paper improves on (`O(D·m)` work worst case),
-//!   kept for the ablation benchmark.
+//! * [`RoundsMis`](crate::api::RoundsMis) — the round-synchronous
+//!   deterministic-reservation baseline the paper improves on (`O(D·m)`
+//!   work worst case), kept for the ablation benchmark.
 //! * [`mis_luby`] — Luby's classic algorithm \[57\]: same `O(log n)`
 //!   round bound, but *not* sequential-equivalent (values are redrawn
 //!   every round), the contrast the greedy line of work addresses.
@@ -23,7 +23,7 @@ mod seq;
 mod tas;
 
 pub use luby::mis_luby;
-pub use rounds::mis_rounds;
+pub(crate) use rounds::mis_rounds;
 pub use seq::mis_seq;
 pub use tas::{blocking_mirrors, BlockingMirrors};
 pub(crate) use tas::{mis_tas, run_cascades};

@@ -19,7 +19,7 @@ use pp_graph::Graph;
 /// The round loop polls the config's deadline at its top; a trip leaves
 /// the remaining vertices undecided (reported `false` in the mask) under
 /// `RunOutcome::DeadlineExceeded`.
-pub fn mis_rounds(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
+pub(crate) fn mis_rounds(g: &Graph, priority: &[u32], cfg: &RunConfig) -> Report<Vec<bool>> {
     const UNDECIDED: u8 = 0;
     const SELECTED: u8 = 1;
     const REMOVED: u8 = 2;

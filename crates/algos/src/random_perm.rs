@@ -94,14 +94,19 @@ impl ReservationProblem for ShuffleProblem<'_> {
     }
 }
 
-/// Parallel random permutation that equals [`knuth_shuffle_seq`] exactly,
-/// randomized by `cfg.seed`.
+/// [`RandomPerm`](crate::api::RandomPerm)'s body: equals
+/// [`knuth_shuffle_seq`] exactly on the swap targets of `seed`, and `cfg`
+/// carries only the query's deadline.
 ///
 /// The report's `stats.rounds` ≈ the dependence depth (`Θ(log n)` whp);
 /// the `"attempts"` counter totals reserve+commit attempts across
 /// rounds (the framework's work proxy).
-pub fn random_permutation_reservations(n: usize, cfg: &RunConfig) -> Report<Vec<u32>> {
-    let targets = swap_targets(n, cfg.seed);
+pub(crate) fn random_permutation_reservations(
+    n: usize,
+    seed: u64,
+    cfg: &RunConfig,
+) -> Report<Vec<u32>> {
+    let targets = swap_targets(n, seed);
     let problem = ShuffleProblem {
         targets: &targets,
         data: (0..n as u32).map(AtomicU32::new).collect(),
@@ -131,10 +136,10 @@ mod tests {
 
     #[test]
     fn empty_and_tiny() {
-        let cfg = RunConfig::seeded(1);
-        assert!(random_permutation_reservations(0, &cfg).output.is_empty());
-        assert_eq!(random_permutation_reservations(1, &cfg).output, vec![0]);
-        let p2 = random_permutation_reservations(2, &cfg).output;
+        let cfg = RunConfig::new();
+        assert_eq!(random_permutation_reservations(0, 1, &cfg).output, []);
+        assert_eq!(random_permutation_reservations(1, 1, &cfg).output, vec![0]);
+        let p2 = random_permutation_reservations(2, 1, &cfg).output;
         assert!(is_permutation(&p2));
     }
 
@@ -144,7 +149,7 @@ mod tests {
             for seed in [0u64, 7, 42] {
                 let targets = swap_targets(n, seed);
                 let want = knuth_shuffle_seq(n, &targets);
-                let got = random_permutation_reservations(n, &RunConfig::seeded(seed)).output;
+                let got = random_permutation_reservations(n, seed, &RunConfig::new()).output;
                 assert_eq!(got, want, "n={n} seed={seed}");
             }
         }
@@ -155,7 +160,7 @@ mod tests {
         // [64]: dependence depth is Θ(log n) whp. Allow a generous
         // constant; the point is rounds ≪ n.
         let n = 200_000;
-        let stats = random_permutation_reservations(n, &RunConfig::seeded(3)).stats;
+        let stats = random_permutation_reservations(n, 3, &RunConfig::new()).stats;
         assert!(
             stats.rounds <= 8 * (usize::BITS - n.leading_zeros()) as usize,
             "rounds = {} too deep for n = {n}",
@@ -168,16 +173,16 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = random_permutation_reservations(1000, &RunConfig::seeded(1)).output;
-        let b = random_permutation_reservations(1000, &RunConfig::seeded(2)).output;
+        let a = random_permutation_reservations(1000, 1, &RunConfig::new()).output;
+        let b = random_permutation_reservations(1000, 2, &RunConfig::new()).output;
         assert!(is_permutation(&a) && is_permutation(&b));
         assert_ne!(a, b);
     }
 
     #[test]
     fn deterministic_across_runs() {
-        let a = random_permutation_reservations(30_000, &RunConfig::seeded(9)).output;
-        let b = random_permutation_reservations(30_000, &RunConfig::seeded(9)).output;
+        let a = random_permutation_reservations(30_000, 9, &RunConfig::new()).output;
+        let b = random_permutation_reservations(30_000, 9, &RunConfig::new()).output;
         assert_eq!(a, b);
     }
 }

@@ -897,6 +897,39 @@ mod tests {
     }
 
     #[test]
+    fn activity_round_contract_on_every_seq_scenario() {
+        // Both Algorithm 2 substrates and the exact-pivot Type 2 engine
+        // run one round per rank (Theorems 4.2 and 5.2), and Lemma 5.1's
+        // pivots never fail a wake-up.
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        for name in ["activity/type1", "activity/type1-pam", "activity/type2"] {
+            let entry = lookup(name).unwrap();
+            for scenario in entry.scenarios() {
+                for size in [300, 2000] {
+                    let case = CaseSpec::new(size, 4).with_scenario(scenario);
+                    let key = scenario.key();
+                    let rank = activity::ranks(&gen_activities(&case, &cfg))
+                        .into_iter()
+                        .max()
+                        .unwrap() as usize;
+                    let shared = entry.prepare_shared(&case, &cfg);
+                    let served = shared.query(&mut scratch, &cfg);
+                    assert_eq!(
+                        served.digest,
+                        shared.seq_digest(),
+                        "{name} on {key}, n = {size}"
+                    );
+                    assert_eq!(served.stats.rounds, rank, "{name} on {key}, n = {size}");
+                    if name == "activity/type2" {
+                        assert_eq!(served.stats.failed_wakeups, 0, "{key}, n = {size}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn type2_chain_pivots_are_pinned() {
         // Rounds, wake-up attempts and failed wake-ups of the Type 2
         // chain entries at size 300, seed 4. They are fixed by the seed

@@ -10,9 +10,9 @@
 //! Rotating to `(u, v) = (t + p, t - p)` turns the DP into *exactly* the
 //! LIS problem on the `v`-sequence sorted by `u` — the appendix's point
 //! that the pivoting idea transfers wholesale. [`whac_seq`] and
-//! [`whac_par`] run the LIS solvers on that sequence: the classic
-//! sequential DP, and the prefix-minima rounds of
-//! [`crate::lis::lis_par`]. (Note the rotation also subsumes the time
+//! [`Whac`](crate::api::Whac) run the LIS solvers on that sequence: the
+//! classic sequential DP, and the prefix-minima rounds of
+//! [`Lis`](crate::api::Lis). (Note the rotation also subsumes the time
 //! order: `u_j < u_i ∧ v_j < v_i` implies `t_j < t_i`, which is why 1D
 //! moles need only a 2D query.)
 //!
@@ -21,15 +21,15 @@
 //! rotated halfspace constraints (`t ± (x+y)` and `t ± (x−y)`, using
 //! `|dx| + |dy| = max(|d(x+y)|, |d(x−y)|)`), whose coordinates satisfy
 //! one linear dependency — one more constraint than pure 3D dominance.
-//! [`whac2d_par`] solves it exactly as a 4D dominance chain (via
-//! [`crate::chain`]) on the 4D [`pp_ranges::Layered`] tree, paying the
-//! one extra `log` per tree level the appendix describes; [`whac2d_seq`]
+//! [`Whac2d`](crate::api::Whac2d) solves it exactly as a 4D dominance
+//! chain ([`Chain<4>`](crate::api::Chain)) on the 4D
+//! [`pp_ranges::Layered`] tree, paying the one extra `log` per tree
+//! level the appendix describes; [`whac2d_seq`]
 //! is the sequential counterpart using the appendix's literal "3D range
 //! query" (the fourth constraint handled by processing order).
 
-use crate::chain::{chain_brute, chain_par, chain_seq};
-use crate::lis::{lis_par, lis_seq};
-use phase_parallel::{Report, RunConfig};
+use crate::chain::{chain_brute, chain_seq};
+use crate::lis::lis_seq;
 
 /// One mole: appears at position `p` at time `t`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,14 +54,6 @@ pub fn rotated_v_sequence(moles: &[Mole]) -> Vec<i64> {
 /// Maximum number of moles hittable — sequential DP (Eq. (4)).
 pub fn whac_seq(moles: &[Mole]) -> u32 {
     lis_seq(&rotated_v_sequence(moles))
-}
-
-/// Maximum number of moles hittable — phase-parallel, by the LIS
-/// prefix-minima rounds on the rotated sequence: `O(n log n)` work and
-/// exactly `rank(S)` rounds of `O(log n)` span each. (Appendix B's
-/// Algorithm 3 route costs `O(n log^3 n)` work.)
-pub fn whac_par(moles: &[Mole], cfg: &RunConfig) -> Report<u32> {
-    lis_par(&rotated_v_sequence(moles), cfg)
 }
 
 /// Brute-force quadratic DP straight from Eq. (5)/(6) (tests only):
@@ -99,7 +91,7 @@ pub struct Mole2d {
 /// Rotate a 2D mole into the four halfspace coordinates: mole `j` can
 /// precede mole `i` iff all four strictly increase (Eq. (5)/(6) one
 /// dimension up: `|dx| + |dy| < dt` in every rotated direction).
-fn rotate2d(m: &Mole2d) -> [i64; 4] {
+pub(crate) fn rotate2d(m: &Mole2d) -> [i64; 4] {
     [
         m.t + m.x + m.y,
         m.t + m.x - m.y,
@@ -123,21 +115,21 @@ pub fn whac2d_seq(moles: &[Mole2d]) -> u32 {
     chain_seq(&pts)
 }
 
-/// Maximum number of 2D-grid moles hittable — phase-parallel Type 2 over
-/// the 4D dominance tree: `O(n log^5 n)` work, `O(rank(S) log^4 n)` span.
-pub fn whac2d_par(moles: &[Mole2d], cfg: &RunConfig) -> Report<u32> {
-    let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
-    chain_par(&pts, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phase_parallel::PivotMode;
+    use crate::api::{Whac, Whac2d};
+    use crate::{PhaseAlgorithm, PivotMode, RunConfig};
     use pp_parlay::rng::Rng;
 
-    fn cfg(mode: PivotMode, seed: u64) -> RunConfig {
-        RunConfig::seeded(seed).with_pivot_mode(mode)
+    fn par(moles: &[Mole], mode: PivotMode, seed: u64) -> u32 {
+        let cfg = RunConfig::seeded(seed).with_pivot_mode(mode);
+        Whac.solve_par(moles, &cfg).output
+    }
+
+    fn par2d(moles: &[Mole2d], mode: PivotMode, seed: u64) -> u32 {
+        let cfg = RunConfig::seeded(seed).with_pivot_mode(mode);
+        Whac2d.solve_par(moles, &cfg).output
     }
 
     #[test]
@@ -145,7 +137,7 @@ mod tests {
         // Moles along a reachable diagonal: each +2 time, +1 position.
         let moles: Vec<Mole> = (0..10).map(|i| Mole { t: 2 * i, p: i }).collect();
         assert_eq!(whac_seq(&moles), 10);
-        assert_eq!(whac_par(&moles, &cfg(PivotMode::Random, 1)).output, 10);
+        assert_eq!(par(&moles, PivotMode::Random, 1), 10);
     }
 
     #[test]
@@ -157,7 +149,7 @@ mod tests {
             Mole { t: 5, p: -2 },
         ];
         assert_eq!(whac_seq(&moles), 1);
-        assert_eq!(whac_par(&moles, &cfg(PivotMode::RightMost, 0)).output, 1);
+        assert_eq!(par(&moles, PivotMode::RightMost, 0), 1);
     }
 
     #[test]
@@ -174,7 +166,7 @@ mod tests {
             let want = whac_brute(&moles);
             assert_eq!(whac_seq(&moles), want, "seq trial {trial}");
             assert_eq!(
-                whac_par(&moles, &cfg(PivotMode::Random, trial)).output,
+                par(&moles, PivotMode::Random, trial),
                 want,
                 "par trial {trial}"
             );
@@ -184,9 +176,9 @@ mod tests {
     #[test]
     fn empty() {
         assert_eq!(whac_seq(&[]), 0);
-        assert_eq!(whac_par(&[], &cfg(PivotMode::Random, 0)).output, 0);
+        assert_eq!(par(&[], PivotMode::Random, 0), 0);
         assert_eq!(whac2d_seq(&[]), 0);
-        assert_eq!(whac2d_par(&[], &cfg(PivotMode::Random, 0)).output, 0);
+        assert_eq!(par2d(&[], PivotMode::Random, 0), 0);
     }
 
     #[test]
@@ -202,7 +194,7 @@ mod tests {
             .collect();
         assert_eq!(whac2d_brute(&moles), 12);
         assert_eq!(whac2d_seq(&moles), 12);
-        assert_eq!(whac2d_par(&moles, &cfg(PivotMode::Random, 1)).output, 12);
+        assert_eq!(par2d(&moles, PivotMode::Random, 1), 12);
     }
 
     #[test]
@@ -215,7 +207,7 @@ mod tests {
         ];
         assert_eq!(whac2d_brute(&moles), 1);
         assert_eq!(whac2d_seq(&moles), 1);
-        assert_eq!(whac2d_par(&moles, &cfg(PivotMode::RightMost, 0)).output, 1);
+        assert_eq!(par2d(&moles, PivotMode::RightMost, 0), 1);
     }
 
     #[test]
@@ -229,7 +221,7 @@ mod tests {
         let moles = vec![Mole2d { t: 0, x: 0, y: 0 }, Mole2d { t: 4, x: 2, y: 1 }];
         assert_eq!(whac2d_brute(&moles), 2);
         assert_eq!(whac2d_seq(&moles), 2);
-        assert_eq!(whac2d_par(&moles, &cfg(PivotMode::Random, 2)).output, 2);
+        assert_eq!(par2d(&moles, PivotMode::Random, 2), 2);
     }
 
     #[test]
@@ -247,7 +239,7 @@ mod tests {
             let want = whac2d_brute(&moles);
             assert_eq!(whac2d_seq(&moles), want, "seq trial {trial}");
             assert_eq!(
-                whac2d_par(&moles, &cfg(PivotMode::Random, trial)).output,
+                par2d(&moles, PivotMode::Random, trial),
                 want,
                 "par trial {trial}"
             );

@@ -2,8 +2,9 @@
 //! ranks, sequential vs Type 1 vs Type 2 (plus the PA-BST reference).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phase_parallel::RunConfig;
+use phase_parallel::{PhaseAlgorithm, RunConfig};
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{ActivityType1, ActivityType1Pam, ActivityType2, UnweightedActivity};
 
 fn bench_activity(c: &mut Criterion) {
     let n = 200_000;
@@ -15,18 +16,18 @@ fn bench_activity(c: &mut Criterion) {
             b.iter(|| activity::max_weight_seq(a))
         });
         group.bench_with_input(BenchmarkId::new("type1_flat", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type1(a, &RunConfig::new()))
+            b.iter(|| ActivityType1.solve_par(a, &RunConfig::new()))
         });
         group.bench_with_input(BenchmarkId::new("type1_pam", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type1_pam(a, &RunConfig::new()))
+            b.iter(|| ActivityType1Pam.solve_par(a, &RunConfig::new()))
         });
         group.bench_with_input(BenchmarkId::new("type2", rank), &acts, |b, a| {
-            b.iter(|| activity::max_weight_type2(a, &RunConfig::new()))
+            b.iter(|| ActivityType2.solve_par(a, &RunConfig::new()))
         });
         group.bench_with_input(
             BenchmarkId::new("unweighted_logn_span", rank),
             &acts,
-            |b, a| b.iter(|| activity::max_count_unweighted(a, &RunConfig::new()).output),
+            |b, a| b.iter(|| UnweightedActivity.solve_par(a, &RunConfig::new()).output),
         );
     }
     group.finish();

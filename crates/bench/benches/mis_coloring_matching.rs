@@ -2,7 +2,9 @@
 //! sequential), Jones–Plassmann coloring, and greedy matching.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pp_algos::api::{Coloring, GraphPriorityInstance, GreedyMis, Matching, MatchingReservations};
+use pp_algos::api::{
+    Coloring, GraphPriorityInstance, GreedyMis, Matching, MatchingReservations, RoundsMis,
+};
 use pp_algos::{coloring, matching, mis};
 use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_graph::gen;
@@ -24,7 +26,7 @@ fn bench_graph_greedy(c: &mut Criterion) {
             b.iter(|| GreedyMis.solve_par(i, &RunConfig::new()).output)
         });
         group.bench_with_input(BenchmarkId::new("mis_rounds", name), &inst, |b, i| {
-            b.iter(|| mis::mis_rounds(&i.graph, &i.priority, &RunConfig::new()))
+            b.iter(|| RoundsMis.solve_par(i, &RunConfig::new()))
         });
         let luby_cfg = RunConfig::seeded(5);
         group.bench_with_input(BenchmarkId::new("mis_luby", name), &inst, |b, i| {

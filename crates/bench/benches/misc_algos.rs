@@ -3,14 +3,12 @@
 //! generalization), and the multimap substrates (flat vs nested).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pp_algos::chain::{chain_par, chain_seq};
-use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
+use pp_algos::api::{Chain, Knapsack, RandomPerm, Whac, Whac2d};
+use pp_algos::chain::chain_seq;
+use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{lis_weighted_par, lis_weighted_seq, patterns, PivotMode};
-use pp_algos::random_perm::random_permutation_reservations;
-use pp_algos::whac::{
-    rotated_v_sequence, whac2d_par, whac2d_seq, whac_par, whac_seq, Mole, Mole2d,
-};
-use pp_algos::RunConfig;
+use pp_algos::whac::{rotated_v_sequence, whac2d_seq, whac_seq, Mole, Mole2d};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_pam::{Multimap, NestedMultimap};
 use pp_parlay::rng::{bounded, hash64};
 
@@ -22,11 +20,12 @@ fn bench_misc(c: &mut Criterion) {
     let items: Vec<Item> = (0..60u64)
         .map(|i| Item::new(25 + hash64(1, i) % 200, 1 + hash64(2, i) % 1000))
         .collect();
+    let knapsack = (items, 100_000);
     group.bench_function("knapsack_par", |b| {
-        b.iter(|| max_value_par(&items, 100_000, &RunConfig::new()))
+        b.iter(|| Knapsack.solve_par(&knapsack, &RunConfig::new()))
     });
     group.bench_function("knapsack_seq", |b| {
-        b.iter(|| max_value_seq(&items, 100_000))
+        b.iter(|| max_value_seq(&knapsack.0, knapsack.1))
     });
 
     // Whac-A-Mole: 100k moles.
@@ -37,7 +36,7 @@ fn bench_misc(c: &mut Criterion) {
         })
         .collect();
     let rm5 = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
-    group.bench_function("whac_par", |b| b.iter(|| whac_par(&moles, &rm5)));
+    group.bench_function("whac_par", |b| b.iter(|| Whac.solve_par(&moles, &rm5)));
     // Appendix B's route: Algorithm 3 (unit weights) on the rotation.
     group.bench_function("whac_alg3", |b| {
         b.iter(|| {
@@ -65,7 +64,9 @@ fn bench_misc(c: &mut Criterion) {
         .map(|i| std::array::from_fn(|j| (hash64(11 + j as u64, i) % 100_000) as i64))
         .collect();
     let rm14 = RunConfig::seeded(14).with_pivot_mode(PivotMode::RightMost);
-    group.bench_function("chain3d_par", |b| b.iter(|| chain_par(&pts, &rm14)));
+    group.bench_function("chain3d_par", |b| {
+        b.iter(|| Chain::<3>.solve_par(&pts, &rm14))
+    });
     group.bench_function("chain3d_seq", |b| b.iter(|| chain_seq(&pts)));
 
     // 2D-grid Whac-A-Mole (4D dominance, one more tree level).
@@ -77,13 +78,14 @@ fn bench_misc(c: &mut Criterion) {
         })
         .collect();
     let rm18 = RunConfig::seeded(18).with_pivot_mode(PivotMode::RightMost);
-    group.bench_function("whac2d_par", |b| b.iter(|| whac2d_par(&moles2d, &rm18)));
+    group.bench_function("whac2d_par", |b| {
+        b.iter(|| Whac2d.solve_par(&moles2d, &rm18))
+    });
     group.bench_function("whac2d_seq", |b| b.iter(|| whac2d_seq(&moles2d)));
 
     // Random permutation via deterministic reservations vs sort-based.
-    let cfg19 = RunConfig::seeded(19);
     group.bench_function("random_perm_reservations", |b| {
-        b.iter(|| random_permutation_reservations(200_000, &cfg19))
+        b.iter(|| RandomPerm.solve_par(&(200_000, 19), &RunConfig::new()))
     });
     group.bench_function("random_perm_sortbased", |b| {
         b.iter(|| pp_parlay::random_permutation(200_000, 19))

@@ -14,10 +14,10 @@
 
 use pp_algos::activity::{self, workload};
 use pp_algos::api::{
-    CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, PamSssp, RhoSssp, SsspInstance,
+    ActivityType1, ActivityType1Pam, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis,
+    PamSssp, RhoSssp, RoundsMis, SsspInstance,
 };
 use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
-use pp_algos::mis;
 use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_bench::{scale, secs, time_best, Table};
 use pp_graph::gen;
@@ -94,14 +94,14 @@ fn main() {
     ] {
         let pri = pri.unwrap_or_else(|| random_priorities(g.num_vertices(), 5));
         let inst = GraphPriorityInstance::new(g, pri);
-        let (g, pri) = (&inst.graph, &inst.priority);
+        let g = &inst.graph;
         let t_tas = time_best(1, || {
             std::hint::black_box(GreedyMis.solve_par(&inst, &RunConfig::new()).output);
         });
         let t_rounds = time_best(1, || {
-            std::hint::black_box(mis::mis_rounds(g, pri, &RunConfig::new()));
+            std::hint::black_box(RoundsMis.solve_par(&inst, &RunConfig::new()));
         });
-        let rs = mis::mis_rounds(g, pri, &RunConfig::new()).stats;
+        let rs = RoundsMis.solve_par(&inst, &RunConfig::new()).stats;
         table.row(&[
             name.to_string(),
             secs(t_tas),
@@ -123,10 +123,10 @@ fn main() {
     for target in [100u64, 10_000] {
         let acts = workload::with_target_rank(500_000 * s, target, 6);
         let t_flat = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
+            std::hint::black_box(ActivityType1.solve_par(&acts, &RunConfig::new()));
         });
         let t_pam = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1_pam(&acts, &RunConfig::new()));
+            std::hint::black_box(ActivityType1Pam.solve_par(&acts, &RunConfig::new()));
         });
         table.row(&[
             target.to_string(),

@@ -11,8 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use phase_parallel::RunConfig;
+use phase_parallel::{PhaseAlgorithm, RunConfig};
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{ActivityType1, ActivityType2};
 use pp_bench::{scale, secs, time_best, Table};
 
 fn main() {
@@ -34,10 +35,10 @@ fn main() {
             std::hint::black_box(activity::max_weight_seq(&acts));
         });
         let t1 = time_best(2, || {
-            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
+            std::hint::black_box(ActivityType1.solve_par(&acts, &RunConfig::new()));
         });
         let t2 = time_best(2, || {
-            std::hint::black_box(activity::max_weight_type2(&acts, &RunConfig::new()));
+            std::hint::black_box(ActivityType2.solve_par(&acts, &RunConfig::new()));
         });
         table.row(&[
             target.to_string(),

@@ -14,9 +14,11 @@
 #![forbid(unsafe_code)]
 
 use pp_algos::activity::{self, workload};
-use pp_algos::api::{DeltaSssp, GraphPriorityInstance, GreedyMis, SsspInstance};
+use pp_algos::api::{
+    ActivityType1, DeltaSssp, GraphPriorityInstance, GreedyMis, Knapsack, SsspInstance,
+};
 use pp_algos::huffman;
-use pp_algos::knapsack::{max_value_par, Item};
+use pp_algos::knapsack::Item;
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::sssp;
 use pp_algos::{PhaseAlgorithm, RunConfig};
@@ -35,9 +37,9 @@ fn main() {
         let acts = workload::with_target_rank(n, 1000, 1);
         let rank = *activity::ranks(&acts).iter().max().unwrap();
         let t = time_best(1, || {
-            std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
+            std::hint::black_box(ActivityType1.solve_par(&acts, &RunConfig::new()));
         });
-        let st = activity::max_weight_type1(&acts, &RunConfig::new()).stats;
+        let st = ActivityType1.solve_par(&acts, &RunConfig::new()).stats;
         table.row(&[
             "activity_t1".into(),
             n.to_string(),
@@ -106,7 +108,7 @@ fn main() {
         .map(|i| Item::new(20 + (i * 13) % 80, 1 + i))
         .collect();
     let w = 200_000u64;
-    let st = max_value_par(&items, w, &RunConfig::new()).stats;
+    let st = Knapsack.solve_par(&(items, w), &RunConfig::new()).stats;
     println!(
         "  W = {w}, w* = 20 → rounds = {} (expected {})",
         st.rounds,

@@ -12,8 +12,8 @@
 
 #![forbid(unsafe_code)]
 
-use pp_algos::activity::{self, workload};
-use pp_algos::api::{GraphPriorityInstance, GreedyMis};
+use pp_algos::activity::workload;
+use pp_algos::api::{ActivityType1, GraphPriorityInstance, GreedyMis};
 use pp_algos::lis::{lis_weighted_par, patterns, PivotMode};
 use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_bench::{scale, secs, time_best, Table};
@@ -57,7 +57,7 @@ fn main() {
         });
         let t_act = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
+                std::hint::black_box(ActivityType1.solve_par(&acts, &RunConfig::new()));
             })
         });
         let t_mis = with_threads(t, || {

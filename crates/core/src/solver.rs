@@ -105,9 +105,8 @@ pub struct RunConfig {
     /// pool — and since the rayon shim became a real fork-join pool,
     /// `t` is the *actual* worker count parallel regions fan out
     /// across, not a label. Applied by [`Solver::solve`] and the
-    /// registry's `run_case` (via [`RunConfig::install`]); a family's
-    /// free `*_par` function called directly runs on the ambient pool
-    /// regardless.
+    /// registry's `run_case` (via [`RunConfig::install`]); an impl's
+    /// `solve_par` called directly runs on the ambient pool regardless.
     pub threads: Option<usize>,
     /// Δ-stepping bucket width. `None` lets SSSP default to Δ = w* (the
     /// paper's phase-parallel choice, Theorem 4.5).

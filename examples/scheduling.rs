@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example scheduling`
 
-use phase_parallel::RunConfig;
+use phase_parallel::{PhaseAlgorithm, RunConfig};
 use pp_algos::activity::{self, workload};
+use pp_algos::api::{ActivityType1, ActivityType2};
 use std::time::Instant;
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         println!("  classic sequential DP: {best_seq:>20}  in {t_seq:?}");
 
         let t = Instant::now();
-        let r1 = activity::max_weight_type1(&acts, &RunConfig::new());
+        let r1 = ActivityType1.solve_par(&acts, &RunConfig::new());
         let (best_t1, s1) = (r1.output, r1.stats);
         let t_t1 = t.elapsed();
         println!(
@@ -35,7 +36,7 @@ fn main() {
         );
 
         let t = Instant::now();
-        let r2 = activity::max_weight_type2(&acts, &RunConfig::new());
+        let r2 = ActivityType2.solve_par(&acts, &RunConfig::new());
         let (best_t2, s2) = (r2.output, r2.stats);
         let t_t2 = t.elapsed();
         println!(

@@ -2,13 +2,14 @@
 //!
 //! Uses the §6.4 input patterns (segment and line) as "market regimes"
 //! and compares the parallel LIS — Algorithm 3 (`lis_weighted_par` with
-//! unit weights) and the prefix-minima rounds (`lis_par`) — against the
+//! unit weights) and the prefix-minima rounds (`api::Lis`) — against the
 //! classic sequential DP, reporting the wake-up statistics of Table 2.
 //!
 //! Run with: `cargo run --release -p pp-algos --example stock_lis`
 
-use pp_algos::lis::{lis_par, lis_seq, lis_weighted_par, patterns, PivotMode};
-use pp_algos::RunConfig;
+use pp_algos::api::Lis;
+use pp_algos::lis::{lis_seq, lis_weighted_par, patterns, PivotMode};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use std::time::Instant;
 
 fn main() {
@@ -45,7 +46,7 @@ fn main() {
             );
         }
         let t = Instant::now();
-        let res = lis_par(&series, &RunConfig::new());
+        let res = Lis.solve_par(&series, &RunConfig::new());
         let dt = t.elapsed();
         assert_eq!(res.output, k_seq);
         println!(

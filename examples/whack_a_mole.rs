@@ -5,7 +5,7 @@
 //!
 //! * **1D strip** — the appendix's setting: rotating `(t, p)` to
 //!   `(t+p, t−p)` turns the DP into LIS, solved by the prefix-minima
-//!   rounds of `lis_par` (`O(n log n)` work, `k` rounds of `O(log n)`
+//!   rounds of `api::Lis` (`O(n log n)` work, `k` rounds of `O(log n)`
 //!   span).
 //! * **2D grid** — the appendix's closing remark: the L1 reachability
 //!   cone becomes four rotated dominance constraints, one extra range
@@ -14,9 +14,10 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example whack_a_mole`
 
+use pp_algos::api::{Whac, Whac2d};
 use pp_algos::lis::PivotMode;
-use pp_algos::whac::{whac2d_par, whac2d_seq, whac_par, whac_seq, Mole, Mole2d};
-use pp_algos::RunConfig;
+use pp_algos::whac::{whac2d_seq, whac_seq, Mole, Mole2d};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_parlay::rng::Rng;
 use std::time::Instant;
 
@@ -56,7 +57,7 @@ fn main() {
         let want = whac_seq(&moles);
         let t_seq = t0.elapsed();
         let t0 = Instant::now();
-        let report = whac_par(&moles, &RunConfig::seeded(5));
+        let report = Whac.solve_par(&moles, &RunConfig::seeded(5));
         let (got, stats) = (report.output, report.stats);
         let t_par = t0.elapsed();
         assert_eq!(got, want);
@@ -78,7 +79,7 @@ fn main() {
         let t_seq = t0.elapsed();
         let t0 = Instant::now();
         let cfg = RunConfig::seeded(6).with_pivot_mode(PivotMode::RightMost);
-        let report = whac2d_par(&moles, &cfg);
+        let report = Whac2d.solve_par(&moles, &cfg);
         let (got, stats) = (report.output, report.stats);
         let t_par = t0.elapsed();
         assert_eq!(got, want);

@@ -3,10 +3,11 @@
 
 use pp_algos::activity::{self, Activity};
 use pp_algos::api::{
-    CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, RhoSssp, SsspInstance,
+    ActivityType1, ActivityType2, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis,
+    Knapsack, Lis, RandomPerm, RhoSssp, SsspInstance, Whac2d,
 };
 use pp_algos::huffman;
-use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
+use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::mis;
 use pp_algos::sssp;
@@ -23,7 +24,7 @@ fn lis_rank_equals_n_chain() {
     // its virtual round).
     let v: Vec<i64> = (0..2000).collect();
     let cfg = RunConfig::seeded(1).with_pivot_mode(PivotMode::RightMost);
-    let res = lis::lis_par(&v, &cfg);
+    let res = Lis.solve_par(&v, &cfg);
     assert_eq!(res.output, 2000);
     assert_eq!(res.stats.rounds, 2000);
     let res = lis::lis_weighted_par(&v, &vec![1; v.len()], &cfg);
@@ -34,7 +35,7 @@ fn lis_rank_equals_n_chain() {
 #[test]
 fn activity_rank_equals_n_chain() {
     let acts = activity::sort_by_end((0..1500u64).map(|i| Activity::new(i, i + 1, 1)).collect());
-    let report = activity::max_weight_type2(&acts, &RunConfig::new());
+    let report = ActivityType2.solve_par(&acts, &RunConfig::new());
     assert_eq!(report.output, 1500);
     assert_eq!(report.stats.rounds, 1500);
 }
@@ -61,7 +62,7 @@ fn mis_priority_chain_worst_case() {
 #[test]
 fn lis_all_equal_and_all_distinct_duplicated() {
     let v = vec![7i64; 3000];
-    assert_eq!(lis::lis_par(&v, &RunConfig::seeded(0)).output, 1);
+    assert_eq!(Lis.solve_par(&v, &RunConfig::seeded(0)).output, 1);
     // Two interleaved copies of 0..1500: LIS length is 1500.
     let mut v: Vec<i64> = Vec::new();
     for i in 0..1500 {
@@ -70,14 +71,14 @@ fn lis_all_equal_and_all_distinct_duplicated() {
     }
     assert_eq!(lis::lis_seq(&v), 1500);
     let cfg = RunConfig::seeded(0).with_pivot_mode(PivotMode::RightMost);
-    assert_eq!(lis::lis_par(&v, &cfg).output, 1500);
+    assert_eq!(Lis.solve_par(&v, &cfg).output, 1500);
 }
 
 #[test]
 fn activity_identical_intervals() {
     // n copies of the same interval: rank 1, pick the heaviest.
     let acts = activity::sort_by_end((0..1000u64).map(|w| Activity::new(10, 20, w + 1)).collect());
-    let report = activity::max_weight_type1(&acts, &RunConfig::new());
+    let report = ActivityType1.solve_par(&acts, &RunConfig::new());
     assert_eq!(report.output, 1000);
     assert_eq!(report.stats.rounds, 1);
 }
@@ -101,9 +102,10 @@ fn knapsack_boundary_weights() {
     // Item exactly equal to W, and items summing to just over W.
     let items = vec![Item::new(100, 7), Item::new(51, 4)];
     assert_eq!(max_value_seq(&items, 100), 7);
-    assert_eq!(max_value_par(&items, 100, &RunConfig::new()).output, 7);
-    assert_eq!(max_value_par(&items, 99, &RunConfig::new()).output, 4);
-    assert_eq!(max_value_par(&items, 50, &RunConfig::new()).output, 0);
+    for (w, want) in [(100, 7), (99, 4), (50, 0)] {
+        let report = Knapsack.solve_par(&(items.clone(), w), &RunConfig::new());
+        assert_eq!(report.output, want, "W = {w}");
+    }
 }
 
 // ---- graph edge cases ----
@@ -174,7 +176,7 @@ fn activity_huge_weights_no_overflow() {
             .collect(),
     );
     assert_eq!(
-        activity::max_weight_type1(&acts, &RunConfig::new()).output,
+        ActivityType1.solve_par(&acts, &RunConfig::new()).output,
         1000 * (u32::MAX as u64)
     );
 }
@@ -266,9 +268,8 @@ fn crauser_uniform_weights_settle_bfs_layers() {
 
 #[test]
 fn random_perm_reservations_tiny_and_duplicate_free() {
-    use pp_algos::random_perm::random_permutation_reservations;
     for n in [0usize, 1, 2, 3] {
-        let p = random_permutation_reservations(n, &RunConfig::seeded(5)).output;
+        let p = RandomPerm.solve_par(&(n, 5), &RunConfig::new()).output;
         let mut q = p.clone();
         q.sort_unstable();
         assert_eq!(q, (0..n as u32).collect::<Vec<_>>());
@@ -277,16 +278,16 @@ fn random_perm_reservations_tiny_and_duplicate_free() {
 
 #[test]
 fn whac2d_everything_at_origin() {
-    use pp_algos::whac::{whac2d_par, whac2d_seq, Mole2d};
+    use pp_algos::whac::{whac2d_seq, Mole2d};
     // Same cell, increasing time: all hittable (pure waiting).
     let moles: Vec<Mole2d> = (0..500).map(|i| Mole2d { t: i, x: 0, y: 0 }).collect();
     assert_eq!(whac2d_seq(&moles), 500);
     let rm = RunConfig::seeded(0).with_pivot_mode(PivotMode::RightMost);
-    assert_eq!(whac2d_par(&moles, &rm).output, 500);
+    assert_eq!(Whac2d.solve_par(&moles, &rm).output, 500);
     // Same cell, same time (duplicates): only one.
     let moles = vec![Mole2d { t: 1, x: 2, y: 3 }; 40];
     assert_eq!(whac2d_seq(&moles), 1);
-    assert_eq!(whac2d_par(&moles, &RunConfig::seeded(1)).output, 1);
+    assert_eq!(Whac2d.solve_par(&moles, &RunConfig::seeded(1)).output, 1);
 }
 
 #[test]

@@ -5,17 +5,18 @@
 
 use pp_algos::activity;
 use pp_algos::api::{
-    BellmanFordSssp, Coloring, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, Matching,
-    MatchingReservations, PamSssp, RhoSssp, SsspInstance,
+    ActivityType1, ActivityType1Pam, ActivityType2, BellmanFordSssp, Coloring, CrauserSssp,
+    DeltaSssp, GraphPriorityInstance, GreedyMis, Knapsack, Lis, Matching, MatchingReservations,
+    PamSssp, RandomPerm, RhoSssp, RoundsMis, SsspInstance, Whac, Whac2d,
 };
 use pp_algos::coloring::{coloring_seq, is_proper_coloring};
 use pp_algos::huffman;
-use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
+use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::matching;
 use pp_algos::mis;
 use pp_algos::sssp;
-use pp_algos::whac::{rotated_v_sequence, whac_par, whac_seq, Mole};
+use pp_algos::whac::{rotated_v_sequence, whac_seq, Mole};
 use pp_algos::{PhaseAlgorithm, RunConfig, Solver};
 use pp_graph::gen;
 use pp_parlay::rng::Rng;
@@ -26,9 +27,9 @@ fn activity_pipeline_end_to_end() {
     for target in [1u64, 30, 3_000] {
         let acts = activity::workload::with_target_rank(30_000, target, target);
         let want = activity::max_weight_seq(&acts);
-        let r1 = activity::max_weight_type1(&acts, &RunConfig::new());
-        let r1p = activity::max_weight_type1_pam(&acts, &RunConfig::new());
-        let r2 = activity::max_weight_type2(&acts, &RunConfig::new());
+        let r1 = ActivityType1.solve_par(&acts, &RunConfig::new());
+        let r1p = ActivityType1Pam.solve_par(&acts, &RunConfig::new());
+        let r2 = ActivityType2.solve_par(&acts, &RunConfig::new());
         assert_eq!(r1.output, want);
         assert_eq!(r1p.output, want);
         assert_eq!(r2.output, want);
@@ -51,7 +52,7 @@ fn lis_pipeline_on_both_patterns() {
         let ones = vec![1; series.len()];
         for mode in [PivotMode::Random, PivotMode::RightMost] {
             let cfg = RunConfig::seeded(3).with_pivot_mode(mode);
-            let res = lis::lis_par(&series, &cfg);
+            let res = Lis.solve_par(&series, &cfg);
             assert_eq!(res.output, want, "{label} {mode:?}");
             // Round-efficiency: rounds == LIS length.
             assert_eq!(res.stats.rounds, want as usize, "{label} {mode:?}");
@@ -70,9 +71,10 @@ fn knapsack_par_matches_seq_large() {
         .map(|_| Item::new(5 + r.range(50), 1 + r.range(1000)))
         .collect();
     let w = 20_000;
-    let report = max_value_par(&items, w, &RunConfig::new());
-    assert_eq!(report.output, max_value_seq(&items, w));
+    let want = max_value_seq(&items, w);
     let w_star = items.iter().map(|i| i.weight).min().unwrap();
+    let report = Knapsack.solve_par(&(items, w), &RunConfig::new());
+    assert_eq!(report.output, want);
     assert_eq!(report.stats.rounds as u64, (w).div_ceil(w_star));
 }
 
@@ -142,7 +144,7 @@ fn graph_greedy_trio_agree_everywhere() {
         let (g, pri) = (&inst.graph, &inst.priority);
         // MIS.
         let set = mis::mis_seq(g, pri);
-        assert_eq!(mis::mis_rounds(g, pri, &RunConfig::new()).output, set);
+        assert_eq!(RoundsMis.solve_par(&inst, &RunConfig::new()).output, set);
         assert!(mis::is_maximal_independent(g, &set));
         // Coloring.
         let col = coloring_seq(g, pri);
@@ -172,10 +174,10 @@ fn results_identical_across_thread_counts() {
     let lis_cfg = RunConfig::seeded(5).with_pivot_mode(PivotMode::RightMost);
     let run_all = || {
         (
-            lis::lis_par(&series, &lis_cfg).output,
+            Lis.solve_par(&series, &lis_cfg).output,
             GreedyMis.solve_par(&graph, &RunConfig::new()).output,
             Coloring.solve_par(&graph, &RunConfig::new()).output,
-            activity::max_weight_type1(&acts, &RunConfig::new()).output,
+            ActivityType1.solve_par(&acts, &RunConfig::new()).output,
             PamSssp.solve_par(&weighted, &RunConfig::new()).output,
         )
     };
@@ -237,7 +239,7 @@ fn whac_a_mole_reuses_lis_machinery() {
         .collect();
     let want = whac_seq(&moles);
     let cfg = RunConfig::seeded(7).with_pivot_mode(PivotMode::RightMost);
-    let report = whac_par(&moles, &cfg);
+    let report = Whac.solve_par(&moles, &cfg);
     assert_eq!(report.output, want);
     assert_eq!(report.stats.rounds, want as usize);
     // Algorithm 3 on the same rotated sequence adds its virtual round.
@@ -262,7 +264,7 @@ fn grid_whac_exercises_the_full_4d_stack() {
     let want = pp_algos::whac::whac2d_seq(&moles);
     for mode in [PivotMode::Random, PivotMode::RightMost] {
         let cfg = RunConfig::seeded(9).with_pivot_mode(mode);
-        let report = pp_algos::whac::whac2d_par(&moles, &cfg);
+        let report = Whac2d.solve_par(&moles, &cfg);
         assert_eq!(report.output, want);
         assert_eq!(
             report.stats.rounds, want as usize,
@@ -275,9 +277,9 @@ fn grid_whac_exercises_the_full_4d_stack() {
 fn reservations_framework_end_to_end() {
     // The prior-work baseline [10] drives both applications and agrees
     // with the sequential algorithms exactly.
-    use pp_algos::random_perm::{knuth_shuffle_seq, random_permutation_reservations, swap_targets};
+    use pp_algos::random_perm::{knuth_shuffle_seq, swap_targets};
     let n = 40_000;
-    let report = random_permutation_reservations(n, &RunConfig::seeded(11));
+    let report = RandomPerm.solve_par(&(n, 11), &RunConfig::new());
     assert_eq!(report.output, knuth_shuffle_seq(n, &swap_targets(n, 11)));
     assert!(report.stats.rounds < 100);
 
@@ -315,7 +317,7 @@ fn mis_family_maximality_and_greedy_equality() {
     let (g, pri) = (&inst.graph, &inst.priority);
     let greedy = mis::mis_seq(g, pri);
     assert_eq!(GreedyMis.solve_par(&inst, &RunConfig::new()).output, greedy);
-    assert_eq!(mis::mis_rounds(g, pri, &RunConfig::new()).output, greedy);
+    assert_eq!(RoundsMis.solve_par(&inst, &RunConfig::new()).output, greedy);
     // Luby: maximal but a different (non-greedy) set is allowed.
     let luby = mis::mis_luby(g, &RunConfig::seeded(19)).output;
     assert!(mis::is_maximal_independent(g, &luby));

@@ -4,11 +4,12 @@
 
 use pp_algos::activity::{self, Activity};
 use pp_algos::api::{
-    Coloring, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis, Matching,
-    MatchingReservations, PamSssp, RhoSssp, SsspInstance,
+    ActivityType1, ActivityType2, Chain, Coloring, CrauserSssp, DeltaSssp, GraphPriorityInstance,
+    GreedyMis, Knapsack, Lis, Matching, MatchingReservations, PamSssp, RandomPerm, RhoSssp,
+    SsspInstance, Whac, Whac2d,
 };
 use pp_algos::huffman;
-use pp_algos::knapsack::{max_value_par, max_value_seq, Item};
+use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_pam::{AugTree, MaxAug, NoAug};
@@ -176,9 +177,9 @@ proptest! {
     fn lis_par_equals_seq(v in prop::collection::vec(-100i64..100, 0..300), seed in any::<u64>()) {
         let want = lis::lis_seq(&v);
         let cfg = RunConfig::seeded(seed);
-        prop_assert_eq!(lis::lis_par(&v, &cfg).output, want);
+        prop_assert_eq!(Lis.solve_par(&v, &cfg).output, want);
         let cfg = cfg.with_pivot_mode(PivotMode::RightMost);
-        prop_assert_eq!(lis::lis_par(&v, &cfg).output, want);
+        prop_assert_eq!(Lis.solve_par(&v, &cfg).output, want);
     }
 
     #[test]
@@ -201,15 +202,16 @@ proptest! {
             .collect();
         let acts = activity::sort_by_end(acts);
         let want = activity::max_weight_seq(&acts);
-        prop_assert_eq!(activity::max_weight_type1(&acts, &RunConfig::new()).output, want);
-        prop_assert_eq!(activity::max_weight_type2(&acts, &RunConfig::new()).output, want);
+        prop_assert_eq!(ActivityType1.solve_par(&acts, &RunConfig::new()).output, want);
+        prop_assert_eq!(ActivityType2.solve_par(&acts, &RunConfig::new()).output, want);
     }
 
     #[test]
     fn knapsack_par_equals_seq(raw in prop::collection::vec((1u64..30, 0u64..100), 1..15),
                                w in 0u64..400) {
         let items: Vec<Item> = raw.into_iter().map(|(wt, v)| Item::new(wt, v)).collect();
-        prop_assert_eq!(max_value_par(&items, w, &RunConfig::new()).output, max_value_seq(&items, w));
+        let want = max_value_seq(&items, w);
+        prop_assert_eq!(Knapsack.solve_par(&(items, w), &RunConfig::new()).output, want);
     }
 
     #[test]
@@ -320,7 +322,7 @@ proptest! {
             .map(|(t, p)| pp_algos::whac::Mole { t, p }).collect();
         let want = pp_algos::whac::whac_brute(&moles);
         prop_assert_eq!(pp_algos::whac::whac_seq(&moles), want);
-        prop_assert_eq!(pp_algos::whac::whac_par(&moles, &RunConfig::seeded(seed)).output, want);
+        prop_assert_eq!(Whac.solve_par(&moles, &RunConfig::seeded(seed)).output, want);
     }
 
     #[test]
@@ -416,20 +418,20 @@ proptest! {
 
     #[test]
     fn random_perm_reservations_equals_knuth(n in 0usize..300, seed in any::<u64>()) {
-        use pp_algos::random_perm::{knuth_shuffle_seq, random_permutation_reservations, swap_targets};
+        use pp_algos::random_perm::{knuth_shuffle_seq, swap_targets};
         let targets = swap_targets(n, seed);
-        let got = random_permutation_reservations(n, &RunConfig::seeded(seed)).output;
+        let got = RandomPerm.solve_par(&(n, seed), &RunConfig::new()).output;
         prop_assert_eq!(got, knuth_shuffle_seq(n, &targets));
     }
 
     #[test]
     fn whac2d_par_matches_brute(moles in prop::collection::vec((0i64..100, -30i64..30, -30i64..30), 1..60),
                                 seed in any::<u64>()) {
-        use pp_algos::whac::{whac2d_brute, whac2d_par, whac2d_seq, Mole2d};
+        use pp_algos::whac::{whac2d_brute, whac2d_seq, Mole2d};
         let moles: Vec<Mole2d> = moles.into_iter().map(|(t, x, y)| Mole2d { t, x, y }).collect();
         let want = whac2d_brute(&moles);
         prop_assert_eq!(whac2d_seq(&moles), want);
-        prop_assert_eq!(whac2d_par(&moles, &RunConfig::seeded(seed)).output, want);
+        prop_assert_eq!(Whac2d.solve_par(&moles, &RunConfig::seeded(seed)).output, want);
     }
 
     #[test]
@@ -650,13 +652,13 @@ fn chain_matches_brute<const D: usize>(pts: &[[i64; D]], seed: u64) -> Result<()
 where
     [i64; D]: pp_algos::chain::ChainPoint,
 {
-    use pp_algos::chain::{chain_brute, chain_par, chain_seq};
+    use pp_algos::chain::{chain_brute, chain_seq};
     let want = chain_brute(pts);
     prop_assert_eq!(chain_seq(pts), want);
     let cfg = RunConfig::seeded(seed);
-    prop_assert_eq!(chain_par(pts, &cfg).output, want);
+    prop_assert_eq!(Chain::<D>.solve_par(pts, &cfg).output, want);
     let cfg = cfg.with_pivot_mode(PivotMode::RightMost);
-    prop_assert_eq!(chain_par(pts, &cfg).output, want);
+    prop_assert_eq!(Chain::<D>.solve_par(pts, &cfg).output, want);
     Ok(())
 }
 
