@@ -9,7 +9,7 @@
 
 use super::pivots::latest_start_pivots;
 use super::Activity;
-use phase_parallel::{run_type2, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{run_type2, InitialState, Report, RunConfig, Type2Problem, WakeResult};
 use pp_ranges::AtomicFenwickMax;
 
 /// Type 2 algorithm. `acts` sorted by end time.
@@ -40,22 +40,17 @@ pub(crate) fn max_weight_type2(acts: &[Activity], cfg: &RunConfig) -> Report<u64
         type Info = u64; // the activity's DP value
         type Output = u64;
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            self.pivots
-                .iter()
-                .enumerate()
-                .filter_map(|(x, p)| p.map(|p| (p, x as u32)))
-                .collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u64)> {
-            // Rank-1 activities: no activity ends before they start.
-            self.pivots
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_none())
-                .map(|(x, _)| (x as u32, self.acts[x].weight))
-                .collect()
+        fn initial(&self) -> InitialState<u64> {
+            let mut pairs = Vec::new();
+            let mut frontier = Vec::new();
+            for (x, p) in self.pivots.iter().enumerate() {
+                match *p {
+                    Some(p) => pairs.push((p, x as u32)),
+                    // Rank 1: no activity ends before x starts.
+                    None => frontier.push((x as u32, self.acts[x].weight)),
+                }
+            }
+            (pairs, frontier)
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u64> {

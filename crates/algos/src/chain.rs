@@ -19,7 +19,9 @@
 //! first-coordinate order over the `(D − 1)`-dimensional tree, and
 //! [`chain_brute`] is the quadratic oracle.
 
-use phase_parallel::{run_type2, PivotMode, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{
+    run_type2, InitialState, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
+};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::{Dominance, Layered, RangeTree2d};
 use rayon::prelude::*;
@@ -203,26 +205,27 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
     type Info = u32;
     type Output = (Vec<u32>, u32);
 
-    fn initial_pivots(&self) -> Vec<(u32, u32)> {
+    fn initial(&self) -> InitialState<u32> {
         // No virtual point here: probe every object once up front;
         // blocked ones hang off their first pivot.
-        (0..self.dp.len() as u32)
+        let probes: Vec<(u32, WakeResult<u32>)> = (0..self.dp.len() as u32)
             .into_par_iter()
-            .filter_map(|x| match self.probe(x) {
-                WakeResult::Ready(_) => None,
-                WakeResult::Blocked { new_pivot } => Some((new_pivot, x)),
-            })
-            .collect()
-    }
-
-    fn initial_frontier(&self) -> Vec<(u32, u32)> {
-        (0..self.dp.len() as u32)
-            .into_par_iter()
-            .filter_map(|x| match self.probe(x) {
-                WakeResult::Ready(dp) => Some((x, dp)),
-                WakeResult::Blocked { .. } => None,
-            })
-            .collect()
+            .map(|x| (x, self.probe(x)))
+            .collect();
+        let mut pairs = Vec::new();
+        let mut frontier = Vec::new();
+        for (x, r) in probes {
+            match r {
+                WakeResult::Ready(dp) => frontier.push((x, dp)),
+                WakeResult::Blocked { new_pivot } => {
+                    // Skip attempt 1 of x's RNG stream, so wake-ups start
+                    // at attempt 2 and the pinned pivot sequences replay.
+                    self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
+                    pairs.push((new_pivot, x));
+                }
+            }
+        }
+        (pairs, frontier)
     }
 
     fn try_wake(&self, x: u32) -> WakeResult<u32> {

@@ -23,7 +23,7 @@
 //! the prefix-minima rounds do not provide.
 
 use phase_parallel::{
-    run_type1, run_type2, Report, RunConfig, Type1Problem, Type2Problem, WakeResult,
+    run_type1, run_type2, InitialState, Report, RunConfig, Type1Problem, Type2Problem, WakeResult,
 };
 use pp_parlay::monoid::MinMonoid;
 use pp_parlay::rng::{hash64, Rng};
@@ -141,14 +141,10 @@ pub fn lis_weighted_par(
         type Info = u32;
         type Output = (Vec<u32>, u32);
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
+        fn initial(&self) -> InitialState<u32> {
             // Every real object initially pivots on the virtual point
-            // (Algorithm 3 line 21).
-            (1..=self.n as u32).map(|x| (0, x)).collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u32)> {
-            vec![(0, 0)] // the virtual point, DP value 0
+            // (Algorithm 3 line 21), which starts with DP value 0.
+            ((1..=self.n as u32).map(|x| (0, x)).collect(), vec![(0, 0)])
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u32> {

@@ -930,6 +930,46 @@ mod tests {
     }
 
     #[test]
+    fn knapsack_and_huffman_round_contract_on_every_seq_scenario() {
+        // Knapsack runs one round per w*-wide capacity window, ⌈W / w*⌉
+        // (Theorem 4.3). Huffman postpones only the largest member of an
+        // odd frontier, so its rounds stay near the tree height
+        // (Theorem 4.7), within the bound of `rounds_bounded_by_height`.
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        for name in ["knapsack", "huffman"] {
+            let entry = lookup(name).unwrap();
+            for scenario in entry.scenarios() {
+                for size in [300, 2000] {
+                    let case = CaseSpec::new(size, 4).with_scenario(scenario);
+                    let key = scenario.key();
+                    let shared = entry.prepare_shared(&case, &cfg);
+                    let served = shared.query(&mut scratch, &cfg);
+                    let rounds = served.stats.rounds;
+                    assert_eq!(
+                        served.digest,
+                        shared.seq_digest(),
+                        "{name} on {key}, n = {size}"
+                    );
+                    if name == "knapsack" {
+                        let (items, cap) = gen_knapsack(&case, &cfg);
+                        let w_min = items.iter().map(|it| it.weight).min().unwrap();
+                        let want = cap.div_ceil(w_min) as usize;
+                        assert_eq!(rounds, want, "{name} on {key}, n = {size}");
+                    } else {
+                        let freqs = gen_freqs(&case, &cfg);
+                        let height = crate::huffman::build_par(&freqs, &cfg).output.height();
+                        assert!(
+                            rounds <= height as usize + 3,
+                            "{name} on {key}, n = {size}: {rounds} rounds, height {height}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn type2_chain_pivots_are_pinned() {
         // Rounds, wake-up attempts and failed wake-ups of the Type 2
         // chain entries at size 300, seed 4. They are fixed by the seed

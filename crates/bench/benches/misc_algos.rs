@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks for the remaining algorithms: unlimited
 //! knapsack (§4.2), Whac-A-Mole (Appendix B), weighted LIS (§5.2
-//! generalization), and the multimap substrates (flat vs nested).
+//! generalization), chains, and random permutations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pp_algos::api::{Chain, Knapsack, RandomPerm, Whac, Whac2d};
@@ -9,8 +9,7 @@ use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{lis_weighted_par, lis_weighted_seq, patterns, PivotMode};
 use pp_algos::whac::{rotated_v_sequence, whac2d_seq, whac_seq, Mole, Mole2d};
 use pp_algos::{PhaseAlgorithm, RunConfig};
-use pp_pam::{Multimap, NestedMultimap};
-use pp_parlay::rng::{bounded, hash64};
+use pp_parlay::rng::hash64;
 
 fn bench_misc(c: &mut Criterion) {
     let mut group = c.benchmark_group("misc_algos");
@@ -91,28 +90,6 @@ fn bench_misc(c: &mut Criterion) {
         b.iter(|| pp_parlay::random_permutation(200_000, 19))
     });
 
-    // Multimap substrates: build + multi_find, flat vs nested (App. A).
-    let pairs: Vec<(u32, u32)> = (0..100_000u64)
-        .map(|i| {
-            (
-                (hash64(9, i) % 1000) as u32,
-                bounded(hash64(10, i), 1 << 30) as u32,
-            )
-        })
-        .collect();
-    let keys: Vec<u32> = (0..1000).collect();
-    group.bench_function("multimap_flat_build_find", |b| {
-        b.iter(|| {
-            let m = Multimap::build(pairs.clone());
-            m.multi_find(&keys).len()
-        })
-    });
-    group.bench_function("multimap_nested_build_find", |b| {
-        b.iter(|| {
-            let m = NestedMultimap::build(pairs.clone());
-            m.multi_find(&keys).len()
-        })
-    });
     group.finish();
 }
 

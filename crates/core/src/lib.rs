@@ -63,4 +63,4 @@ pub use solver::{
 pub use stats::ExecutionStats;
 pub use tas_tree::{TasForest, TasTree};
 pub use type1::{run_type1, Type1Problem};
-pub use type2::{run_type2, Type2Problem, WakeResult};
+pub use type2::{run_type2, InitialState, Type2Problem, WakeResult};

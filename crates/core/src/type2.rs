@@ -1,18 +1,27 @@
 //! The Type 2 engine: Algorithm 1 with pivot-based *wake-up* (§5).
 //!
 //! Instead of scanning for ready objects, every unfinished object `x`
-//! hangs off a **pivot** `p_x ∈ P(x)` — an object it depends on — in the
-//! multimap `T_pivot`. When a frontier finishes, only the objects whose
-//! pivot just finished are *attempted*: a readiness check either
-//! succeeds (the object joins the next frontier) or yields a fresh
-//! unfinished pivot to hang off (Algorithm 3 lines 26–38). With random
-//! pivots each object is attempted `O(log |P(x)|)` times whp
-//! (Lemma 5.5), which is what makes the whole thing work-efficient.
+//! hangs off a **pivot** `p_x ∈ P(x)` — an object it depends on — in
+//! `T_pivot`. When a frontier finishes, only the objects whose pivot just
+//! finished are *attempted*: a readiness check either succeeds (the
+//! object joins the next frontier) or yields a fresh unfinished pivot to
+//! hang off (Algorithm 3 lines 26–38). With random pivots each object is
+//! attempted `O(log |P(x)|)` times whp (Lemma 5.5), which is what makes
+//! the whole thing work-efficient.
+//!
+//! `T_pivot` is a vector of buckets indexed by pivot id. The paper keeps
+//! it in a nested BST (Theorem 2.2), but here the keys are object ids,
+//! each blocked object waits on exactly one pivot, and a finished pivot
+//! never gains waiters. So `multi_insert` is a push per pair, O(1) work,
+//! and `multi_find` of `m` frontier keys returning `s` waiters takes each
+//! key's bucket and sorts it: `O(m + s log s)` work, within Theorem 2.2's
+//! `O((m + s) log n)`. The moves run on one thread, `O(m + s log s)` per
+//! round, the same span class as the loop that splits each round's
+//! wake-up results; the wake-ups themselves run in parallel.
 
 use crate::cancel::RunOutcome;
 use crate::solver::{Report, RunConfig};
 use crate::stats::ExecutionStats;
-use pp_pam::Multimap;
 use rayon::prelude::*;
 
 /// Outcome of a wake-up attempt.
@@ -27,6 +36,10 @@ pub enum WakeResult<I> {
     },
 }
 
+/// What [`Type2Problem::initial`] returns: the `(pivot, object)` pairs
+/// seeding `T_pivot`, and the round-0 frontier.
+pub type InitialState<I> = (Vec<(u32, u32)>, Vec<(u32, I)>);
+
 /// A problem runnable by the Type 2 engine.
 ///
 /// `try_wake` takes `&self` (it runs in parallel over the todo list and
@@ -38,12 +51,12 @@ pub trait Type2Problem: Sync {
     /// Final result type.
     type Output;
 
-    /// `(pivot, object)` pairs seeding `T_pivot` (Algorithm 3 line 21).
-    fn initial_pivots(&self) -> Vec<(u32, u32)>;
-
-    /// The round-0 frontier: objects ready with no predecessors —
-    /// including any virtual source object.
-    fn initial_frontier(&self) -> Vec<(u32, Self::Info)>;
+    /// The starting state, from at most one probe per object:
+    /// `(pivot, object)` pairs seeding `T_pivot` (Algorithm 3 line 21),
+    /// and the round-0 frontier of objects ready with no predecessors,
+    /// including any virtual source object. Every object that is not in
+    /// the frontier needs exactly one pair.
+    fn initial(&self) -> InitialState<Self::Info>;
 
     /// Attempt to wake `x` after its pivot finished. Implementations
     /// check readiness (e.g. a 2D range query) and either produce the
@@ -58,20 +71,38 @@ pub trait Type2Problem: Sync {
     fn finish(self) -> Self::Output;
 }
 
+/// Hang object `x` in `pivot`'s bucket, growing `t_pivot` to the
+/// largest pivot id given.
+fn hang(t_pivot: &mut Vec<Vec<u32>>, pivot: u32, x: u32) {
+    let p = pivot as usize;
+    if p >= t_pivot.len() {
+        t_pivot.resize_with(p + 1, Vec::new);
+    }
+    t_pivot[p].push(x);
+}
+
 /// Run the Type 2 wake-up loop over a problem.
 ///
-/// The config's cancellation token is polled at the top of every
-/// wake-up round, before the round's frontier commits, so a pre-tripped
-/// token stops the run with zero rounds. On a trip the engine finishes
-/// with partial state under
+/// Each round wakes the waiters of the frontier's objects in frontier
+/// order, ascending by id within one pivot. The config's cancellation
+/// token is polled before [`Type2Problem::initial`] and at the top of
+/// every wake-up round, before the round's frontier commits, so a
+/// pre-tripped token stops the run with zero rounds and no probe. On a
+/// trip the engine finishes with partial state under
 /// [`RunOutcome::DeadlineExceeded`](crate::RunOutcome); an untripped
 /// token leaves the run byte-identical to a run without one.
 pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::Output> {
     let mut stats = ExecutionStats::default();
+    if cfg.is_cancelled() {
+        return Report::new(problem.finish(), stats).with_outcome(RunOutcome::DeadlineExceeded);
+    }
     let mut outcome = RunOutcome::Completed;
-    let mut t_pivot: Multimap<u32, u32> = Multimap::build(problem.initial_pivots());
-
-    let mut frontier: Vec<(u32, P::Info)> = problem.initial_frontier();
+    let (pairs, mut frontier) = problem.initial();
+    let mut t_pivot = Vec::new();
+    for (pivot, x) in pairs {
+        hang(&mut t_pivot, pivot, x);
+    }
+    let mut todo = Vec::new();
     while !frontier.is_empty() {
         if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
@@ -80,24 +111,28 @@ pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::
         stats.record_round(frontier.len());
         problem.commit(&frontier);
         // Objects whose pivot is in the frontier (T_pivot.multi_find).
-        let keys: Vec<u32> = frontier.iter().map(|&(x, _)| x).collect();
-        let todo = t_pivot.multi_find(&keys);
+        todo.clear();
+        for &(x, _) in &frontier {
+            if let Some(bucket) = t_pivot.get_mut(x as usize) {
+                let mut waiters = std::mem::take(bucket);
+                waiters.sort_unstable();
+                todo.append(&mut waiters);
+            }
+        }
         stats.wakeup_attempts += todo.len();
         // Attempt to wake each in parallel.
-        let results: Vec<(u32, WakeResult<P::Info>)> = todo
-            .into_par_iter()
-            .map(|q| (q, problem.try_wake(q)))
-            .collect();
+        let results: Vec<(u32, WakeResult<P::Info>)> =
+            todo.par_iter().map(|&q| (q, problem.try_wake(q))).collect();
         let mut next_frontier = Vec::new();
-        let mut new_pairs = Vec::new();
         for (q, r) in results {
             match r {
                 WakeResult::Ready(info) => next_frontier.push((q, info)),
-                WakeResult::Blocked { new_pivot } => new_pairs.push((new_pivot, q)),
+                WakeResult::Blocked { new_pivot } => {
+                    stats.failed_wakeups += 1;
+                    hang(&mut t_pivot, new_pivot, q);
+                }
             }
         }
-        stats.failed_wakeups += new_pairs.len();
-        t_pivot.multi_insert(new_pairs);
         frontier = next_frontier;
     }
     Report::new(problem.finish(), stats).with_outcome(outcome)
@@ -107,27 +142,25 @@ pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::
 mod tests {
     use super::*;
     use crate::CancelToken;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A toy chain problem: object i depends on exactly {0..i}; pivot is
     /// always i-1, so every wake-up succeeds and rounds = n.
     struct Chain {
         n: u32,
         depth: Vec<AtomicU32>,
+        initial_calls: Arc<AtomicUsize>,
     }
 
     impl Type2Problem for Chain {
         type Info = u32; // depth value
         type Output = Vec<u32>;
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            (1..self.n).map(|i| (i - 1, i)).collect()
-        }
-        fn initial_frontier(&self) -> Vec<(u32, u32)> {
-            if self.n == 0 {
-                vec![]
-            } else {
-                vec![(0, 0)]
-            }
+        fn initial(&self) -> InitialState<u32> {
+            self.initial_calls.fetch_add(1, Ordering::Relaxed);
+            let pairs = (1..self.n).map(|i| (i - 1, i)).collect();
+            let frontier = if self.n == 0 { vec![] } else { vec![(0, 0)] };
+            (pairs, frontier)
         }
         fn try_wake(&self, x: u32) -> WakeResult<u32> {
             let d = self.depth[x as usize - 1].load(Ordering::Relaxed);
@@ -147,6 +180,7 @@ mod tests {
         Chain {
             n,
             depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            initial_calls: Arc::default(),
         }
     }
 
@@ -169,11 +203,8 @@ mod tests {
     impl Type2Problem for Repivot {
         type Info = ();
         type Output = ();
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            vec![(0, 2), (0, 1)]
-        }
-        fn initial_frontier(&self) -> Vec<(u32, ())> {
-            vec![(0, ())]
+        fn initial(&self) -> InitialState<()> {
+            (vec![(0, 2), (0, 1)], vec![(0, ())])
         }
         fn try_wake(&self, x: u32) -> WakeResult<()> {
             if x == 2 && self.finished[1].load(Ordering::Relaxed) == 0 {
@@ -205,13 +236,91 @@ mod tests {
         assert_eq!(stats.wakeup_attempts, 3); // 1,2 attempted; 2 again
     }
 
+    /// Objects with explicit predecessor lists. A blocked object
+    /// re-pivots onto its first unfinished predecessor; `commit` records
+    /// each frontier in the order the engine hands it over.
+    struct Listed {
+        deps: Vec<Vec<u32>>,
+        sources: Vec<u32>,
+        finished: Vec<bool>,
+        frontiers: Vec<Vec<u32>>,
+    }
+
+    impl Type2Problem for Listed {
+        type Info = ();
+        type Output = Vec<Vec<u32>>;
+        fn initial(&self) -> InitialState<()> {
+            let pairs = (0..self.deps.len() as u32)
+                .filter_map(|x| self.deps[x as usize].first().map(|&p| (p, x)))
+                .collect();
+            (pairs, self.sources.iter().map(|&x| (x, ())).collect())
+        }
+        fn try_wake(&self, x: u32) -> WakeResult<()> {
+            match self.deps[x as usize]
+                .iter()
+                .find(|&&p| !self.finished[p as usize])
+            {
+                Some(&p) => WakeResult::Blocked { new_pivot: p },
+                None => WakeResult::Ready(()),
+            }
+        }
+        fn commit(&mut self, ready: &[(u32, ())]) {
+            for &(x, _) in ready {
+                self.finished[x as usize] = true;
+            }
+            self.frontiers.push(ready.iter().map(|&(x, _)| x).collect());
+        }
+        fn finish(self) -> Vec<Vec<u32>> {
+            self.frontiers
+        }
+    }
+
+    #[test]
+    fn waiters_leave_by_frontier_key_then_ascending() {
+        // Spine 9 → 1 → 2 → 5. Objects 8, 7 and 6 first hang off 0, 1
+        // and 2, then re-pivot onto the unfinished 5 in rounds 0, 1 and
+        // 2: descending ids, one per round. Round 0's frontier lists 9
+        // before 0, so 9's waiter 1 comes before 0's waiter 8. Id 3 is
+        // unused; 10 waits on 4 and leaves ahead of 5's waiters, so a
+        // round's todo is not sorted as a whole.
+        let mut deps = vec![Vec::new(); 11];
+        for (x, d) in [
+            (1, vec![9]),
+            (2, vec![1]),
+            (4, vec![2]),
+            (5, vec![2]),
+            (6, vec![2, 5]),
+            (7, vec![1, 5]),
+            (8, vec![0, 5]),
+            (10, vec![4]),
+        ] {
+            deps[x] = d;
+        }
+        let report = run_type2(
+            Listed {
+                deps,
+                sources: vec![9, 0],
+                finished: vec![false; 11],
+                frontiers: Vec::new(),
+            },
+            &RunConfig::new(),
+        );
+        let want: Vec<Vec<u32>> = vec![vec![9, 0], vec![1], vec![2], vec![4, 5], vec![10, 6, 7, 8]];
+        assert_eq!(report.output, want);
+        assert_eq!(report.stats.failed_wakeups, 3);
+        assert_eq!(report.stats.wakeup_attempts, 11);
+    }
+
     #[test]
     fn pre_tripped_token_commits_nothing() {
         let token = CancelToken::new();
         token.cancel();
-        let report = run_type2(chain(50), &RunConfig::new().with_cancel_token(token));
+        let problem = chain(50);
+        let initial_calls = Arc::clone(&problem.initial_calls);
+        let report = run_type2(problem, &RunConfig::new().with_cancel_token(token));
         assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
         assert_eq!(report.stats.rounds, 0);
+        assert_eq!(initial_calls.load(Ordering::Relaxed), 0, "no probe ran");
         assert!(report.output.iter().all(|&d| d == 0), "no commit ran");
     }
 

@@ -19,11 +19,6 @@
 //! aggregation (`aug_range`) answers the 1D range-sum queries of
 //! Theorem 2.1 in `O(log n)`.
 //!
-//! [`Multimap`] layers duplicate-key storage on top (the `T_pivot`
-//! structure of the Type 2 algorithms, Theorem 2.2), and
-//! [`NestedMultimap`] is the literal two-level nested-BST form of
-//! Appendix A.
-//!
 //! ```
 //! use pp_pam::{AugTree, MaxAug};
 //!
@@ -39,12 +34,8 @@
 #![forbid(unsafe_code)]
 
 pub mod augment;
-pub mod multimap;
-pub mod nested;
 pub mod node;
 pub mod tree;
 
 pub use augment::{Augment, MaxAug, MinAug, NoAug, SizeAug, SumAug};
-pub use multimap::Multimap;
-pub use nested::NestedMultimap;
 pub use tree::AugTree;

@@ -278,15 +278,6 @@ proptest! {
     }
 
     #[test]
-    fn nested_multimap_matches_flat(pairs in prop::collection::vec((0u32..30, 0u32..50), 0..200)) {
-        let nested = pp_pam::NestedMultimap::build(pairs.clone());
-        let flat = pp_pam::Multimap::build(pairs);
-        prop_assert_eq!(nested.len(), flat.len());
-        let keys: Vec<u32> = (0..30).collect();
-        prop_assert_eq!(nested.multi_find(&keys), flat.multi_find(&keys));
-    }
-
-    #[test]
     fn sssp_variants_agree(seed in 0u64..500, w_min in 1u64..100) {
         let g = pp_graph::gen::uniform(120, 500, seed);
         let wg = pp_graph::gen::with_uniform_weights(&g, w_min, w_min + 200, seed + 1);
