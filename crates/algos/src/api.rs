@@ -595,9 +595,10 @@ where
     }
 }
 
-/// Random permutation via deterministic reservations (§5.3 baseline
-/// \[10, 64\]): input `(n, target_seed)`; bit-for-bit equal to the
-/// sequential Knuth shuffle with the same swap targets.
+/// Random permutation on Type 2 wake-ups over the Knuth shuffle's
+/// dependence forest (§5.3, \[64\]): input `(n, target_seed)`;
+/// bit-for-bit equal to the sequential Knuth shuffle with the same swap
+/// targets.
 pub struct RandomPerm;
 
 impl PhaseAlgorithm for RandomPerm {
@@ -611,7 +612,7 @@ impl PhaseAlgorithm for RandomPerm {
         random_perm::knuth_shuffle_seq(n, &random_perm::swap_targets(n, seed))
     }
     fn solve_par(&self, &(n, seed): &Self::Input, cfg: &RunConfig) -> Report<Vec<u32>> {
-        random_perm::random_permutation_reservations(n, seed, cfg)
+        random_perm::knuth_shuffle_par(n, seed, cfg)
     }
 }
 

@@ -16,7 +16,7 @@
 //! | [`matching`] | greedy maximal matching | §5.3 | 2 |
 //! | [`whac`] | Whac-A-Mole DP on a line (as LIS); on a 2D grid (as a 4D chain) | Appendix B | 1; 2D grid 2 |
 //! | [`chain`] | longest dominance chain over `[i64; D]` points, d = 3, 4 (the appendix's range-query extension) | Appendix B | 2 |
-//! | [`random_perm`] | random permutation (Knuth shuffle) via deterministic reservations | §5.3, baseline \[10, 64\] | — |
+//! | [`random_perm`] | random permutation (Knuth shuffle) by wake-ups over its dependence forest | §5.3, \[64\] | 2 |
 //!
 //! All parallel implementations are deterministic given their seeds and
 //! agree exactly with their sequential counterparts (greedy algorithms

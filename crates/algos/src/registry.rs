@@ -509,7 +509,7 @@ pub fn registry() -> &'static [AlgorithmEntry] {
         entry!("whac/2d", Type2, Seq, Whac2d, gen_moles_2d),
         entry!("chain3d", Type2, Seq, Chain::<3>, gen_points::<3>),
         entry!("chain4d", Type2, Seq, Chain::<4>, gen_points::<4>),
-        entry!("random-perm", Reservations, Seq, RandomPerm, gen_perm),
+        entry!("random-perm", Type2, Seq, RandomPerm, gen_perm),
     ];
     ENTRIES
 }
@@ -965,6 +965,45 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn random_perm_round_contract_on_every_seq_scenario() {
+        // Iteration k of the Knuth shuffle waits for the last earlier
+        // iteration to touch cell k or cell H[k], so the served rounds
+        // equal the depth of that dependence forest, found here by one
+        // sequential last-toucher scan. Each iteration is attempted at
+        // most once per predecessor.
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        let entry = lookup("random-perm").unwrap();
+        let scenarios = entry.scenarios();
+        assert_eq!(scenarios.len(), 4, "every seq scenario");
+        for scenario in scenarios {
+            for size in [300, 2000] {
+                let case = CaseSpec::new(size, 4).with_scenario(scenario);
+                let key = scenario.key();
+                let (n, seed) = gen_perm(&case, &cfg);
+                let targets = crate::random_perm::swap_targets(n, seed);
+                let mut last = vec![0usize; n];
+                let mut depth = 0;
+                for k in (1..n).rev() {
+                    let h = targets[k] as usize;
+                    let d = 1 + last[k].max(last[h]);
+                    (last[k], last[h]) = (d, d);
+                    depth = depth.max(d);
+                }
+                let shared = entry.prepare_shared(&case, &cfg);
+                let served = shared.query(&mut scratch, &cfg);
+                assert_eq!(served.digest, shared.seq_digest(), "{key}, n = {size}");
+                assert_eq!(served.stats.rounds, depth, "{key}, n = {size}");
+                assert!(
+                    served.stats.wakeup_attempts <= 2 * (n - 1),
+                    "{key}, n = {size}: {} wake-ups",
+                    served.stats.wakeup_attempts
+                );
             }
         }
     }

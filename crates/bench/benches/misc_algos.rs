@@ -83,7 +83,7 @@ fn bench_misc(c: &mut Criterion) {
     group.bench_function("whac2d_seq", |b| b.iter(|| whac2d_seq(&moles2d)));
 
     // Random permutation via deterministic reservations vs sort-based.
-    group.bench_function("random_perm_reservations", |b| {
+    group.bench_function("random_perm_wakeups", |b| {
         b.iter(|| RandomPerm.solve_par(&(200_000, 19), &RunConfig::new()))
     });
     group.bench_function("random_perm_sortbased", |b| {

@@ -14,10 +14,12 @@
 //! (round-efficiency: `O(D)` rounds for dependence depth `D`) but removes
 //! its work inefficiency: deterministic reservations re-examine every
 //! unfinished iterate each round, `O(D·m)` work in the worst case, which
-//! Type 1 range queries and Type 2 wake-ups avoid. We implement it both as
-//! the baseline for ablations and because several substrate algorithms
-//! (random permutation — `pp-algos::random_perm`; maximal matching) are
-//! cleanly expressed in it.
+//! Type 1 range queries and Type 2 wake-ups avoid. We implement it as the
+//! baseline for ablations; its one consumer is the `matching/reservations`
+//! entry's maximal matching. Random permutation, the other application
+//! of \[10\], runs on the Type 2 engine instead (`pp-algos::random_perm`):
+//! its dependences form a forest, so each iteration waits on at most two
+//! predecessors rather than retrying every round.
 //!
 //! The granularity knob follows \[10\]: processing only a prefix of the
 //! remaining iterates each round bounds wasted work at the cost of extra

@@ -9,15 +9,21 @@
 //! attempted `O(log |P(x)|)` times whp (Lemma 5.5), which is what makes
 //! the whole thing work-efficient.
 //!
-//! `T_pivot` is a vector of buckets indexed by pivot id. The paper keeps
-//! it in a nested BST (Theorem 2.2), but here the keys are object ids,
-//! each blocked object waits on exactly one pivot, and a finished pivot
-//! never gains waiters. So `multi_insert` is a push per pair, O(1) work,
-//! and `multi_find` of `m` frontier keys returning `s` waiters takes each
-//! key's bucket and sorts it: `O(m + s log s)` work, within Theorem 2.2's
-//! `O((m + s) log n)`. The moves run on one thread, `O(m + s log s)` per
-//! round, the same span class as the loop that splits each round's
-//! wake-up results; the wake-ups themselves run in parallel.
+//! `T_pivot` is a pair of intrusive waiter lists. The paper keeps it in
+//! a nested BST (Theorem 2.2), but here the keys are object ids, each
+//! blocked object waits on exactly one pivot, and a finished pivot never
+//! gains waiters. So two flat arrays are enough: `head[p]` is the last
+//! object hung on pivot `p`, and `next[x]` is the waiter hung on the same
+//! pivot before `x`. Both grow on demand to the largest id given, so a
+//! virtual pivot above every object id (weighted LIS's point `n`) needs
+//! no special case. `multi_insert` is then O(1) work per pair, and
+//! `multi_find` of `m` frontier keys returning `s` waiters walks each
+//! key's list and sorts the walked slice: `O(m + s log s)` work, within
+//! Theorem 2.2's `O((m + s) log n)`, with no allocation per pivot. The
+//! moves run on one thread, `O(m + s log s)` per round, the same span
+//! class as the loop that splits each round's wake-up results; the
+//! wake-ups themselves run in parallel, so Theorem 2.2's bounds, and
+//! the Lemma 5.5 wake-up count built on them, still hold.
 
 use crate::cancel::RunOutcome;
 use crate::solver::{Report, RunConfig};
@@ -55,7 +61,8 @@ pub trait Type2Problem: Sync {
     /// `(pivot, object)` pairs seeding `T_pivot` (Algorithm 3 line 21),
     /// and the round-0 frontier of objects ready with no predecessors,
     /// including any virtual source object. Every object that is not in
-    /// the frontier needs exactly one pair.
+    /// the frontier needs exactly one pair: `T_pivot` links a waiting
+    /// object into one pivot's list, so a second pair would corrupt it.
     fn initial(&self) -> InitialState<Self::Info>;
 
     /// Attempt to wake `x` after its pivot finished. Implementations
@@ -71,14 +78,45 @@ pub trait Type2Problem: Sync {
     fn finish(self) -> Self::Output;
 }
 
-/// Hang object `x` in `pivot`'s bucket, growing `t_pivot` to the
-/// largest pivot id given.
-fn hang(t_pivot: &mut Vec<Vec<u32>>, pivot: u32, x: u32) {
-    let p = pivot as usize;
-    if p >= t_pivot.len() {
-        t_pivot.resize_with(p + 1, Vec::new);
+/// End of a waiter list.
+const NIL: u32 = u32::MAX;
+
+/// `T_pivot` as intrusive singly linked lists: `head[p]` is the waiter
+/// hung last on pivot `p` and `next[x]` the one hung before `x`, or
+/// [`NIL`]. An object sits on at most one list at a time.
+#[derive(Default)]
+struct Waiters {
+    head: Vec<u32>,
+    next: Vec<u32>,
+}
+
+impl Waiters {
+    /// Hang object `x` on `pivot`, growing either array to the id given.
+    fn hang(&mut self, pivot: u32, x: u32) {
+        let (p, xi) = (pivot as usize, x as usize);
+        if p >= self.head.len() {
+            self.head.resize(p + 1, NIL);
+        }
+        if xi >= self.next.len() {
+            self.next.resize(xi + 1, NIL);
+        }
+        self.next[xi] = std::mem::replace(&mut self.head[p], x);
     }
-    t_pivot[p].push(x);
+
+    /// Append `pivot`'s waiters to `out` in ascending id order and empty
+    /// its list.
+    fn take(&mut self, pivot: u32, out: &mut Vec<u32>) {
+        let Some(head) = self.head.get_mut(pivot as usize) else {
+            return;
+        };
+        let start = out.len();
+        let mut x = std::mem::replace(head, NIL);
+        while x != NIL {
+            out.push(x);
+            x = self.next[x as usize];
+        }
+        out[start..].sort_unstable();
+    }
 }
 
 /// Run the Type 2 wake-up loop over a problem.
@@ -98,11 +136,12 @@ pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::
     }
     let mut outcome = RunOutcome::Completed;
     let (pairs, mut frontier) = problem.initial();
-    let mut t_pivot = Vec::new();
+    let mut t_pivot = Waiters::default();
     for (pivot, x) in pairs {
-        hang(&mut t_pivot, pivot, x);
+        t_pivot.hang(pivot, x);
     }
-    let mut todo = Vec::new();
+    // Round buffers, reused across rounds.
+    let (mut todo, mut results, mut next_frontier) = (Vec::new(), Vec::new(), Vec::new());
     while !frontier.is_empty() {
         if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
@@ -113,27 +152,22 @@ pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::
         // Objects whose pivot is in the frontier (T_pivot.multi_find).
         todo.clear();
         for &(x, _) in &frontier {
-            if let Some(bucket) = t_pivot.get_mut(x as usize) {
-                let mut waiters = std::mem::take(bucket);
-                waiters.sort_unstable();
-                todo.append(&mut waiters);
-            }
+            t_pivot.take(x, &mut todo);
         }
         stats.wakeup_attempts += todo.len();
         // Attempt to wake each in parallel.
-        let results: Vec<(u32, WakeResult<P::Info>)> =
-            todo.par_iter().map(|&q| (q, problem.try_wake(q))).collect();
-        let mut next_frontier = Vec::new();
-        for (q, r) in results {
+        results.par_extend(todo.par_iter().map(|&q| (q, problem.try_wake(q))));
+        for (q, r) in results.drain(..) {
             match r {
                 WakeResult::Ready(info) => next_frontier.push((q, info)),
                 WakeResult::Blocked { new_pivot } => {
                     stats.failed_wakeups += 1;
-                    hang(&mut t_pivot, new_pivot, q);
+                    t_pivot.hang(new_pivot, q);
                 }
             }
         }
-        frontier = next_frontier;
+        std::mem::swap(&mut frontier, &mut next_frontier);
+        next_frontier.clear();
     }
     Report::new(problem.finish(), stats).with_outcome(outcome)
 }
@@ -309,6 +343,40 @@ mod tests {
         assert_eq!(report.output, want);
         assert_eq!(report.stats.failed_wakeups, 3);
         assert_eq!(report.stats.wakeup_attempts, 11);
+    }
+
+    #[test]
+    fn waiters_on_a_pivot_above_every_object_keep_the_order() {
+        // Source 20 is a virtual pivot above every object id, as weighted
+        // LIS's point n is; objects 12, 14, 15 and 17 lie above every
+        // other pivot (1, 2, 3). 15 and 12 wake on 20 and re-pivot onto
+        // 2 and 3. Pivot 3's list is hung 2, 17, 12 and leaves
+        // ascending, after 1's waiter 14.
+        let mut deps = vec![Vec::new(); 21];
+        for (x, d) in [
+            (1, vec![20]),
+            (2, vec![3]),
+            (3, vec![20]),
+            (12, vec![20, 3]),
+            (14, vec![1, 2]),
+            (15, vec![20, 2]),
+            (17, vec![3]),
+        ] {
+            deps[x] = d;
+        }
+        let report = run_type2(
+            Listed {
+                deps,
+                sources: vec![20],
+                finished: vec![false; 21],
+                frontiers: Vec::new(),
+            },
+            &RunConfig::new(),
+        );
+        let want: Vec<Vec<u32>> = vec![vec![20], vec![1, 3], vec![2, 12, 17], vec![14, 15]];
+        assert_eq!(report.output, want);
+        assert_eq!(report.stats.failed_wakeups, 3);
+        assert_eq!(report.stats.wakeup_attempts, 10);
     }
 
     #[test]

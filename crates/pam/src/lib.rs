@@ -10,7 +10,10 @@
 //! `split`, `insert`, `delete`, `union`, `intersection`, `difference`,
 //! batch (`multi_`) operations and parallel construction — is built on it,
 //! and the bulk operations parallelize with `rayon::join` exactly as the
-//! divide-and-conquer schemes of \[9, 66\] describe.
+//! divide-and-conquer schemes of \[9, 66\] describe. Operations that take
+//! a tree apart rejoin around the nodes they already own
+//! ([`node::join_node`]), so `split`, `union`, `intersection` and
+//! `difference` allocate no node.
 //!
 //! Trees are AVL-balanced (join maintains the AVL invariant), store
 //! subtree sizes for `O(log n)` rank/select, and carry an *augmented

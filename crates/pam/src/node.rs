@@ -4,12 +4,18 @@
 //! assuming every key of `L` < `k` < every key of `R`, in
 //! `O(|h(L) - h(R)|)` time while restoring the AVL invariant — the
 //! algorithm of Blelloch, Ferizovic & Sun (SPAA '16), Fig. 2 (AVL
-//! variant). Everything else in the crate reduces to `join`.
+//! variant). Everything else in the crate reduces to `join`, and every
+//! operation that takes a tree apart rejoins around the nodes it already
+//! owns ([`join_node`]), so only new entries allocate.
 
 use crate::augment::Augment;
 
 /// An owned subtree.
 pub type Link<K, V, A> = Option<Box<Node<K, V, A>>>;
+
+/// What [`split_last`] returns: the rest of a subtree and its detached
+/// greatest node.
+pub type Detached<K, V, A> = (Link<K, V, A>, Box<Node<K, V, A>>);
 
 /// A tree node: entry, cached height/size, augmented value, children.
 pub struct Node<K, V, A> {
@@ -125,7 +131,8 @@ fn rotate_left<K, V, G: Augment<K, V>>(
     y
 }
 
-/// `join(L, k/v, R)`: all keys in `L` < `k` < all keys in `R`.
+/// `join(L, k/v, R)`: all keys in `L` < `k` < all keys in `R`. Boxes
+/// one node for the new entry; see [`join_node`].
 pub fn join<K, V, G: Augment<K, V>>(
     g: &G,
     left: Link<K, V, G::A>,
@@ -133,27 +140,53 @@ pub fn join<K, V, G: Augment<K, V>>(
     val: V,
     right: Link<K, V, G::A>,
 ) -> Box<Node<K, V, G::A>> {
+    join_node(g, left, mk(g, None, key, val, None), right)
+}
+
+/// `join(L, mid, R)` around a node the caller already owns: all keys in
+/// `L` < `mid.key` < all keys in `R`. `mid`'s children are overwritten
+/// and its caches recomputed, so the join allocates nothing. `split`,
+/// `union`, `intersect` and `join2` pass the node they took apart, and a
+/// tree comes out with the same shape `join` would give.
+pub fn join_node<K, V, G: Augment<K, V>>(
+    g: &G,
+    left: Link<K, V, G::A>,
+    mid: Box<Node<K, V, G::A>>,
+    right: Link<K, V, G::A>,
+) -> Box<Node<K, V, G::A>> {
     let (hl, hr) = (height(&left), height(&right));
     if hl > hr + 1 {
-        join_right(g, left.unwrap(), key, val, right)
+        join_right(g, left.unwrap(), mid, right)
     } else if hr > hl + 1 {
-        join_left(g, left, key, val, right.unwrap())
+        join_left(g, left, mid, right.unwrap())
     } else {
-        mk(g, left, key, val, right)
+        attach(g, left, mid, right)
     }
+}
+
+/// Hang `left` and `right` under `mid` and refresh its caches.
+fn attach<K, V, G: Augment<K, V>>(
+    g: &G,
+    left: Link<K, V, G::A>,
+    mut mid: Box<Node<K, V, G::A>>,
+    right: Link<K, V, G::A>,
+) -> Box<Node<K, V, G::A>> {
+    mid.left = left;
+    mid.right = right;
+    refresh(g, &mut mid);
+    mid
 }
 
 /// `h(l) > h(r) + 1`: descend the right spine of `l`.
 fn join_right<K, V, G: Augment<K, V>>(
     g: &G,
     mut l: Box<Node<K, V, G::A>>,
-    key: K,
-    val: V,
+    mid: Box<Node<K, V, G::A>>,
     r: Link<K, V, G::A>,
 ) -> Box<Node<K, V, G::A>> {
     let c = l.right.take();
     if height(&c) <= height(&r) + 1 {
-        let t = mk(g, c, key, val, r);
+        let t = attach(g, c, mid, r);
         if t.height <= height(&l.left) + 1 {
             l.right = Some(t);
             refresh(g, &mut l);
@@ -166,7 +199,7 @@ fn join_right<K, V, G: Augment<K, V>>(
             rotate_left(g, l)
         }
     } else {
-        let t = join_right(g, c.unwrap(), key, val, r);
+        let t = join_right(g, c.unwrap(), mid, r);
         let t_h = t.height;
         l.right = Some(t);
         refresh(g, &mut l);
@@ -182,13 +215,12 @@ fn join_right<K, V, G: Augment<K, V>>(
 fn join_left<K, V, G: Augment<K, V>>(
     g: &G,
     l: Link<K, V, G::A>,
-    key: K,
-    val: V,
+    mid: Box<Node<K, V, G::A>>,
     mut r: Box<Node<K, V, G::A>>,
 ) -> Box<Node<K, V, G::A>> {
     let c = r.left.take();
     if height(&c) <= height(&l) + 1 {
-        let t = mk(g, l, key, val, c);
+        let t = attach(g, l, mid, c);
         if t.height <= height(&r.right) + 1 {
             r.left = Some(t);
             refresh(g, &mut r);
@@ -200,7 +232,7 @@ fn join_left<K, V, G: Augment<K, V>>(
             rotate_right(g, r)
         }
     } else {
-        let t = join_left(g, l, key, val, c.unwrap());
+        let t = join_left(g, l, mid, c.unwrap());
         let t_h = t.height;
         r.left = Some(t);
         refresh(g, &mut r);
@@ -213,7 +245,7 @@ fn join_left<K, V, G: Augment<K, V>>(
 }
 
 /// `join2(L, R)`: concatenate without a middle entry (splits out the
-/// last entry of `L` to use as the pivot).
+/// last node of `L` to use as the pivot).
 pub fn join2<K, V, G: Augment<K, V>>(
     g: &G,
     left: Link<K, V, G::A>,
@@ -222,24 +254,24 @@ pub fn join2<K, V, G: Augment<K, V>>(
     match left {
         None => right,
         Some(l) => {
-            let (rest, k, v) = split_last(g, l);
-            Some(join(g, rest, k, v, right))
+            let (rest, last) = split_last(g, l);
+            Some(join_node(g, rest, last, right))
         }
     }
 }
 
-/// Remove and return the greatest entry of a subtree.
-#[allow(clippy::boxed_local)] // the box is consumed; unboxing would just re-box
+/// Detach the greatest node of a subtree: returns the rest of the
+/// subtree and the node, whose children are cleared.
 pub fn split_last<K, V, G: Augment<K, V>>(
     g: &G,
     mut n: Box<Node<K, V, G::A>>,
-) -> (Link<K, V, G::A>, K, V) {
+) -> Detached<K, V, G::A> {
     match n.right.take() {
-        None => (n.left.take(), n.key, n.val),
+        None => (n.left.take(), n),
         Some(r) => {
-            let (rest, k, v) = split_last(g, r);
+            let (rest, last) = split_last(g, r);
             let left = n.left.take();
-            (Some(join(g, left, n.key, n.val, rest)), k, v)
+            (Some(join_node(g, left, n, rest)), last)
         }
     }
 }

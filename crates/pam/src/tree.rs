@@ -2,7 +2,7 @@
 //! parallel bulk operations.
 
 use crate::augment::Augment;
-use crate::node::{aug_of, join, join2, mk, size, Link};
+use crate::node::{aug_of, join, join2, join_node, mk, size, Link};
 use pp_parlay::sort::par_sort_by;
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -50,8 +50,21 @@ where
     /// (matching PAM's `build`). `O(n log n)` work, polylog span.
     pub fn build(g: G, mut entries: Vec<(K, V)>) -> Self {
         // Stable sort by key, then keep the last entry of each run.
-        par_sort_by(&mut entries, |a, b| a.0 < b.0);
         let n = entries.len();
+        if n <= PAR_CUTOFF {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            // `dedup_by` keeps the first of a run; swapping each later
+            // duplicate into the kept slot leaves the last one there.
+            entries.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(later, kept);
+                }
+                same
+            });
+            return Self::from_sorted(g, entries);
+        }
+        par_sort_by(&mut entries, |a, b| a.0 < b.0);
         let keep: Vec<bool> = (0..n)
             .into_par_iter()
             .map(|i| i + 1 == n || entries[i].0 != entries[i + 1].0)
@@ -372,11 +385,11 @@ where
         Ordering::Equal => (left, Some(n.val), right),
         Ordering::Less => {
             let (ll, found, lr) = split(g, left, key);
-            (ll, found, Some(join(g, lr, n.key, n.val, right)))
+            (ll, found, Some(join_node(g, lr, n, right)))
         }
         Ordering::Greater => {
             let (rl, found, rr) = split(g, right, key);
-            (Some(join(g, left, n.key, n.val, rl)), found, rr)
+            (Some(join_node(g, left, n, rl)), found, rr)
         }
     }
 }
@@ -402,16 +415,15 @@ where
             let (l2, r2) = (n2.left.take(), n2.right.take());
             let big = n1.size > PAR_CUTOFF;
             let (l1, found, r1) = split(g, Some(n1), &n2.key);
-            let val = match &found {
-                Some(v1) => combine(v1, &n2.val),
-                None => n2.val.clone(),
-            };
+            if let Some(v1) = &found {
+                n2.val = combine(v1, &n2.val);
+            }
             let (l, r) = if big {
                 rayon::join(|| union(g, l1, l2, combine), || union(g, r1, r2, combine))
             } else {
                 (union(g, l1, l2, combine), union(g, r1, r2, combine))
             };
-            Some(join(g, l, n2.key, val, r))
+            Some(join_node(g, l, n2, r))
         }
     }
 }
@@ -444,7 +456,10 @@ where
                 (intersect(g, l1, l2, combine), intersect(g, r1, r2, combine))
             };
             match found {
-                Some(v1) => Some(join(g, l, n2.key, combine(&v1, &n2.val), r)),
+                Some(v1) => {
+                    n2.val = combine(&v1, &n2.val);
+                    Some(join_node(g, l, n2, r))
+                }
                 None => join2(g, l, r),
             }
         }

@@ -7,7 +7,9 @@
 //! is ParlayLib's `integer_sort` shape: per pass, chunked parallel
 //! histograms, an exclusive scan over the (chunk × bucket) count matrix,
 //! and a stable parallel scatter — `O(n)` work per 8-bit digit pass and
-//! `O(log n)` span per pass in the binary-forking model.
+//! `O(log n)` span per pass in the binary-forking model. The random
+//! permutation of `pp-algos` groups the Knuth shuffle's iterations by
+//! swap target with it.
 //!
 //! Stability matters: the tree/tour builders rely on equal keys keeping
 //! their input order (the same reason Theorem 2.1 asks for stable batch
@@ -19,8 +21,12 @@ use rayon::prelude::*;
 const DIGIT_BITS: usize = 8;
 const BUCKETS: usize = 1 << DIGIT_BITS;
 
-/// Sequential threshold: below this, delegate to a plain stable sort.
-const SEQ_CUTOFF: usize = 1 << 14;
+/// Below this many elements a plain stable comparison sort beats the
+/// counting passes, whose per-pass cost includes every bucket.
+const CMP_CUTOFF: usize = BUCKETS;
+
+/// The smallest chunk one worker takes in a pass.
+const MIN_CHUNK: usize = 1 << 12;
 
 /// A raw destination shared across scatter workers. Soundness: the
 /// offset matrix assigns every (chunk, bucket) pair a disjoint output
@@ -44,7 +50,7 @@ where
     if n <= 1 {
         return;
     }
-    if n < SEQ_CUTOFF {
+    if n <= CMP_CUTOFF {
         v.sort_by_key(|t| key(t));
         return;
     }
@@ -56,7 +62,7 @@ where
     unsafe {
         buf.set_len(n);
     }
-    let chunk = (n / (rayon::current_num_threads() * 4).max(1)).max(SEQ_CUTOFF / 4);
+    let chunk = (n / (rayon::current_num_threads() * 4).max(1)).max(MIN_CHUNK);
     let num_chunks = n.div_ceil(chunk);
 
     let mut src_is_v = true;
@@ -152,7 +158,14 @@ mod tests {
     #[test]
     fn random_u32_matches_std() {
         let mut r = Rng::new(1);
-        for n in [100usize, SEQ_CUTOFF - 1, SEQ_CUTOFF + 1, 200_000] {
+        for n in [
+            100usize,
+            CMP_CUTOFF + 1,
+            5000,
+            4 * MIN_CHUNK - 1,
+            4 * MIN_CHUNK + 1,
+            200_000,
+        ] {
             let mut v: Vec<u32> = (0..n).map(|_| r.next_u64() as u32).collect();
             let mut want = v.clone();
             want.sort_unstable();
@@ -189,13 +202,14 @@ mod tests {
         // Sort pairs (key, original index) by key only; within a key the
         // original order must survive.
         let mut r = Rng::new(4);
-        let n = 120_000;
-        let mut v: Vec<(u32, u32)> = (0..n as u32).map(|i| (r.range(64) as u32, i)).collect();
-        radix_sort_by_key(&mut v, 6, |&(k, _)| u64::from(k));
-        for w in v.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "stability violated");
+        for n in [120_000, CMP_CUTOFF + 1, 5000] {
+            let mut v: Vec<(u32, u32)> = (0..n as u32).map(|i| (r.range(64) as u32, i)).collect();
+            radix_sort_by_key(&mut v, 6, |&(k, _)| u64::from(k));
+            for w in v.windows(2) {
+                assert!(w[0].0 <= w[1].0);
+                if w[0].0 == w[1].0 {
+                    assert!(w[0].1 < w[1].1, "stability violated at n = {n}");
+                }
             }
         }
     }

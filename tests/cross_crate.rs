@@ -275,8 +275,10 @@ fn grid_whac_exercises_the_full_4d_stack() {
 
 #[test]
 fn reservations_framework_end_to_end() {
-    // The prior-work baseline [10] drives both applications and agrees
-    // with the sequential algorithms exactly.
+    // Both applications of the prior-work framework [10] agree with the
+    // sequential algorithms exactly: random permutation, now on Type 2
+    // wake-ups over its dependence forest, and maximal matching, still
+    // on deterministic reservations.
     use pp_algos::random_perm::{knuth_shuffle_seq, swap_targets};
     let n = 40_000;
     let report = RandomPerm.solve_par(&(n, 11), &RunConfig::new());

@@ -150,11 +150,60 @@ proptest! {
                 _ => { prop_assert_eq!(t.find(&k), model.get(&k)); }
             }
         }
+        t.check_invariants();
         prop_assert_eq!(t.len(), model.len());
         let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         prop_assert_eq!(t.flatten(), want);
         let aug_want = model.values().copied().max().unwrap_or(0);
         prop_assert_eq!(t.aug(), aug_want);
+    }
+
+    #[test]
+    fn augtree_batch_ops_match_model(ops in prop::collection::vec(
+        (0u8..4, prop::collection::vec((0u64..300, 0u64..1000), 0..60), 0u64..300), 0..30)) {
+        // The operations of the two PAM entries (`activity/type1-pam`,
+        // `sssp/pam`), which take trees apart and rejoin them around the
+        // nodes they already own, checked after every step.
+        let entries = |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
+            m.iter().map(|(&k, &v)| (k, v)).collect()
+        };
+        let max_of = |vs: &mut dyn Iterator<Item = &u64>| vs.copied().max().unwrap_or(0);
+        let mut t = AugTree::new(MaxAug);
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for (op, batch, k) in ops {
+            match op {
+                0 => {
+                    model.extend(batch.iter().copied());
+                    t.multi_insert(batch);
+                }
+                1 => {
+                    let keys: Vec<u64> = batch.iter().map(|&(k, _)| k).collect();
+                    for k in &keys {
+                        model.remove(k);
+                    }
+                    t.multi_delete(keys);
+                }
+                2 => {
+                    let (l, found, r) = t.split_at(&k);
+                    l.check_invariants();
+                    r.check_invariants();
+                    prop_assert_eq!(found, model.get(&k).copied());
+                    let below: BTreeMap<u64, u64> = model.range(..k).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(l.flatten(), entries(&below));
+                    prop_assert_eq!(l.aug(), max_of(&mut below.values()));
+                    prop_assert_eq!(r.len(), model.range(k + 1..).count());
+                    let mid = AugTree::build(MaxAug, found.map(|v| (k, v)).into_iter().collect());
+                    t = l.union(mid).union(r);
+                }
+                _ => {
+                    prop_assert_eq!(t.remove(&k), model.remove(&k));
+                }
+            }
+            t.check_invariants();
+            prop_assert_eq!(t.flatten(), entries(&model));
+            prop_assert_eq!(t.aug(), max_of(&mut model.values()));
+            prop_assert_eq!(t.aug_left(&k), max_of(&mut model.range(..=k).map(|(_, v)| v)));
+        }
     }
 
     #[test]
@@ -264,6 +313,7 @@ proptest! {
         let ta = AugTree::build(NoAug, a.clone());
         let tb = AugTree::build(NoAug, b.clone());
         let ti = ta.intersect_with(tb, &|x, _| *x);
+        ti.check_invariants();
         let want: Vec<(u64, u64)> = ma.iter()
             .filter(|(k, _)| mb.contains_key(k))
             .map(|(&k, &v)| (k, v)).collect();
@@ -271,6 +321,7 @@ proptest! {
         let ta = AugTree::build(NoAug, a.clone());
         let tb = AugTree::build(NoAug, b.clone());
         let td = ta.difference(tb);
+        td.check_invariants();
         let want: Vec<(u64, u64)> = ma.iter()
             .filter(|(k, _)| !mb.contains_key(k))
             .map(|(&k, &v)| (k, v)).collect();
