@@ -22,7 +22,7 @@ pub use seq::max_weight_seq;
 pub(crate) use type1::{max_weight_type1, max_weight_type1_pam};
 pub(crate) use type2::max_weight_type2;
 pub(crate) use unweighted::max_count_unweighted;
-pub use unweighted::{ranks, ranks_tree_contraction};
+pub use unweighted::ranks;
 
 /// One activity: `[start, end)` with a weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

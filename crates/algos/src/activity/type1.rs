@@ -10,11 +10,12 @@
 //! * [`max_weight_type1`] — flat arrays (§6.4 engineering): the
 //!   unprocessed set in start order is always a *suffix* (each round
 //!   removes a prefix of it), so `T_time` degenerates to a cursor plus a
-//!   suffix-min sparse table, and `T_DP` is an atomic prefix-max Fenwick
+//!   suffix-minimum array, and `T_DP` is an atomic prefix-max Fenwick
 //!   tree over end order.
 //! * [`max_weight_type1_pam`] — the literal Algorithm 2 on PA-BSTs
-//!   (`pp-pam`), kept as the reference implementation and for the
-//!   flat-vs-tree ablation (DESIGN.md §5.3).
+//!   (`pp-pam`), kept because it is the algorithm Theorem 4.2 analyzes;
+//!   ablation 3 of the `ablations` bench measures what the flat arrays
+//!   save over it.
 
 use super::Activity;
 use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};

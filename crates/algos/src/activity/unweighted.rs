@@ -4,13 +4,14 @@
 //! With unit weights the DP collapses to `dp[i] = dp[pivot(i)] + 1`
 //! (Lemma 5.1), so the dependence graph is a *forest*: each activity
 //! points only at its pivot. The rank of each activity is its depth in
-//! the pivot forest, computed in parallel without any rounds at all —
-//! the paper uses tree contraction; we use pointer jumping
-//! (`pp_parlay::list_rank`, substitution documented there).
+//! the pivot forest, computed in parallel by pointer jumping
+//! (`pp_parlay::list_rank`) in `⌈log₂ d⌉ + 1` passes for forest depth
+//! `d = rank(S) − 1`. The paper cites `O(n)`-work tree contraction for this
+//! step; `list_rank` documents the measurements behind the substitution.
 
 use super::pivots::latest_start_pivots;
 use super::Activity;
-use phase_parallel::{Report, RunConfig, RunOutcome};
+use phase_parallel::{ExecutionStats, Report, RunConfig, RunOutcome};
 use pp_parlay::list_rank::forest_depths;
 use rayon::prelude::*;
 
@@ -33,17 +34,18 @@ pub fn ranks(acts: &[Activity]) -> Vec<u32> {
         return Vec::new();
     }
     forest_depths(&pivot_forest(acts))
+        .0
         .into_par_iter()
         .map(|d| d + 1)
         .collect()
 }
 
 /// Maximum number of non-overlapping activities (the unweighted
-/// optimum): equals the maximum rank. The algorithm has no round loop
-/// (it is a single pointer-jumping pass), so the config's deadline is
-/// polled at the phase boundaries: before the pivot-forest build and
-/// before the depth computation. A trip yields `0` under
-/// `RunOutcome::DeadlineExceeded`.
+/// optimum): equals the maximum rank. The report's `stats.rounds` is the
+/// number of pointer-jumping passes. The algorithm has no round loop of
+/// its own, so the config's deadline is polled at the phase boundaries:
+/// before the pivot-forest build and before the depth computation. A trip
+/// yields `0` under `RunOutcome::DeadlineExceeded`.
 pub(crate) fn max_count_unweighted(acts: &[Activity], cfg: &RunConfig) -> Report<u32> {
     if cfg.is_cancelled() {
         return Report::plain(0).with_outcome(RunOutcome::DeadlineExceeded);
@@ -55,26 +57,11 @@ pub(crate) fn max_count_unweighted(acts: &[Activity], cfg: &RunConfig) -> Report
     if cfg.is_cancelled() {
         return Report::plain(0).with_outcome(RunOutcome::DeadlineExceeded);
     }
-    let best = forest_depths(&parent)
-        .into_par_iter()
-        .map(|d| d + 1)
-        .max()
-        .unwrap_or(0);
-    Report::plain(best)
-}
-
-/// Same ranks as [`ranks`], computed with the `O(n)`-work Euler-tour tree
-/// contraction that Theorem 5.3 actually cites
-/// (`pp_parlay::tree_contract`) instead of pointer jumping. The ablation
-/// bench compares the two; results are identical by construction.
-pub fn ranks_tree_contraction(acts: &[Activity]) -> Vec<u32> {
-    if acts.is_empty() {
-        return Vec::new();
-    }
-    pp_parlay::tree_contract::forest_depths_contract(&pivot_forest(acts))
-        .into_par_iter()
-        .map(|d| d + 1)
-        .collect()
+    let (depths, passes) = forest_depths(&parent);
+    let best = depths.into_par_iter().map(|d| d + 1).max().unwrap_or(0);
+    let mut stats = ExecutionStats::default();
+    stats.rounds = passes;
+    Report::new(best, stats)
 }
 
 #[cfg(test)]
@@ -141,21 +128,5 @@ mod tests {
     fn empty() {
         assert_eq!(max_count_unweighted(&[], &RunConfig::new()).output, 0);
         assert!(ranks(&[]).is_empty());
-        assert!(ranks_tree_contraction(&[]).is_empty());
-    }
-
-    #[test]
-    fn contraction_matches_pointer_jumping() {
-        let mut r = Rng::new(404);
-        for n in [1usize, 2, 50, 3000, 40_000] {
-            let acts: Vec<Activity> = (0..n)
-                .map(|_| {
-                    let s = r.range(100_000);
-                    Activity::new(s, s + 1 + r.range(500), 1)
-                })
-                .collect();
-            let acts = sort_by_end(acts);
-            assert_eq!(ranks_tree_contraction(&acts), ranks(&acts), "n={n}");
-        }
     }
 }

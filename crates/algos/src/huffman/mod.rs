@@ -52,7 +52,7 @@ impl HuffmanTree {
 
     /// Depth of every node (root depth 0), in parallel.
     pub fn depths(&self) -> Vec<u32> {
-        pp_parlay::list_rank::forest_depths(&self.parent)
+        pp_parlay::list_rank::forest_depths(&self.parent).0
     }
 
     /// Code length of each leaf = its depth.

@@ -900,12 +900,21 @@ mod tests {
     fn activity_round_contract_on_every_seq_scenario() {
         // Both Algorithm 2 substrates and the exact-pivot Type 2 engine
         // run one round per rank (Theorems 4.2 and 5.2), and Lemma 5.1's
-        // pivots never fail a wake-up.
+        // pivots never fail a wake-up. The unweighted entry counts
+        // pointer-jumping passes over the pivot forest, whose depth is
+        // d = rank − 1: one pass when d = 0, ⌈log₂ d⌉ + 1 otherwise.
         let cfg = RunConfig::seeded(4);
         let mut scratch = Scratch::new();
-        for name in ["activity/type1", "activity/type1-pam", "activity/type2"] {
+        for name in [
+            "activity/type1",
+            "activity/type1-pam",
+            "activity/type2",
+            "activity/unweighted",
+        ] {
             let entry = lookup(name).unwrap();
-            for scenario in entry.scenarios() {
+            let scenarios = entry.scenarios();
+            assert_eq!(scenarios.len(), 4, "{name}: every seq scenario");
+            for scenario in scenarios {
                 for size in [300, 2000] {
                     let case = CaseSpec::new(size, 4).with_scenario(scenario);
                     let key = scenario.key();
@@ -920,7 +929,15 @@ mod tests {
                         shared.seq_digest(),
                         "{name} on {key}, n = {size}"
                     );
-                    assert_eq!(served.stats.rounds, rank, "{name} on {key}, n = {size}");
+                    let want = if name == "activity/unweighted" {
+                        match rank - 1 {
+                            0 => 1,
+                            d => d.next_power_of_two().trailing_zeros() as usize + 1,
+                        }
+                    } else {
+                        rank
+                    };
+                    assert_eq!(served.stats.rounds, want, "{name} on {key}, n = {size}");
                     if name == "activity/type2" {
                         assert_eq!(served.stats.failed_wakeups, 0, "{key}, n = {size}");
                     }

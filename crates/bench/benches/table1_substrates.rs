@@ -36,12 +36,7 @@ fn bench_substrates(c: &mut Criterion) {
     group.bench_function("parlay_random_permutation", |b| {
         b.iter(|| pp_parlay::random_permutation(n, 3))
     });
-    group.bench_function("parlay_list_contract_rank", |b| {
-        let next: Vec<u32> = (0..n as u32).map(|i| (i + 1).min(n as u32 - 1)).collect();
-        let weight = vec![1i64; n];
-        b.iter(|| pp_parlay::list_contract::list_rank_contract(&next, &weight, 11))
-    });
-    group.bench_function("parlay_tree_contract_depths", |b| {
+    group.bench_function("parlay_forest_depths", |b| {
         let parent: Vec<u32> = (0..n as u32)
             .map(|i| {
                 if i == 0 {
@@ -51,7 +46,7 @@ fn bench_substrates(c: &mut Criterion) {
                 }
             })
             .collect();
-        b.iter(|| pp_parlay::tree_contract::forest_depths_contract(&parent))
+        b.iter(|| pp_parlay::list_rank::forest_depths(&parent))
     });
 
     // PA-BST: build, union, multi_insert, range query (Thm 2.1/2.2).

@@ -1,4 +1,6 @@
-//! Ablations for the design choices DESIGN.md §5 calls out:
+//! Ablations for the implementation's design choices. Each one times the
+//! path the registry runs against an alternative the paper also
+//! discusses, so the choice is measured rather than assumed:
 //!
 //! 1. LIS pivot strategy: uniformly random (analyzed, Lemma 5.5) vs
 //!    right-most unfinished (§6.4 heuristic) — wake-up counts and time
@@ -7,12 +9,15 @@
 //!    deterministic reservations — time and total edge checks.
 //! 3. Activity selection Type 1: flat arrays (§6.4 engineering) vs the
 //!    literal PA-BST Algorithm 2.
+//! 4. SSSP: flat Δ-stepping (Δ = w*) vs the PA-BST Dijkstra (Thm 4.5).
+//! 5. SSSP relaxed ranks: Δ = w* vs ρ-stepping vs Crauser's OUT
+//!    criterion.
 //!
 //! `cargo run --release -p pp-bench --bin ablations`
 
 #![forbid(unsafe_code)]
 
-use pp_algos::activity::{self, workload};
+use pp_algos::activity::workload;
 use pp_algos::api::{
     ActivityType1, ActivityType1Pam, CrauserSssp, DeltaSssp, GraphPriorityInstance, GreedyMis,
     PamSssp, RhoSssp, RoundsMis, SsspInstance,
@@ -169,32 +174,7 @@ fn main() {
     }
     println!("Expected: same distances & round counts; flat arrays faster (§6.3 footnote 5).\n");
 
-    println!("Ablation 5: unweighted activity ranks — pointer jumping vs Euler-tour tree contraction (Thm 5.3)\n");
-    let table = Table::new(&["rank", "jump_time_s", "contract_time_s", "contract/jump"]);
-    for target in [100u64, 10_000, 1_000_000] {
-        let acts = workload::with_target_rank(2_000_000 * s, target, 9);
-        let a = activity::unweighted::ranks(&acts);
-        let b = activity::unweighted::ranks_tree_contraction(&acts);
-        assert_eq!(a, b);
-        let t_jump = time_best(1, || {
-            std::hint::black_box(activity::unweighted::ranks(&acts));
-        });
-        let t_con = time_best(1, || {
-            std::hint::black_box(activity::unweighted::ranks_tree_contraction(&acts));
-        });
-        table.row(&[
-            target.to_string(),
-            secs(t_jump),
-            secs(t_con),
-            format!("{:.2}", t_con.as_secs_f64() / t_jump.as_secs_f64()),
-        ]);
-    }
-    println!(
-        "Expected: pointer jumping does O(n log d) work (grows with rank d);\n\
-         contraction stays O(n) — the gap should widen as rank grows.\n"
-    );
-
-    println!("Ablation 6: SSSP relaxed-rank choices — Δ = w* vs ρ-stepping vs Crauser OUT [31]\n");
+    println!("Ablation 5: SSSP relaxed-rank choices — Δ = w* vs ρ-stepping vs Crauser OUT [31]\n");
     let table = Table::new(&[
         "graph",
         "Δ=w*_s",

@@ -7,8 +7,9 @@
 //! phase-parallel work-efficiency argument — and drifts above w* when
 //! w* is small (parallelism starves).
 //!
-//! Substitution (DESIGN.md §2): RMAT power-law graphs stand in for the
-//! social networks, at a laptop scale (2^16 vertices, ~2^20 edges by
+//! Substitution: RMAT power-law graphs stand in for the social networks,
+//! because they share the low diameter and skewed degrees that set the
+//! round count, at a laptop scale (2^16 vertices, ~2^20 edges by
 //! default; PP_SCALE multiplies edges).
 //!
 //! Each weighted graph is prepared once and every Δ runs as a per-query

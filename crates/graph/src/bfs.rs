@@ -81,8 +81,9 @@ mod tests {
 
     #[test]
     fn rmat_low_diameter_vs_grid() {
-        // The substitution argument of DESIGN.md: RMAT (social stand-in)
-        // has much smaller eccentricity than a grid of similar size.
+        // The generators stand in for real graphs by diameter: RMAT (the
+        // social stand-in) has much smaller eccentricity than a grid (the
+        // road stand-in) of similar size.
         let social = gen::rmat(12, 1 << 15, 1);
         let grid = gen::grid2d(64, 64);
         // Pick a vertex in the giant component (vertex with max degree).

@@ -1,5 +1,8 @@
-//! Synthetic graph generators — the stand-ins for the paper's datasets
-//! (see DESIGN.md §2 for the substitution table).
+//! Synthetic graph generators — the stand-ins for the paper's datasets.
+//! The paper's social networks and road graphs are not redistributable at
+//! a size a test can build, so each generator reproduces the structural
+//! property its experiment depends on: low diameter and skewed degrees
+//! (RMAT) or high diameter and small frontiers (grids).
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;

@@ -19,7 +19,10 @@
 //! paper's SSSP setup ("we fix the largest edge weight as 2^23, vary w*
 //! ... and set the weight uniformly at random in this range").
 //!
-//! See DESIGN.md §2 for the substitution rationale.
+//! The substitution keeps what the experiments measure: round counts
+//! depend on diameter and frontier sizes, and those are the properties each
+//! generator reproduces. The real datasets run to billions of edges and
+//! cannot ship with the repository.
 
 #![forbid(unsafe_code)]
 

@@ -28,24 +28,6 @@ impl<K, V> Augment<K, V> for NoAug {
     fn combine(&self, _: &(), _: &()) {}
 }
 
-/// Subtree sizes as the augmented value (rank/select support beyond the
-/// built-in size field; mostly used to test augmentation plumbing).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SizeAug;
-
-impl<K, V> Augment<K, V> for SizeAug {
-    type A = usize;
-    fn identity(&self) -> usize {
-        0
-    }
-    fn base(&self, _: &K, _: &V) -> usize {
-        1
-    }
-    fn combine(&self, a: &usize, b: &usize) -> usize {
-        a + b
-    }
-}
-
 /// Sum of values (requires `V: Into<u64>`-like access via a projection).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SumAug;

@@ -12,7 +12,7 @@
 //! and the bulk operations parallelize with `rayon::join` exactly as the
 //! divide-and-conquer schemes of \[9, 66\] describe. Operations that take
 //! a tree apart rejoin around the nodes they already own
-//! ([`node::join_node`]), so `split`, `union`, `intersection` and
+//! (`node::join_node`), so `split`, `union`, `intersection` and
 //! `difference` allocate no node.
 //!
 //! Trees are AVL-balanced (join maintains the AVL invariant), store
@@ -37,8 +37,8 @@
 #![forbid(unsafe_code)]
 
 pub mod augment;
-pub mod node;
+mod node;
 pub mod tree;
 
-pub use augment::{Augment, MaxAug, MinAug, NoAug, SizeAug, SumAug};
+pub use augment::{Augment, MaxAug, MinAug, NoAug, SumAug};
 pub use tree::AugTree;

@@ -291,14 +291,6 @@ where
         out
     }
 
-    /// Apply `f` to every entry in parallel (read-only traversal).
-    pub fn for_each_par<F>(&self, f: &F)
-    where
-        F: Fn(&K, &V) + Send + Sync,
-    {
-        for_each_rec(&self.root, f);
-    }
-
     /// Greatest key `<= key` with its value.
     pub fn prev(&self, key: &K) -> Option<(&K, &V)> {
         let mut cur = &self.root;
@@ -551,23 +543,6 @@ fn flatten_rec<K: Clone, V: Clone, A>(t: &Link<K, V, A>, out: &mut Vec<(K, V)>) 
         out.push((n.key.clone(), n.val.clone()));
         flatten_rec(&n.right, out);
     }
-}
-
-fn for_each_rec<K, V, A, F>(t: &Link<K, V, A>, f: &F)
-where
-    K: Sync,
-    V: Sync,
-    A: Sync,
-    F: Fn(&K, &V) + Send + Sync,
-{
-    let Some(n) = t else { return };
-    if n.size > PAR_CUTOFF {
-        rayon::join(|| for_each_rec(&n.left, f), || for_each_rec(&n.right, f));
-    } else {
-        for_each_rec(&n.left, f);
-        for_each_rec(&n.right, f);
-    }
-    f(&n.key, &n.val);
 }
 
 fn range_collect<K: Ord + Clone, V: Clone, A>(

@@ -15,14 +15,9 @@
 //! * [`rng`] — deterministic, splittable randomness: SplitMix64 mixing so
 //!   each index gets an independent random value regardless of scheduling.
 //! * [`shuffle`] — parallel random permutations built on [`sort`] + [`rng`].
-//! * [`list_rank`] — pointer-jumping depth computation on forests
-//!   (the substrate behind the `O(log n)`-span unweighted activity
-//!   selection algorithm, Thm. 5.3 of the paper).
-//! * [`list_contract`] — work-efficient weighted list ranking by
-//!   random-mate list contraction (§5.3's "list ranking" application).
-//! * [`tree_contract`] — `O(n)`-work forest depths via Euler tours +
-//!   list contraction, the "standard tree contraction \[18\]" Thm. 5.3 cites.
-//! * [`mod@histogram`] — parallel bucket counting.
+//! * [`list_rank`] — forest depths by pointer jumping: the ranks of the
+//!   unweighted activity selection algorithm (Thm. 5.3 of the paper) and
+//!   the code lengths of a Huffman tree.
 //!
 //! All functions are deterministic given their seed arguments, are safe
 //! Rust throughout, and fall back to tight sequential loops below a grain
@@ -30,8 +25,6 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod histogram;
-pub mod list_contract;
 pub mod list_rank;
 pub mod merge;
 pub mod monoid;
@@ -39,12 +32,9 @@ pub mod pack;
 pub mod radix_sort;
 pub mod rng;
 pub mod scan;
-pub mod semisort;
 pub mod shuffle;
 pub mod sort;
-pub mod tree_contract;
 
-pub use histogram::{histogram, histogram_into};
 pub use monoid::{MaxMonoid, MinMonoid, Monoid, SumMonoid};
 pub use pack::{filter, pack, pack_index, pack_index_into, pack_into};
 pub use radix_sort::{radix_sort_by_key, radix_sort_i64, radix_sort_u32, radix_sort_u64};

@@ -2,24 +2,35 @@
 //!
 //! The unweighted activity-selection algorithm (Thm 5.3) reduces the DP to
 //! a *tree*: each activity depends only on its pivot, and its rank is its
-//! depth in the pivot forest. The paper computes depths with `O(n)`-work
-//! tree contraction \[18\]; we use pointer jumping (a.k.a. pointer doubling),
-//! which is `O(n log d)` work and `O(log d · log n)` span for forest depth
-//! `d` — the standard practical substitute, documented as a substitution in
-//! DESIGN.md. For the random inputs of the experiments `d = O(rank)` and
-//! the extra `log` factor is irrelevant to the measured shapes.
+//! depth in the pivot forest. Huffman code lengths are leaf depths too.
+//!
+//! The paper computes depths with `O(n)`-work tree contraction \[18\]; we
+//! use pointer jumping (a.k.a. pointer doubling), which is `O(n log d)`
+//! work and `O(log d · log n)` span for forest depth `d`. The substitution
+//! is measured, not assumed: an Euler-tour contraction (list ranking by
+//! random-mate contraction over the tour) was 3.8–6.6× slower than pointer
+//! jumping on activity pivot forests (`seq/uniform` and
+//! `seq/adversarial-chain`, n = 4,000 and 32,000), 11–46× slower on Huffman
+//! trees (n = 8,000 and 64,000), and 5.6–9.0× slower even on a single
+//! n-deep chain (n = 4,000 to 10⁶), at 1 and 2 threads on 2 vCPUs. Its
+//! constant factors (tour construction, child grouping, random-mate
+//! recursion) outweighed the `log d` factor at every size and shape
+//! measured, so no size- or shape-based selection would pick it.
 
 use rayon::prelude::*;
 
-/// Depth of every node in a forest given parent pointers.
+/// Depth of every node in a forest given parent pointers, and the number
+/// of pointer-jumping passes it took.
 ///
 /// `parent[i] == i` marks a root (depth 0); otherwise `parent[i]` is `i`'s
-/// parent and `depth[i] = depth[parent[i]] + 1`.
+/// parent and `depth[i] = depth[parent[i]] + 1`. For forest depth `d` the
+/// pass count is `1` when `d == 0` and `⌈log₂ d⌉ + 1` otherwise (an empty
+/// forest takes one pass too).
 ///
 /// # Panics
 /// Panics (in debug builds) on out-of-range parents. A parent *cycle*
 /// (invalid forest) leads to unspecified but memory-safe output.
-pub fn forest_depths(parent: &[u32]) -> Vec<u32> {
+pub fn forest_depths(parent: &[u32]) -> (Vec<u32>, usize) {
     let n = parent.len();
     let mut depth: Vec<u32> = parent
         .par_iter()
@@ -33,9 +44,11 @@ pub fn forest_depths(parent: &[u32]) -> Vec<u32> {
     let mut next_depth = vec![0u32; n];
     let mut next_jump = vec![0u32; n];
     // After k iterations, jump[i] is i's 2^k-th ancestor (clamped at the
-    // root) and depth[i] counts the edges traversed so far. At most
-    // ceil(log2(max depth)) + 1 iterations are needed.
+    // root) and depth[i] counts the edges traversed so far. A pass that
+    // reaches no unfinished ancestor is the last.
+    let mut passes = 0;
     loop {
+        passes += 1;
         let changed = next_depth
             .par_iter_mut()
             .zip(next_jump.par_iter_mut())
@@ -53,7 +66,7 @@ pub fn forest_depths(parent: &[u32]) -> Vec<u32> {
             break;
         }
     }
-    depth
+    (depth, passes)
 }
 
 /// Depth of every node computed sequentially (reference implementation).
@@ -94,33 +107,72 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    /// The pass count [`forest_depths`] documents for forest depth `d`.
+    fn passes_for(d: u32) -> usize {
+        if d == 0 {
+            1
+        } else {
+            d.next_power_of_two().trailing_zeros() as usize + 1
+        }
+    }
+
+    /// Depths by pointer jumping, checked against `want` and against the
+    /// documented pass count.
+    fn check(parent: &[u32], want: &[u32]) {
+        let (d, passes) = forest_depths(parent);
+        assert_eq!(d, want, "n = {}", parent.len());
+        let depth = want.iter().copied().max().unwrap_or(0);
+        assert_eq!(passes, passes_for(depth), "n = {}", parent.len());
+    }
+
     #[test]
     fn single_root() {
-        assert_eq!(forest_depths(&[0]), vec![0]);
+        check(&[], &[]);
+        check(&[0], &[0]);
+        // All roots: the single-pass case.
+        let parent: Vec<u32> = (0..1000).collect();
+        check(&parent, &[0; 1000]);
     }
 
     #[test]
     fn chain() {
         // 0 <- 1 <- 2 <- 3
-        let parent = vec![0, 0, 1, 2];
-        assert_eq!(forest_depths(&parent), vec![0, 1, 2, 3]);
+        check(&[0, 0, 1, 2], &[0, 1, 2, 3]);
     }
 
     #[test]
     fn star() {
-        let mut parent = vec![0u32; 1000];
-        parent[0] = 0;
-        assert_eq!(forest_depths(&parent)[1..], vec![1u32; 999][..]);
+        for n in [1000, 100_000] {
+            let mut want = vec![1u32; n];
+            want[0] = 0;
+            check(&vec![0u32; n], &want);
+        }
     }
 
     #[test]
     fn long_chain_large() {
         let n = 100_000u32;
         let parent: Vec<u32> = (0..n).map(|i| i.saturating_sub(1)).collect();
-        let d = forest_depths(&parent);
-        for i in 0..n {
-            assert_eq!(d[i as usize], i);
-        }
+        check(&parent, &(0..n).collect::<Vec<_>>());
+        // Caterpillar: spine 0 <- 2 <- 4 <- ... with a leaf hanging off
+        // every spine node.
+        let n = 20_000u32;
+        let parent: Vec<u32> = (0..n)
+            .map(|i| {
+                if i % 2 == 0 {
+                    i.saturating_sub(2)
+                } else {
+                    i - 1
+                }
+            })
+            .collect();
+        let want: Vec<u32> = (0..n).map(|i| i / 2 + i % 2).collect();
+        check(&parent, &want);
+        // Complete binary tree: depth = floor(log2(i + 1)).
+        let n = 100_000u32;
+        let parent: Vec<u32> = (0..n).map(|i| i.saturating_sub(1) / 2).collect();
+        let want: Vec<u32> = (0..n).map(|i| (i + 1).ilog2()).collect();
+        check(&parent, &want);
     }
 
     #[test]
@@ -137,14 +189,13 @@ mod tests {
                     }
                 })
                 .collect();
-            assert_eq!(forest_depths(&parent), forest_depths_seq(&parent), "n={n}");
+            check(&parent, &forest_depths_seq(&parent));
         }
     }
 
     #[test]
     fn multiple_roots() {
         // Two trees: 0<-1, 2<-3<-4
-        let parent = vec![0, 0, 2, 2, 3];
-        assert_eq!(forest_depths(&parent), vec![0, 1, 0, 1, 2]);
+        check(&[0, 0, 2, 2, 3], &[0, 1, 0, 1, 2]);
     }
 }

@@ -1,5 +1,5 @@
-//! Fenwick (binary indexed) trees: prefix sum, prefix max, and an atomic
-//! prefix-max variant for concurrent frontier updates.
+//! Fenwick (binary indexed) trees: prefix max, and an atomic prefix-max
+//! variant for concurrent frontier updates.
 //!
 //! The prefix-max Fenwick tree is the classic `O(log n)` structure behind
 //! the sequential DP baselines (activity selection Eq. (1), LIS Eq. (3)):
@@ -14,50 +14,6 @@
 //! edges that make subsequent relaxed reads well-defined.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Prefix-sum Fenwick tree over `u64`.
-pub struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    /// A tree over `n` zero elements.
-    pub fn new(n: usize) -> Self {
-        Self {
-            tree: vec![0; n + 1],
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
-
-    /// True iff the tree is over zero elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Add `delta` to element `i`.
-    pub fn add(&mut self, i: usize, delta: u64) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of elements `[0, r)`.
-    pub fn prefix_sum(&self, r: usize) -> u64 {
-        let mut i = r.min(self.len());
-        let mut s = 0;
-        while i > 0 {
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-}
 
 /// Prefix-max Fenwick tree. Sound only for monotone (non-decreasing)
 /// point updates, which is how DP tables are written.
@@ -171,22 +127,6 @@ mod tests {
     use rayon::prelude::*;
 
     #[test]
-    fn fenwick_sum_matches_naive() {
-        let mut r = Rng::new(1);
-        let n = 500;
-        let mut naive = vec![0u64; n];
-        let mut f = Fenwick::new(n);
-        for _ in 0..2000 {
-            let i = r.range(n as u64) as usize;
-            let d = r.range(100);
-            naive[i] += d;
-            f.add(i, d);
-            let q = r.range(n as u64 + 1) as usize;
-            assert_eq!(f.prefix_sum(q), naive[..q].iter().sum::<u64>());
-        }
-    }
-
-    #[test]
     fn fenwick_max_matches_naive() {
         let mut r = Rng::new(2);
         let n = 300;
@@ -238,8 +178,6 @@ mod tests {
 
     #[test]
     fn empty_trees() {
-        let f = Fenwick::new(0);
-        assert_eq!(f.prefix_sum(0), 0);
         let f = FenwickMax::new(0);
         assert_eq!(f.prefix_max(0), 0);
         let f = AtomicFenwickMax::new(0);

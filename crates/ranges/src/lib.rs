@@ -10,11 +10,9 @@
 //! * [`segtree`] — a generic monoid segment tree with parallel batch
 //!   construction and parallel batch point updates; a min tree also
 //!   reports its prefix minima in one pruned traversal (the LIS rounds).
-//! * [`fenwick`] — Fenwick (binary indexed) trees: prefix sums, prefix
-//!   max, and an atomic prefix-max variant that admits concurrent
-//!   `fetch_max` updates from a parallel frontier.
-//! * [`sparse`] — a sparse table for `O(1)` static idempotent range
-//!   queries (range min / max).
+//! * [`fenwick`] — prefix-max Fenwick (binary indexed) trees, and an
+//!   atomic variant that admits concurrent `fetch_max` updates from a
+//!   parallel frontier.
 //! * [`range2d`] — the augmented 2D range tree of Algorithm 3: prefix
 //!   rectangle queries returning (#unfinished, max DP value), pivot
 //!   selection among unfinished points (uniformly random by weighted
@@ -35,13 +33,11 @@ pub mod fenwick;
 pub mod layered;
 pub mod range2d;
 pub mod segtree;
-pub mod sparse;
 
-pub use fenwick::{AtomicFenwickMax, Fenwick, FenwickMax};
+pub use fenwick::{AtomicFenwickMax, FenwickMax};
 pub use layered::{Dominance, Layered};
 pub use range2d::{PivotMode, PrefixInfo, RangeTree2d};
 pub use segtree::SegTree;
-pub use sparse::SparseTable;
 
 /// Tests of [`Layered`] as the 3D tree, `Layered<RangeTree2d>`.
 #[cfg(test)]

@@ -62,8 +62,8 @@ fn main() {
         max: 1 << 23,
     };
 
-    // Social-network stand-in: low diameter, skewed degrees (§6.3 /
-    // DESIGN.md substitution for Twitter/Friendster).
+    // Social-network stand-in for Twitter/Friendster (§6.3): RMAT has
+    // their low diameter and skewed degrees, which set the round count.
     let social = ScenarioSpec::parse("graph/rmat")
         .unwrap()
         .with_weights(weights)

@@ -207,35 +207,6 @@ fn graphs_with_isolated_vertices_everywhere() {
 // ---- newer modules under the same adversarial shapes ----
 
 #[test]
-fn list_contract_single_long_chain() {
-    // One n-long list: deepest possible contraction recursion.
-    let n = 200_000;
-    let next: Vec<u32> = (0..n as u32).map(|i| (i + 1).min(n as u32 - 1)).collect();
-    let weight = vec![3i64; n];
-    let d = pp_parlay::list_contract::list_rank_contract(&next, &weight, 1);
-    assert_eq!(d[n - 1], 3 * (n as i64 - 1));
-    assert_eq!(d[0], 0);
-}
-
-#[test]
-fn tree_contract_star_and_binary() {
-    // Star: depth 1 everywhere; complete binary tree: depth = floor(log2(i+1)).
-    let n = 100_000u32;
-    let mut star = vec![0u32; n as usize];
-    star[0] = 0;
-    let d = pp_parlay::tree_contract::forest_depths_contract(&star);
-    assert!(d[1..].iter().all(|&x| x == 1));
-
-    let parent: Vec<u32> = (0..n)
-        .map(|i| if i == 0 { 0 } else { (i - 1) / 2 })
-        .collect();
-    let d = pp_parlay::tree_contract::forest_depths_contract(&parent);
-    for i in [0u32, 1, 2, 3, 6, 7, 62, 63, n - 1] {
-        assert_eq!(d[i as usize], (u32::BITS - 1) - (i + 1).leading_zeros());
-    }
-}
-
-#[test]
 fn rho_stepping_path_graph_worst_case() {
     // A path forces ρ-stepping into ~n/ρ steps; distances must still be
     // exact even when ρ exceeds the frontier.

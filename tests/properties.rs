@@ -64,15 +64,28 @@ proptest! {
     }
 
     #[test]
-    fn forest_depths_match_seq(parents in prop::collection::vec(0usize..50, 1..50)) {
+    fn forest_depths_match_seq(parents in prop::collection::vec(0usize..50, 1..50),
+                               n in 1usize..400, seed in any::<u64>()) {
         // Clamp to a valid forest: parent[i] <= i (self = root).
-        let parent: Vec<u32> = parents.iter().enumerate()
+        let clamped: Vec<u32> = parents.iter().enumerate()
             .map(|(i, &p)| p.min(i) as u32)
             .collect();
-        prop_assert_eq!(
-            pp_parlay::list_rank::forest_depths(&parent),
-            pp_parlay::list_rank::forest_depths_seq(&parent)
-        );
+        // About one node in five a root, the rest under a random earlier node.
+        let sparse_roots: Vec<u32> = (0..n)
+            .map(|i| {
+                if i == 0 || pp_parlay::hash64(seed, i as u64).is_multiple_of(5) {
+                    i as u32
+                } else {
+                    (pp_parlay::hash64(seed ^ 2, i as u64) % i as u64) as u32
+                }
+            })
+            .collect();
+        for parent in [clamped, sparse_roots] {
+            prop_assert_eq!(
+                pp_parlay::list_rank::forest_depths(&parent).0,
+                pp_parlay::list_rank::forest_depths_seq(&parent)
+            );
+        }
     }
 
     // ---- pp-ranges ----
@@ -377,28 +390,6 @@ proptest! {
     }
 
     #[test]
-    fn semisort_groups_completely(keys in prop::collection::vec(0u32..40, 0..400), seed in any::<u64>()) {
-        let n = keys.len();
-        let items: Vec<(u32, usize)> = keys.iter().copied().zip(0..n).collect();
-        let (sorted, bounds) = pp_parlay::semisort::semisort_by(items.clone(), |&(k, _)| k, seed);
-        // Every group is key-homogeneous; all elements survive.
-        prop_assert_eq!(*bounds.last().unwrap(), n);
-        let mut seen: Vec<(u32, usize)> = sorted.clone();
-        seen.sort_unstable();
-        let mut want = items;
-        want.sort_unstable();
-        prop_assert_eq!(seen, want);
-        for g in 0..bounds.len() - 1 {
-            let group = &sorted[bounds[g]..bounds[g + 1]];
-            prop_assert!(group.iter().all(|&(k, _)| k == group[0].0));
-            // Groups are maximal: adjacent groups have different keys.
-            if g > 0 {
-                prop_assert!(sorted[bounds[g] - 1].0 != group[0].0);
-            }
-        }
-    }
-
-    #[test]
     fn range3d_matches_bruteforce(n in 1usize..150, seed in any::<u64>()) {
         layered_matches_bruteforce::<RangeTree2d>(n, seed)?;
         layered_matches_bruteforce::<Layered<RangeTree2d>>(n, seed)?;
@@ -420,42 +411,6 @@ proptest! {
         want.sort_unstable();
         pp_parlay::radix_sort_i64(&mut v);
         prop_assert_eq!(v, want);
-    }
-
-    #[test]
-    fn list_contract_matches_walk(n in 1usize..400, seed in any::<u64>()) {
-        // A random set of disjoint lists: successor = next index within
-        // random-length blocks.
-        let mut next: Vec<u32> = (0..n as u32).collect();
-        #[allow(clippy::needless_range_loop)] // the last index must stay a tail
-        for i in 0..n - 1 {
-            if !pp_parlay::hash64(seed, i as u64).is_multiple_of(4) {
-                next[i] = i as u32 + 1;
-            }
-        }
-        let weight: Vec<i64> = (0..n as u64)
-            .map(|i| (pp_parlay::hash64(seed ^ 1, i) % 100) as i64 - 50)
-            .collect();
-        let got = pp_parlay::list_contract::list_rank_contract(&next, &weight, seed);
-        let want = pp_parlay::list_contract::list_rank_seq(&next, &weight);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn tree_contract_matches_pointer_jumping(n in 1usize..400, seed in any::<u64>()) {
-        let parent: Vec<u32> = (0..n)
-            .map(|i| {
-                if i == 0 || pp_parlay::hash64(seed, i as u64).is_multiple_of(5) {
-                    i as u32
-                } else {
-                    (pp_parlay::hash64(seed ^ 2, i as u64) % i as u64) as u32
-                }
-            })
-            .collect();
-        prop_assert_eq!(
-            pp_parlay::tree_contract::forest_depths_contract(&parent),
-            pp_parlay::list_rank::forest_depths_seq(&parent)
-        );
     }
 
     #[test]
@@ -622,21 +577,6 @@ proptest! {
             prop_assert!(wg.is_weighted());
             prop_assert!(wg.min_weight().unwrap() >= 1);
         }
-    }
-
-    #[test]
-    fn unweighted_activity_contraction_agrees(n in 1usize..300, seed in any::<u64>()) {
-        let acts: Vec<Activity> = (0..n as u64)
-            .map(|i| {
-                let s = pp_parlay::hash64(seed, i) % 5000;
-                Activity::new(s, s + 1 + pp_parlay::hash64(seed ^ 1, i) % 300, 1)
-            })
-            .collect();
-        let acts = activity::sort_by_end(acts);
-        prop_assert_eq!(
-            activity::ranks_tree_contraction(&acts),
-            activity::ranks(&acts)
-        );
     }
 }
 
