@@ -19,10 +19,29 @@ pub mod unweighted;
 pub mod workload;
 
 pub use seq::max_weight_seq;
-pub(crate) use type1::{max_weight_type1, max_weight_type1_pam};
-pub(crate) use type2::max_weight_type2;
+pub use type1::PreparedType1;
+pub(crate) use type1::{max_weight_type1, max_weight_type1_pam, prepare_type1};
+pub use type2::PreparedType2;
+pub(crate) use type2::{max_weight_type2, prepare_type2};
 pub(crate) use unweighted::max_count_unweighted;
 pub use unweighted::ranks;
+
+use phase_parallel::Scratch;
+use pp_ranges::AtomicFenwickMax;
+
+/// The scratch slot of the per-query DP tree of `activity/type1` and
+/// `activity/type2`.
+const DP_SLOT: &str = "activity.dp";
+
+/// A DP tree over `n` activities, all `0`, reusing the one parked in
+/// `scratch` under [`DP_SLOT`] if there is one.
+fn take_dp(scratch: &mut Scratch, n: usize) -> AtomicFenwickMax {
+    let mut dp = scratch
+        .take_any::<AtomicFenwickMax>(DP_SLOT)
+        .unwrap_or_else(|| AtomicFenwickMax::new(0));
+    dp.reset(n);
+    dp
+}
 
 /// One activity: `[start, end)` with a weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +102,8 @@ pub fn max_weight_brute(acts: &[Activity]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phase_parallel::RunConfig;
+    use crate::api::{ActivityType1, ActivityType2};
+    use phase_parallel::{PhaseAlgorithm, RunConfig};
     use pp_parlay::rng::Rng;
 
     pub(crate) fn random_activities(
@@ -110,7 +130,7 @@ mod tests {
             let want = max_weight_brute(&acts);
             assert_eq!(max_weight_seq(&acts), want, "seq seed={seed}");
             assert_eq!(
-                max_weight_type1(&acts, &cfg).output,
+                ActivityType1.solve_par(&acts, &cfg).output,
                 want,
                 "type1 seed={seed}"
             );
@@ -120,7 +140,7 @@ mod tests {
                 "type1_pam seed={seed}"
             );
             assert_eq!(
-                max_weight_type2(&acts, &cfg).output,
+                ActivityType2.solve_par(&acts, &cfg).output,
                 want,
                 "type2 seed={seed}"
             );
@@ -137,13 +157,21 @@ mod tests {
         ] {
             let acts = sort_by_end(random_activities(n, range, len, 99));
             let want = max_weight_seq(&acts);
-            assert_eq!(max_weight_type1(&acts, &cfg).output, want, "type1 n={n}");
+            assert_eq!(
+                ActivityType1.solve_par(&acts, &cfg).output,
+                want,
+                "type1 n={n}"
+            );
             assert_eq!(
                 max_weight_type1_pam(&acts, &cfg).output,
                 want,
                 "type1_pam n={n}"
             );
-            assert_eq!(max_weight_type2(&acts, &cfg).output, want, "type2 n={n}");
+            assert_eq!(
+                ActivityType2.solve_par(&acts, &cfg).output,
+                want,
+                "type2 n={n}"
+            );
         }
     }
 
@@ -153,8 +181,8 @@ mod tests {
         // The engines should run exactly rank(S) rounds (round-efficiency).
         let acts = sort_by_end(random_activities(2000, 1000, 50, 5));
         let rank = *ranks(&acts).iter().max().unwrap() as usize;
-        let s1 = max_weight_type1(&acts, &cfg).stats;
-        let s2 = max_weight_type2(&acts, &cfg).stats;
+        let s1 = ActivityType1.solve_par(&acts, &cfg).stats;
+        let s2 = ActivityType2.solve_par(&acts, &cfg).stats;
         assert_eq!(s1.rounds, rank);
         assert_eq!(s2.rounds, rank);
     }
@@ -163,13 +191,13 @@ mod tests {
     fn single_and_empty() {
         let cfg = RunConfig::new();
         assert_eq!(max_weight_seq(&[]), 0);
-        assert_eq!(max_weight_type1(&[], &cfg).output, 0);
-        assert_eq!(max_weight_type2(&[], &cfg).output, 0);
+        assert_eq!(ActivityType1.solve_par(&[], &cfg).output, 0);
+        assert_eq!(ActivityType2.solve_par(&[], &cfg).output, 0);
         let one = vec![Activity::new(0, 5, 7)];
         assert_eq!(max_weight_seq(&one), 7);
-        assert_eq!(max_weight_type1(&one, &cfg).output, 7);
+        assert_eq!(ActivityType1.solve_par(&one, &cfg).output, 7);
         assert_eq!(max_weight_type1_pam(&one, &cfg).output, 7);
-        assert_eq!(max_weight_type2(&one, &cfg).output, 7);
+        assert_eq!(ActivityType2.solve_par(&one, &cfg).output, 7);
     }
 
     #[test]
@@ -182,8 +210,8 @@ mod tests {
             Activity::new(10, 15, 30),
         ]);
         assert_eq!(max_weight_seq(&acts), 60);
-        assert_eq!(max_weight_type1(&acts, &cfg).output, 60);
-        assert_eq!(max_weight_type2(&acts, &cfg).output, 60);
+        assert_eq!(ActivityType1.solve_par(&acts, &cfg).output, 60);
+        assert_eq!(ActivityType2.solve_par(&acts, &cfg).output, 60);
     }
 
     #[test]

@@ -11,28 +11,34 @@
 //!   unprocessed set in start order is always a *suffix* (each round
 //!   removes a prefix of it), so `T_time` degenerates to a cursor plus a
 //!   suffix-minimum array, and `T_DP` is an atomic prefix-max Fenwick
-//!   tree over end order.
+//!   tree over end order. The arrays depend on the input alone, so
+//!   [`prepare_type1`] builds them once and a query only runs rounds.
 //! * [`max_weight_type1_pam`] — the literal Algorithm 2 on PA-BSTs
 //!   (`pp-pam`), kept because it is the algorithm Theorem 4.2 analyzes;
 //!   ablation 3 of the `ablations` bench measures what the flat arrays
 //!   save over it.
 
-use super::Activity;
-use phase_parallel::{run_type1, Report, RunConfig, Type1Problem};
+use super::{take_dp, Activity, DP_SLOT};
+use phase_parallel::{run_type1, Report, RunConfig, Scratch, Type1Problem};
 use pp_pam::{AugTree, MaxAug, MinAug};
 use pp_ranges::AtomicFenwickMax;
 use rayon::prelude::*;
 
-/// Flat-array Type 1 algorithm. `acts` sorted by end time.
-/// The report's `stats.rounds == rank(S)`. The round loop polls the
-/// config's deadline; a trip returns the best DP value seen so far under
-/// `RunOutcome::DeadlineExceeded`.
-pub(crate) fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64> {
+/// What [`ActivityType1`](crate::api::ActivityType1) prepares: the
+/// activities in start order with their start times, the suffix minimum
+/// of end time over that order (the `T_time` augmentation), and the end
+/// times in end order.
+pub struct PreparedType1 {
+    by_start: Vec<u32>,
+    starts: Vec<u64>,
+    suffix_min_end: Vec<u64>,
+    ends: Vec<u64>,
+}
+
+/// Build the flat `T_time` arrays. `acts` sorted by end time.
+pub(crate) fn prepare_type1(acts: &[Activity]) -> PreparedType1 {
     debug_assert!(acts.windows(2).all(|w| w[0].end <= w[1].end));
     let n = acts.len();
-    if n == 0 {
-        return Report::plain(0);
-    }
     // Activities in start order: ids into `acts`, plus their start times.
     let mut by_start: Vec<u32> = (0..n as u32).collect();
     pp_parlay::par_sort_by_key(&mut by_start, |&i| (acts[i as usize].start, i));
@@ -47,43 +53,65 @@ pub(crate) fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64
         suffix_min_end[i] = suffix_min_end[i].min(suffix_min_end[i + 1]);
     }
     let ends: Vec<u64> = acts.iter().map(|a| a.end).collect();
+    PreparedType1 {
+        by_start,
+        starts,
+        suffix_min_end,
+        ends,
+    }
+}
+
+/// Flat-array Type 1 query over the prepared arrays; its DP tree comes
+/// from `scratch` and goes back to it. The report's
+/// `stats.rounds == rank(S)`. The round loop polls the config's
+/// deadline; a trip returns the best DP value seen so far under
+/// `RunOutcome::DeadlineExceeded`.
+pub(crate) fn max_weight_type1(
+    acts: &[Activity],
+    prepared: &PreparedType1,
+    scratch: &mut Scratch,
+    cfg: &RunConfig,
+) -> Report<u64> {
+    let n = acts.len();
+    if n == 0 {
+        return Report::plain(0);
+    }
 
     struct Problem<'a> {
         acts: &'a [Activity],
-        by_start: Vec<u32>,
-        starts: Vec<u64>,
-        suffix_min_end: Vec<u64>,
-        ends: Vec<u64>,
+        prepared: &'a PreparedType1,
         head: usize,
         dp: AtomicFenwickMax,
         best: u64,
     }
 
     impl Type1Problem for Problem<'_> {
-        type Output = u64;
+        type Output = (u64, AtomicFenwickMax);
 
         fn extract_frontier(&mut self) -> Vec<u32> {
-            let n = self.by_start.len();
+            let p = self.prepared;
+            let n = p.by_start.len();
             if self.head >= n {
                 return Vec::new();
             }
             // Earliest end among unprocessed (the suffix from head).
-            let e_x = self.suffix_min_end[self.head];
+            let e_x = p.suffix_min_end[self.head];
             // Frontier: unprocessed activities starting strictly before e_x.
-            let new_head = self.starts.partition_point(|&s| s < e_x);
+            let new_head = p.starts.partition_point(|&s| s < e_x);
             debug_assert!(new_head > self.head, "frontier cannot be empty");
-            let frontier = self.by_start[self.head..new_head].to_vec();
+            let frontier = p.by_start[self.head..new_head].to_vec();
             self.head = new_head;
             frontier
         }
 
         fn process(&mut self, frontier: &[u32]) {
             // Query phase: all reads against the pre-round DP state.
+            let ends = &self.prepared.ends;
             let dps: Vec<(u32, u64)> = frontier
                 .par_iter()
                 .map(|&i| {
                     let a = &self.acts[i as usize];
-                    let cnt = self.ends.partition_point(|&e| e <= a.start);
+                    let cnt = ends.partition_point(|&e| e <= a.start);
                     (i, a.weight + self.dp.prefix_max(cnt))
                 })
                 .collect();
@@ -95,24 +123,25 @@ pub(crate) fn max_weight_type1(acts: &[Activity], cfg: &RunConfig) -> Report<u64
             self.best = self.best.max(round_best);
         }
 
-        fn finish(self) -> u64 {
-            self.best
+        fn finish(self) -> (u64, AtomicFenwickMax) {
+            (self.best, self.dp)
         }
     }
 
-    run_type1(
+    let report = run_type1(
         Problem {
             acts,
-            by_start,
-            starts,
-            suffix_min_end,
-            ends,
+            prepared,
             head: 0,
-            dp: AtomicFenwickMax::new(n),
+            dp: take_dp(scratch, n),
             best: 0,
         },
         cfg,
-    )
+    );
+    report.map(|(best, dp)| {
+        scratch.put_any(DP_SLOT, dp);
+        best
+    })
 }
 
 /// Literal Algorithm 2 on PA-BSTs. `acts` sorted by end time. Same
@@ -199,6 +228,8 @@ pub(crate) fn max_weight_type1_pam(acts: &[Activity], cfg: &RunConfig) -> Report
 mod tests {
     use super::super::{sort_by_end, Activity};
     use super::*;
+    use crate::api::ActivityType1;
+    use phase_parallel::PhaseAlgorithm;
 
     #[test]
     fn chain_of_sequential_activities_has_rank_n() {
@@ -208,7 +239,7 @@ mod tests {
                 .map(|i| Activity::new(i * 10, i * 10 + 10, 1))
                 .collect(),
         );
-        let report = max_weight_type1(&acts, &RunConfig::new());
+        let report = ActivityType1.solve_par(&acts, &RunConfig::new());
         assert_eq!(report.output, 50);
         assert_eq!(report.stats.rounds, 50);
         let report2 = max_weight_type1_pam(&acts, &RunConfig::new());
@@ -219,7 +250,7 @@ mod tests {
     #[test]
     fn all_overlapping_is_one_round() {
         let acts = sort_by_end((0..100).map(|i| Activity::new(0, 100 + i, 1 + i)).collect());
-        let report = max_weight_type1(&acts, &RunConfig::new());
+        let report = ActivityType1.solve_par(&acts, &RunConfig::new());
         assert_eq!(report.output, 100); // best single activity
         assert_eq!(report.stats.rounds, 1);
         assert_eq!(report.stats.max_frontier(), 100);

@@ -11,9 +11,12 @@
 //! [`lis::lis_par_with_dp`], [`lis::lis_weighted_par`],
 //! [`knapsack::max_value_par_with_dp`] and [`huffman::build_par`] stay
 //! public for the DP values or tree an `Output` drops. Families that
-//! prepare something (SSSP, MIS, coloring, matching) answer a one-shot
-//! `solve_par` as `prepare` plus one `solve_prepared` query, so one-shot
-//! and served queries run one code path.
+//! prepare something (SSSP, MIS, coloring, matching, `activity/type1`,
+//! `activity/type2`, `huffman`, `chain3d`, `chain4d`, `whac/2d` and
+//! `random-perm`) answer a one-shot `solve_par` as `prepare` plus one
+//! `solve_prepared` query, so one-shot and served queries run one code
+//! path. A prepared instance is built from the input alone: the seed,
+//! the pivot mode and the deadline are query settings.
 //!
 //! Luby's MIS is deliberately absent: it is *not* sequential-equivalent
 //! (values are redrawn every round), so it cannot satisfy the trait's
@@ -30,7 +33,7 @@
 //! ```
 
 use crate::activity::{self, Activity};
-use crate::chain::{chain_par, chain_seq, ChainPoint};
+use crate::chain::{self, chain_seq, ChainPoint, PreparedChain};
 use crate::coloring;
 use crate::huffman;
 use crate::knapsack::{self, Item};
@@ -140,7 +143,10 @@ pub struct ActivityType1;
 impl PhaseAlgorithm for ActivityType1 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_no_prepare!();
+    /// The start order, its suffix minimum of end time, and the end
+    /// times.
+    type Prepared = activity::PreparedType1;
+
     fn name(&self) -> &'static str {
         "activity/type1"
     }
@@ -148,7 +154,19 @@ impl PhaseAlgorithm for ActivityType1 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type1(input, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, input: &[Activity]) -> activity::PreparedType1 {
+        activity::prepare_type1(input)
+    }
+    fn solve_prepared(
+        &self,
+        input: &[Activity],
+        prepared: &activity::PreparedType1,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u64> {
+        activity::max_weight_type1(input, prepared, scratch, cfg)
     }
 }
 
@@ -176,7 +194,9 @@ pub struct ActivityType2;
 impl PhaseAlgorithm for ActivityType2 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_no_prepare!();
+    /// The end times and Lemma 5.1's pivots.
+    type Prepared = activity::PreparedType2;
+
     fn name(&self) -> &'static str {
         "activity/type2"
     }
@@ -184,7 +204,19 @@ impl PhaseAlgorithm for ActivityType2 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type2(input, cfg)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, input: &[Activity]) -> activity::PreparedType2 {
+        activity::prepare_type2(input)
+    }
+    fn solve_prepared(
+        &self,
+        input: &[Activity],
+        prepared: &activity::PreparedType2,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u64> {
+        activity::max_weight_type2(input, prepared, scratch, cfg)
     }
 }
 
@@ -242,7 +274,9 @@ pub struct Huffman;
 impl PhaseAlgorithm for Huffman {
     type Input = [u64];
     type Output = u64;
-    phase_parallel::impl_no_prepare!();
+    /// The objects in `(frequency, id)` order.
+    type Prepared = huffman::PreparedHuffman;
+
     fn name(&self) -> &'static str {
         "huffman"
     }
@@ -250,7 +284,19 @@ impl PhaseAlgorithm for Huffman {
         huffman::build_seq(freqs).weighted_path_length(freqs)
     }
     fn solve_par(&self, freqs: &[u64], cfg: &RunConfig) -> Report<u64> {
-        huffman::build_par(freqs, cfg).map(|t| t.weighted_path_length(freqs))
+        self.solve_prepared(freqs, &self.prepare(freqs), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, freqs: &[u64]) -> huffman::PreparedHuffman {
+        huffman::prepare(freqs)
+    }
+    fn solve_prepared(
+        &self,
+        freqs: &[u64],
+        prepared: &huffman::PreparedHuffman,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u64> {
+        huffman::wpl_query(freqs, prepared, scratch, cfg)
     }
 }
 
@@ -555,7 +601,9 @@ pub struct Whac2d;
 impl PhaseAlgorithm for Whac2d {
     type Input = [Mole2d];
     type Output = u32;
-    phase_parallel::impl_no_prepare!();
+    /// [`Chain<4>`](Chain)'s prepared tree over the rotated points.
+    type Prepared = PreparedChain<4>;
+
     fn name(&self) -> &'static str {
         "whac/2d"
     }
@@ -563,8 +611,20 @@ impl PhaseAlgorithm for Whac2d {
         whac2d_seq(moles)
     }
     fn solve_par(&self, moles: &[Mole2d], cfg: &RunConfig) -> Report<u32> {
+        self.solve_prepared(moles, &self.prepare(moles), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, moles: &[Mole2d]) -> PreparedChain<4> {
         let pts: Vec<[i64; 4]> = moles.iter().map(rotate2d).collect();
-        Chain::<4>.solve_par(&pts, cfg)
+        chain::prepare_chain(&pts)
+    }
+    fn solve_prepared(
+        &self,
+        _moles: &[Mole2d],
+        prepared: &PreparedChain<4>,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u32> {
+        chain::chain_query(prepared, scratch, cfg)
     }
 }
 
@@ -579,7 +639,10 @@ where
 {
     type Input = [[i64; D]];
     type Output = u32;
-    phase_parallel::impl_no_prepare!();
+    /// The slots, the prefix bounds and the dominance tree with every
+    /// point unfinished, which each query copies.
+    type Prepared = PreparedChain<D>;
+
     fn name(&self) -> &'static str {
         match D {
             3 => "chain3d",
@@ -591,7 +654,19 @@ where
         chain_seq(pts)
     }
     fn solve_par(&self, pts: &[[i64; D]], cfg: &RunConfig) -> Report<u32> {
-        chain_par(pts, cfg)
+        self.solve_prepared(pts, &self.prepare(pts), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, pts: &[[i64; D]]) -> PreparedChain<D> {
+        chain::prepare_chain(pts)
+    }
+    fn solve_prepared(
+        &self,
+        _pts: &[[i64; D]],
+        prepared: &PreparedChain<D>,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u32> {
+        chain::chain_query(prepared, scratch, cfg)
     }
 }
 
@@ -604,15 +679,30 @@ pub struct RandomPerm;
 impl PhaseAlgorithm for RandomPerm {
     type Input = (usize, u64);
     type Output = Vec<u32>;
-    phase_parallel::impl_no_prepare!();
+    /// The swap targets, the dependence forest, and the engine's
+    /// initial pairs and round-0 frontier over it.
+    type Prepared = random_perm::PreparedPerm;
+
     fn name(&self) -> &'static str {
         "random-perm"
     }
     fn solve_seq(&self, &(n, seed): &Self::Input) -> Vec<u32> {
         random_perm::knuth_shuffle_seq(n, &random_perm::swap_targets(n, seed))
     }
-    fn solve_par(&self, &(n, seed): &Self::Input, cfg: &RunConfig) -> Report<Vec<u32>> {
-        random_perm::knuth_shuffle_par(n, seed, cfg)
+    fn solve_par(&self, input: &Self::Input, cfg: &RunConfig) -> Report<Vec<u32>> {
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, &(n, seed): &Self::Input) -> random_perm::PreparedPerm {
+        random_perm::prepare_perm(n, seed)
+    }
+    fn solve_prepared(
+        &self,
+        _input: &Self::Input,
+        prepared: &random_perm::PreparedPerm,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<Vec<u32>> {
+        random_perm::shuffle_query(prepared, scratch, cfg)
     }
 }
 

@@ -15,12 +15,17 @@
 //! [`Chain`](crate::api::Chain) runs on the `D`-dimensional [`Layered`]
 //! dominance tree: `O(n log^(D+1) n)` work and `O(k log^D n)` span for
 //! chain length `k` — each extra dimension costs the one extra `log` the
-//! appendix describes. [`chain_seq`] sweeps the points in
+//! appendix describes. The per-coordinate slots and bounds and the tree
+//! with every point unfinished depend on the points alone, so
+//! `prepare_chain` builds them once ([`PreparedChain`]). Each query
+//! refreshes a copy of the tree in its [`Scratch`] workspace with
+//! `clone_from`, which reuses the copy's allocations, and sets the
+//! query's pivot mode on it. [`chain_seq`] sweeps the points in
 //! first-coordinate order over the `(D − 1)`-dimensional tree, and
 //! [`chain_brute`] is the quadratic oracle.
 
 use phase_parallel::{
-    run_type2, InitialState, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
+    run_type2, InitialState, PivotMode, Report, RunConfig, Scratch, Type2Problem, WakeResult,
 };
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::{Dominance, Layered, RangeTree2d};
@@ -141,48 +146,99 @@ where
     best
 }
 
-/// [`Chain`](crate::api::Chain)'s body: Type 2 over the `D`-dimensional
-/// dominance tree. The report's `stats.rounds` equals the chain length
-/// (round-efficiency, one rank per round).
-pub(crate) fn chain_par<const D: usize>(pts: &[[i64; D]], cfg: &RunConfig) -> Report<u32>
+/// What [`Chain`](crate::api::Chain) prepares from the points alone:
+/// the `D`-dimensional dominance tree with every point unfinished, and
+/// each point's strict prefix bounds. A query runs on its own copy of
+/// the tree, refreshed from this one.
+pub struct PreparedChain<const D: usize>
+where
+    [i64; D]: ChainPoint,
+{
+    tree: Layered<<[i64; D] as ChainPoint>::Sweep>,
+    /// Each point's strict prefix bounds, `D` per point.
+    bounds: Vec<u32>,
+}
+
+/// Build the per-coordinate slots and bounds and the dominance tree.
+/// Reads no query setting: the tree's pivot mode is set on each
+/// query's copy.
+pub(crate) fn prepare_chain<const D: usize>(pts: &[[i64; D]]) -> PreparedChain<D>
 where
     [i64; D]: ChainPoint,
 {
     let n = pts.len();
-    if n == 0 {
-        return Report::plain(0);
-    }
     let coords: Vec<(Vec<u32>, Vec<u32>)> = (0..D).map(|j| slots(|i| pts[i][j], n)).collect();
     let slot_of: Vec<&[u32]> = coords.iter().map(|(slot, _)| slot.as_slice()).collect();
-    let tree = Layered::<<[i64; D] as ChainPoint>::Sweep>::new(&slot_of, cfg.pivot_mode);
+    let tree = Layered::new(&slot_of, PivotMode::default());
     let bounds: Vec<u32> = (0..n)
         .flat_map(|i| coords.iter().map(move |(_, bound)| bound[i]))
         .collect();
-    run_type2(
+    PreparedChain { tree, bounds }
+}
+
+/// [`Chain`](crate::api::Chain)'s query: Type 2 over a copy of the
+/// prepared dominance tree, in `cfg`'s pivot mode. The copy, the DP
+/// values and the attempt counters come from `scratch` and go back to
+/// it. The report's `stats.rounds` equals the chain length
+/// (round-efficiency, one rank per round).
+pub(crate) fn chain_query<const D: usize>(
+    prepared: &PreparedChain<D>,
+    scratch: &mut Scratch,
+    cfg: &RunConfig,
+) -> Report<u32>
+where
+    [i64; D]: ChainPoint,
+{
+    let n = prepared.tree.len();
+    if n == 0 {
+        return Report::plain(0);
+    }
+    let mut tree = match scratch.take_any::<Layered<<[i64; D] as ChainPoint>::Sweep>>("chain.tree")
+    {
+        Some(mut tree) => {
+            tree.clone_from(&prepared.tree);
+            tree
+        }
+        None => prepared.tree.clone(),
+    };
+    tree.set_pivot_mode(cfg.pivot_mode);
+    let mut dp = scratch.take_vec::<u32>("chain.dp");
+    dp.resize(n, 0);
+    let mut attempts = scratch.take_vec::<AtomicU32>("chain.attempts");
+    attempts.resize_with(n, || AtomicU32::new(0));
+    let report = run_type2(
         ChainProblem {
             tree,
-            bounds,
-            dp: vec![0; n],
-            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            bounds: &prepared.bounds,
+            dp,
+            attempts,
             seed: cfg.seed,
         },
         cfg,
-    )
-    .map(|(_, best)| best)
+    );
+    let (stats, outcome) = (report.stats, report.outcome);
+    let ChainProblem {
+        tree, dp, attempts, ..
+    } = report.output;
+    let best = dp.iter().copied().max().unwrap_or(0);
+    scratch.put_any("chain.tree", tree);
+    scratch.put_vec("chain.dp", dp);
+    scratch.put_vec("chain.attempts", attempts);
+    Report::new(best, stats).with_outcome(outcome)
 }
 
 /// The Type 2 problem: object `x` is ready once its dominance box holds
 /// no unfinished point.
-struct ChainProblem<T> {
+struct ChainProblem<'a, T> {
     tree: T,
     /// Each point's strict prefix bounds, `T::DIM` per point.
-    bounds: Vec<u32>,
+    bounds: &'a [u32],
     dp: Vec<u32>,
     attempts: Vec<AtomicU32>,
     seed: u64,
 }
 
-impl<T: Dominance> ChainProblem<T> {
+impl<T: Dominance> ChainProblem<'_, T> {
     fn probe(&self, x: u32) -> WakeResult<u32> {
         let i = x as usize;
         let q = &self.bounds[i * T::DIM..(i + 1) * T::DIM];
@@ -201,11 +257,13 @@ impl<T: Dominance> ChainProblem<T> {
     }
 }
 
-impl<T: Dominance> Type2Problem for ChainProblem<T> {
+impl<'a, T: Dominance> Type2Problem for ChainProblem<'a, T> {
     type Info = u32;
-    type Output = (Vec<u32>, u32);
+    /// The problem itself: the query hands its buffers back to the
+    /// workspace.
+    type Output = Self;
 
-    fn initial(&self) -> InitialState<u32> {
+    fn initial(&self) -> InitialState<'_, u32> {
         // No virtual point here: probe every object once up front;
         // blocked ones hang off their first pivot.
         let probes: Vec<(u32, WakeResult<u32>)> = (0..self.dp.len() as u32)
@@ -225,7 +283,7 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
                 }
             }
         }
-        (pairs, frontier)
+        (pairs.into(), frontier)
     }
 
     fn try_wake(&self, x: u32) -> WakeResult<u32> {
@@ -239,9 +297,8 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
         self.tree.finish_batch(ready);
     }
 
-    fn finish(self) -> (Vec<u32>, u32) {
-        let best = self.dp.iter().copied().max().unwrap_or(0);
-        (self.dp, best)
+    fn finish(self) -> Self {
+        self
     }
 }
 
@@ -250,6 +307,7 @@ impl<T: Dominance> Type2Problem for ChainProblem<T> {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use phase_parallel::PhaseAlgorithm;
     use pp_parlay::rng::Rng as TRng;
 
     pub(crate) fn random_points<const D: usize>(n: usize, range: u64, seed: u64) -> Vec<[i64; D]> {
@@ -260,7 +318,7 @@ pub(crate) mod testing {
     }
 
     /// The longest chain in `pts` has `rank` points by [`chain_seq`] and
-    /// by [`chain_par`], which takes one round per rank.
+    /// by [`Chain`](crate::api::Chain), which takes one round per rank.
     pub(crate) fn assert_rank<const D: usize>(
         pts: &[[i64; D]],
         rank: u32,
@@ -270,7 +328,8 @@ pub(crate) mod testing {
         [i64; D]: ChainPoint,
     {
         assert_eq!(chain_seq(pts), rank, "{D}D seq seed={seed}");
-        let report = chain_par(pts, &RunConfig::seeded(seed).with_pivot_mode(mode));
+        let cfg = RunConfig::seeded(seed).with_pivot_mode(mode);
+        let report = crate::api::Chain::<D>.solve_par(pts, &cfg);
         assert_eq!(report.output, rank, "{D}D par/{mode:?} seed={seed}");
         assert_eq!(report.stats.rounds as u32, rank, "{D}D rounds seed={seed}");
     }

@@ -21,21 +21,34 @@ pub use codes::{BitVec, CanonicalCode};
 pub use par::build_par;
 pub use seq::{build_seq, build_seq_heap};
 
+use phase_parallel::{Report, RunConfig, Scratch};
+
 /// A Huffman tree over `n` leaves as a parent-pointer array: nodes
 /// `0..n` are the input objects (in input order), nodes `n..2n-1` the
-/// internal merges; the root is its own parent.
+/// internal merges; the root is its own parent. Every merge gets a
+/// larger id than the nodes it merges, so each parent id is at least
+/// its child's — [`HuffmanTree::new`] checks it, and
+/// [`HuffmanTree::depths`] relies on it.
 pub struct HuffmanTree {
     parent: Vec<u32>,
     n_leaves: usize,
 }
 
 impl HuffmanTree {
-    /// Construct from a parent array (root self-parented).
+    /// Construct from a parent array (root self-parented). Panics unless
+    /// every parent id is at least its child's and inside the array.
     pub fn new(parent: Vec<u32>, n_leaves: usize) -> Self {
         assert!(n_leaves >= 1);
         assert_eq!(
             parent.len(),
             if n_leaves == 1 { 1 } else { 2 * n_leaves - 1 }
+        );
+        assert!(
+            parent
+                .iter()
+                .enumerate()
+                .all(|(i, &p)| i <= p as usize && (p as usize) < parent.len()),
+            "every parent id must be at least its child's"
         );
         Self { parent, n_leaves }
     }
@@ -50,9 +63,14 @@ impl HuffmanTree {
         &self.parent
     }
 
-    /// Depth of every node (root depth 0), in parallel.
+    /// Depth of every node (root depth 0): one sequential `O(n)` sweep
+    /// in descending id order, since every parent id is larger than its
+    /// child's. A partial forest left by a deadline (unmerged nodes
+    /// self-parented) gets the same sweep.
     pub fn depths(&self) -> Vec<u32> {
-        pp_parlay::list_rank::forest_depths(&self.parent).0
+        let mut depth = self.parent.clone();
+        parents_to_depths(&mut depth);
+        depth
     }
 
     /// Code length of each leaf = its depth.
@@ -72,11 +90,7 @@ impl HuffmanTree {
     /// Huffman tree minimizes; implementation-independent.
     pub fn weighted_path_length(&self, freqs: &[u64]) -> u64 {
         assert_eq!(freqs.len(), self.n_leaves);
-        self.code_lengths()
-            .iter()
-            .zip(freqs)
-            .map(|(&d, &f)| d as u64 * f)
-            .sum()
+        leaf_wpl(&self.depths(), freqs)
     }
 
     /// Kraft sum check: `Σ 2^-depth == 1` over leaves (valid full binary
@@ -96,11 +110,63 @@ impl HuffmanTree {
     }
 }
 
+/// Overwrite a forest's parent array with its depths. No parent id is
+/// below its child's, so a sweep in descending id order reaches every
+/// parent before its children: slot `p > i` already holds `p`'s depth
+/// when slot `i` still holds `i`'s parent.
+fn parents_to_depths(nodes: &mut [u32]) {
+    for i in (0..nodes.len()).rev() {
+        let p = nodes[i] as usize;
+        nodes[i] = if p == i { 0 } else { nodes[p] + 1 };
+    }
+}
+
+/// `Σ freq_i · depth_i` over the leaves, which lead `depths`.
+fn leaf_wpl(depths: &[u32], freqs: &[u64]) -> u64 {
+    depths.iter().zip(freqs).map(|(&d, &f)| d as u64 * f).sum()
+}
+
+/// What [`Huffman`](crate::api::Huffman) prepares: the object ids in
+/// `(frequency, id)` order, where every build starts.
+pub struct PreparedHuffman {
+    order: Vec<u32>,
+}
+
+/// Sort the objects once. Panics on an empty input or a zero frequency.
+pub(crate) fn prepare(freqs: &[u64]) -> PreparedHuffman {
+    PreparedHuffman {
+        order: par::sorted_order(freqs),
+    }
+}
+
+/// [`Huffman`](crate::api::Huffman)'s query: the §4.3 rounds from the
+/// prepared order, then the weighted path length of the tree (of the
+/// partial forest, on a deadline trip), from depths swept into the
+/// parent array in place. The working arrays come from `scratch` and go
+/// back to it.
+pub(crate) fn wpl_query(
+    freqs: &[u64],
+    prepared: &PreparedHuffman,
+    scratch: &mut Scratch,
+    cfg: &RunConfig,
+) -> Report<u64> {
+    let mut bufs = scratch
+        .take_any::<par::Buffers>("huffman.buffers")
+        .unwrap_or_default();
+    let report = par::merge_rounds(freqs, &prepared.order, &mut bufs, cfg);
+    parents_to_depths(&mut bufs.parent);
+    let wpl = leaf_wpl(&bufs.parent, freqs);
+    scratch.put_any("huffman.buffers", bufs);
+    report.map(|()| wpl)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use phase_parallel::RunConfig;
+    use pp_parlay::list_rank::forest_depths;
     use pp_parlay::rng::Rng;
+    use std::time::Duration;
 
     /// Brute-force optimal WPL via the sequential greedy with a heap
     /// (independent of either implementation's pairing choices).
@@ -188,6 +254,58 @@ mod tests {
             stats.rounds,
             t.height()
         );
+    }
+
+    #[test]
+    fn depths_sweep_equals_pointer_jumping() {
+        let mut r = Rng::new(11);
+        for n in [1usize, 2, 3, 17, 500, 3000] {
+            let freqs: Vec<u64> = (0..n).map(|_| 1 + r.range(1000)).collect();
+            let trees = [
+                build_seq(&freqs),
+                build_seq_heap(&freqs),
+                build_par(&freqs, &RunConfig::new()).output,
+            ];
+            for tree in trees {
+                let (want, _) = forest_depths(tree.parents());
+                assert_eq!(tree.depths(), want, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn depths_sweep_equals_pointer_jumping_on_a_partial_forest() {
+        // A deadline that trips between rounds self-parents every
+        // unmerged node. The clock starts just before the rounds (the
+        // order is sorted first), and budgets grow until one trips
+        // after a round; the run completes only once a budget outlasts
+        // every round, so some smaller budget tripped in between.
+        let mut r = Rng::new(12);
+        let freqs: Vec<u64> = (0..50_000).map(|_| 1 + r.range(1_000_000)).collect();
+        let order = par::sorted_order(&freqs);
+        let mut budget = Duration::from_micros(1);
+        let mut partial = 0;
+        loop {
+            let mut bufs = par::Buffers::default();
+            let cfg = RunConfig::new().with_deadline(budget);
+            let report = par::merge_rounds(&freqs, &order, &mut bufs, &cfg);
+            let tree = HuffmanTree::new(bufs.parent, freqs.len());
+            let (want, _) = forest_depths(tree.parents());
+            assert_eq!(tree.depths(), want, "budget {budget:?}");
+            if report.is_complete() {
+                break;
+            }
+            partial += usize::from(report.stats.rounds > 0);
+            budget = budget * 5 / 4;
+        }
+        assert!(partial > 0, "no deadline tripped mid-run");
+    }
+
+    #[test]
+    #[should_panic(expected = "every parent id must be at least its child's")]
+    fn new_rejects_a_parent_below_its_child() {
+        // Leaves 0 and 1 under node 2, but node 2 under leaf 1.
+        HuffmanTree::new(vec![2, 2, 1], 2);
     }
 
     #[test]

@@ -141,10 +141,11 @@ pub fn lis_weighted_par(
         type Info = u32;
         type Output = (Vec<u32>, u32);
 
-        fn initial(&self) -> InitialState<u32> {
+        fn initial(&self) -> InitialState<'_, u32> {
             // Every real object initially pivots on the virtual point
             // (Algorithm 3 line 21), which starts with DP value 0.
-            ((1..=self.n as u32).map(|x| (0, x)).collect(), vec![(0, 0)])
+            let pairs: Vec<_> = (1..=self.n as u32).map(|x| (0, x)).collect();
+            (pairs.into(), vec![(0, 0)])
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u32> {

@@ -32,16 +32,27 @@
 //! disjoint cells: their swaps run in parallel, and the output is
 //! **bit-for-bit the sequential shuffle's** for the same swap targets `H`.
 //!
+//! Everything up to the engine's starting state depends on `(n, seed)`
+//! alone: the swap targets, the forest, each iteration's first
+//! predecessor as its initial pivot, and the round-0 frontier of
+//! iterations with none. `prepare_perm` builds them once. A query
+//! lends the pivot pairs to the engine in place, copies the frontier,
+//! and runs only the wake-up rounds and the swaps, on cells and done
+//! flags drawn from its [`Scratch`] workspace.
+//!
 //! This gives the workspace a second, independently-derived permutation
 //! primitive; `pp_parlay::shuffle::random_permutation` (sort-based) is used
 //! where any permutation will do, while this module is the §5.3
 //! "sequential iterative algorithm" reproduction, exercised by tests and
 //! the conformance suite.
 
-use phase_parallel::{run_type2, InitialState, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{
+    run_type2, InitialState, Report, RunConfig, Scratch, Type2Problem, WakeResult,
+};
 use pp_parlay::radix_sort::radix_sort_by_key;
 use pp_parlay::rng::{bounded, hash64};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// No predecessor.
@@ -67,95 +78,103 @@ pub fn knuth_shuffle_seq(n: usize, targets: &[u32]) -> Vec<u32> {
     a
 }
 
-/// The shuffle's iterations `1..n` as a Type 2 problem. Iteration 0 is a
-/// no-op (`H[0] = 0`) and takes no part.
+/// What [`RandomPerm`](crate::api::RandomPerm) prepares from `(n, seed)`:
+/// the swap targets, the dependence forest, and the engine's starting
+/// state over it. A query only runs the wake-up rounds and the swaps.
+pub struct PreparedPerm {
+    targets: Vec<u32>,
+    /// `[p1(k), p2(k)]`, [`NONE`] where absent.
+    preds: Vec<[u32; 2]>,
+    /// `(first predecessor, k)` for every iteration `k ≥ 1` that has one.
+    pairs: Vec<(u32, u32)>,
+    /// The iterations `k ≥ 1` with no predecessor: round 0.
+    frontier: Vec<(u32, ())>,
+}
+
+/// Draw the swap targets of `seed` and build the dependence forest.
+/// Iteration 0 is a no-op (`H[0] = 0`) and takes no part.
+pub(crate) fn prepare_perm(n: usize, seed: u64) -> PreparedPerm {
+    let targets = swap_targets(n, seed);
+    // Each slot is written at most once, in one parallel region that
+    // joins before the loads below, so `Relaxed` suffices.
+    let slots: Vec<[AtomicU32; 2]> = (0..n)
+        .into_par_iter()
+        .map(|_| [AtomicU32::new(NONE), AtomicU32::new(NONE)])
+        .collect();
+    // `H[k] << 32 | k` for the iterations in sequential order,
+    // grouped stably by target.
+    let mut order: Vec<u64> = (1..n)
+        .into_par_iter()
+        .map(|j| {
+            let k = n - j;
+            u64::from(targets[k]) << 32 | k as u64
+        })
+        .collect();
+    let key_bits = (usize::BITS - n.leading_zeros()) as usize;
+    radix_sort_by_key(&mut order, key_bits, |&e| e >> 32);
+    let target = |i: usize| (order[i] >> 32) as u32;
+    (0..order.len()).into_par_iter().for_each(|i| {
+        let (k, c) = (order[i] as u32, target(i));
+        let left = (i > 0 && target(i - 1) == c).then(|| order[i - 1] as u32);
+        // p2(k) is the left neighbour in k's group, unless H[k] = k.
+        if let Some(p) = left.filter(|_| c != k) {
+            slots[k as usize][1].store(p, Ordering::Relaxed);
+        }
+        // p1(c) is the last member of group c above c. Every member
+        // is at least c, so c itself, when H[c] = c, comes last.
+        let last = i + 1 == order.len() || target(i + 1) != c;
+        let p1 = if c != k { Some(k) } else { left };
+        if let Some(p) = p1.filter(|_| last && c != 0) {
+            slots[c as usize][0].store(p, Ordering::Relaxed);
+        }
+    });
+    let preds: Vec<[u32; 2]> = slots
+        .par_iter()
+        .map(|[p1, p2]| [p1.load(Ordering::Relaxed), p2.load(Ordering::Relaxed)])
+        .collect();
+    let first = |k: u32| preds[k as usize].into_iter().find(|&p| p != NONE);
+    let pairs = (1..n as u32)
+        .into_par_iter()
+        .filter_map(|k| first(k).map(|p| (p, k)))
+        .collect();
+    let frontier = (1..n as u32)
+        .into_par_iter()
+        .filter(|&k| first(k).is_none())
+        .map(|k| (k, ()))
+        .collect();
+    PreparedPerm {
+        targets,
+        preds,
+        pairs,
+        frontier,
+    }
+}
+
+/// One query's state: the prepared forest, and the cells and done flags
+/// the rounds write.
 ///
 /// The atomics publish no other data, and each is written in one
 /// parallel region that joins before any read of it, so `Relaxed`
 /// suffices throughout.
 struct Shuffle<'a> {
-    targets: &'a [u32],
-    /// `[p1(k), p2(k)]`, [`NONE`] where absent; written once while
-    /// grouping.
-    preds: Vec<[AtomicU32; 2]>,
+    prepared: &'a PreparedPerm,
     data: Vec<AtomicU32>,
     done: Vec<AtomicBool>,
 }
 
-impl<'a> Shuffle<'a> {
-    fn new(targets: &'a [u32]) -> Self {
-        let n = targets.len();
-        let preds: Vec<[AtomicU32; 2]> = (0..n)
-            .into_par_iter()
-            .map(|_| [AtomicU32::new(NONE), AtomicU32::new(NONE)])
-            .collect();
-        // `H[k] << 32 | k` for the iterations in sequential order,
-        // grouped stably by target.
-        let mut order: Vec<u64> = (1..n)
-            .into_par_iter()
-            .map(|j| {
-                let k = n - j;
-                u64::from(targets[k]) << 32 | k as u64
-            })
-            .collect();
-        let key_bits = (usize::BITS - n.leading_zeros()) as usize;
-        radix_sort_by_key(&mut order, key_bits, |&e| e >> 32);
-        let target = |i: usize| (order[i] >> 32) as u32;
-        (0..order.len()).into_par_iter().for_each(|i| {
-            let (k, c) = (order[i] as u32, target(i));
-            let left = (i > 0 && target(i - 1) == c).then(|| order[i - 1] as u32);
-            // p2(k) is the left neighbour in k's group, unless H[k] = k.
-            if let Some(p) = left.filter(|_| c != k) {
-                preds[k as usize][1].store(p, Ordering::Relaxed);
-            }
-            // p1(c) is the last member of group c above c. Every member
-            // is at least c, so c itself, when H[c] = c, comes last.
-            let last = i + 1 == order.len() || target(i + 1) != c;
-            let p1 = if c != k { Some(k) } else { left };
-            if let Some(p) = p1.filter(|_| last && c != 0) {
-                preds[c as usize][0].store(p, Ordering::Relaxed);
-            }
-        });
-        Shuffle {
-            targets,
-            preds,
-            data: (0..n as u32).into_par_iter().map(AtomicU32::new).collect(),
-            done: (0..n)
-                .into_par_iter()
-                .map(|_| AtomicBool::new(false))
-                .collect(),
-        }
-    }
-
-    /// The predecessors of iteration `k`, `p1` first.
-    fn preds(&self, k: u32) -> [u32; 2] {
-        let [p1, p2] = &self.preds[k as usize];
-        [p1.load(Ordering::Relaxed), p2.load(Ordering::Relaxed)]
-    }
-}
-
 impl Type2Problem for Shuffle<'_> {
     type Info = ();
-    type Output = Vec<u32>;
+    /// The problem itself: the query hands its buffers back to the
+    /// workspace.
+    type Output = Self;
 
-    fn initial(&self) -> InitialState<()> {
-        let n = self.targets.len() as u32;
-        let first = |k: u32| self.preds(k).into_iter().find(|&p| p != NONE);
-        let pairs = (1..n)
-            .into_par_iter()
-            .filter_map(|k| first(k).map(|p| (p, k)))
-            .collect();
-        let frontier = (1..n)
-            .into_par_iter()
-            .filter(|&k| first(k).is_none())
-            .map(|k| (k, ()))
-            .collect();
-        (pairs, frontier)
+    fn initial(&self) -> InitialState<'_, ()> {
+        let p = self.prepared;
+        (Cow::Borrowed(&p.pairs), p.frontier.clone())
     }
 
     fn try_wake(&self, k: u32) -> WakeResult<()> {
-        match self
-            .preds(k)
+        match self.prepared.preds[k as usize]
             .into_iter()
             .find(|&p| p != NONE && !self.done[p as usize].load(Ordering::Relaxed))
         {
@@ -165,7 +184,7 @@ impl Type2Problem for Shuffle<'_> {
     }
 
     fn commit(&mut self, ready: &[(u32, ())]) {
-        let (data, done, targets) = (&self.data, &self.done, self.targets);
+        let (data, done, targets) = (&self.data, &self.done, &self.prepared.targets);
         ready.par_iter().for_each(|&(k, ())| {
             let (k, h) = (k as usize, targets[k as usize] as usize);
             if k != h {
@@ -177,25 +196,53 @@ impl Type2Problem for Shuffle<'_> {
         });
     }
 
-    fn finish(self) -> Vec<u32> {
-        self.data.into_iter().map(AtomicU32::into_inner).collect()
+    fn finish(self) -> Self {
+        self
     }
 }
 
-/// [`RandomPerm`](crate::api::RandomPerm)'s body: equals
-/// [`knuth_shuffle_seq`] exactly on the swap targets of `seed`, and `cfg`
-/// carries only the query's deadline.
+/// [`RandomPerm`](crate::api::RandomPerm)'s query: equals
+/// [`knuth_shuffle_seq`] exactly on the prepared swap targets, and `cfg`
+/// carries only the query's deadline. The cells and done flags come
+/// from `scratch` and go back to it.
 ///
 /// The report's `stats.rounds` is the depth of the dependence forest
 /// (`Θ(log n)` whp), and `stats.wakeup_attempts ≤ 2(n − 1)`.
-pub(crate) fn knuth_shuffle_par(n: usize, seed: u64, cfg: &RunConfig) -> Report<Vec<u32>> {
-    let targets = swap_targets(n, seed);
-    run_type2(Shuffle::new(&targets), cfg)
+pub(crate) fn shuffle_query(
+    prepared: &PreparedPerm,
+    scratch: &mut Scratch,
+    cfg: &RunConfig,
+) -> Report<Vec<u32>> {
+    let n = prepared.targets.len();
+    let mut data = scratch.take_vec::<AtomicU32>("random-perm.data");
+    data.extend((0..n as u32).map(AtomicU32::new));
+    let mut done = scratch.take_vec::<AtomicBool>("random-perm.done");
+    done.resize_with(n, || AtomicBool::new(false));
+    let report = run_type2(
+        Shuffle {
+            prepared,
+            data,
+            done,
+        },
+        cfg,
+    );
+    report.map(|Shuffle { data, done, .. }| {
+        let out = data.iter().map(|x| x.load(Ordering::Relaxed)).collect();
+        scratch.put_vec("random-perm.data", data);
+        scratch.put_vec("random-perm.done", done);
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::RandomPerm;
+    use phase_parallel::PhaseAlgorithm;
+
+    fn knuth_shuffle_par(n: usize, seed: u64, cfg: &RunConfig) -> Report<Vec<u32>> {
+        RandomPerm.solve_par(&(n, seed), cfg)
+    }
 
     fn is_permutation(a: &[u32]) -> bool {
         let mut seen = vec![false; a.len()];

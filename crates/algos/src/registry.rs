@@ -789,6 +789,7 @@ fn gen_perm(case: &CaseSpec, _cfg: &RunConfig) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::PivotMode::{self, Random, RightMost};
 
     #[test]
     fn lookup_and_names() {
@@ -1025,42 +1026,51 @@ mod tests {
         }
     }
 
+    /// Rounds, wake-up attempts and failed wake-ups of the Type 2 chain
+    /// entries at size 300, seed 4. They are fixed by the seed (the same
+    /// at any pool width), so a change to the dominance trees' pivot
+    /// choice or RNG draws shows up here.
+    #[rustfmt::skip]
+    const CHAIN_PINS: [(&str, &str, PivotMode, usize, usize, usize); 24] = [
+        ("chain3d", "seq/uniform", Random, 11, 703, 427),
+        ("chain3d", "seq/uniform", RightMost, 11, 541, 265),
+        ("chain3d", "seq/sorted", Random, 176, 1473, 1174),
+        ("chain3d", "seq/sorted", RightMost, 176, 299, 0),
+        ("chain3d", "seq/adversarial-chain", Random, 300, 1616, 1317),
+        ("chain3d", "seq/adversarial-chain", RightMost, 300, 299, 0),
+        ("chain3d", "seq/zipf", Random, 12, 576, 371),
+        ("chain3d", "seq/zipf", RightMost, 12, 510, 305),
+        ("chain4d", "seq/uniform", Random, 8, 475, 233),
+        ("chain4d", "seq/uniform", RightMost, 8, 393, 151),
+        ("chain4d", "seq/sorted", Random, 170, 1453, 1154),
+        ("chain4d", "seq/sorted", RightMost, 170, 299, 0),
+        ("chain4d", "seq/adversarial-chain", Random, 300, 1596, 1297),
+        ("chain4d", "seq/adversarial-chain", RightMost, 300, 299, 0),
+        ("chain4d", "seq/zipf", Random, 7, 339, 158),
+        ("chain4d", "seq/zipf", RightMost, 7, 291, 110),
+        ("whac/2d", "seq/uniform", Random, 70, 1289, 995),
+        ("whac/2d", "seq/uniform", RightMost, 70, 941, 647),
+        ("whac/2d", "seq/sorted", Random, 65, 1287, 994),
+        ("whac/2d", "seq/sorted", RightMost, 65, 323, 30),
+        ("whac/2d", "seq/adversarial-chain", Random, 69, 1287, 992),
+        ("whac/2d", "seq/adversarial-chain", RightMost, 69, 331, 36),
+        ("whac/2d", "seq/zipf", Random, 51, 1051, 797),
+        ("whac/2d", "seq/zipf", RightMost, 51, 833, 579),
+    ];
+
+    /// The [`CHAIN_PINS`] row of `(name, key, mode)`.
+    fn chain_pin(name: &str, key: &str, mode: PivotMode) -> (usize, usize, usize) {
+        let row = CHAIN_PINS
+            .iter()
+            .find(|p| (p.0, p.1, p.2) == (name, key, mode))
+            .unwrap_or_else(|| panic!("no pin for {name} on {key} with {mode:?}"));
+        (row.3, row.4, row.5)
+    }
+
     #[test]
     fn type2_chain_pivots_are_pinned() {
-        // Rounds, wake-up attempts and failed wake-ups of the Type 2
-        // chain entries at size 300, seed 4. They are fixed by the seed
-        // (the same at any pool width), so a change to the dominance
-        // trees' pivot choice or RNG draws shows up here.
-        use phase_parallel::PivotMode::{self, Random, RightMost};
-        #[rustfmt::skip]
-        const PINS: [(&str, &str, PivotMode, usize, usize, usize); 24] = [
-            ("chain3d", "seq/uniform", Random, 11, 703, 427),
-            ("chain3d", "seq/uniform", RightMost, 11, 541, 265),
-            ("chain3d", "seq/sorted", Random, 176, 1473, 1174),
-            ("chain3d", "seq/sorted", RightMost, 176, 299, 0),
-            ("chain3d", "seq/adversarial-chain", Random, 300, 1616, 1317),
-            ("chain3d", "seq/adversarial-chain", RightMost, 300, 299, 0),
-            ("chain3d", "seq/zipf", Random, 12, 576, 371),
-            ("chain3d", "seq/zipf", RightMost, 12, 510, 305),
-            ("chain4d", "seq/uniform", Random, 8, 475, 233),
-            ("chain4d", "seq/uniform", RightMost, 8, 393, 151),
-            ("chain4d", "seq/sorted", Random, 170, 1453, 1154),
-            ("chain4d", "seq/sorted", RightMost, 170, 299, 0),
-            ("chain4d", "seq/adversarial-chain", Random, 300, 1596, 1297),
-            ("chain4d", "seq/adversarial-chain", RightMost, 300, 299, 0),
-            ("chain4d", "seq/zipf", Random, 7, 339, 158),
-            ("chain4d", "seq/zipf", RightMost, 7, 291, 110),
-            ("whac/2d", "seq/uniform", Random, 70, 1289, 995),
-            ("whac/2d", "seq/uniform", RightMost, 70, 941, 647),
-            ("whac/2d", "seq/sorted", Random, 65, 1287, 994),
-            ("whac/2d", "seq/sorted", RightMost, 65, 323, 30),
-            ("whac/2d", "seq/adversarial-chain", Random, 69, 1287, 992),
-            ("whac/2d", "seq/adversarial-chain", RightMost, 69, 331, 36),
-            ("whac/2d", "seq/zipf", Random, 51, 1051, 797),
-            ("whac/2d", "seq/zipf", RightMost, 51, 833, 579),
-        ];
         let mut scratch = Scratch::new();
-        for (name, key, mode, rounds, attempts, failed) in PINS {
+        for (name, key, mode, rounds, attempts, failed) in CHAIN_PINS {
             let case = CaseSpec::new(300, 4).with_scenario_key(key).unwrap();
             let cfg = RunConfig::seeded(4).with_pivot_mode(mode);
             let shared = lookup(name).unwrap().prepare_shared(&case, &cfg);
@@ -1073,12 +1083,39 @@ mod tests {
         }
         // The table covers every seq scenario of each entry.
         for name in ["chain3d", "chain4d", "whac/2d"] {
-            let pinned = PINS.iter().filter(|p| p.0 == name).count();
+            let pinned = CHAIN_PINS.iter().filter(|p| p.0 == name).count();
             assert_eq!(
                 pinned,
                 2 * lookup(name).unwrap().scenarios().len(),
                 "{name}"
             );
+        }
+    }
+
+    #[test]
+    fn chain_pivot_mode_is_a_query_setting() {
+        // One instance, prepared under the default mode, serves queries
+        // in either mode from one workspace: each replays its pinned row,
+        // whatever mode the workspace's tree copy last ran in.
+        let mut scratch = Scratch::new();
+        let prepare_cfg = RunConfig::seeded(4);
+        assert_eq!(prepare_cfg.pivot_mode, PivotMode::default());
+        for name in ["chain3d", "chain4d", "whac/2d"] {
+            let entry = lookup(name).unwrap();
+            for scenario in entry.scenarios() {
+                let key = scenario.key();
+                let case = CaseSpec::new(300, 4).with_scenario(scenario);
+                let shared = entry.prepare_shared(&case, &prepare_cfg);
+                for mode in [RightMost, Random, RightMost] {
+                    let cfg = RunConfig::seeded(4).with_pivot_mode(mode);
+                    let stats = shared.query(&mut scratch, &cfg).stats;
+                    assert_eq!(
+                        (stats.rounds, stats.wakeup_attempts, stats.failed_wakeups),
+                        chain_pin(name, &key, mode),
+                        "{name} on {key} with {mode:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -29,6 +29,7 @@ use crate::cancel::RunOutcome;
 use crate::solver::{Report, RunConfig};
 use crate::stats::ExecutionStats;
 use rayon::prelude::*;
+use std::borrow::Cow;
 
 /// Outcome of a wake-up attempt.
 pub enum WakeResult<I> {
@@ -43,8 +44,10 @@ pub enum WakeResult<I> {
 }
 
 /// What [`Type2Problem::initial`] returns: the `(pivot, object)` pairs
-/// seeding `T_pivot`, and the round-0 frontier.
-pub type InitialState<I> = (Vec<(u32, u32)>, Vec<(u32, I)>);
+/// seeding `T_pivot`, and the round-0 frontier. The engine only reads
+/// the pairs, so a problem whose pairs depend on the input alone can
+/// lend them from its prepared instance instead of copying them.
+pub type InitialState<'a, I> = (Cow<'a, [(u32, u32)]>, Vec<(u32, I)>);
 
 /// A problem runnable by the Type 2 engine.
 ///
@@ -63,7 +66,7 @@ pub trait Type2Problem: Sync {
     /// including any virtual source object. Every object that is not in
     /// the frontier needs exactly one pair: `T_pivot` links a waiting
     /// object into one pivot's list, so a second pair would corrupt it.
-    fn initial(&self) -> InitialState<Self::Info>;
+    fn initial(&self) -> InitialState<'_, Self::Info>;
 
     /// Attempt to wake `x` after its pivot finished. Implementations
     /// check readiness (e.g. a 2D range query) and either produce the
@@ -137,9 +140,11 @@ pub fn run_type2<P: Type2Problem>(mut problem: P, cfg: &RunConfig) -> Report<P::
     let mut outcome = RunOutcome::Completed;
     let (pairs, mut frontier) = problem.initial();
     let mut t_pivot = Waiters::default();
-    for (pivot, x) in pairs {
+    for &(pivot, x) in pairs.iter() {
         t_pivot.hang(pivot, x);
     }
+    // Lent pairs borrow the problem, which the rounds mutate.
+    drop(pairs);
     // Round buffers, reused across rounds.
     let (mut todo, mut results, mut next_frontier) = (Vec::new(), Vec::new(), Vec::new());
     while !frontier.is_empty() {
@@ -190,11 +195,11 @@ mod tests {
     impl Type2Problem for Chain {
         type Info = u32; // depth value
         type Output = Vec<u32>;
-        fn initial(&self) -> InitialState<u32> {
+        fn initial(&self) -> InitialState<'_, u32> {
             self.initial_calls.fetch_add(1, Ordering::Relaxed);
-            let pairs = (1..self.n).map(|i| (i - 1, i)).collect();
+            let pairs: Vec<_> = (1..self.n).map(|i| (i - 1, i)).collect();
             let frontier = if self.n == 0 { vec![] } else { vec![(0, 0)] };
-            (pairs, frontier)
+            (pairs.into(), frontier)
         }
         fn try_wake(&self, x: u32) -> WakeResult<u32> {
             let d = self.depth[x as usize - 1].load(Ordering::Relaxed);
@@ -237,8 +242,8 @@ mod tests {
     impl Type2Problem for Repivot {
         type Info = ();
         type Output = ();
-        fn initial(&self) -> InitialState<()> {
-            (vec![(0, 2), (0, 1)], vec![(0, ())])
+        fn initial(&self) -> InitialState<'_, ()> {
+            (Cow::Borrowed(&[(0, 2), (0, 1)]), vec![(0, ())])
         }
         fn try_wake(&self, x: u32) -> WakeResult<()> {
             if x == 2 && self.finished[1].load(Ordering::Relaxed) == 0 {
@@ -283,11 +288,14 @@ mod tests {
     impl Type2Problem for Listed {
         type Info = ();
         type Output = Vec<Vec<u32>>;
-        fn initial(&self) -> InitialState<()> {
-            let pairs = (0..self.deps.len() as u32)
+        fn initial(&self) -> InitialState<'_, ()> {
+            let pairs: Vec<_> = (0..self.deps.len() as u32)
                 .filter_map(|x| self.deps[x as usize].first().map(|&p| (p, x)))
                 .collect();
-            (pairs, self.sources.iter().map(|&x| (x, ())).collect())
+            (
+                pairs.into(),
+                self.sources.iter().map(|&x| (x, ())).collect(),
+            )
         }
         fn try_wake(&self, x: u32) -> WakeResult<()> {
             match self.deps[x as usize]

@@ -16,8 +16,7 @@
 //!   each index gets an independent random value regardless of scheduling.
 //! * [`shuffle`] — parallel random permutations built on [`sort`] + [`rng`].
 //! * [`list_rank`] — forest depths by pointer jumping: the ranks of the
-//!   unweighted activity selection algorithm (Thm. 5.3 of the paper) and
-//!   the code lengths of a Huffman tree.
+//!   unweighted activity selection algorithm (Thm. 5.3 of the paper).
 //!
 //! All functions are deterministic given their seed arguments, are safe
 //! Rust throughout, and fall back to tight sequential loops below a grain

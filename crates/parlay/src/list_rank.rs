@@ -2,7 +2,9 @@
 //!
 //! The unweighted activity-selection algorithm (Thm 5.3) reduces the DP to
 //! a *tree*: each activity depends only on its pivot, and its rank is its
-//! depth in the pivot forest. Huffman code lengths are leaf depths too.
+//! depth in the pivot forest. (Huffman code lengths are leaf depths too,
+//! but a Huffman tree numbers every parent above its children, so one
+//! sequential sweep in descending id order finds them.)
 //!
 //! The paper computes depths with `O(n)`-work tree contraction \[18\]; we
 //! use pointer jumping (a.k.a. pointer doubling), which is `O(n log d)`

@@ -94,6 +94,13 @@ impl AtomicFenwickMax {
         self.len() == 0
     }
 
+    /// Make this a tree over `n` elements, all `0` again, keeping the
+    /// allocation: a per-query tree reused across queries.
+    pub fn reset(&mut self, n: usize) {
+        self.tree.clear();
+        self.tree.resize_with(n + 1, || AtomicU64::new(0));
+    }
+
     /// Raise element `i` to at least `v` (callable concurrently).
     pub fn update(&self, i: usize, v: u64) {
         let mut i = i + 1;

@@ -39,7 +39,7 @@ type Local = [u32; MAX_DIM - 1];
 /// A static dominance range tree over points `0..n` with
 /// [`Self::DIM`] slot coordinates each. Every point starts unfinished;
 /// finishing it records its DP value.
-pub trait Dominance: Sized + Send + Sync {
+pub trait Dominance: Clone + Send + Sync {
     /// Number of coordinates per point (and bounds per query).
     const DIM: usize;
 
@@ -54,6 +54,11 @@ pub trait Dominance: Sized + Send + Sync {
     /// Pick a pivot among the unfinished points of the box, according
     /// to the tree's [`PivotMode`]; `None` if it has none.
     fn select_pivot(&self, q: &[u32], rng: &mut Rng) -> Option<u32>;
+
+    /// Switch the [`PivotMode`] of later `select_pivot` calls, in every
+    /// nested tree. The mode a tree is built with is only its default:
+    /// one prepared tree serves copies queried in either mode.
+    fn set_pivot_mode(&mut self, mode: PivotMode);
 
     /// Mark a batch of distinct, unfinished points finished with their
     /// DP values: `(point, dp)` pairs.
@@ -74,6 +79,10 @@ impl Dominance for RangeTree2d {
 
     fn select_pivot(&self, q: &[u32], rng: &mut Rng) -> Option<u32> {
         RangeTree2d::select_pivot(self, q[0], q[1], rng)
+    }
+
+    fn set_pivot_mode(&mut self, mode: PivotMode) {
+        RangeTree2d::set_pivot_mode(self, mode)
     }
 
     fn finish_batch(&mut self, items: &[(u32, u32)]) {
@@ -97,6 +106,26 @@ struct Node<I> {
     /// Internal: tree over the points' local ranks in coordinates
     /// `1..DIM`.
     inner: Option<I>,
+}
+
+impl<I: Clone> Clone for Node<I> {
+    fn clone(&self) -> Self {
+        Self {
+            lo: self.lo,
+            hi: self.hi,
+            lsize: self.lsize,
+            ids: self.ids.clone(),
+            sorted: self.sorted.clone(),
+            inner: self.inner.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.lo, self.hi, self.lsize) = (src.lo, src.hi, src.lsize);
+        self.ids.clone_from(&src.ids);
+        self.sorted.clone_from(&src.sorted);
+        self.inner.clone_from(&src.inner);
+    }
 }
 
 impl<I: Dominance> Node<I> {
@@ -128,6 +157,10 @@ impl<I: Dominance> Node<I> {
 /// One more dominance coordinate on top of the inner tree `I`: the outer
 /// tree runs over the first coordinate, and each internal node owns an
 /// `I` over the rest. See the module docs.
+///
+/// `clone_from` reuses the target's allocations at every level, so a
+/// per-query copy refreshed from one prepared tree allocates nothing
+/// once the copy has the same shape.
 pub struct Layered<I> {
     n: usize,
     nodes: Vec<Node<I>>,
@@ -141,6 +174,31 @@ pub struct Layered<I> {
     finished: Vec<bool>,
     dp: Vec<u32>,
     mode: PivotMode,
+}
+
+impl<I: Clone> Clone for Layered<I> {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            nodes: self.nodes.clone(),
+            id_of_a: self.id_of_a.clone(),
+            a_of_id: self.a_of_id.clone(),
+            rest_by_a: self.rest_by_a.clone(),
+            finished: self.finished.clone(),
+            dp: self.dp.clone(),
+            mode: self.mode,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.n, self.mode) = (src.n, src.mode);
+        self.nodes.clone_from(&src.nodes);
+        self.id_of_a.clone_from(&src.id_of_a);
+        self.a_of_id.clone_from(&src.a_of_id);
+        self.rest_by_a.clone_from(&src.rest_by_a);
+        self.finished.clone_from(&src.finished);
+        self.dp.clone_from(&src.dp);
+    }
 }
 
 impl<I: Dominance> Layered<I> {
@@ -334,6 +392,13 @@ impl<I: Dominance> Dominance for Layered<I> {
         unreachable!("weighted draw out of range")
     }
 
+    fn set_pivot_mode(&mut self, mode: PivotMode) {
+        self.mode = mode;
+        for inner in self.nodes.iter_mut().filter_map(|nd| nd.inner.as_mut()) {
+            inner.set_pivot_mode(mode);
+        }
+    }
+
     fn finish_batch(&mut self, items: &[(u32, u32)]) {
         // Per point: record its state, then walk its outer path, updating
         // each node's inner tree at the point's local position. Leaf
@@ -485,6 +550,45 @@ pub(crate) mod testing {
     use pp_parlay::shuffle::random_permutation;
 
     pub(crate) const LEAF_SIZE: usize = super::LEAF_SIZE;
+
+    /// A copy refreshed from one prepared tree with `clone_from`, then
+    /// set to a query's pivot mode, answers exactly like a tree built in
+    /// that mode: same aggregates, same pivots from the same RNG state.
+    /// The copy runs a finish batch before every refresh, so each
+    /// refresh has state to undo.
+    pub(crate) fn check_refresh<T: Dominance>(n: usize, seed: u64) {
+        let rest: Vec<Vec<u32>> = (1..T::DIM as u64)
+            .map(|j| random_permutation(n, seed + j))
+            .collect();
+        let refs: Vec<&[u32]> = rest.iter().map(Vec::as_slice).collect();
+        let prepared = T::build(&refs, PivotMode::default());
+        let mut copy = prepared.clone();
+        let batch: Vec<(u32, u32)> = (0..n as u32).step_by(3).map(|id| (id, id % 5)).collect();
+        let mut queries = Rng::new(seed ^ 7);
+        for mode in [
+            PivotMode::RightMost,
+            PivotMode::Random,
+            PivotMode::RightMost,
+        ] {
+            copy.clone_from(&prepared);
+            copy.set_pivot_mode(mode);
+            let mut built = T::build(&refs, mode);
+            copy.finish_batch(&batch);
+            built.finish_batch(&batch);
+            let (mut r1, mut r2) = (Rng::new(seed), Rng::new(seed));
+            for _ in 0..40 {
+                let q: Vec<u32> = (0..T::DIM)
+                    .map(|_| queries.range(n as u64 + 1) as u32)
+                    .collect();
+                assert_eq!(copy.query_prefix(&q), built.query_prefix(&q), "{mode:?}");
+                assert_eq!(
+                    copy.select_pivot(&q, &mut r1),
+                    built.select_pivot(&q, &mut r2),
+                    "{mode:?} at {q:?}"
+                );
+            }
+        }
+    }
 
     /// Drive a `Layered<I>` over `n` random points through `queries`
     /// random box queries and pivots between random finish batches,

@@ -43,8 +43,13 @@ pub use segtree::SegTree;
 #[cfg(test)]
 mod range3d {
     mod tests {
-        use crate::layered::testing::{check, LEAF_SIZE};
+        use crate::layered::testing::{check, check_refresh, LEAF_SIZE};
         use crate::{Dominance, Layered, PivotMode, RangeTree2d};
+
+        #[test]
+        fn refreshed_copies_take_the_query_pivot_mode() {
+            check_refresh::<Layered<RangeTree2d>>(300, 2);
+        }
 
         #[test]
         fn matches_oracle_small() {
@@ -72,9 +77,14 @@ mod range3d {
 #[cfg(test)]
 mod range4d {
     mod tests {
-        use crate::layered::testing::{check, LEAF_SIZE};
+        use crate::layered::testing::{check, check_refresh, LEAF_SIZE};
         use crate::{Dominance, Layered, PivotMode, RangeTree2d};
         use pp_parlay::rng::Rng;
+
+        #[test]
+        fn refreshed_copies_take_the_query_pivot_mode() {
+            check_refresh::<Layered<Layered<RangeTree2d>>>(250, 3);
+        }
 
         #[test]
         fn matches_oracle_small() {

@@ -130,7 +130,29 @@ impl Node {
     }
 }
 
+impl Clone for Node {
+    fn clone(&self) -> Self {
+        Self {
+            lo: self.lo,
+            hi: self.hi,
+            lsize: self.lsize,
+            ys: self.ys.clone(),
+            seg: self.seg.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.lo, self.hi, self.lsize) = (src.lo, src.hi, src.lsize);
+        self.ys.clone_from(&src.ys);
+        self.seg.clone_from(&src.seg);
+    }
+}
+
 /// The augmented 2D range tree. See the module docs.
+///
+/// `clone_from` reuses the target's allocations, so refreshing a
+/// per-query copy from one prepared tree allocates nothing once the
+/// copy has the same shape.
 pub struct RangeTree2d {
     n: usize,
     mode: PivotMode,
@@ -180,6 +202,13 @@ impl RangeTree2d {
     /// True iff the tree holds no points.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Switch the pivot strategy of later [`RangeTree2d::select_pivot`]
+    /// calls. The mode is a query setting: a tree prepared once serves
+    /// copies queried in either mode.
+    pub fn set_pivot_mode(&mut self, mode: PivotMode) {
+        self.mode = mode;
     }
 
     /// Total number of unfinished points.
@@ -350,6 +379,29 @@ impl RangeTree2d {
         let m = node.ys.len();
         let pos = seg_select(&node.seg, 0, m, k as usize, t);
         self.x_of_y[node.ys[pos] as usize]
+    }
+}
+
+impl Clone for RangeTree2d {
+    fn clone(&self) -> Self {
+        Self {
+            n: self.n,
+            mode: self.mode,
+            nodes: self.nodes.clone(),
+            finished: self.finished.clone(),
+            dp: self.dp.clone(),
+            y_of_x: self.y_of_x.clone(),
+            x_of_y: self.x_of_y.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.n, self.mode) = (src.n, src.mode);
+        self.nodes.clone_from(&src.nodes);
+        self.finished.clone_from(&src.finished);
+        self.dp.clone_from(&src.dp);
+        self.y_of_x.clone_from(&src.y_of_x);
+        self.x_of_y.clone_from(&src.x_of_y);
     }
 }
 
@@ -643,6 +695,11 @@ mod tests {
         check_against_oracle(LEAF_SIZE + 1, 6, PivotMode::Random);
         check_against_oracle(4 * LEAF_SIZE + 3, 7, PivotMode::RightMost);
         check_against_oracle(1000, 8, PivotMode::Random);
+    }
+
+    #[test]
+    fn refreshed_copies_take_the_query_pivot_mode() {
+        crate::layered::testing::check_refresh::<RangeTree2d>(300, 1);
     }
 
     #[test]

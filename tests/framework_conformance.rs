@@ -329,6 +329,17 @@ fn scenario_matrix_by_string_keys() {
 /// allocations).
 #[test]
 fn scenario_matrix_steady_state_scratch_reuse() {
+    // These entries copy per-query state out of their prepared instance
+    // into workspace buffers, so they must take at least one.
+    const COPIES_FROM_SCRATCH: [&str; 7] = [
+        "huffman",
+        "random-perm",
+        "whac/2d",
+        "chain3d",
+        "chain4d",
+        "activity/type1",
+        "activity/type2",
+    ];
     let cfg = RunConfig::seeded(5);
     for entry in registry::registry() {
         for scenario in entry.scenarios() {
@@ -342,6 +353,14 @@ fn scenario_matrix_steady_state_scratch_reuse() {
                 probe.takes,
                 probe.reuses,
             );
+            if COPIES_FROM_SCRATCH.contains(&entry.name()) {
+                assert!(
+                    probe.takes >= 1,
+                    "{} on {}: steady-state query took no buffer",
+                    entry.name(),
+                    scenario.key(),
+                );
+            }
         }
     }
 }
@@ -391,7 +410,8 @@ fn digests_identical_across_thread_counts() {
 /// The prepared path under real concurrency: for every entry, batched
 /// prepared queries (which fan out across the pool with per-worker
 /// scratch) must agree with fresh one-shot runs and digest identically
-/// at every thread count.
+/// at every thread count. The queries use both pivot modes, so each
+/// prepared instance serves a mode it was not built for.
 #[test]
 fn prepared_digests_identical_across_thread_counts() {
     let case = CaseSpec::new(130, 23);
@@ -400,6 +420,7 @@ fn prepared_digests_identical_across_thread_counts() {
         RunConfig::seeded(32).with_delta(5),
         RunConfig::seeded(33).with_source(17),
         RunConfig::seeded(34).with_rho(16),
+        RunConfig::seeded(35).with_pivot_mode(PivotMode::RightMost),
     ];
     for entry in registry::registry() {
         let mut reference: Option<Vec<u64>> = None;
