@@ -11,12 +11,13 @@
 //! [`lis::lis_par_with_dp`], [`lis::lis_weighted_par`],
 //! [`knapsack::max_value_par_with_dp`] and [`huffman::build_par`] stay
 //! public for the DP values or tree an `Output` drops. Families that
-//! prepare something (SSSP, MIS, coloring, matching, `activity/type1`,
-//! `activity/type2`, `huffman`, `chain3d`, `chain4d`, `whac/2d` and
-//! `random-perm`) answer a one-shot `solve_par` as `prepare` plus one
-//! `solve_prepared` query, so one-shot and served queries run one code
-//! path. A prepared instance is built from the input alone: the seed,
-//! the pivot mode and the deadline are query settings.
+//! prepare something (SSSP, MIS, coloring, matching, `lis/weighted`,
+//! `activity/type1`, `activity/type2`, `huffman`, `chain3d`, `chain4d`,
+//! `whac/2d` and `random-perm`) answer a one-shot `solve_par` as
+//! `prepare` plus one `solve_prepared` query, so one-shot and served
+//! queries run one code path. A prepared instance is built from the
+//! input alone: the seed, the pivot mode and the deadline are query
+//! settings.
 //!
 //! Luby's MIS is deliberately absent: it is *not* sequential-equivalent
 //! (values are redrawn every round), so it cannot satisfy the trait's
@@ -116,22 +117,41 @@ impl PhaseAlgorithm for Lis {
     }
 }
 
-/// Weighted LIS (§5.2 generalization, Algorithm 3, Type 2): input
-/// `(values, weights)`, output the maximum total weight.
+/// Weighted LIS (§5.2 generalization, Type 1): input `(values,
+/// weights)`, output the maximum total weight. Each prefix-minima round
+/// names the objects of one rank, and each of them asks the 2D range
+/// tree for its rectangle's maximum DP value once: exactly `k` rounds
+/// and no wake-up. Algorithm 3 stays public as
+/// [`lis::lis_weighted_par`] for Table 2's wake-up counts.
 pub struct WeightedLis;
 
 impl PhaseAlgorithm for WeightedLis {
     type Input = (Vec<i64>, Vec<u32>);
     type Output = u32;
-    phase_parallel::impl_no_prepare!();
+    /// The prefix-minima tree, the y-slots' range tree with every point
+    /// unfinished and the rectangle bounds, which each query copies.
+    type Prepared = lis::PreparedWeightedLis;
+
     fn name(&self) -> &'static str {
         "lis/weighted"
     }
     fn solve_seq(&self, (values, weights): &Self::Input) -> u32 {
         lis::lis_weighted_seq(values, weights)
     }
-    fn solve_par(&self, (values, weights): &Self::Input, cfg: &RunConfig) -> Report<u32> {
-        lis::lis_weighted_par(values, weights, cfg).map(|(best, _)| best)
+    fn solve_par(&self, input: &Self::Input, cfg: &RunConfig) -> Report<u32> {
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
+    }
+    fn prepare(&self, (values, _): &Self::Input) -> lis::PreparedWeightedLis {
+        lis::prepare_weighted(values)
+    }
+    fn solve_prepared(
+        &self,
+        (_, weights): &Self::Input,
+        prepared: &lis::PreparedWeightedLis,
+        scratch: &mut Scratch,
+        cfg: &RunConfig,
+    ) -> Report<u32> {
+        lis::weighted_query(prepared, weights, scratch, cfg)
     }
 }
 
@@ -426,8 +446,8 @@ pub struct GreedyMis;
 impl PhaseAlgorithm for GreedyMis {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    /// The CSR mirrors (reverse-arc slots, blocking ranks, TAS-tree
-    /// leaf counts) that Algorithm 4 walks — built once, queried per run.
+    /// The TAS-tree leaf counts and each arc's leaf slot, which
+    /// Algorithm 4 walks — built once, queried per run.
     type Prepared = mis::BlockingMirrors;
 
     fn name(&self) -> &'static str {
@@ -449,7 +469,7 @@ impl PhaseAlgorithm for GreedyMis {
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        mis::mis_tas(&input.graph, &input.priority, mirrors, scratch, cfg)
+        mis::mis_tas(&input.graph, mirrors, scratch, cfg)
     }
 }
 
@@ -472,14 +492,16 @@ impl PhaseAlgorithm for RoundsMis {
     }
 }
 
-/// Greedy (Jones–Plassmann) coloring via TAS trees (§5.3).
+/// Greedy (Jones–Plassmann) coloring via TAS trees (§5.3), on the same
+/// prepared [`mis::BlockingMirrors`] as [`GreedyMis`]: each colored
+/// vertex reaches the leaf it marks in a neighbor's tree with one load.
 pub struct Coloring;
 
 impl PhaseAlgorithm for Coloring {
     type Input = GraphPriorityInstance;
     type Output = Vec<u32>;
-    /// The TAS-tree leaf counts (blocking-neighbor counts).
-    type Prepared = Vec<u32>;
+    /// The TAS-tree leaf counts and each arc's leaf slot.
+    type Prepared = mis::BlockingMirrors;
 
     fn name(&self) -> &'static str {
         "coloring"
@@ -490,17 +512,17 @@ impl PhaseAlgorithm for Coloring {
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<u32>> {
         self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
-    fn prepare(&self, input: &GraphPriorityInstance) -> Vec<u32> {
-        coloring::blocking_counts(&input.graph, &input.priority)
+    fn prepare(&self, input: &GraphPriorityInstance) -> mis::BlockingMirrors {
+        mis::blocking_mirrors(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
         input: &GraphPriorityInstance,
-        counts: &Vec<u32>,
+        mirrors: &mis::BlockingMirrors,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u32>> {
-        coloring::coloring_par(&input.graph, &input.priority, counts, scratch, cfg)
+        coloring::coloring_par(&input.graph, mirrors, scratch, cfg)
     }
 }
 

@@ -51,7 +51,7 @@ impl ChainPoint for [i64; 4] {
 /// Slot assignment for one coordinate: returns `(slot_of_point,
 /// strict_prefix_bound_of_point)` — slots break ties by id, bounds count
 /// strictly smaller values only.
-fn slots(values: impl Fn(usize) -> i64 + Send + Sync, n: usize) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn slots(values: impl Fn(usize) -> i64 + Send + Sync, n: usize) -> (Vec<u32>, Vec<u32>) {
     let mut order: Vec<u32> = (0..n as u32).collect();
     pp_parlay::par_sort_by_key(&mut order, |&i| (values(i as usize), i));
     let mut slot = vec![0u32; n];
@@ -193,14 +193,7 @@ where
     if n == 0 {
         return Report::plain(0);
     }
-    let mut tree = match scratch.take_any::<Layered<<[i64; D] as ChainPoint>::Sweep>>("chain.tree")
-    {
-        Some(mut tree) => {
-            tree.clone_from(&prepared.tree);
-            tree
-        }
-        None => prepared.tree.clone(),
-    };
+    let mut tree = scratch.take_copy("chain.tree", &prepared.tree);
     tree.set_pivot_mode(cfg.pivot_mode);
     let mut dp = scratch.take_vec::<u32>("chain.dp");
     dp.resize(n, 0);

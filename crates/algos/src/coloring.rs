@@ -8,35 +8,23 @@
 //! Hasenplaugh et al. and removes their atomic decrement-and-fetch
 //! assumption (the §5.3 "Graph Coloring and Matching" discussion).
 //!
+//! [`Coloring`](crate::api::Coloring) prepares the same
+//! [`BlockingMirrors`] as MIS: the TAS-tree leaf counts and, per arc,
+//! the leaf a colored vertex marks in its lower-priority neighbor's
+//! tree. A notification is then one load and one TAS walk, so a query
+//! does `O(m)` work in all: the mex of a vertex reads each neighbor's
+//! color once, and each arc is notified at most once.
+//!
 //! Both implementations produce the *identical* coloring (a function of
 //! the priorities alone).
 
-use crate::mis::run_cascades;
+use crate::mis::{extend_level, run_cascades, BlockingMirrors};
 use phase_parallel::{Report, RunConfig, Scratch, TasForest};
 use pp_graph::Graph;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Color sentinel for "not yet colored".
 const UNCOLORED: u32 = u32::MAX;
-
-/// Per-vertex count of blocking (higher-priority) neighbors — the
-/// TAS-tree leaf counts the parallel coloring builds its forest from. A
-/// pure function of graph + priorities: the preprocessing half of
-/// [`Coloring`](crate::api::Coloring).
-pub fn blocking_counts(g: &Graph, priority: &[u32]) -> Vec<u32> {
-    let n = g.num_vertices();
-    assert_eq!(priority.len(), n);
-    (0..n as u32)
-        .into_par_iter()
-        .map(|v| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| priority[u as usize] > priority[v as usize])
-                .count() as u32
-        })
-        .collect()
-}
 
 /// Sequential greedy coloring in decreasing priority order.
 pub fn coloring_seq(g: &Graph, priority: &[u32]) -> Vec<u32> {
@@ -60,84 +48,60 @@ pub fn coloring_seq(g: &Graph, priority: &[u32]) -> Vec<u32> {
     color
 }
 
+/// The smallest color missing from `colors`, the colors of a vertex's
+/// `degree` neighbors ([`UNCOLORED`] for a neighbor without one). Colors
+/// below 64 are tracked in one word, so only a vertex whose neighbors
+/// use every one of them falls back to a flag per neighbor.
+fn mex(colors: impl Iterator<Item = u32> + Clone, degree: usize) -> u32 {
+    let low = colors
+        .clone()
+        .filter(|&c| c < u64::BITS)
+        .fold(0u64, |low, c| low | 1 << c);
+    if low != u64::MAX {
+        return low.trailing_ones();
+    }
+    let mut used = vec![false; degree + 1];
+    for c in colors {
+        if (c as usize) < used.len() {
+            used[c as usize] = true;
+        }
+    }
+    used.iter().position(|&b| !b).unwrap() as u32
+}
+
 /// Asynchronous Jones–Plassmann coloring via TAS trees: run the
 /// coloring cascades ([`run_cascades`], shared with MIS) against
-/// prebuilt [`blocking_counts`], drawing the color array from
+/// prebuilt [`BlockingMirrors`], drawing the color array from
 /// `scratch`. Same output as [`coloring_seq`]. On a deadline trip,
 /// uncolored vertices keep the `u32::MAX` sentinel.
 pub(crate) fn coloring_par(
     g: &Graph,
-    priority: &[u32],
-    counts: &[u32],
+    mirrors: &BlockingMirrors,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u32>> {
     let n = g.num_vertices();
-    assert_eq!(priority.len(), n);
-    assert_eq!(counts.len(), n, "counts built for another graph");
-    // Leaf index of arc (v → u) in v's tree when u blocks v: the count
-    // of blocking neighbors before that slot — recomputable locally, so
-    // here we just recompute it at mark time (degree scan is amortized
-    // against the mark's O(log) path on sparse graphs; kept simple).
-    let forest = TasForest::new(counts);
+    assert_eq!(mirrors.counts().len(), n, "mirrors built for another graph");
+    let forest = TasForest::new(mirrors.counts());
     let mut color = scratch.take_vec::<AtomicU32>("coloring_color");
     color.resize_with(n, || AtomicU32::new(UNCOLORED));
 
-    struct Ctx<'a> {
-        g: &'a Graph,
-        priority: &'a [u32],
-        forest: TasForest,
-        color: &'a [AtomicU32],
-    }
-
-    /// Color `v` (all its blocking neighbors are colored) and return the
-    /// lower-priority neighbors whose TAS trees this completes.
-    fn assign(ctx: &Ctx<'_>, v: u32) -> Vec<u32> {
-        // All higher-priority neighbors are colored; take the mex.
-        let deg = ctx.g.degree(v);
-        let mut used = vec![false; deg + 1];
-        for &u in ctx.g.neighbors(v) {
-            if ctx.priority[u as usize] > ctx.priority[v as usize] {
-                let c = ctx.color[u as usize].load(Ordering::Acquire);
-                debug_assert_ne!(c, UNCOLORED, "blocking neighbor uncolored");
-                if (c as usize) < used.len() {
-                    used[c as usize] = true;
-                }
-            }
-        }
-        let mex = used.iter().position(|&b| !b).unwrap() as u32;
-        ctx.color[v as usize].store(mex, Ordering::Release);
-        // Notify lower-priority neighbors; collect completed trees.
-        ctx.g
+    // Color `v`, whose blocking neighbors are all colored, and yield the
+    // lower-priority neighbors whose TAS trees this completes. No
+    // lower-priority neighbor is colored yet (each waits for `v`), so
+    // the mex may read every neighbor.
+    let assign = |v: u32| {
+        let colors = g
             .neighbors(v)
             .iter()
-            .filter_map(|&w| {
-                if ctx.priority[w as usize] < ctx.priority[v as usize] {
-                    // v's leaf index in w's tree.
-                    let leaf = ctx
-                        .g
-                        .neighbors(w)
-                        .iter()
-                        .take_while(|&&x| x != v)
-                        .filter(|&&x| ctx.priority[x as usize] > ctx.priority[w as usize])
-                        .count();
-                    if ctx.forest.mark(w as usize, leaf) {
-                        return Some(w);
-                    }
-                }
-                None
-            })
-            .collect()
-    }
-
-    let ctx = Ctx {
-        g,
-        priority,
-        forest,
-        color: &color,
+            .map(|&u| color[u as usize].load(Ordering::Acquire));
+        color[v as usize].store(mex(colors, g.degree(v)), Ordering::Release);
+        mirrors
+            .blocked_by(g, v)
+            .filter_map(|(w, leaf)| forest.mark(w as usize, leaf).then_some(w))
     };
-    let outcome = run_cascades(&ctx.forest, cfg, |frontier, _, next| {
-        next.par_extend(frontier.par_iter().flat_map_iter(|&v| assign(&ctx, v)));
+    let outcome = run_cascades(&forest, cfg, |frontier, _, next| {
+        extend_level(g, frontier, next, assign)
     });
     let out = color.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     scratch.put_vec("coloring_color", color);

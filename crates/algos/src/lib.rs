@@ -78,7 +78,7 @@
 //! assert!(registry::run_named("lis", &case, &RunConfig::seeded(7)).unwrap().agrees());
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod activity;
 pub mod api;

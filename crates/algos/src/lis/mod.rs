@@ -12,6 +12,10 @@
 //! * [`lis_par_with_dp`] — the prefix-minima rounds (Type 1) on
 //!   [`pp_ranges::SegTree`]: exactly `k` rounds, no wake-ups. The
 //!   [`Lis`](crate::api::Lis) impl keeps only the length.
+//! * [`WeightedLis`](crate::api::WeightedLis) — weighted LIS in the
+//!   same `k` prefix-minima rounds: each object of the round's rank asks
+//!   [`pp_ranges::RangeTree2d`] once for the best DP value below it
+//!   ([`lis_weighted_seq`] is its baseline).
 //! * [`lis_weighted_par`] — Algorithm 3 on [`pp_ranges::RangeTree2d`],
 //!   with the pivot strategy selectable: [`PivotMode::Random`] (the
 //!   analyzed one, Lemma 5.5) or [`PivotMode::RightMost`] (§6.4's
@@ -28,7 +32,8 @@ mod weighted;
 pub use par::{lis_par_with_dp, lis_weighted_par};
 pub use phase_parallel::PivotMode;
 pub use seq::{lis_seq, lis_seq_with_dp};
-pub use weighted::lis_weighted_seq;
+pub use weighted::{lis_weighted_seq, PreparedWeightedLis};
+pub(crate) use weighted::{prepare_weighted, weighted_query};
 
 /// Recover one LIS (as indices) from per-element DP values
 /// (`dp[i]` = LIS length ending at `i`). `O(n)` backward scan.

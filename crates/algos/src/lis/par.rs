@@ -1,4 +1,4 @@
-//! The two parallel LIS engines.
+//! The parallel LIS engines.
 //!
 //! **Unweighted: prefix-minima rounds (Type 1).** The elements of rank
 //! `r` are exactly the prefix minima of the elements left after ranks
@@ -10,7 +10,7 @@
 //! leaf, so the total work is `O(n log n)` and each round's span is
 //! `O(log n)`.
 //!
-//! **Weighted: Algorithm 3 (Type 2).** Objects are 2D points
+//! **Algorithm 3 (Type 2), the Table 2 instrument.** Objects are 2D points
 //! `(i, a_i)`; the predecessors of an object are exactly the points in
 //! its lower-left quadrant (Fig. 3). A virtual point `p[0] = (0, -∞)`
 //! with DP value 0 seeds the computation and is every object's initial
@@ -19,8 +19,11 @@
 //! either certifies readiness (no unfinished predecessor — DP value =
 //! max weighted DP in the rectangle + own weight) or yields a new
 //! unfinished pivot (uniformly random, or right-most under the §6.4
-//! heuristic). Weighted DP values need the rectangle's maximum, which
-//! the prefix-minima rounds do not provide.
+//! heuristic). With unit weights it is the unweighted Algorithm 3 whose
+//! wake-ups Table 2 and Figs. 8–9 measure. The registry's weighted LIS
+//! ([`WeightedLis`](crate::api::WeightedLis), in `weighted.rs`) needs no
+//! wake-up: it peels the same prefix-minima rounds ([`take_rank`]) and
+//! asks each object's rectangle maximum once.
 
 use phase_parallel::{
     run_type1, run_type2, InitialState, Report, RunConfig, Type1Problem, Type2Problem, WakeResult,
@@ -31,6 +34,25 @@ use pp_ranges::{RangeTree2d, SegTree};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Removed leaves of a [`lis_par_with_dp`] rank tree. Leaves are widened
+/// to `i128` so that the sentinel lies above every real value,
+/// `i64::MAX` included.
+const REMOVED: i128 = i128::MAX;
+
+/// Remove from `tree` the elements of the lowest rank it still holds —
+/// its prefix minima — and return them in index order (empty once the
+/// tree is empty). Every live leaf is at most `live`; removed leaves
+/// hold `removed`, which is above it.
+pub(super) fn take_rank<T>(tree: &mut SegTree<MinMonoid<T>>, live: &T, removed: T) -> Vec<u32>
+where
+    T: Ord + Clone + Send + Sync,
+{
+    let frontier = tree.prefix_minima(live);
+    let removals: Vec<(usize, T)> = frontier.iter().map(|&i| (i, removed.clone())).collect();
+    tree.update_batch(&removals);
+    frontier.into_iter().map(|i| i as u32).collect()
+}
+
 /// Parallel LIS by prefix-minima rounds (Type 1), the body of
 /// [`Lis`](crate::api::Lis). Deterministic and schedule-independent; the
 /// pivot mode and seed are unused. The output is `(length, dp)` where
@@ -38,12 +60,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// extracted it. The report's `stats.rounds` is the LIS length `k`, and
 /// `stats.frontier_sizes[r − 1]` is the number of elements of rank `r`.
 pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>)> {
-    // Leaves are widened to `i128` so that the removed-leaf sentinel
-    // lies above every real value, `i64::MAX` included.
-    const REMOVED: i128 = i128::MAX;
-    const ANY_VALUE: i128 = i64::MAX as i128;
-    assert!(values.len() < u32::MAX as usize, "object ids are u32");
-
     struct PrefixMinima {
         tree: SegTree<MinMonoid<i128>>,
         dp: Vec<u32>,
@@ -54,10 +70,7 @@ pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>
         type Output = (u32, Vec<u32>);
 
         fn extract_frontier(&mut self) -> Vec<u32> {
-            let frontier = self.tree.prefix_minima(&ANY_VALUE);
-            let removals: Vec<(usize, i128)> = frontier.iter().map(|&i| (i, REMOVED)).collect();
-            self.tree.update_batch(&removals);
-            frontier.into_iter().map(|i| i as u32).collect()
+            take_rank(&mut self.tree, &i128::from(i64::MAX), REMOVED)
         }
 
         fn process(&mut self, frontier: &[u32]) {
@@ -72,6 +85,7 @@ pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>
         }
     }
 
+    assert!(values.len() < u32::MAX as usize, "object ids are u32");
     let leaves: Vec<i128> = values.iter().map(|&v| i128::from(v)).collect();
     let problem = PrefixMinima {
         tree: SegTree::new(MinMonoid(REMOVED), &leaves),
@@ -90,7 +104,9 @@ pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>
 /// in `cfg.seed` for a fixed schedule; the report's `stats.rounds` is
 /// `k + 1` (one virtual round plus one per rank), and Table 2's
 /// "Average # of Wake-ups" is `stats.avg_wakeups()`. Weight sums must
-/// fit in `u32`. The output is `(best_weight, dp)`.
+/// stay below `u32::MAX`: they are added as `u32` and not checked
+/// ([`WeightedLis`](crate::api::WeightedLis) checks them). The output is
+/// `(best_weight, dp)`.
 pub fn lis_weighted_par(
     values: &[i64],
     weights: &[u32],

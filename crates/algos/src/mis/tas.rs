@@ -13,7 +13,6 @@
 //! that impossible — see the argument in the module tests — but the CAS
 //! keeps the code robust under any interleaving).
 
-use crate::coloring::blocking_counts;
 use phase_parallel::{Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
@@ -23,77 +22,114 @@ const UNDECIDED: u8 = 0;
 const SELECTED: u8 = 1;
 const REMOVED: u8 = 2;
 
-/// The CSR mirrors Algorithm 4 walks: a pure function of the graph and
-/// the priorities, so a prepared instance builds them **once** and
-/// every query skips the per-arc binary searches (`O(m log d̄)` work)
-/// they cost. Build with [`blocking_mirrors`].
+/// Leaf slot of an arc `u → w` along which `u` does not block `w`.
+const NOT_BLOCKING: u32 = u32::MAX;
+
+/// What both TAS-tree families (MIS, coloring) prepare: a pure function
+/// of the graph and the priorities, built once so that a query reaches
+/// the leaf it marks with one load. Build with [`blocking_mirrors`].
 pub struct BlockingMirrors {
-    /// Arc-offset base per vertex (mirror of the CSR offsets).
-    offsets: Vec<usize>,
-    /// Per-arc: slot of the reverse arc in the target's adjacency list.
-    rev_slot: Vec<u32>,
-    /// Per-arc `(v → u)`: the number of *blocking* neighbors of `v`
-    /// strictly before this slot — i.e. `u`'s leaf index in `v`'s TAS
-    /// tree when `u` blocks `v`.
-    blocking_rank: Vec<u32>,
-    /// Per-vertex count of blocking (higher-priority) neighbors — the
-    /// TAS-tree leaf counts ([`blocking_counts`]).
+    /// Per vertex: the number of blocking (higher-priority) neighbors,
+    /// which is its TAS tree's leaf count.
     counts: Vec<u32>,
+    /// Per CSR arc `u → w`, indexed by arc id: `u`'s leaf index in `w`'s
+    /// TAS tree when `u` blocks `w`, [`NOT_BLOCKING`] otherwise.
+    leaf_slots: Vec<u32>,
 }
 
-/// Build the CSR mirrors (offsets, reverse-arc slots, blocking ranks,
-/// blocking counts) for `g` under `priority` — the preprocessing half
-/// of [`GreedyMis`](crate::api::GreedyMis).
+impl BlockingMirrors {
+    /// The TAS-tree leaf counts, one per vertex.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// The neighbors `w` that `u` blocks (lower priority), in adjacency
+    /// order, each with `u`'s leaf index in `w`'s TAS tree.
+    pub(crate) fn blocked_by<'a>(
+        &'a self,
+        g: &'a Graph,
+        u: u32,
+    ) -> impl Iterator<Item = (u32, usize)> + 'a {
+        let first = g.offsets()[u as usize];
+        let arcs = first..first + g.degree(u);
+        g.neighbors(u)
+            .iter()
+            .zip(&self.leaf_slots[arcs])
+            .filter(|&(_, &leaf)| leaf != NOT_BLOCKING)
+            .map(|(&w, &leaf)| (w, leaf as usize))
+    }
+}
+
+/// Build the [`BlockingMirrors`] of `g` under `priority`: the
+/// preprocessing half of [`GreedyMis`](crate::api::GreedyMis) and
+/// [`Coloring`](crate::api::Coloring). `O(m log d_max)` work: one binary
+/// search per blocking arc finds its reverse arc.
 pub fn blocking_mirrors(g: &Graph, priority: &[u32]) -> BlockingMirrors {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    for v in 0..n as u32 {
-        offsets.push(offsets[v as usize] + g.degree(v));
-    }
-    let m = offsets[n];
-    let mut rev_slot = vec![0u32; m];
-    let mut blocking_rank = vec![0u32; m];
-    let counts = blocking_counts(g, priority);
-    {
-        // Fill blocking_rank (prefix counts) and rev_slot: sequential
-        // per vertex, parallel over vertices.
-        let br = SyncSlice(blocking_rank.as_mut_ptr());
-        let rs = SyncSlice(rev_slot.as_mut_ptr());
-        (0..n as u32).into_par_iter().for_each(|v| {
-            let base = offsets[v as usize];
-            let mut k = 0u32;
-            for (s, &u) in g.neighbors(v).iter().enumerate() {
-                // SAFETY: arc slots are disjoint across vertices.
-                unsafe { br.get().add(base + s).write(k) };
-                if priority[u as usize] > priority[v as usize] {
-                    k += 1;
+    let offsets = g.offsets();
+    let blocks = |u: u32, w: u32| priority[u as usize] > priority[w as usize];
+    // Per arc `w → x`: the number of `w`'s blocking neighbors before `x`,
+    // which is `x`'s leaf index in `w`'s tree when `x` blocks `w`.
+    let rank: Vec<u32> = (0..n as u32)
+        .into_par_iter()
+        .flat_map_iter(|w| {
+            g.neighbors(w).iter().scan(0u32, move |before, &x| {
+                let r = *before;
+                *before += u32::from(blocks(x, w));
+                Some(r)
+            })
+        })
+        .collect();
+    let counts = (0..n as u32)
+        .into_par_iter()
+        .map(|w| match g.neighbors(w).last() {
+            Some(&x) => rank[offsets[w as usize + 1] - 1] + u32::from(blocks(x, w)),
+            None => 0,
+        })
+        .collect();
+    // Arc `u → w` reads its leaf at the reverse arc `w → u`.
+    let rank = &rank;
+    let leaf_slots = (0..n as u32)
+        .into_par_iter()
+        .flat_map_iter(|u| {
+            g.neighbors(u).iter().map(move |&w| {
+                if !blocks(u, w) {
+                    return NOT_BLOCKING;
                 }
-                // Reverse slot: position of v within u's sorted adjacency.
-                let pos = g.neighbors(u).partition_point(|&w| w < v);
-                debug_assert_eq!(g.neighbors(u)[pos], v);
-                // SAFETY: `base + s` indexes this arc's unique slot in
-                // the `rs` buffer (one slot per arc, written once).
-                unsafe {
-                    rs.get()
-                        .add(base + s)
-                        .write((offsets[u as usize] + pos) as u32)
-                };
-            }
-        });
-    }
-    BlockingMirrors {
-        offsets,
-        rev_slot,
-        blocking_rank,
-        counts,
+                let pos = g.neighbors(w).partition_point(|&x| x < u);
+                debug_assert_eq!(g.neighbors(w)[pos], u);
+                rank[offsets[w as usize] + pos]
+            })
+        })
+        .collect();
+    BlockingMirrors { counts, leaf_slots }
+}
+
+/// Arcs below which a cascade level runs on the calling thread. Many
+/// cascades already run in parallel, one per root, and a parallel region
+/// costs more than so few arcs' work (about the pool's 20 µs inline
+/// budget).
+const LEVEL_ARCS: usize = 2048;
+
+/// Extend `out` with the items `f` yields for each vertex of `level`, in
+/// order. A level with fewer than [`LEVEL_ARCS`] arcs in `g` runs on the
+/// calling thread; a wider one fans out through `rayon`.
+pub(crate) fn extend_level<I, F>(g: &Graph, level: &[u32], out: &mut Vec<u32>, f: F)
+where
+    I: IntoIterator<Item = u32>,
+    F: Fn(u32) -> I + Clone + Send + Sync,
+{
+    let arcs: usize = level.iter().map(|&v| g.degree(v)).sum();
+    if arcs < LEVEL_ARCS {
+        out.extend(level.iter().flat_map(|&v| f(v)));
+    } else {
+        out.par_extend(level.par_iter().flat_map_iter(|&v| f(v)));
     }
 }
 
 struct State<'g> {
     g: &'g Graph,
-    priority: &'g [u32],
     status: &'g [AtomicU8],
     forest: TasForest,
     mirrors: &'g BlockingMirrors,
@@ -103,11 +139,13 @@ struct State<'g> {
 /// every vertex of `forest` whose tree has no leaves, in parallel, run
 /// one cascade. A cascade advances level by level — a loop rather than
 /// recursion, so a priority chain of depth `Θ(n)` (the worst case)
-/// cannot overflow the stack, while each level still fans out through
-/// `rayon` and many cascades run concurrently. `level(frontier, spare,
-/// next)` processes one level and fills `next` with the vertices whose
-/// trees it completes; the buffers ping-pong across levels, so a deep
-/// cascade reuses their capacity.
+/// cannot overflow the stack, while a wide level still fans out through
+/// `rayon` ([`extend_level`]) and many cascades run concurrently.
+/// `level(frontier, spare, next)` processes one level and fills `next`
+/// with the vertices whose trees it completes. Each chunk of roots owns
+/// one buffer triple, which ping-pongs across levels and is reused by
+/// the chunk's next cascade, so cascades allocate only while their
+/// buffers grow.
 ///
 /// The algorithms have no rounds, so `cfg`'s deadline is polled at
 /// *cascade-level* granularity: the first cascade that observes a trip
@@ -129,17 +167,24 @@ where
         }
         trip
     };
-    (0..forest.len() as u32).into_par_iter().for_each(|v0| {
-        if forest.leaves_of(v0 as usize) != 0 || poll() {
-            return;
-        }
-        let (mut frontier, mut spare, mut next) = (vec![v0], Vec::new(), Vec::new());
-        while !frontier.is_empty() && !poll() {
-            next.clear();
-            level(&frontier, &mut spare, &mut next);
-            std::mem::swap(&mut frontier, &mut next);
-        }
-    });
+    (0..forest.len() as u32)
+        .into_par_iter()
+        .map_init(
+            || (Vec::new(), Vec::new(), Vec::new()),
+            |(frontier, spare, next), v0| {
+                if forest.leaves_of(v0 as usize) != 0 || poll() {
+                    return;
+                }
+                frontier.clear();
+                frontier.push(v0);
+                while !frontier.is_empty() && !poll() {
+                    next.clear();
+                    level(frontier, spare, next);
+                    std::mem::swap(frontier, next);
+                }
+            },
+        )
+        .for_each(drop);
     if tripped.into_inner() {
         RunOutcome::DeadlineExceeded
     } else {
@@ -154,20 +199,17 @@ where
 /// partial selection is a valid independent set (never maximal).
 pub(crate) fn mis_tas(
     g: &Graph,
-    priority: &[u32],
     mirrors: &BlockingMirrors,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<bool>> {
     let n = g.num_vertices();
-    assert_eq!(priority.len(), n);
     assert_eq!(mirrors.counts.len(), n, "mirrors built for another graph");
     let mut status = scratch.take_vec::<AtomicU8>("mis_status");
     status.resize_with(n, || AtomicU8::new(UNDECIDED));
 
     let state = State {
         g,
-        priority,
         status: &status,
         forest: TasForest::new(&mirrors.counts),
         mirrors,
@@ -198,68 +240,84 @@ fn wake_level(state: &State<'_>, frontier: &[u32], claimed: &mut Vec<u32>, next:
         debug_assert!(ok, "TAS-tree completion implies undecided");
     }
     claimed.clear();
-    claimed.par_extend(
-        frontier
-            .par_iter()
-            .flat_map_iter(|&v| state.g.neighbors(v).iter().copied())
-            .filter(|&u| {
-                // First claim of the removal processes it exactly once.
-                state.status[u as usize]
-                    .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            }),
-    );
-    next.par_extend(claimed.par_iter().flat_map_iter(|&u| removed(state, u)));
-}
-
-/// `u` just became unavailable: notify the TAS trees of all vertices `w`
-/// that `u` blocks (i.e. `pri[w] < pri[u]`). Returns the vertices whose
-/// trees completed (now ready to wake).
-fn removed(state: &State<'_>, u: u32) -> Vec<u32> {
-    let m = state.mirrors;
-    let base = m.offsets[u as usize];
-    state
-        .g
-        .neighbors(u)
-        .iter()
-        .enumerate()
-        .filter_map(|(s, &w)| {
-            if state.priority[w as usize] < state.priority[u as usize]
-                && state.status[w as usize].load(Ordering::Relaxed) != REMOVED
-            {
-                // Leaf of u in w's tree = number of blocking neighbors of
-                // w before the (w → u) arc.
-                let leaf = m.blocking_rank[m.rev_slot[base + s] as usize];
-                if state.forest.mark(w as usize, leaf as usize) {
-                    return Some(w);
-                }
-            }
-            None
+    extend_level(state.g, frontier, claimed, |v| {
+        state.g.neighbors(v).iter().copied().filter(|&u| {
+            // First claim of the removal processes it exactly once.
+            state.status[u as usize]
+                .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
         })
-        .collect()
+    });
+    extend_level(state.g, claimed, next, |u| removed(state, u));
 }
 
-/// Disjoint-slot parallel writes (each arc slot written once).
-struct SyncSlice<T>(*mut T);
-// SAFETY: each arc slot is written by exactly one worker (disjoint
-// indices), so shared cross-thread use never aliases a write.
-unsafe impl<T: Send> Send for SyncSlice<T> {}
-unsafe impl<T: Send> Sync for SyncSlice<T> {}
-impl<T> SyncSlice<T> {
-    /// Accessor (not field access) so closures capture the `Sync`
-    /// wrapper, not the raw pointer.
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
+/// `u` just became unavailable: mark `u`'s leaf in the TAS tree of every
+/// vertex `w` that `u` blocks and that is not removed already. Yields
+/// the vertices whose trees this completes (now ready to wake).
+fn removed<'s>(state: &'s State<'_>, u: u32) -> impl Iterator<Item = u32> + 's {
+    state
+        .mirrors
+        .blocked_by(state.g, u)
+        .filter_map(move |(w, leaf)| {
+            let ready = state.status[w as usize].load(Ordering::Relaxed) != REMOVED
+                && state.forest.mark(w as usize, leaf);
+            ready.then_some(w)
+        })
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::api::{GraphPriorityInstance, GreedyMis};
-    use phase_parallel::{PhaseAlgorithm, RunConfig};
-    use pp_graph::gen;
+    use super::super::{is_independent, mis_seq};
+    use super::blocking_mirrors;
+    use crate::api::{Coloring, GraphPriorityInstance, GreedyMis};
+    use crate::coloring::coloring_seq;
+    use crate::coloring_orders::{
+        order_largest_degree_first, order_largest_log_degree_first, order_random,
+        order_smallest_degree_last,
+    };
+    use phase_parallel::{CancelToken, PhaseAlgorithm, RunConfig, RunOutcome, Scratch};
+    use pp_graph::{gen, Graph};
     use pp_parlay::shuffle::random_priorities;
+    use std::time::Duration;
+
+    /// The leaf index of `u` in `w`'s TAS tree by scanning `w`'s
+    /// adjacency: the reference the mirrors' leaf slots are checked
+    /// against.
+    fn scanned_leaf(g: &Graph, priority: &[u32], u: u32, w: u32) -> usize {
+        g.neighbors(w)
+            .iter()
+            .take_while(|&&x| x != u)
+            .filter(|&&x| priority[x as usize] > priority[w as usize])
+            .count()
+    }
+
+    /// Check every arc of `g` against the scan: a blocking arc's slot is
+    /// the scanned leaf, and no other arc yields a slot.
+    fn assert_slots_match_scan(g: &Graph, priority: &[u32], label: &str) {
+        let mirrors = blocking_mirrors(g, priority);
+        for u in 0..g.num_vertices() as u32 {
+            let blocked: Vec<(u32, usize)> = mirrors.blocked_by(g, u).collect();
+            let want: Vec<(u32, usize)> = g
+                .neighbors(u)
+                .iter()
+                .filter(|&&w| priority[u as usize] > priority[w as usize])
+                .map(|&w| (w, scanned_leaf(g, priority, u, w)))
+                .collect();
+            assert_eq!(blocked, want, "{label}: arcs out of vertex {u}");
+        }
+        for w in 0..g.num_vertices() as u32 {
+            let blockers = g
+                .neighbors(w)
+                .iter()
+                .filter(|&&x| priority[x as usize] > priority[w as usize])
+                .count();
+            assert_eq!(
+                mirrors.counts()[w as usize] as usize,
+                blockers,
+                "{label}: count of {w}"
+            );
+        }
+    }
 
     #[test]
     fn triangle_selects_highest() {
@@ -291,5 +349,119 @@ mod tests {
         let inst = GraphPriorityInstance::new(gen::star(5000), random_priorities(5000, 7));
         let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
         assert!(super::super::is_maximal_independent(&inst.graph, &set));
+    }
+
+    #[test]
+    fn leaf_slots_match_the_adjacency_scan() {
+        let graphs: [(&str, Graph); 4] = [
+            ("uniform", gen::uniform(300, 1500, 1)),
+            ("rmat", gen::rmat(9, 4096, 5)),
+            ("star", gen::star(200)),
+            ("grid2d", gen::grid2d(15, 20)),
+        ];
+        for (name, g) in &graphs {
+            let n = g.num_vertices();
+            for seed in [1, 2, 3] {
+                let label = format!("{name}, random priorities seed {seed}");
+                assert_slots_match_scan(g, &random_priorities(n, seed), &label);
+            }
+            let orders: [(&str, Vec<u32>); 4] = [
+                ("R", order_random(g, 4)),
+                ("LF", order_largest_degree_first(g, 4)),
+                ("LLF", order_largest_log_degree_first(g, 4)),
+                ("SL", order_smallest_degree_last(g, 4)),
+            ];
+            for (order, priority) in &orders {
+                assert_slots_match_scan(g, priority, &format!("{name}, {order}"));
+            }
+        }
+    }
+
+    /// Both TAS entries' prepared queries, each under a config from
+    /// `cfg` built just before it runs, checked against the baselines:
+    /// equal when complete, a consistent part of them when tripped.
+    fn query_both(inst: &GraphPriorityInstance, cfg: impl Fn() -> RunConfig) -> [RunOutcome; 2] {
+        let (g, priority) = (&inst.graph, &inst.priority);
+        let (mis, colors) = (mis_seq(g, priority), coloring_seq(g, priority));
+        let (mirrors, mut scratch) = (blocking_mirrors(g, priority), Scratch::new());
+        let set = GreedyMis.solve_prepared(inst, &mirrors, &mut scratch, &cfg());
+        let col = Coloring.solve_prepared(inst, &mirrors, &mut scratch, &cfg());
+        if set.is_complete() {
+            assert_eq!(set.output, mis);
+        } else {
+            // A partial selection is independent: every selected vertex
+            // is a greedy pick.
+            assert!(is_independent(g, &set.output));
+            assert!(set
+                .output
+                .iter()
+                .zip(&mis)
+                .all(|(&part, &all)| !part || all));
+        }
+        if col.is_complete() {
+            assert_eq!(col.output, colors);
+        } else {
+            // A partial coloring is proper where it colors, and each
+            // colored vertex has its greedy color.
+            for (v, &c) in col.output.iter().enumerate() {
+                assert!(c == u32::MAX || c == colors[v], "vertex {v}: color {c}");
+                let clash = c != u32::MAX
+                    && g.neighbors(v as u32)
+                        .iter()
+                        .any(|&u| col.output[u as usize] == c);
+                assert!(!clash, "vertex {v} shares color {c} with a neighbor");
+            }
+        }
+        [set.outcome, col.outcome]
+    }
+
+    #[test]
+    fn cascade_deadline_contract() {
+        let g = gen::rmat(12, 30_000, 8);
+        let inst = GraphPriorityInstance::new(g, random_priorities(4096, 9));
+        let expired = || {
+            let token = CancelToken::new();
+            token.cancel();
+            RunConfig::new().with_cancel_token(token)
+        };
+        assert_eq!(
+            query_both(&inst, expired),
+            [RunOutcome::DeadlineExceeded; 2]
+        );
+        // Deadlines that may trip anywhere in the cascades.
+        for micros in [0, 100, 1_000, 5_000, 20_000] {
+            query_both(&inst, || {
+                RunConfig::new().with_deadline(Duration::from_micros(micros))
+            });
+        }
+        // An untripped token is observation-free: byte-identical output.
+        let untripped = || RunConfig::new().with_cancel_token(CancelToken::new());
+        assert_eq!(query_both(&inst, untripped), [RunOutcome::Completed; 2]);
+    }
+
+    #[test]
+    fn star_hub_with_lowest_priority_matches_baselines() {
+        // Every leaf is a root that notifies the hub's TAS tree: the
+        // hub's leaf slots are read once per leaf.
+        let n = 3000;
+        let mut priority = random_priorities(n, 11);
+        let lowest = (0..n).min_by_key(|&v| priority[v]).unwrap();
+        priority.swap(0, lowest);
+        let inst = GraphPriorityInstance::new(gen::star(n), priority);
+        let mis = mis_seq(&inst.graph, &inst.priority);
+        let colors = coloring_seq(&inst.graph, &inst.priority);
+        assert!(!mis[0] && mis[1..].iter().all(|&s| s));
+        assert!(colors[0] == 1 && colors[1..].iter().all(|&c| c == 0));
+        for threads in [1usize, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let cfg = RunConfig::new();
+            let set = pool.install(|| GreedyMis.solve_par(&inst, &cfg).output);
+            assert_eq!(set, mis, "mis/tas at {threads} threads");
+            let col = pool.install(|| Coloring.solve_par(&inst, &cfg).output);
+            assert_eq!(col, colors, "coloring at {threads} threads");
+        }
     }
 }

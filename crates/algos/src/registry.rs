@@ -457,7 +457,7 @@ pub fn registry() -> &'static [AlgorithmEntry] {
     }
     static ENTRIES: &[AlgorithmEntry] = &[
         entry!("lis", Type1, Seq, Lis, gen_series),
-        entry!("lis/weighted", Type2, Seq, WeightedLis, gen_weighted_series),
+        entry!("lis/weighted", Type1, Seq, WeightedLis, gen_weighted_series),
         entry!("activity/type1", Type1, Seq, ActivityType1, gen_activities),
         entry!(
             "activity/type1-pam",
@@ -789,6 +789,7 @@ fn gen_perm(case: &CaseSpec, _cfg: &RunConfig) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::PhaseAlgorithm;
     use phase_parallel::PivotMode::{self, Random, RightMost};
 
     #[test]
@@ -838,8 +839,8 @@ mod tests {
     fn lis_family_round_contract_on_every_seq_scenario() {
         // `lis` and `whac` extract one frontier per rank, so their
         // served rounds equal their served output (compared through
-        // its digest); `lis/weighted` runs Algorithm 3, whose virtual
-        // round comes on top of the unweighted rank.
+        // its digest); `lis/weighted` runs the same rounds, so its
+        // rounds equal the unweighted rank of its values.
         let size = 300;
         let cfg = RunConfig::seeded(4);
         let mut scratch = Scratch::new();
@@ -868,7 +869,32 @@ mod tests {
             let served = serve("lis/weighted");
             let (values, _) = gen_weighted_series(&case, &cfg);
             let rank = crate::lis::lis_seq(&values) as usize;
-            assert_eq!(served.stats.rounds, rank + 1, "lis/weighted on {key}");
+            assert_eq!(served.stats.rounds, rank, "lis/weighted on {key}");
+        }
+    }
+
+    #[test]
+    fn weighted_lis_agrees_with_seq_and_algorithm3_on_every_seq_scenario() {
+        // The k-round query, the baseline and Algorithm 3 in both pivot
+        // modes find the same best weight on every seq scenario.
+        let cfg = RunConfig::seeded(6);
+        for scenario in lookup("lis/weighted").unwrap().scenarios() {
+            for size in [300, 2000] {
+                let case = CaseSpec::new(size, 6).with_scenario(scenario);
+                let key = scenario.key();
+                let input = gen_weighted_series(&case, &cfg);
+                let want = crate::lis::lis_weighted_seq(&input.0, &input.1);
+                let report = WeightedLis.solve_par(&input, &cfg);
+                assert_eq!(report.output, want, "k rounds on {key}, n = {size}");
+                for mode in [Random, RightMost] {
+                    let alg3 = crate::lis::lis_weighted_par(
+                        &input.0,
+                        &input.1,
+                        &cfg.clone().with_pivot_mode(mode),
+                    );
+                    assert_eq!(alg3.output.0, want, "Algorithm 3 {mode:?} on {key}");
+                }
+            }
         }
     }
 

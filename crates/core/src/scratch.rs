@@ -112,6 +112,20 @@ impl Scratch {
         v
     }
 
+    /// Take a named copy of `src`, such as a per-query copy of a
+    /// prepared tree. A parked value is refreshed with `clone_from`,
+    /// which reuses its allocations; a fresh slot clones `src`. Pair
+    /// with [`Scratch::put_any`].
+    pub fn take_copy<T: Clone + Send + 'static>(&mut self, name: &'static str, src: &T) -> T {
+        match self.take_any::<T>(name) {
+            Some(mut copy) => {
+                copy.clone_from(src);
+                copy
+            }
+            None => src.clone(),
+        }
+    }
+
     /// Store an arbitrary value for a later [`Scratch::take_any`].
     pub fn put_any<T: Send + 'static>(&mut self, name: &'static str, v: T) {
         self.insert(name, v);

@@ -11,11 +11,30 @@ use pp_parlay::monoid::{MinMonoid, Monoid};
 use pp_parlay::GRAIN;
 
 /// A segment tree over a fixed-length sequence of monoid values.
+///
+/// `clone_from` reuses the target's allocation, so refreshing a
+/// per-query copy from one prepared tree allocates nothing once the
+/// copy has the same length.
 pub struct SegTree<M: Monoid> {
     monoid: M,
     n: usize,
     /// `2n - 1` aggregates in recursive layout (empty when `n == 0`).
     seg: Vec<M::T>,
+}
+
+impl<M: Monoid + Clone> Clone for SegTree<M> {
+    fn clone(&self) -> Self {
+        Self {
+            monoid: self.monoid.clone(),
+            n: self.n,
+            seg: self.seg.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        (self.monoid, self.n) = (src.monoid.clone(), src.n);
+        self.seg.clone_from(&src.seg);
+    }
 }
 
 impl<M: Monoid> SegTree<M> {

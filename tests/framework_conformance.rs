@@ -331,7 +331,8 @@ fn scenario_matrix_by_string_keys() {
 fn scenario_matrix_steady_state_scratch_reuse() {
     // These entries copy per-query state out of their prepared instance
     // into workspace buffers, so they must take at least one.
-    const COPIES_FROM_SCRATCH: [&str; 7] = [
+    const COPIES_FROM_SCRATCH: [&str; 8] = [
+        "lis/weighted",
         "huffman",
         "random-perm",
         "whac/2d",
