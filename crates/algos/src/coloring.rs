@@ -18,9 +18,10 @@
 //! Both implementations produce the *identical* coloring (a function of
 //! the priorities alone).
 
-use crate::mis::{extend_level, run_cascades, BlockingMirrors};
+use crate::mis::{run_cascades, BlockingMirrors};
 use phase_parallel::{Report, RunConfig, Scratch, TasForest};
 use pp_graph::Graph;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Color sentinel for "not yet colored".
@@ -100,8 +101,8 @@ pub(crate) fn coloring_par(
             .blocked_by(g, v)
             .filter_map(|(w, leaf)| forest.mark(w as usize, leaf).then_some(w))
     };
-    let outcome = run_cascades(&forest, cfg, |frontier, _, next| {
-        extend_level(g, frontier, next, assign)
+    let outcome = run_cascades(&forest, cfg, |frontier, next| {
+        next.par_extend(frontier.par_iter().flat_map_iter(|&v| assign(v)))
     });
     let out = color.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     scratch.put_vec("coloring_color", color);
@@ -141,6 +142,62 @@ mod tests {
         check(gen::star(100), 12);
         check(gen::grid2d(15, 20), 13);
         check(gen::rmat(9, 4096, 5), 14);
+    }
+
+    /// A clique on `k` vertices, plus one pendant vertex hung on vertex
+    /// 0 when `pendant` is set.
+    fn clique(k: u32, pendant: bool) -> Graph {
+        let mut b = pp_graph::GraphBuilder::new(k as usize + usize::from(pendant)).symmetric();
+        for u in 0..k {
+            for w in u + 1..k {
+                b.add(u, w);
+            }
+        }
+        if pendant {
+            b.add(0, k);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn mex_crosses_the_word_at_color_64() {
+        let below = |k: u32| 0..k;
+        assert_eq!(mex(below(0), 0), 0);
+        assert_eq!(mex(below(63), 63), 63);
+        assert_eq!(mex(below(64), 64), 64);
+        assert_eq!(mex(below(70), 70), 70);
+        assert_eq!(mex(below(64).chain([65, 66]), 66), 64);
+        assert_eq!(mex(below(64).chain([UNCOLORED]).rev(), 65), 64);
+        assert_eq!(mex((1..64).chain([0, 0, 64, UNCOLORED]), 67), 65);
+        assert_eq!(mex(below(63).chain([64, 65]), 65), 63);
+    }
+
+    #[test]
+    fn cliques_use_colors_past_the_word() {
+        // Greedy gives a k-clique every color in 0..k: past the 64th
+        // vertex the neighbors hold all of colors 0..63, so the mex
+        // takes the flag fallback.
+        for k in [65, 70] {
+            for seed in 20..24 {
+                check(clique(k, false), seed);
+            }
+        }
+        // The last clique vertex to be colored has the pendant too: in a
+        // 64-clique it takes color 63, the word path's highest answer,
+        // with degree 64; in a 65-clique, color 64 from the fallback.
+        for k in [64, 65] {
+            for seed in 20..24 {
+                check(clique(k, true), seed);
+            }
+            let pri: Vec<u32> = (0..=k)
+                .map(|v| if v == 0 { 1 } else { (v + 1) % (k + 1) })
+                .collect();
+            let inst = GraphPriorityInstance::new(clique(k, true), pri);
+            let want = coloring_seq(&inst.graph, &inst.priority);
+            assert_eq!((want[0], want[k as usize]), (k - 1, 0));
+            let got = Coloring.solve_par(&inst, &RunConfig::new()).output;
+            assert_eq!(got, want, "{k}-clique with a pendant");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use luby::mis_luby;
 pub(crate) use rounds::mis_rounds;
 pub use seq::mis_seq;
 pub use tas::{blocking_mirrors, BlockingMirrors};
-pub(crate) use tas::{extend_level, mis_tas, run_cascades};
+pub(crate) use tas::{mis_tas, run_cascades};
 
 use pp_graph::Graph;
 

@@ -106,28 +106,6 @@ pub fn blocking_mirrors(g: &Graph, priority: &[u32]) -> BlockingMirrors {
     BlockingMirrors { counts, leaf_slots }
 }
 
-/// Arcs below which a cascade level runs on the calling thread. Many
-/// cascades already run in parallel, one per root, and a parallel region
-/// costs more than so few arcs' work (about the pool's 20 µs inline
-/// budget).
-const LEVEL_ARCS: usize = 2048;
-
-/// Extend `out` with the items `f` yields for each vertex of `level`, in
-/// order. A level with fewer than [`LEVEL_ARCS`] arcs in `g` runs on the
-/// calling thread; a wider one fans out through `rayon`.
-pub(crate) fn extend_level<I, F>(g: &Graph, level: &[u32], out: &mut Vec<u32>, f: F)
-where
-    I: IntoIterator<Item = u32>,
-    F: Fn(u32) -> I + Clone + Send + Sync,
-{
-    let arcs: usize = level.iter().map(|&v| g.degree(v)).sum();
-    if arcs < LEVEL_ARCS {
-        out.extend(level.iter().flat_map(|&v| f(v)));
-    } else {
-        out.par_extend(level.par_iter().flat_map_iter(|&v| f(v)));
-    }
-}
-
 struct State<'g> {
     g: &'g Graph,
     status: &'g [AtomicU8],
@@ -139,13 +117,13 @@ struct State<'g> {
 /// every vertex of `forest` whose tree has no leaves, in parallel, run
 /// one cascade. A cascade advances level by level — a loop rather than
 /// recursion, so a priority chain of depth `Θ(n)` (the worst case)
-/// cannot overflow the stack, while a wide level still fans out through
-/// `rayon` ([`extend_level`]) and many cascades run concurrently.
-/// `level(frontier, spare, next)` processes one level and fills `next`
-/// with the vertices whose trees it completes. Each chunk of roots owns
-/// one buffer triple, which ping-pongs across levels and is reused by
-/// the chunk's next cascade, so cascades allocate only while their
-/// buffers grow.
+/// cannot overflow the stack, while each level still fans out through
+/// `rayon` and many cascades run concurrently.
+/// `level(frontier, next)` processes one level and fills `next` with
+/// the vertices whose trees it completes. Each chunk of roots owns one
+/// buffer pair, which ping-pongs across levels and is reused by the
+/// chunk's next cascade, so cascades allocate only while their buffers
+/// grow.
 ///
 /// The algorithms have no rounds, so `cfg`'s deadline is polled at
 /// *cascade-level* granularity: the first cascade that observes a trip
@@ -154,7 +132,7 @@ struct State<'g> {
 /// untripped token the output is byte-identical to a run without one.
 pub(crate) fn run_cascades<L>(forest: &TasForest, cfg: &RunConfig, level: L) -> RunOutcome
 where
-    L: Fn(&[u32], &mut Vec<u32>, &mut Vec<u32>) + Sync,
+    L: Fn(&[u32], &mut Vec<u32>) + Sync,
 {
     let tripped = AtomicBool::new(false);
     let poll = || {
@@ -170,8 +148,8 @@ where
     (0..forest.len() as u32)
         .into_par_iter()
         .map_init(
-            || (Vec::new(), Vec::new(), Vec::new()),
-            |(frontier, spare, next), v0| {
+            || (Vec::new(), Vec::new()),
+            |(frontier, next), v0| {
                 if forest.leaves_of(v0 as usize) != 0 || poll() {
                     return;
                 }
@@ -179,7 +157,7 @@ where
                 frontier.push(v0);
                 while !frontier.is_empty() && !poll() {
                     next.clear();
-                    level(frontier, spare, next);
+                    level(frontier, next);
                     std::mem::swap(frontier, next);
                 }
             },
@@ -214,8 +192,8 @@ pub(crate) fn mis_tas(
         forest: TasForest::new(&mirrors.counts),
         mirrors,
     };
-    let outcome = run_cascades(&state.forest, cfg, |frontier, claimed, next| {
-        wake_level(&state, frontier, claimed, next)
+    let outcome = run_cascades(&state.forest, cfg, |frontier, next| {
+        wake_level(&state, frontier, next)
     });
     let out = status
         .iter()
@@ -226,10 +204,9 @@ pub(crate) fn mis_tas(
 }
 
 /// One level of a wake cascade (Algorithm 4's `WakeUp`): select every
-/// vertex of `frontier`, remove its undecided neighbors into `claimed`,
-/// and collect into `next` the vertices whose TAS trees the removals
-/// complete.
-fn wake_level(state: &State<'_>, frontier: &[u32], claimed: &mut Vec<u32>, next: &mut Vec<u32>) {
+/// vertex of `frontier`, remove each undecided neighbor, and collect
+/// into `next` the vertices whose TAS trees the removals complete.
+fn wake_level(state: &State<'_>, frontier: &[u32], next: &mut Vec<u32>) {
     // Select this level. Vertices arriving here are never adjacent:
     // a TAS-tree only completes when all higher-priority neighbors
     // are removed, and a vertex being selected is not removed.
@@ -239,16 +216,24 @@ fn wake_level(state: &State<'_>, frontier: &[u32], claimed: &mut Vec<u32>, next:
             .is_ok();
         debug_assert!(ok, "TAS-tree completion implies undecided");
     }
-    claimed.clear();
-    extend_level(state.g, frontier, claimed, |v| {
-        state.g.neighbors(v).iter().copied().filter(|&u| {
-            // First claim of the removal processes it exactly once.
-            state.status[u as usize]
-                .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        })
-    });
-    extend_level(state.g, claimed, next, |u| removed(state, u));
+    // A removal may notify a vertex `w` before another vertex of this
+    // level removes `w` too; that cannot complete `w`'s tree. Were `w`
+    // adjacent to a selected `v` of lower priority, `w` would already
+    // be decided; so `v` has the higher priority, its leaf in `w`'s tree
+    // stays unmarked (selected vertices notify no one), and `w` waits.
+    next.par_extend(frontier.par_iter().flat_map_iter(|&v| {
+        state
+            .g
+            .neighbors(v)
+            .iter()
+            .filter(|&&u| {
+                // First claim of the removal processes it exactly once.
+                state.status[u as usize]
+                    .compare_exchange(UNDECIDED, REMOVED, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            })
+            .flat_map(|&u| removed(state, u))
+    }));
 }
 
 /// `u` just became unavailable: mark `u`'s leaf in the TAS tree of every

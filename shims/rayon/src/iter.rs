@@ -7,6 +7,9 @@
 //! `reduce`, …) drives the pipeline through one driver, `run_split`,
 //! which cuts the producer into contiguous chunks, folds each chunk
 //! sequentially, and combines the per-chunk results **in chunk order**.
+//! `par_extend` on an unindexed pipeline uses the driver underneath,
+//! `run_split_with`, to append the inline prefixes to its target
+//! directly.
 //!
 //! The driver is *inline-first*: the calling thread folds doubling
 //! prefixes itself (starting at `min_len`, capped at the chunk size)
@@ -231,39 +234,74 @@ fn inline_budget() -> Duration {
 /// Fold `producer` in grain-bounded pieces and return the per-piece
 /// results in order. `fold` receives each piece's base-item offset
 /// (used by the in-place `collect` writer).
-///
-/// The calling thread first folds doubling prefixes itself — `min_len`
-/// items, then twice that, up to the chunk size — until the producer
-/// is exhausted or [`INLINE_BUDGET`] has elapsed. Only what is left is
-/// cut into chunks and run on the current pool.
 fn run_split<P, R, F>(producer: P, min_len: usize, max_len: usize, fold: F) -> Vec<R>
 where
     P: Producer,
     R: Send,
     F: Fn(usize, P) -> R + Sync,
 {
-    let len = producer.len();
-    let registry = pool::current_registry();
-    let chunk = chunk_len(len, min_len, max_len, registry.parallelism());
-    if registry.is_sequential() || len <= chunk {
-        return vec![fold(0, producer)];
-    }
     let mut results = Vec::new();
+    let published = run_split_with(
+        producer,
+        min_len,
+        max_len,
+        |offset, piece| results.push(fold(offset, piece)),
+        &fold,
+    );
+    results.extend(published);
+    results
+}
+
+/// The driver behind [`run_split`]: the calling thread hands `inline`
+/// doubling prefixes — `min_len` items, then twice that, up to the
+/// chunk size — until the producer is exhausted or [`INLINE_BUDGET`]
+/// has elapsed. Only what is left is cut into chunks, folded by `fold`
+/// on the current pool, and returned in order; every inline piece
+/// precedes every published one. A consumer that can take inline
+/// pieces directly (`par_extend` appending to its vector) so builds
+/// nothing per piece, and a region that ends inline clones nothing
+/// shared.
+fn run_split_with<P, R, I, F>(
+    producer: P,
+    min_len: usize,
+    max_len: usize,
+    mut inline: I,
+    fold: &F,
+) -> Vec<R>
+where
+    P: Producer,
+    R: Send,
+    I: FnMut(usize, P),
+    F: Fn(usize, P) -> R + Sync,
+{
+    let len = producer.len();
+    let (sequential, parallelism) =
+        pool::with_current_registry(|r| (r.is_sequential(), r.parallelism()));
+    let chunk = chunk_len(len, min_len, max_len, parallelism);
+    if sequential || len <= chunk {
+        inline(0, producer);
+        return Vec::new();
+    }
     let mut rest = producer;
     let mut offset = 0usize;
     let (budget, start) = (inline_budget(), Instant::now());
+    // The clock is read between pieces only: before the first nothing
+    // has run, and after the last nothing is left to publish.
+    let mut elapsed = Duration::ZERO;
     let mut prefix = min_len.clamp(1, chunk);
-    while !rest.is_empty() && start.elapsed() < budget {
+    while elapsed < budget {
         let take = prefix.min(rest.len());
         let (head, tail) = rest.split_at(take);
-        results.push(fold(offset, head));
+        inline(offset, head);
         offset += take;
         rest = tail;
+        if rest.is_empty() {
+            return Vec::new();
+        }
         prefix = (prefix * 2).min(chunk);
+        elapsed = start.elapsed();
     }
-    if rest.is_empty() {
-        return results;
-    }
+    let registry = pool::current_registry();
     let chunk = chunk_len(rest.len(), min_len, max_len, registry.parallelism());
     let mut chunks = Vec::with_capacity(rest.len().div_ceil(chunk));
     while rest.len() > chunk {
@@ -273,10 +311,7 @@ where
         rest = tail;
     }
     chunks.push((offset, rest));
-    results.extend(pool::run_chunks(&registry, chunks, |(off, part)| {
-        fold(off, part)
-    }));
-    results
+    pool::run_chunks(&registry, chunks, |(off, part)| fold(off, part))
 }
 
 // ---- base producers -------------------------------------------------------
@@ -1566,7 +1601,18 @@ where
     type Item = MappedItem<P, M>;
 
     fn drive_append(self, out: &mut Vec<Self::Item>) {
-        let parts: Vec<Vec<Self::Item>> = self.drive(|it| it.collect());
+        // Inline pieces append straight to `out`; only published chunks
+        // collect into vectors of their own, appended after them.
+        let mapper = self.mapper;
+        let fold =
+            |_, chunk: P| -> Vec<Self::Item> { mapper.apply(chunk.into_seq_iter()).collect() };
+        let parts = run_split_with(
+            self.base,
+            self.min_len,
+            self.max_len,
+            |_, chunk: P| out.extend(mapper.apply(chunk.into_seq_iter())),
+            &fold,
+        );
         for mut part in parts {
             out.append(&mut part);
         }
@@ -1829,6 +1875,27 @@ mod tests {
         });
         let delta = pool.scheduler_counters().since(&before);
         assert!(delta.jobs_executed >= 1, "{delta:?}");
+    }
+
+    #[test]
+    fn par_extend_appends_inline_prefixes_before_published_chunks() {
+        // Items 0..3 outlast the budget between them: the caller folds
+        // the prefixes [0] and [1, 2] inline, appending to `out`
+        // directly, and publishes the rest as chunks of their own.
+        let pool = pool(2);
+        let items = |x: usize| 0..x % 5;
+        let mut out = vec![usize::MAX];
+        pool.install(|| {
+            out.par_extend((0..64usize).into_par_iter().flat_map_iter(|x| {
+                if x < 3 {
+                    spin(INLINE_BUDGET / 2);
+                }
+                items(x)
+            }))
+        });
+        let mut want = vec![usize::MAX];
+        want.extend((0..64).flat_map(items));
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -892,6 +892,16 @@ fn global_registry() -> Arc<Registry> {
     }))
 }
 
+/// Run `f` on [`current_registry`] without cloning its handle: a
+/// region that may end inline reads the pool's shape through this, so
+/// it touches no reference count other threads share.
+pub(crate) fn with_current_registry<T>(f: impl FnOnce(&Registry) -> T) -> T {
+    CURRENT_REGISTRY.with(|current| match &*current.borrow() {
+        Some(registry) => f(registry),
+        None => f(&global_registry()),
+    })
+}
+
 /// The registry parallel regions on this thread should use: the
 /// installed pool if inside [`crate::ThreadPool::install`] (or a worker
 /// thread), the global pool otherwise.
