@@ -15,8 +15,8 @@
 //!   [`prepare_type1`] builds them once and a query only runs rounds.
 //! * [`max_weight_type1_pam`] — the literal Algorithm 2 on PA-BSTs
 //!   (`pp-pam`), kept because it is the algorithm Theorem 4.2 analyzes;
-//!   ablation 3 of the `ablations` bench measures what the flat arrays
-//!   save over it.
+//!   the `activity_pam` rows of the paper report's `ablations` section
+//!   measure what the flat arrays save over it.
 
 use super::{take_dp, Activity, DP_SLOT};
 use phase_parallel::{run_type1, Report, RunConfig, Scratch, Type1Problem};

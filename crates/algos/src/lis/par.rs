@@ -25,6 +25,7 @@
 //! wake-up: it peels the same prefix-minima rounds ([`take_rank`]) and
 //! asks each object's rectangle maximum once.
 
+use super::weighted::OVERFLOW;
 use phase_parallel::{
     run_type1, run_type2, InitialState, Report, RunConfig, Type1Problem, Type2Problem, WakeResult,
 };
@@ -103,10 +104,11 @@ pub fn lis_par_with_dp(values: &[i64], cfg: &RunConfig) -> Report<(u32, Vec<u32>
 /// is the engine Table 2's wake-up counts are measured on. Deterministic
 /// in `cfg.seed` for a fixed schedule; the report's `stats.rounds` is
 /// `k + 1` (one virtual round plus one per rank), and Table 2's
-/// "Average # of Wake-ups" is `stats.avg_wakeups()`. Weight sums must
-/// stay below `u32::MAX`: they are added as `u32` and not checked
-/// ([`WeightedLis`](crate::api::WeightedLis) checks them). The output is
-/// `(best_weight, dp)`.
+/// "Average # of Wake-ups" is `stats.avg_wakeups()`. Weight sums are
+/// added in `u64` and checked: a DP value above `u32::MAX` panics with
+/// [`lis_weighted_seq`](super::lis_weighted_seq)'s message, and so does
+/// one of exactly `u32::MAX`, which the range tree cannot store (it
+/// keeps `dp + 1` per finished point). The output is `(best_weight, dp)`.
 pub fn lis_weighted_par(
     values: &[i64],
     weights: &[u32],
@@ -171,7 +173,13 @@ pub fn lis_weighted_par(
                 // Ready: the rectangle always contains the (finished)
                 // virtual point, so max_dp is present.
                 let base = info.max_dp.expect("virtual point in range");
-                WakeResult::Ready(base + self.weights[x as usize - 1])
+                let dp = u64::from(base) + u64::from(self.weights[x as usize - 1]);
+                WakeResult::Ready(
+                    u32::try_from(dp)
+                        .ok()
+                        .filter(|&dp| dp < u32::MAX)
+                        .expect(OVERFLOW),
+                )
             } else {
                 let attempt = self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
                 let mut rng = Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64));
@@ -293,6 +301,28 @@ mod tests {
             let v: Vec<i64> = (0..n).map(|_| r.range(n as u64 / 2 + 1) as i64).collect();
             assert_dp_matches_seq(&v, &format!("random n = {n}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight sums must fit in u32")]
+    fn algorithm3_rejects_weight_sums_above_u32() {
+        lis_weighted_par(&[1, 2], &[u32::MAX - 1, 5], &RunConfig::seeded(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight sums must fit in u32")]
+    fn algorithm3_rejects_a_dp_the_range_tree_would_wrap() {
+        // The first object's DP is u32::MAX, which the range tree would
+        // store as dp + 1 = 0; its successor then read a wrong base.
+        lis_weighted_par(&[1, 2], &[u32::MAX, 1], &RunConfig::seeded(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight sums must fit in u32")]
+    fn algorithm3_rejects_a_total_of_exactly_u32_max() {
+        // The baseline returns u32::MAX here; the tree cannot encode it.
+        assert_eq!(crate::lis::lis_weighted_seq(&[7], &[u32::MAX]), u32::MAX);
+        lis_weighted_par(&[7], &[u32::MAX], &RunConfig::seeded(0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use pp_parlay::monoid::MinMonoid;
 use pp_ranges::{FenwickMax, RangeTree2d, SegTree};
 use rayon::prelude::*;
 
-const OVERFLOW: &str = "weight sums must fit in u32";
+pub(super) const OVERFLOW: &str = "weight sums must fit in u32";
 
 /// Maximum total weight of a strictly increasing subsequence,
 /// sequentially (`O(n log n)`).
@@ -278,9 +278,14 @@ mod tests {
     fn k_rounds_reach_u32_max_exactly() {
         // The best chain weighs exactly u32::MAX: representable, so the
         // query must agree with the baseline rather than overflow.
-        let weights = [u32::MAX - 10, 10, 1];
-        assert_k_rounds(&[1, 2, 0], &weights, "sum = u32::MAX");
-        assert_eq!(lis_weighted_seq(&[1, 2, 0], &weights), u32::MAX);
+        // Algorithm 3 rejects this total, since its range tree stores
+        // dp + 1 (`algorithm3_rejects_a_total_of_exactly_u32_max`).
+        let input = (vec![1, 2, 0], vec![u32::MAX - 10, 10, 1]);
+        assert_eq!(lis_weighted_seq(&input.0, &input.1), u32::MAX);
+        let report = WeightedLis.solve_par(&input, &RunConfig::seeded(1));
+        assert_eq!(report.output, u32::MAX);
+        assert_eq!(report.stats.rounds, lis_seq(&input.0) as usize);
+        assert_eq!(report.stats.wakeup_attempts, 0);
     }
 
     #[test]

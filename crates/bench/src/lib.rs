@@ -1,14 +1,10 @@
-//! Shared harness utilities for the figure/table reproduction binaries.
-//!
-//! Every binary prints the same rows/series the paper reports, at a
-//! laptop-friendly default scale. Set `PP_SCALE` (default 1) to scale
-//! input sizes up (e.g. `PP_SCALE=10` for a 10× larger run) and
-//! `RAYON_NUM_THREADS` to control parallelism, mirroring the paper's
-//! thread-count experiments.
+//! The paper [`report`] and the helpers the CI smoke gates share.
+//! `PP_SCALE` (default 1) multiplies input sizes, `PP_SMOKE=1` shrinks
+//! them to CI size, and `RAYON_NUM_THREADS` sets the parallelism.
 
 #![forbid(unsafe_code)]
 
-use std::time::{Duration, Instant};
+pub mod report;
 
 /// Input-size multiplier from the `PP_SCALE` env var (default 1).
 pub fn scale() -> usize {
@@ -18,77 +14,40 @@ pub fn scale() -> usize {
         .unwrap_or(1)
 }
 
-/// Smoke mode from the `PP_SMOKE` env var: benches shrink to tiny
-/// sizes so CI can run them per-PR purely as a regression tripwire
-/// (the numbers are not meaningful, the shape of the output is).
+/// Smoke mode from the `PP_SMOKE` env var: tiny sizes, so CI can run
+/// the report and the gates as a tripwire.
 pub fn smoke() -> bool {
     std::env::var("PP_SMOKE").is_ok_and(|s| !s.is_empty() && s != "0")
-}
-
-/// Time a closure: best of `reps` runs (the paper averages the last five
-/// of six; at our scale best-of is less noisy for short runs).
-pub fn time_best<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed());
-    }
-    best
 }
 
 /// Run a closure on a single-threaded rayon pool — the "Ours seq."
 /// column of Table 2 (the parallel algorithm on one core).
 pub fn run_single_threaded<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool")
-        .install(f)
+    phase_parallel::RunConfig::new().with_threads(1).install(f)
 }
 
-/// Format a duration in seconds with 4 significant digits.
-pub fn secs(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
-}
-
-/// Simple fixed-width table printer.
-pub struct Table {
-    headers: Vec<String>,
-    widths: Vec<usize>,
-}
+/// Simple fixed-width table printer: columns right-aligned, at least
+/// 12 wide.
+pub struct Table(Vec<usize>);
 
 impl Table {
     /// Start a table and print its header row.
     pub fn new(headers: &[&str]) -> Self {
-        let widths: Vec<usize> = headers.iter().map(|h| h.len().max(12)).collect();
-        let t = Self {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            widths,
-        };
-        t.print_header();
-        t
-    }
-
-    fn print_header(&self) {
-        let row: Vec<String> = self
-            .headers
-            .iter()
-            .zip(&self.widths)
-            .map(|(h, w)| format!("{h:>w$}"))
-            .collect();
-        println!("{}", row.join("  "));
-        println!("{}", "-".repeat(row.join("  ").len()));
+        let table = Table(headers.iter().map(|h| h.len().max(12)).collect());
+        let header = table.line(headers);
+        println!("{header}\n{}", "-".repeat(header.len()));
+        table
     }
 
     /// Print one data row.
     pub fn row(&self, cells: &[String]) {
-        let row: Vec<String> = cells
-            .iter()
-            .zip(&self.widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect();
-        println!("{}", row.join("  "));
+        println!("{}", self.line(cells));
+    }
+
+    fn line(&self, cells: &[impl AsRef<str>]) -> String {
+        let cells = cells.iter().zip(&self.0);
+        let cells: Vec<_> = cells.map(|(c, w)| format!("{:>w$}", c.as_ref())).collect();
+        cells.join("  ")
     }
 }
 
@@ -108,13 +67,5 @@ mod tests {
     fn single_threaded_pool_runs() {
         let v = run_single_threaded(rayon::current_num_threads);
         assert_eq!(v, 1);
-    }
-
-    #[test]
-    fn time_best_positive() {
-        let d = time_best(2, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(d > Duration::ZERO);
     }
 }

@@ -42,7 +42,6 @@ fn audit_covers_every_member_crate() {
         "pp-bench",
         "pp-check",
         "rayon",
-        "criterion",
         "proptest",
     ] {
         assert!(names.contains(&expected), "audit missed crate {expected}");
