@@ -1,9 +1,11 @@
 //! Typed [`PhaseAlgorithm`] implementations for every algorithm family.
 //!
 //! Each unit struct binds a family's sequential baseline and
-//! phase-parallel execution to the unified trait, so any family can be
-//! driven through a [`phase_parallel::Solver`] or type-erased behind the
-//! string-keyed [`crate::registry`]. Multi-part instances get small
+//! phase-parallel execution to the unified trait. The impl is the
+//! family's one typed door: `solve_seq`, `solve_par`, or `prepare` plus
+//! `solve_prepared` for repeated queries. The string-keyed
+//! [`crate::registry`] type-erases it for served and name-dispatched
+//! callers. Multi-part instances get small
 //! input structs ([`SsspInstance`], [`GraphPriorityInstance`]) instead
 //! of anonymous tuples where field names carry meaning.
 //!
@@ -25,12 +27,27 @@
 //! directly.
 //!
 //! ```
-//! use phase_parallel::{RunConfig, Solver};
+//! use phase_parallel::{PhaseAlgorithm, RunConfig, Scratch};
 //! use pp_algos::api::Lis;
+//! use rayon::prelude::*;
 //!
-//! let solver = Solver::new(Lis).with_config(RunConfig::seeded(7));
-//! let report = solver.solve_checked(&[4i64, 7, 3, 2, 8, 1, 6, 5]);
+//! let series = [4i64, 7, 3, 2, 8, 1, 6, 5];
+//! let report = Lis.solve_par(&series, &RunConfig::seeded(7));
 //! assert_eq!(report.output, 3);
+//! assert_eq!(report.output, Lis.solve_seq(&series));
+//!
+//! // A batch on two threads: one prepared instance, one workspace per worker.
+//! let prepared = &Lis.prepare(&series);
+//! let queries: Vec<RunConfig> = (0..4).map(RunConfig::seeded).collect();
+//! let lengths: Vec<u32> = RunConfig::new().with_threads(2).install(|| {
+//!     queries
+//!         .par_iter()
+//!         .map_init(Scratch::new, |scratch, q| {
+//!             Lis.solve_prepared(&series, prepared, scratch, q).output
+//!         })
+//!         .collect()
+//! });
+//! assert_eq!(lengths, [3; 4]);
 //! ```
 
 use crate::activity::{self, Activity};
@@ -731,16 +748,16 @@ impl PhaseAlgorithm for RandomPerm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phase_parallel::Solver;
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
     #[test]
     fn solver_drives_lis_family() {
-        let solver = Solver::new(Lis).with_config(RunConfig::seeded(3));
-        let report = solver.solve_checked(&[4i64, 7, 3, 2, 8, 1, 6, 5]);
+        let series = [4i64, 7, 3, 2, 8, 1, 6, 5];
+        let report = Lis.solve_par(&series, &RunConfig::seeded(3));
         assert_eq!(report.output, 3);
-        assert_eq!(solver.algorithm().name(), "lis");
+        assert_eq!(report.output, Lis.solve_seq(&series));
+        assert_eq!(Lis.name(), "lis");
     }
 
     #[test]
@@ -748,9 +765,12 @@ mod tests {
         let g = gen::uniform(200, 800, 1);
         let pri = random_priorities(200, 2);
         let input = GraphPriorityInstance::new(g, pri);
-        Solver::new(GreedyMis).solve_checked(&input);
-        Solver::new(RoundsMis).solve_checked(&input);
-        Solver::new(Coloring).solve_checked(&input);
+        let cfg = RunConfig::new();
+        let mis = GreedyMis.solve_seq(&input);
+        assert_eq!(GreedyMis.solve_par(&input, &cfg).output, mis);
+        assert_eq!(RoundsMis.solve_par(&input, &cfg).output, mis);
+        let colors = Coloring.solve_par(&input, &cfg).output;
+        assert_eq!(colors, Coloring.solve_seq(&input));
     }
 
     #[test]
@@ -758,12 +778,9 @@ mod tests {
         let g = gen::uniform(150, 700, 5);
         let wg = gen::with_uniform_weights(&g, 1, 500, 6);
         let input = SsspInstance::new(wg, 0);
-        let base = Solver::new(DeltaSssp)
-            .with_config(RunConfig::new().with_delta(64))
-            .solve_checked(&input);
-        let rho = Solver::new(RhoSssp)
-            .with_config(RunConfig::new().with_rho(16))
-            .solve_checked(&input);
+        let base = DeltaSssp.solve_par(&input, &RunConfig::new().with_delta(64));
+        let rho = RhoSssp.solve_par(&input, &RunConfig::new().with_rho(16));
+        assert_eq!(base.output, DeltaSssp.solve_seq(&input));
         assert_eq!(base.output, rho.output);
     }
 }

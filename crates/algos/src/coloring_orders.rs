@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::api::{Coloring, GraphPriorityInstance};
     use crate::coloring::is_proper_coloring;
-    use phase_parallel::{PhaseAlgorithm, Solver};
+    use phase_parallel::{PhaseAlgorithm, RunConfig};
     use pp_graph::gen;
 
     #[test]
@@ -146,7 +146,8 @@ mod tests {
             assert!(sorted.iter().enumerate().all(|(i, &p)| p == i as u32));
             // Par and seq agree under every heuristic.
             inst.priority = pri;
-            let c = Solver::new(Coloring).solve_checked(&inst).output;
+            let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+            assert_eq!(c, Coloring.solve_seq(&inst));
             assert!(is_proper_coloring(&inst.graph, &c));
         }
     }

@@ -10,7 +10,7 @@
 //! | [`knapsack`] | unlimited knapsack | §4.2 | 1 |
 //! | [`huffman`] | Huffman tree construction | §4.3, §6.2 | 1 (relaxed rank) |
 //! | [`sssp`] | SSSP: Dijkstra, Bellman-Ford, Δ-stepping (Δ = w*) | §4.3, §6.3 | 1 (relaxed rank) |
-//! | [`lis`] | longest increasing subsequence (prefix-minima rounds); weighted LIS (Algorithm 3) | §5.2, §6.4 | 1; weighted 2 |
+//! | [`lis`] | longest increasing subsequence (prefix-minima rounds); weighted LIS in k rounds; Algorithm 3 (the Table 2 wake-up instrument) | §5.2, §6.4 | 1; Algorithm 3: 2 |
 //! | [`mis`] | greedy maximal independent set via TAS trees | §5.3 | 2 |
 //! | [`coloring`] | greedy (Jones–Plassmann) coloring via TAS trees | §5.3 | 2 |
 //! | [`matching`] | greedy maximal matching | §5.3 | 2 |
@@ -37,9 +37,11 @@
 //! [`phase_parallel::Scratch`] workspace. Because nothing borrows,
 //! [`serving::SharedPrepared`] keeps an input and its prepared instance
 //! side by side behind one `Arc` without any `unsafe`. Each family's
-//! [`api`] impl is its public parallel entry; for the families that
-//! prepare something (SSSP, MIS, coloring, matching) its `solve_par` is
-//! `prepare` plus one `solve_prepared` query.
+//! [`api`] impl is its one public parallel entry. Twelve families
+//! prepare something (SSSP, MIS, coloring, matching, `lis/weighted`,
+//! `activity/type1`, `activity/type2`, `huffman`, `chain3d`, `chain4d`,
+//! `whac/2d` and `random-perm`); for them `solve_par` is `prepare` plus
+//! one `solve_prepared` query.
 //!
 //! ```
 //! use pp_algos::lis::{lis_seq, lis_weighted_par};
@@ -75,7 +77,7 @@
 //!
 //! // The same entry on an adversarial workload, fully string-keyed:
 //! let case = CaseSpec::new(500, 7).with_scenario_key("seq/adversarial-chain").unwrap();
-//! assert!(registry::run_named("lis", &case, &RunConfig::seeded(7)).unwrap().agrees());
+//! assert!(entry.run_case(&case, &RunConfig::seeded(7)).unwrap().agrees());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -97,7 +99,7 @@ pub mod sssp;
 pub mod whac;
 
 pub use phase_parallel::{
-    ExecutionStats, PhaseAlgorithm, PivotMode, PrioritySource, Report, RunConfig, Solver,
+    ExecutionStats, PhaseAlgorithm, PivotMode, PrioritySource, Report, RunConfig,
 };
 
 /// Tests of [`chain`] at `D = 3`, under the registry name it backs.

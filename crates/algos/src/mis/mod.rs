@@ -61,7 +61,7 @@ pub fn is_maximal_independent(g: &Graph, set: &[bool]) -> bool {
 mod tests {
     use super::*;
     use crate::api::{GraphPriorityInstance, GreedyMis};
-    use phase_parallel::{PhaseAlgorithm, RunConfig, Solver};
+    use phase_parallel::{PhaseAlgorithm, RunConfig};
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
@@ -97,7 +97,8 @@ mod tests {
     fn edgeless_graph_selects_everything() {
         let g = pp_graph::GraphBuilder::new(50).build();
         let inst = GraphPriorityInstance::new(g, random_priorities(50, 1));
-        let a = Solver::new(GreedyMis).solve_checked(&inst).output;
+        let a = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+        assert_eq!(a, GreedyMis.solve_seq(&inst));
         assert!(a.iter().all(|&x| x));
     }
 

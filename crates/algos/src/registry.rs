@@ -3,12 +3,13 @@
 //! reachable behind one uniform, type-erased interface.
 //!
 //! Bench binaries, CLIs, conformance suites and the serving tier
-//! dispatch any algorithm by name without knowing its input type: each
-//! [`AlgorithmEntry`] pairs a deterministic instance generator (driven
-//! by a [`CaseSpec`]) with the family's typed [`crate::api`]
-//! implementation, and reports results as output digests (FNV-1a over
-//! the canonical output encoding — order-sensitive, so outputs must be
-//! deterministic) plus the unified [`ExecutionStats`].
+//! dispatch any algorithm by name ([`lookup`]) without knowing its
+//! input type: each [`AlgorithmEntry`] pairs a deterministic instance
+//! generator (driven by a [`CaseSpec`]) with the family's typed
+//! [`crate::api`] implementation, and reports results as output
+//! digests (FNV-1a over the canonical output encoding —
+//! order-sensitive, so outputs must be deterministic) plus the unified
+//! [`ExecutionStats`].
 //!
 //! An entry's one type-erased runner generates and prepares the
 //! instance as a [`SharedPrepared`]
@@ -32,9 +33,9 @@
 //! materialize the scenario's graph, sequence entries map the
 //! scenario's structured draws into their own value space. Without a
 //! scenario the entry's default uniform generator runs. The runners
-//! above and [`run_named`] validate first
-//! ([`AlgorithmEntry::validate_case`]): unknown keys, kind mismatches
-//! and out-of-range sources come back as [`RegistryError`]s.
+//! above validate first ([`AlgorithmEntry::validate_case`]): unknown
+//! scenario keys, kind mismatches and out-of-range sources come back as
+//! [`RegistryError`]s.
 //!
 //! ```
 //! use phase_parallel::RunConfig;
@@ -407,33 +408,6 @@ impl AlgorithmEntry {
     pub fn prepare_shared(&self, case: &CaseSpec, cfg: &RunConfig) -> SharedPrepared {
         (self.prepare)(case, cfg)
     }
-}
-
-/// Run one case through the entry named `name` — the fully string-keyed
-/// entry point (entry key + optional scenario key via
-/// [`CaseSpec::with_scenario_key`]). Unknown entries, unknown scenario
-/// keys, and entry/scenario mismatches all come back as
-/// [`RegistryError`]s.
-pub fn run_named(
-    name: &str,
-    case: &CaseSpec,
-    cfg: &RunConfig,
-) -> Result<CaseOutcome, RegistryError> {
-    lookup(name)
-        .ok_or_else(|| RegistryError::UnknownEntry(name.to_string()))?
-        .run_case(case, cfg)
-}
-
-/// Batched counterpart of [`run_named`].
-pub fn run_named_batch(
-    name: &str,
-    case: &CaseSpec,
-    queries: &[RunConfig],
-    cfg: &RunConfig,
-) -> Result<Vec<CaseOutcome>, RegistryError> {
-    lookup(name)
-        .ok_or_else(|| RegistryError::UnknownEntry(name.to_string()))?
-        .run_batch(case, queries, cfg)
 }
 
 /// Every registered algorithm. Names are stable; new families append.
@@ -1052,6 +1026,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn matching_round_contract_on_every_graph_scenario() {
+        // An edge leaves the live set in the round its greedy fate is
+        // fixed: a matched edge one round after every adjacent earlier
+        // edge has left, an unmatched edge in the round its first
+        // endpoint is matched. One scan in priority order finds both.
+        let cfg = RunConfig::seeded(4);
+        let mut scratch = Scratch::new();
+        let entry = lookup("matching").unwrap();
+        for scenario in entry.scenarios() {
+            for size in [300, 2000] {
+                let case = CaseSpec::new(size, 4).with_scenario(scenario);
+                let key = scenario.key();
+                let inst = gen_edge_priorities(&case, &cfg);
+                let edges = matching::edge_list(&inst.graph);
+                let mut order: Vec<usize> = (0..edges.len()).collect();
+                order.sort_unstable_by_key(|&e| inst.priority[e]);
+                let n = inst.graph.num_vertices();
+                let (mut left, mut matched_in) = (vec![0; n], vec![0; n]);
+                let mut per_round = Vec::new();
+                for e in order {
+                    let (u, v) = (edges[e].0 as usize, edges[e].1 as usize);
+                    let d = match (matched_in[u], matched_in[v]) {
+                        (0, 0) => {
+                            let d = 1 + left[u].max(left[v]);
+                            (matched_in[u], matched_in[v]) = (d, d);
+                            per_round.resize(per_round.len().max(d), 0);
+                            per_round[d - 1] += 1;
+                            d
+                        }
+                        (0, d) | (d, 0) => d,
+                        (du, dv) => du.min(dv),
+                    };
+                    (left[u], left[v]) = (left[u].max(d), left[v].max(d));
+                }
+                let shared = entry.prepare_shared(&case, &cfg);
+                let served = shared.query(&mut scratch, &cfg);
+                assert_eq!(served.digest, shared.seq_digest(), "{key}, n = {size}");
+                assert_eq!(served.stats.rounds, per_round.len(), "{key}, n = {size}");
+                assert_eq!(served.stats.frontier_sizes, per_round, "{key}, n = {size}");
+            }
+        }
+    }
+
     /// Rounds, wake-up attempts and failed wake-ups of the Type 2 chain
     /// entries at size 300, seed 4. They are fixed by the seed (the same
     /// at any pool width), so a change to the dominance trees' pivot
@@ -1193,21 +1211,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_entry_key_is_an_error() {
-        let err = run_named("nope", &CaseSpec::new(10, 1), &RunConfig::seeded(1)).unwrap_err();
-        assert!(matches!(err, RegistryError::UnknownEntry(ref k) if k == "nope"));
-        assert!(err.to_string().contains("nope"));
-        let err = run_named_batch(
-            "sssp/nope",
-            &CaseSpec::new(10, 1),
-            &[],
-            &RunConfig::seeded(1),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RegistryError::UnknownEntry(_)));
-    }
-
-    #[test]
     fn unknown_scenario_key_is_an_error() {
         let err = CaseSpec::new(10, 1)
             .with_scenario_key("graph/nope")
@@ -1251,19 +1254,59 @@ mod tests {
     }
 
     #[test]
-    fn run_named_dispatches_with_scenarios() {
+    fn lookup_dispatches_with_scenarios() {
         let case = CaseSpec::new(70, 2)
             .with_scenario_key("graph/grid2d+w/unit")
             .unwrap();
-        let outcome = run_named("sssp/rho", &case, &RunConfig::seeded(2)).unwrap();
+        let entry = lookup("sssp/rho").unwrap();
+        let outcome = entry.run_case(&case, &RunConfig::seeded(2)).unwrap();
         assert!(outcome.agrees());
-        let outcomes = run_named_batch(
-            "sssp/rho",
-            &case,
-            &[RunConfig::seeded(1), RunConfig::seeded(2).with_source(5)],
-            &RunConfig::seeded(2),
-        )
-        .unwrap();
+        let outcomes = entry
+            .run_batch(
+                &case,
+                &[RunConfig::seeded(1), RunConfig::seeded(2).with_source(5)],
+                &RunConfig::seeded(2),
+            )
+            .unwrap();
         assert!(outcomes.iter().all(CaseOutcome::agrees));
+    }
+
+    #[test]
+    fn source_bound_is_the_size_floor() {
+        // Graph entries accept sources under `case.size.max(1)` and
+        // reject the floor itself; seq entries ignore the source. An
+        // SSSP query from another source than the instance's differs
+        // from `solve_seq`, so the accepted source is checked against
+        // the one-shot reference of `run_batch`.
+        for size in [0, 1, 40] {
+            let (case, floor) = (CaseSpec::new(size, 3), size.max(1));
+            let query = |source| RunConfig::seeded(3).with_source(source);
+            let (ok, bad) = (query(floor as u32 - 1), query(floor as u32));
+            for entry in registry() {
+                let name = entry.name();
+                assert_eq!(
+                    entry.validate_case(&case, &ok),
+                    Ok(()),
+                    "{name}, n = {size}"
+                );
+                assert!(entry.run_case(&case, &ok).is_ok(), "{name}, n = {size}");
+                let served = entry.run_batch(&case, std::slice::from_ref(&ok), &ok);
+                assert!(served.unwrap()[0].agrees(), "{name}, n = {size}");
+                if entry.scenario_kind() == ScenarioKind::Seq {
+                    for cfg in [&bad, &query(u32::MAX)] {
+                        assert_eq!(entry.validate_case(&case, cfg), Ok(()), "{name}");
+                    }
+                    continue;
+                }
+                let want = Err(RegistryError::SourceOutOfRange {
+                    entry: name,
+                    source: floor as u32,
+                    vertices: floor,
+                });
+                assert_eq!(entry.validate_case(&case, &bad), want, "{name}, n = {size}");
+                let outcome = entry.run_case(&case, &bad).map(|_| ());
+                assert_eq!(outcome, want, "{name}, n = {size}");
+            }
+        }
     }
 }

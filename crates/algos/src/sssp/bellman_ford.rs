@@ -113,7 +113,7 @@ mod tests {
     use super::super::dijkstra;
     use super::*;
     use crate::api::{BellmanFordSssp, SsspInstance};
-    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Solver};
+    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Scratch};
     use pp_graph::GraphBuilder;
 
     #[test]
@@ -134,11 +134,14 @@ mod tests {
     fn pinned_policies_agree() {
         let g = pp_graph::gen::uniform(400, 1600, 2);
         let inst = SsspInstance::new(pp_graph::gen::with_uniform_weights(&g, 1, 50, 3), 0);
-        let solver = Solver::new(BellmanFordSssp);
-        let mut prepared = solver.prepare(&inst);
-        let pinned = |policy| RunConfig::new().with_frontier(policy);
-        let sparse = prepared.solve_with(&pinned(FrontierPolicy::Sparse));
-        let dense = prepared.solve_with(&pinned(FrontierPolicy::Dense));
+        let prepared = BellmanFordSssp.prepare(&inst);
+        let mut scratch = Scratch::new();
+        let mut pinned = |policy| {
+            let cfg = RunConfig::new().with_frontier(policy);
+            BellmanFordSssp.solve_prepared(&inst, &prepared, &mut scratch, &cfg)
+        };
+        let sparse = pinned(FrontierPolicy::Sparse);
+        let dense = pinned(FrontierPolicy::Dense);
         assert_eq!(sparse.output, dense.output);
         assert_eq!(sparse.output, dijkstra(&inst.graph, 0));
     }

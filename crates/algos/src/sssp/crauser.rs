@@ -156,7 +156,7 @@ mod tests {
     use super::super::dijkstra;
     use super::*;
     use crate::api::{CrauserSssp, DeltaSssp, SsspInstance};
-    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Solver};
+    use phase_parallel::{FrontierPolicy, PhaseAlgorithm, Scratch};
     use pp_graph::{gen, GraphBuilder};
 
     #[test]
@@ -176,14 +176,16 @@ mod tests {
     fn agrees_on_grid_and_rmat() {
         let g = gen::grid2d(18, 22);
         let inst = SsspInstance::new(gen::with_uniform_weights(&g, 3, 60, 2), 5);
-        // `solve_checked` asserts equality with Dijkstra from the
-        // instance's source.
-        let solver = Solver::new(CrauserSssp);
-        solver.solve_checked(&inst);
+        // `solve_seq` is Dijkstra from the instance's source.
+        let check = |inst: &SsspInstance| {
+            let report = CrauserSssp.solve_par(inst, &RunConfig::new());
+            assert_eq!(report.output, CrauserSssp.solve_seq(inst));
+        };
+        check(&inst);
 
         let g = gen::rmat(9, 4096, 11);
         let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 12), 0);
-        solver.solve_checked(&inst);
+        check(&inst);
     }
 
     #[test]
@@ -230,11 +232,14 @@ mod tests {
     fn pinned_policies_agree() {
         let g = gen::rmat(8, 2048, 6);
         let inst = SsspInstance::new(gen::with_uniform_weights(&g, 1, 1 << 12, 7), 0);
-        let solver = Solver::new(CrauserSssp);
-        let mut prepared = solver.prepare(&inst);
-        let pinned = |policy| RunConfig::new().with_frontier(policy);
-        let sparse = prepared.solve_with(&pinned(FrontierPolicy::Sparse));
-        let dense = prepared.solve_with(&pinned(FrontierPolicy::Dense));
+        let prepared = CrauserSssp.prepare(&inst);
+        let mut scratch = Scratch::new();
+        let mut pinned = |policy| {
+            let cfg = RunConfig::new().with_frontier(policy);
+            CrauserSssp.solve_prepared(&inst, &prepared, &mut scratch, &cfg)
+        };
+        let sparse = pinned(FrontierPolicy::Sparse);
+        let dense = pinned(FrontierPolicy::Dense);
         assert_eq!(sparse.output, dense.output);
         assert_eq!(sparse.output, dijkstra(&inst.graph, 0));
         assert_eq!(sparse.stats.rounds, dense.stats.rounds);

@@ -2,7 +2,8 @@
 //! figure and table reproduction, as sections of the `report` binary.
 //!
 //! A section is a list of rows. A row builds its input, times each run
-//! with `Row::time` (median and quartiles over `REPS` runs) and
+//! with `Row::time` (median and quartiles over `REPS` runs; two runs
+//! compared with each other alternate, `Row::time_alternating`) and
 //! pairs the sequential baseline's digest with each parallel run's
 //! (`Row::check`, `Row::par`). Rows print as flat JSON objects, one
 //! per line; a row whose pairs differ is a disagreement.
@@ -88,16 +89,35 @@ impl Row {
         let mut secs = [0.0; REPS];
         let mut last = None;
         for s in &mut secs {
-            let start = Instant::now();
-            let out = run();
-            *s = start.elapsed().as_secs_f64();
-            last = Some(out);
+            last = Some(timed(s, &mut run));
         }
-        secs.sort_by(f64::total_cmp);
-        let quartile = |q: usize| secs[(REPS - 1) * q / 4];
-        self.field(key, quartile(2))
-            .field(format!("{key}_p25"), quartile(1))
-            .field(format!("{key}_p75"), quartile(3));
+        for (k, v) in spread(key, secs) {
+            self.field(k, v);
+        }
+        last.expect("REPS > 0")
+    }
+
+    /// [`Row::time`] two runs in turn, `a b a b …`, so that a drift in
+    /// the machine's state (caches, clock, neighbours) lands on both
+    /// columns alike; return the last output of each.
+    pub fn time_alternating<A, B>(
+        &mut self,
+        key_a: &str,
+        mut a: impl FnMut() -> A,
+        key_b: &str,
+        mut b: impl FnMut() -> B,
+    ) -> (A, B) {
+        let (mut secs_a, mut secs_b) = ([0.0; REPS], [0.0; REPS]);
+        let mut last = None;
+        for (sa, sb) in secs_a.iter_mut().zip(&mut secs_b) {
+            last = Some((timed(sa, &mut a), timed(sb, &mut b)));
+        }
+        for (k, v) in spread(key_a, secs_a)
+            .into_iter()
+            .chain(spread(key_b, secs_b))
+        {
+            self.field(k, v);
+        }
         last.expect("REPS > 0")
     }
 
@@ -138,6 +158,26 @@ impl Row {
         self.field(format!("{name}_seq_digest"), format!("{seq:#018x}"))
             .field(format!("{name}_par_digest"), format!("{par:#018x}"))
     }
+}
+
+/// Run `run` once, storing its wall time in seconds in `secs`.
+fn timed<R>(secs: &mut f64, run: &mut impl FnMut() -> R) -> R {
+    let start = Instant::now();
+    let out = run();
+    *secs = start.elapsed().as_secs_f64();
+    out
+}
+
+/// The median of `secs` under `key` and its quartiles under `key_p25`
+/// and `key_p75`.
+fn spread(key: &str, mut secs: [f64; REPS]) -> [(String, f64); 3] {
+    secs.sort_by(f64::total_cmp);
+    let quartile = |q: usize| secs[(REPS - 1) * q / 4];
+    [
+        (key.into(), quartile(2)),
+        (format!("{key}_p25"), quartile(1)),
+        (format!("{key}_p75"), quartile(3)),
+    ]
 }
 
 impl Display for Row {

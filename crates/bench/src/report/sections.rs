@@ -10,7 +10,7 @@ use pp_algos::huffman::{build_par, build_seq, HuffmanTree};
 use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{lis_seq, lis_seq_with_dp, lis_weighted_par, patterns};
 use pp_algos::registry::{registry, CaseSpec, Digest};
-use pp_algos::{mis::mis_seq, sssp, Solver};
+use pp_algos::{mis::mis_seq, sssp};
 use pp_graph::gen;
 use pp_model::{mis_sim::mis_tas_sim, phase};
 use pp_parlay::rng::{bounded, hash64, Rng};
@@ -20,6 +20,8 @@ use rayon::prelude::*;
 /// The 1-thread ledger: every registry entry at two sizes (seed 7).
 /// `prepare_s` includes generating the instance; `seq_s` (`solve_seq`)
 /// and `query_s` (a prepared query) include digesting the output.
+/// `query_s` and `one_shot_s` run alternately, so a no-prepare family's
+/// two columns, which run the same code, read alike.
 pub fn ledger(s: Sizing, emit: &mut dyn FnMut(&Row)) {
     for entry in registry() {
         let slow = ["chain3d", "chain4d", "whac/2d"].contains(&entry.name());
@@ -30,8 +32,12 @@ pub fn ledger(s: Sizing, emit: &mut dyn FnMut(&Row)) {
                 let mut row = Row::new("ledger", entry.name());
                 let shared = row.time("prepare_s", || entry.prepare_shared(&case, &cfg));
                 let seq = row.time("seq_s", || shared.seq_digest());
-                let query = row.time("query_s", || shared.query(&mut scratch, &cfg));
-                let one_shot = row.time("one_shot_s", || shared.one_shot(&cfg));
+                let (query, one_shot) = row.time_alternating(
+                    "query_s",
+                    || shared.query(&mut scratch, &cfg),
+                    "one_shot_s",
+                    || shared.one_shot(&cfg),
+                );
                 let per_n = |v: usize| v as f64 / n.max(1) as f64;
                 row.check("query", seq, query.digest)
                     .check("one_shot", seq, one_shot.digest)
@@ -75,18 +81,19 @@ pub fn fig5(s: Sizing, emit: &mut dyn FnMut(&Row)) {
 pub fn fig6(s: Sizing, emit: &mut dyn FnMut(&Row)) {
     for (graph, log) in [("twitter-like", 16), ("friendster-like", 17)] {
         let base = gen::rmat(s.fixed(1 << log).ilog2(), s.n(1 << (log + 4)), 1);
-        let solver = Solver::new(DeltaSssp);
         for wlog in 17..=22u32 {
             let g = gen::with_uniform_weights(&base, 1 << wlog, 1 << 23, 5 + u64::from(wlog));
             let seq = sssp::dijkstra(&g, 0).digest();
             let (vertices, arcs) = (g.num_vertices(), g.num_edges());
             let instance = SsspInstance::new(g, 0);
-            let mut prepared = solver.prepare(&instance);
+            let (prepared, mut scratch) = (DeltaSssp.prepare(&instance), Scratch::new());
             let mut row = Row::new("fig6", graph);
             let key = |dlog: u32| format!("delta_2^{dlog}_s");
             for dlog in 16..=26u32 {
                 let cfg = RunConfig::new().with_delta(1 << dlog);
-                row.par(&key(dlog), seq, || prepared.solve_with(&cfg));
+                row.par(&key(dlog), seq, || {
+                    DeltaSssp.solve_prepared(&instance, &prepared, &mut scratch, &cfg)
+                });
             }
             let best = (16..=26)
                 .min_by(|&a, &b| row.median(&key(a)).total_cmp(&row.median(&key(b))))

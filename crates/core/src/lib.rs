@@ -24,8 +24,7 @@
 //! paper's experiments report (rounds, frontier sizes, wake-up
 //! attempts, and named per-algorithm counters); [`solver`] is the
 //! unified calling convention every algorithm family exposes:
-//! [`RunConfig`] in, [`Report`] out, via the [`PhaseAlgorithm`] trait
-//! and the [`Solver`] handle.
+//! [`RunConfig`] in, [`Report`] out, via the [`PhaseAlgorithm`] trait.
 //!
 //! ```
 //! use phase_parallel::TasTree;
@@ -56,10 +55,7 @@ pub use frontier::{Frontier, FrontierPolicy};
 pub use rank::{IndependenceSystem, RankFn};
 pub use reservations::{speculative_for, ReservationProblem, ReservationTable};
 pub use scratch::{Scratch, ScratchLease};
-pub use solver::{
-    BatchReport, PhaseAlgorithm, PivotMode, PreparedSolver, PrioritySource, Report, RunConfig,
-    Solver,
-};
+pub use solver::{PhaseAlgorithm, PivotMode, PrioritySource, Report, RunConfig};
 pub use stats::ExecutionStats;
 pub use tas_tree::{TasForest, TasTree};
 pub use type1::{run_type1, Type1Problem};

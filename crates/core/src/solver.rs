@@ -1,5 +1,5 @@
 //! The unified solver API: [`RunConfig`] / [`Report`] /
-//! [`PhaseAlgorithm`] / [`Solver`].
+//! [`PhaseAlgorithm`].
 //!
 //! The paper presents *one* framework — rank-based phase-parallel
 //! execution with Type 1 (frontier extraction) and Type 2 (pivot
@@ -18,13 +18,10 @@
 //!   agree with (the paper's correctness yardstick), `solve_par` the
 //!   one-shot phase-parallel run — and, for repeated traffic, `prepare`
 //!   builds the family's amortizable instance structure once so that
-//!   `solve_prepared` can serve many queries against it.
-//! * [`Solver`] binds an algorithm to a configuration, for callers that
-//!   want a reusable handle (benches, services, the conformance suite);
-//!   [`Solver::prepare`] upgrades it to a [`PreparedSolver`] that
-//!   answers point queries and whole batches ([`PreparedSolver::solve_batch`])
-//!   against one prepared instance, recycling per-query buffers through
-//!   a [`Scratch`] workspace.
+//!   `solve_prepared` can serve many queries against it, recycling
+//!   per-query buffers through a [`Scratch`] workspace. A family's impl
+//!   is its one typed entry point; the registry type-erases it for
+//!   string-keyed and served callers.
 //!
 //! The prepare/query split is the paper's cost structure made explicit:
 //! building the dependence structure (CSR mirrors, tournament trees,
@@ -104,8 +101,8 @@ pub struct RunConfig {
     /// `RAYON_NUM_THREADS`); `Some(t)` asks for a dedicated `t`-thread
     /// pool — and since the rayon shim became a real fork-join pool,
     /// `t` is the *actual* worker count parallel regions fan out
-    /// across, not a label. Applied by [`Solver::solve`] and the
-    /// registry's `run_case` (via [`RunConfig::install`]); an impl's
+    /// across, not a label. Honoured only through [`RunConfig::install`]
+    /// (the registry's runners and the report call it); an impl's
     /// `solve_par` called directly runs on the ambient pool regardless.
     pub threads: Option<usize>,
     /// Δ-stepping bucket width. `None` lets SSSP default to Δ = w* (the
@@ -238,41 +235,20 @@ impl RunConfig {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Build the dedicated pool this configuration asks for, if any.
-    fn build_pool(&self) -> Option<rayon::ThreadPool> {
-        self.threads.map(|t| {
-            rayon::ThreadPoolBuilder::new()
+    /// Run `f` under this configuration's thread budget: inside a
+    /// dedicated pool when [`RunConfig::threads`] is set, directly
+    /// otherwise. Builds a fresh pool per call, so a caller running many
+    /// queries at one thread count wraps the whole loop in one `install`.
+    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
+        match self.threads {
+            Some(t) => rayon::ThreadPoolBuilder::new()
                 .num_threads(t)
                 .build()
                 .expect("thread pool")
-        })
-    }
-
-    /// Run `f` under this configuration's thread budget: inside a
-    /// dedicated pool when [`RunConfig::threads`] is set, directly
-    /// otherwise. Builds a fresh pool per call — for repeated solves,
-    /// hold a [`Solver`], which caches the pool.
-    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        match self.build_pool() {
-            Some(pool) => pool.install(f),
+                .install(f),
             None => f(),
         }
     }
-}
-
-/// Record the scheduler-activity delta a run produced into its stats,
-/// under the `sched_*` counter names. CI runs on one core, where
-/// speedups are unobservable — these counters are how the scheduler's
-/// *behavior* (lock traffic per task, steal balance, parking) stays
-/// assertable anyway. The snapshot pair must be taken inside the same
-/// pool `install` as the run, so the deltas come from the pool that
-/// actually executed it.
-fn record_sched_counters(stats: &mut ExecutionStats, delta: rayon::SchedulerCounters) {
-    stats.set_counter("sched_queue_locks", delta.queue_locks);
-    stats.set_counter("sched_steals", delta.steals);
-    stats.set_counter("sched_parks", delta.parks);
-    stats.set_counter("sched_injector_pushes", delta.injector_pushes);
-    stats.set_counter("sched_jobs", delta.jobs_executed);
 }
 
 /// The result of a phase-parallel run: the algorithm's output plus the
@@ -326,10 +302,6 @@ impl<T> Report<T> {
             stats: self.stats,
             outcome: self.outcome,
         }
-    }
-
-    pub fn into_parts(self) -> (T, ExecutionStats) {
-        (self.output, self.stats)
     }
 }
 
@@ -411,7 +383,7 @@ pub trait PhaseAlgorithm {
 /// Use inside the `impl PhaseAlgorithm for …` block.
 ///
 /// ```
-/// use phase_parallel::{PhaseAlgorithm, Report, RunConfig, Solver};
+/// use phase_parallel::{PhaseAlgorithm, Report, RunConfig, Scratch};
 ///
 /// struct Doubler;
 /// impl PhaseAlgorithm for Doubler {
@@ -427,9 +399,10 @@ pub trait PhaseAlgorithm {
 ///     }
 /// }
 ///
-/// let solver = Solver::new(Doubler);
-/// let mut prepared = solver.prepare(&[1, 2, 3]);
-/// assert_eq!(prepared.solve().output, vec![2, 4, 6]);
+/// let input = [1, 2, 3];
+/// let prepared = &Doubler.prepare(&input);
+/// let report = Doubler.solve_prepared(&input, prepared, &mut Scratch::new(), &RunConfig::new());
+/// assert_eq!(report.output, vec![2, 4, 6]);
 /// ```
 #[macro_export]
 macro_rules! impl_no_prepare {
@@ -450,413 +423,9 @@ macro_rules! impl_no_prepare {
     };
 }
 
-/// An algorithm bound to a configuration: the reusable handle that
-/// benches, CLIs and service layers drive.
-///
-/// ```
-/// use phase_parallel::{PhaseAlgorithm, Report, RunConfig, Solver};
-///
-/// struct Doubler;
-/// impl PhaseAlgorithm for Doubler {
-///     type Input = [u64];
-///     type Output = Vec<u64>;
-///     phase_parallel::impl_no_prepare!();
-///     fn name(&self) -> &'static str { "doubler" }
-///     fn solve_seq(&self, input: &[u64]) -> Vec<u64> {
-///         input.iter().map(|x| x * 2).collect()
-///     }
-///     fn solve_par(&self, input: &[u64], _cfg: &RunConfig) -> Report<Vec<u64>> {
-///         Report::plain(self.solve_seq(input))
-///     }
-/// }
-///
-/// let solver = Solver::new(Doubler).with_config(RunConfig::seeded(9));
-/// let report = solver.solve(&[1, 2, 3]);
-/// assert_eq!(report.output, vec![2, 4, 6]);
-/// assert_eq!(solver.solve_seq(&[5]), vec![10]);
-/// ```
-pub struct Solver<A: PhaseAlgorithm> {
-    algo: A,
-    cfg: RunConfig,
-    /// Built once from `cfg.threads` so repeated solves reuse it;
-    /// rebuilt only when the thread count actually changes.
-    pool: Option<rayon::ThreadPool>,
-    /// Number of dedicated pools built over this solver's lifetime
-    /// (diagnostics; lets tests pin down that reconfiguration without a
-    /// thread-count change does not thrash the pool). Building a pool
-    /// spawns real worker threads now, so avoiding a rebuild saves
-    /// actual OS work — this counter is the regression tripwire for
-    /// that caching.
-    pool_builds: u32,
-}
-
-impl<A: PhaseAlgorithm> Solver<A> {
-    /// Bind `algo` to the default configuration.
-    pub fn new(algo: A) -> Self {
-        Self {
-            algo,
-            cfg: RunConfig::default(),
-            pool: None,
-            pool_builds: 0,
-        }
-    }
-
-    /// Replace the configuration. The dedicated thread pool is rebuilt
-    /// only if [`RunConfig::threads`] actually changed.
-    pub fn with_config(mut self, cfg: RunConfig) -> Self {
-        if cfg.threads != self.cfg.threads {
-            self.pool = cfg.build_pool();
-            self.pool_builds += u32::from(self.pool.is_some());
-        }
-        self.cfg = cfg;
-        self
-    }
-
-    /// Edit the configuration in place via the builder methods.
-    pub fn configure(self, f: impl FnOnce(RunConfig) -> RunConfig) -> Self {
-        let cfg = f(self.cfg.clone());
-        self.with_config(cfg)
-    }
-
-    pub fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
-    /// How many dedicated pools this solver has built (diagnostics).
-    /// Each build spawns `threads` OS workers, so repeated solves must
-    /// reuse the cached pool; `with_config` rebuilds only on an actual
-    /// thread-count change, and this counter proves it.
-    pub fn pool_builds(&self) -> u32 {
-        self.pool_builds
-    }
-
-    pub fn algorithm(&self) -> &A {
-        &self.algo
-    }
-
-    /// Phase-parallel run under the bound configuration (inside the
-    /// cached dedicated pool when `threads` is set).
-    pub fn solve(&self, input: &A::Input) -> Report<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Output: Send,
-    {
-        self.solve_with(input, &self.cfg)
-    }
-
-    /// Phase-parallel run under a per-call configuration, still inside
-    /// this solver's cached pool — the one-shot counterpart of
-    /// [`PreparedSolver::solve_with`] (the per-call config's `threads`
-    /// field does not re-pool; set threads on the solver).
-    pub fn solve_with(&self, input: &A::Input, cfg: &RunConfig) -> Report<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Output: Send,
-    {
-        let algo = &self.algo;
-        let run = || {
-            let before = rayon::scheduler_counters();
-            let mut report = algo.solve_par(input, cfg);
-            let delta = rayon::scheduler_counters().since(&before);
-            record_sched_counters(&mut report.stats, delta);
-            report
-        };
-        match &self.pool {
-            Some(pool) => pool.install(run),
-            None => run(),
-        }
-    }
-
-    /// Build the amortized instance for `input` and return a handle
-    /// that serves repeated queries against it. The handle borrows this
-    /// solver (configuration + cached pool) and the input.
-    pub fn prepare<'s, 'i>(&'s self, input: &'i A::Input) -> PreparedSolver<'s, 'i, A> {
-        PreparedSolver {
-            solver: self,
-            input,
-            prepared: self.algo.prepare(input),
-            scratch: Scratch::new(),
-            batch_scratch: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The sequential baseline.
-    pub fn solve_seq(&self, input: &A::Input) -> A::Output {
-        self.algo.solve_seq(input)
-    }
-
-    /// Run both executions and assert sequential equivalence; returns
-    /// the parallel report. Used by tests and sanity harnesses.
-    pub fn solve_checked(&self, input: &A::Input) -> Report<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Output: Send + PartialEq + std::fmt::Debug,
-    {
-        let report = self.solve(input);
-        let baseline = self.solve_seq(input);
-        assert_eq!(
-            report.output,
-            baseline,
-            "{}: parallel output diverged from the sequential baseline",
-            self.algo.name()
-        );
-        report
-    }
-}
-
-/// A [`Solver`] bound to one prepared instance: the handle a service
-/// holds to answer repeated queries against a fixed input. Created by
-/// [`Solver::prepare`].
-///
-/// Point queries ([`PreparedSolver::solve`], [`PreparedSolver::solve_with`])
-/// reuse one internal [`Scratch`] workspace, so their hot buffers are
-/// allocated once across the handle's lifetime. Batches
-/// ([`PreparedSolver::solve_batch`]) fan out across the solver's cached
-/// thread pool with one workspace per worker, drawn from (and returned
-/// to) a pool that persists across batches.
-pub struct PreparedSolver<'s, 'i, A: PhaseAlgorithm> {
-    solver: &'s Solver<A>,
-    input: &'i A::Input,
-    prepared: A::Prepared,
-    scratch: Scratch,
-    /// Worker workspaces parked between `solve_batch` calls, so batch
-    /// buffer reuse spans the handle's whole lifetime, not one batch.
-    batch_scratch: std::sync::Mutex<Vec<Scratch>>,
-}
-
-/// Hands a pooled [`Scratch`] to one batch worker and returns it to the
-/// pool when the worker's state is dropped (`map_init` drops each
-/// chunk's state when its chunk completes). Workers run on distinct
-/// threads, so checkout and return both go through the shared
-/// `Mutex` — the workspaces themselves are never aliased: each lives
-/// in exactly one chunk's state while checked out.
-struct PooledScratch<'p> {
-    scratch: Option<Scratch>,
-    pool: &'p std::sync::Mutex<Vec<Scratch>>,
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let (Some(scratch), Ok(mut pool)) = (self.scratch.take(), self.pool.lock()) {
-            pool.push(scratch);
-        }
-    }
-}
-
-impl<A: PhaseAlgorithm> PreparedSolver<'_, '_, A> {
-    /// The configuration queries run under by default.
-    pub fn config(&self) -> &RunConfig {
-        self.solver.config()
-    }
-
-    /// The internal workspace (diagnostics: buffer-reuse counters).
-    pub fn scratch(&self) -> &Scratch {
-        &self.scratch
-    }
-
-    /// One query under the solver's bound configuration.
-    pub fn solve(&mut self) -> Report<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Prepared: Sync,
-        A::Output: Send,
-    {
-        let solver = self.solver;
-        self.solve_with(&solver.cfg)
-    }
-
-    /// One query under a per-query configuration (seed, knobs, and —
-    /// for SSSP-style families — [`RunConfig::source`]). The query runs
-    /// inside the solver's cached pool; the per-query `threads` field
-    /// does not re-pool.
-    pub fn solve_with(&mut self, cfg: &RunConfig) -> Report<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Prepared: Sync,
-        A::Output: Send,
-    {
-        let solver = self.solver;
-        let algo = &solver.algo;
-        let (input, prepared, scratch) = (self.input, &self.prepared, &mut self.scratch);
-        let mut run = move || {
-            let before = rayon::scheduler_counters();
-            let mut report = algo.solve_prepared(input, prepared, scratch, cfg);
-            let delta = rayon::scheduler_counters().since(&before);
-            record_sched_counters(&mut report.stats, delta);
-            report
-        };
-        match &solver.pool {
-            Some(pool) => pool.install(run),
-            None => run(),
-        }
-    }
-
-    /// Answer a whole batch of queries against the prepared instance:
-    /// queries genuinely fan out across the solver's cached thread
-    /// pool (one [`Scratch`] per worker chunk, so the hot query path
-    /// touches no locks — only checkout/return do) and the per-query
-    /// reports come back, in query order, with an aggregated batch
-    /// summary. Worker workspaces come from a pool that persists
-    /// across `solve_batch` calls, so repeated batches on one handle
-    /// stay allocation-free in steady state.
-    pub fn solve_batch(&self, queries: &[RunConfig]) -> BatchReport<A::Output>
-    where
-        A: Sync,
-        A::Input: Sync,
-        A::Prepared: Sync,
-        A::Output: Send,
-    {
-        use rayon::prelude::*;
-        let solver = self.solver;
-        let algo = &solver.algo;
-        let (input, prepared) = (self.input, &self.prepared);
-        let pool = &self.batch_scratch;
-        let run = move || {
-            let before = rayon::scheduler_counters();
-            let reports = queries
-                .par_iter()
-                .map_init(
-                    || PooledScratch {
-                        scratch: Some(
-                            pool.lock()
-                                .map(|mut p| p.pop())
-                                .ok()
-                                .flatten()
-                                .unwrap_or_default(),
-                        ),
-                        pool,
-                    },
-                    |pooled, q| {
-                        let scratch = pooled.scratch.as_mut().expect("present until drop");
-                        algo.solve_prepared(input, prepared, scratch, q)
-                    },
-                )
-                .collect::<Vec<Report<A::Output>>>();
-            let delta = rayon::scheduler_counters().since(&before);
-            (reports, delta)
-        };
-        let (reports, delta) = match &solver.pool {
-            Some(thread_pool) => thread_pool.install(run),
-            None => run(),
-        };
-        let mut batch = BatchReport::from_reports(reports);
-        // Batch-level scheduler activity: measured across the whole
-        // fan-out (the per-query reports inside carry no `sched_*`
-        // counters of their own — `solve_prepared` is called directly
-        // here — so the aggregate is not double-counted by `merge`).
-        record_sched_counters(&mut batch.stats, delta);
-        batch
-    }
-
-    /// Number of worker workspaces currently parked between batches
-    /// (diagnostics).
-    pub fn pooled_scratches(&self) -> usize {
-        self.batch_scratch.lock().map(|p| p.len()).unwrap_or(0)
-    }
-}
-
-/// The result of a batched solve: every per-query [`Report`] plus one
-/// aggregated [`ExecutionStats`] (rounds and named counters summed,
-/// frontier sizes concatenated — see [`ExecutionStats::merge`]).
-#[derive(Clone, Debug)]
-pub struct BatchReport<T> {
-    /// Per-query reports, in query order.
-    pub reports: Vec<Report<T>>,
-    /// Batch-level summary statistics.
-    pub stats: ExecutionStats,
-}
-
-impl<T> BatchReport<T> {
-    /// Aggregate a batch from its per-query reports.
-    pub fn from_reports(reports: Vec<Report<T>>) -> Self {
-        let mut stats = ExecutionStats::default();
-        for r in &reports {
-            stats.merge(&r.stats);
-        }
-        Self { reports, stats }
-    }
-
-    /// Number of queries answered.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// True iff the batch was empty.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
-    /// Per-query outputs, in query order.
-    pub fn outputs(&self) -> impl Iterator<Item = &T> {
-        self.reports.iter().map(|r| &r.output)
-    }
-
-    /// Consume the batch into its outputs.
-    pub fn into_outputs(self) -> Vec<T> {
-        self.reports.into_iter().map(|r| r.output).collect()
-    }
-
-    /// Total rounds executed across the batch.
-    pub fn total_rounds(&self) -> usize {
-        self.stats.rounds
-    }
-
-    /// Largest frontier any query saw.
-    pub fn max_frontier(&self) -> usize {
-        self.stats.max_frontier()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct CountUp;
-
-    impl PhaseAlgorithm for CountUp {
-        type Input = [u32];
-        type Output = u64;
-        crate::impl_no_prepare!();
-        fn name(&self) -> &'static str {
-            "count-up"
-        }
-        fn solve_seq(&self, input: &[u32]) -> u64 {
-            input.iter().map(|&x| u64::from(x)).sum()
-        }
-        fn solve_par(&self, input: &[u32], cfg: &RunConfig) -> Report<u64> {
-            let mut stats = ExecutionStats::default();
-            stats.record_round(input.len());
-            stats.set_counter("seed_echo", cfg.seed);
-            Report::new(self.solve_seq(input), stats)
-        }
-    }
-
-    /// `CountUp` whose every query busy-waits for 80 us first.
-    struct SpinUp;
-
-    impl PhaseAlgorithm for SpinUp {
-        type Input = [u32];
-        type Output = u64;
-        crate::impl_no_prepare!();
-        fn name(&self) -> &'static str {
-            "spin-up"
-        }
-        fn solve_seq(&self, input: &[u32]) -> u64 {
-            CountUp.solve_seq(input)
-        }
-        fn solve_par(&self, input: &[u32], cfg: &RunConfig) -> Report<u64> {
-            let start = std::time::Instant::now();
-            while start.elapsed() < std::time::Duration::from_micros(80) {
-                std::hint::spin_loop();
-            }
-            CountUp.solve_par(input, cfg)
-        }
-    }
 
     #[test]
     fn builder_chains() {
@@ -875,103 +444,16 @@ mod tests {
     }
 
     #[test]
-    fn solver_runs_and_checks() {
-        let solver = Solver::new(CountUp).with_config(RunConfig::seeded(9));
-        let report = solver.solve_checked(&[1, 2, 3, 4]);
-        assert_eq!(report.output, 10);
-        assert_eq!(report.stats.counter("seed_echo"), Some(9));
-        assert_eq!(report.stats.rounds, 1);
-    }
-
-    #[test]
     fn threads_config_installs_pool() {
-        let solver = Solver::new(CountUp).configure(|c| c.with_threads(1));
-        assert_eq!(solver.solve(&[7, 8]).output, 15);
-    }
-
-    #[test]
-    fn pool_rebuilt_only_on_thread_change() {
-        let solver = Solver::new(CountUp);
-        assert_eq!(solver.pool_builds(), 0);
-        let solver = solver.configure(|c| c.with_threads(2));
-        assert_eq!(solver.pool_builds(), 1);
-        // Reconfiguring without touching `threads` must not re-pool.
-        let solver = solver.configure(|c| c.with_seed(9));
-        let cfg = solver.config().clone().with_delta(4);
-        let solver = solver.with_config(cfg);
-        assert_eq!(solver.pool_builds(), 1);
-        // Same thread count again: still cached.
-        let solver = solver.configure(|c| c.with_threads(2));
-        assert_eq!(solver.pool_builds(), 1);
-        // A real change rebuilds.
-        let solver = solver.configure(|c| c.with_threads(3));
-        assert_eq!(solver.pool_builds(), 2);
-        assert_eq!(solver.solve(&[1, 2]).output, 3);
-    }
-
-    #[test]
-    fn prepared_solver_point_and_batch() {
-        let solver = Solver::new(CountUp).with_config(RunConfig::seeded(4));
-        let input = [1u32, 2, 3];
-        let mut prepared = solver.prepare(&input);
-        let r = prepared.solve();
-        assert_eq!(r.output, 6);
-        assert_eq!(r.stats.counter("seed_echo"), Some(4));
-        let r = prepared.solve_with(&RunConfig::seeded(11));
-        assert_eq!(r.stats.counter("seed_echo"), Some(11));
-
-        let queries: Vec<RunConfig> = (0..5).map(RunConfig::seeded).collect();
-        let batch = prepared.solve_batch(&queries);
-        assert_eq!(batch.len(), 5);
-        assert!(batch.outputs().all(|&o| o == 6));
-        // Merged stats: one round of size 3 per query.
-        assert_eq!(batch.total_rounds(), 5);
-        assert_eq!(batch.max_frontier(), 3);
-        assert_eq!(batch.stats.processed(), 15);
-        assert_eq!(batch.into_outputs(), vec![6; 5]);
-
-        // Worker workspaces return to the pool and survive into the
-        // next batch (cross-batch buffer amortization).
-        assert!(prepared.pooled_scratches() >= 1);
-        let again = prepared.solve_batch(&queries);
-        assert_eq!(again.len(), 5);
-        assert!(prepared.pooled_scratches() >= 1, "workspaces must return");
-    }
-
-    #[test]
-    fn sched_counters_recorded_on_solve_and_batch() {
-        let solver = Solver::new(CountUp).configure(|c| c.with_threads(2));
-        let report = solver.solve(&[1, 2, 3]);
-        for name in [
-            "sched_queue_locks",
-            "sched_steals",
-            "sched_parks",
-            "sched_injector_pushes",
-            "sched_jobs",
-        ] {
-            assert!(
-                report.stats.counter(name).is_some(),
-                "solve must record {name}"
-            );
+        for t in [1, 2] {
+            let cfg = RunConfig::new().with_threads(t);
+            assert_eq!(cfg.install(rayon::current_num_threads), t);
         }
-
-        // Each query spins 4x the shim's 20 us inline budget, so the
-        // caller runs only the first query inline and publishes the
-        // other seven. Two workers plus the helping caller cannot each
-        // have run at most one of seven jobs, so some executor finished
-        // a job before the batch returned.
-        let spinner = Solver::new(SpinUp).configure(|c| c.with_threads(2));
-        let input = [1u32, 2, 3];
-        let prepared = spinner.prepare(&input);
-        let queries: Vec<RunConfig> = (0..8).map(RunConfig::seeded).collect();
-        let batch = prepared.solve_batch(&queries);
-        assert!(batch.outputs().all(|&o| o == 6));
-        assert!(
-            batch.stats.counter("sched_jobs").is_some_and(|j| j >= 1),
-            "a 2-thread batch fan-out must execute pool jobs"
+        let ambient = rayon::current_num_threads();
+        assert_eq!(
+            RunConfig::new().install(rayon::current_num_threads),
+            ambient
         );
-        assert!(batch.stats.counter("sched_steals").is_some());
-        assert!(batch.stats.counter("sched_parks").is_some());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Scratch-pool contract tests: the take/put protocol, typed-slot
 //! isolation, and — through a scratch-using toy algorithm — reuse
-//! growth across point queries and `solve_batch` calls. The module-level
+//! growth across prepared queries on one workspace. The module-level
 //! unit tests cover single calls; this suite exercises the pool the way
-//! prepared solvers actually drive it.
+//! `solve_prepared` drives it.
 
-use phase_parallel::{ExecutionStats, PhaseAlgorithm, Report, RunConfig, Scratch, Solver};
+use phase_parallel::{ExecutionStats, PhaseAlgorithm, Report, RunConfig, Scratch};
 
 // ---- take/put round-trips ----
 
@@ -69,11 +69,10 @@ fn mismatched_put_then_put_coexist() {
     assert_eq!(s.reuses(), 2);
 }
 
-// ---- reuse monotonicity through prepared solvers ----
+// ---- reuse monotonicity through prepared queries ----
 
 /// A toy family whose query path takes and puts one named buffer, and
-/// reports the workspace's reuse counter so batch workers' pools are
-/// observable from the outside.
+/// reports the workspace's take and reuse counters.
 struct SumWithScratch;
 
 impl PhaseAlgorithm for SumWithScratch {
@@ -111,58 +110,21 @@ impl PhaseAlgorithm for SumWithScratch {
 
 #[test]
 fn point_query_reuse_counter_is_monotone() {
-    let solver = Solver::new(SumWithScratch);
     let input: Vec<u64> = (0..100).collect();
-    let mut prepared = solver.prepare(&input[..]);
+    let prepared = &SumWithScratch.prepare(&input);
+    let (mut scratch, cfg) = (Scratch::new(), RunConfig::new());
     let mut last = 0;
     for i in 1..=6u64 {
-        let r = prepared.solve();
+        let r = SumWithScratch.solve_prepared(&input, prepared, &mut scratch, &cfg);
         assert_eq!(r.output, 4950);
-        let reuses = prepared.scratch().reuses();
+        let reuses = scratch.reuses();
         assert!(
             reuses >= last,
             "reuse counter went backwards: {reuses} < {last}"
         );
         last = reuses;
         // Every query after the first finds its buffer parked.
-        assert_eq!(prepared.scratch().takes(), i);
-        assert_eq!(reuses, i - 1);
-    }
-}
-
-#[test]
-fn batch_reuse_grows_across_solve_batch_calls() {
-    let solver = Solver::new(SumWithScratch);
-    let input: Vec<u64> = (0..50).collect();
-    let prepared = solver.prepare(&input[..]);
-    let queries: Vec<RunConfig> = (0..8).map(RunConfig::seeded).collect();
-
-    // Which pooled workspace a worker draws depends on the schedule, so
-    // only schedule-free facts are asserted: each workspace misses
-    // exactly once (on its first query, the only report with one take),
-    // fresh workspaces are the pool's only growth, and the pool never
-    // holds more than one workspace per query of a batch.
-    let mut pooled = 0;
-    for batch_no in 0..4 {
-        let batch = prepared.solve_batch(&queries);
-        assert!(batch.outputs().all(|&o| o == 1225));
-        let mut fresh = 0;
-        for report in &batch.reports {
-            let takes = report.stats.counter("scratch_takes").unwrap();
-            let reuses = report.stats.counter("scratch_reuses").unwrap();
-            assert_eq!(takes, reuses + 1, "a workspace misses only once");
-            fresh += usize::from(takes == 1);
-        }
-        assert_eq!(prepared.pooled_scratches(), pooled + fresh);
-        pooled = prepared.pooled_scratches();
-        assert!((1..=queries.len()).contains(&pooled), "pool size {pooled}");
-        // Later batches start from parked workspaces: each reuses at
-        // least one, so summed reuses grow batch over batch.
-        if batch_no > 0 {
-            assert!(
-                fresh < queries.len(),
-                "batch {batch_no} drew no parked workspace"
-            );
-        }
+        assert_eq!(r.stats.counter("scratch_takes"), Some(i));
+        assert_eq!(r.stats.counter("scratch_reuses"), Some(i - 1));
     }
 }

@@ -19,8 +19,7 @@
 //! slot and block on its condvar, then share the leader's instance.
 //! The `prepares` counter counts actual `prepare()` executions — the
 //! single-flight property test asserts it stays at 1 under a
-//! same-key stampede (the `pool_builds`-style diagnostic the ISSUE
-//! calls for).
+//! same-key stampede.
 //!
 //! Counters (hits / misses / coalesced / evictions / prepares) are
 //! monotone, lock-free to read, and exportable into the workspace's

@@ -82,8 +82,8 @@ proptest! {
 }
 
 /// The single-flight guarantee: a stampede of concurrent misses on one
-/// key executes `prepare()` exactly once — the `pool_builds`-style
-/// build counter proves the followers coalesced onto the leader's
+/// key executes `prepare()` exactly once — the `prepares` build
+/// counter proves the followers coalesced onto the leader's
 /// flight instead of preparing their own instance.
 #[test]
 fn concurrent_misses_prepare_exactly_once() {

@@ -181,3 +181,16 @@ fn reserving_a_trace_is_all_hits_and_deterministic() {
     );
     assert_eq!(again.counters.misses, first.counters.misses);
 }
+
+/// A tier for a key the registry does not hold fails to build, with a
+/// typed error naming the key.
+#[test]
+fn unknown_entry_key_is_an_error() {
+    for key in ["nope", "sssp/nope"] {
+        let err = ServingTier::new(key, ServeOptions::new(10, 1))
+            .err()
+            .unwrap();
+        assert!(matches!(err, registry::RegistryError::UnknownEntry(ref k) if k == key));
+        assert!(err.to_string().contains(key));
+    }
+}

@@ -27,26 +27,31 @@
 //!
 //! A scenario can also drive a typed family directly — here, preparing
 //! a grid road network once and serving a batch of per-source SSSP
-//! queries through `PreparedSolver::solve_batch` (from the
-//! `phase-parallel` core crate):
+//! queries against it, one `Scratch` workspace per worker:
 //!
 //! ```
-//! use phase_parallel::{RunConfig, Solver};
+//! use phase_parallel::{PhaseAlgorithm, RunConfig, Scratch};
 //! use pp_algos::api::{DeltaSssp, SsspInstance};
 //! use pp_workloads::ScenarioSpec;
+//! use rayon::prelude::*;
 //!
 //! let spec = ScenarioSpec::parse("graph/grid2d+w/uniform")?;
 //! let road = spec.weighted_graph(100, 7)?; // 10×10 grid, weights in [1, 1000]
 //! let n = road.num_vertices() as u32;
 //! let instance = SsspInstance::new(road, 0);
 //!
-//! let solver = Solver::new(DeltaSssp);
-//! let prepared = solver.prepare(&instance); // w*, min out-weights: built once
+//! let prepared = DeltaSssp.prepare(&instance); // w*, min out-weights: built once
 //! let queries: Vec<RunConfig> = (0..4u64)
 //!     .map(|i| RunConfig::seeded(i).with_source((i as u32 * 23) % n))
 //!     .collect();
-//! let batch = prepared.solve_batch(&queries); // scratch recycled across queries
-//! assert_eq!(batch.len(), 4);
+//! let distances: Vec<Vec<u64>> = queries
+//!     .par_iter()
+//!     .map_init(Scratch::new, |scratch, q| {
+//!         DeltaSssp.solve_prepared(&instance, &prepared, scratch, q).output
+//!     })
+//!     .collect();
+//! assert_eq!(distances.len(), 4);
+//! assert_eq!(distances[0][0], 0); // query 0 starts at vertex 0
 //! # Ok::<(), pp_workloads::ScenarioError>(())
 //! ```
 

@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release -p pp-algos --example register_allocation`
 
-use phase_parallel::Solver;
+use phase_parallel::{PhaseAlgorithm, RunConfig};
 use pp_algos::api::{Coloring, GraphPriorityInstance};
 use pp_algos::coloring::is_proper_coloring;
 use pp_algos::coloring_orders::{
@@ -124,10 +124,10 @@ fn main() {
         ),
     ];
     let mut instance = GraphPriorityInstance::new(g, Vec::new());
-    let solver = Solver::new(Coloring);
     for (name, priority) in orders {
         instance.priority = priority;
-        let colors = solver.solve_checked(&instance).output;
+        let colors = Coloring.solve_par(&instance, &RunConfig::new()).output;
+        assert_eq!(colors, Coloring.solve_seq(&instance), "{name}: diverged");
         assert!(
             is_proper_coloring(&instance.graph, &colors),
             "{name}: improper coloring"

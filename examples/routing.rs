@@ -8,17 +8,18 @@
 //! and sweeping Δ as a per-query knob.
 //!
 //! The closing section is the engine view: the road network is
-//! **prepared once** (`Solver::prepare`) and then serves a whole batch
-//! of per-source queries (`PreparedSolver::solve_batch`) with recycled
-//! scratch buffers — the calling convention a routing service uses.
+//! **prepared once** (`DeltaSssp.prepare`) and then serves a whole
+//! batch of per-source queries (`solve_prepared`, one scratch workspace
+//! per worker) — the calling convention a routing service uses.
 //!
 //! Run with: `cargo run --release -p pp-algos --example routing`
 
-use phase_parallel::Solver;
+use phase_parallel::{PhaseAlgorithm, Scratch};
 use pp_algos::api::{DeltaSssp, SsspInstance};
 use pp_algos::sssp::dijkstra;
 use pp_algos::RunConfig;
 use pp_workloads::{ScenarioSpec, WeightDist};
+use rayon::prelude::*;
 use std::time::Instant;
 
 fn run(name: &str, instance: &SsspInstance) {
@@ -34,15 +35,16 @@ fn run(name: &str, instance: &SsspInstance) {
     let base = dijkstra(g, 0);
     println!("  dijkstra (sequential): {:?}", t.elapsed());
 
-    let solver = Solver::new(DeltaSssp);
-    let mut prepared = solver.prepare(instance);
+    let prepared = DeltaSssp.prepare(instance);
+    let mut scratch = Scratch::new();
     for (label, delta) in [
         ("Δ = w*   (phase-parallel)", w_star),
         ("Δ = 4 w*", 4 * w_star),
         ("Δ = w_max (≈ Bellman-Ford)", w_max * 1024),
     ] {
         let t = Instant::now();
-        let report = prepared.solve_with(&RunConfig::new().with_delta(delta));
+        let cfg = RunConfig::new().with_delta(delta);
+        let report = DeltaSssp.solve_prepared(instance, &prepared, &mut scratch, &cfg);
         assert_eq!(report.output, base);
         println!(
             "  {label:28}: {:>10?}  buckets={:<6} substeps={:<6} relaxations={}",
@@ -90,30 +92,25 @@ fn main() {
     let queries: Vec<RunConfig> = (0..16u64)
         .map(|i| RunConfig::seeded(i).with_source((pp_parlay::hash64(9, i) % n as u64) as u32))
         .collect();
-    let solver = Solver::new(DeltaSssp);
+    let reach = |d: &[u64]| d.iter().filter(|&&x| x != u64::MAX).count();
 
     let t = Instant::now();
     let one_shot_reach: usize = queries
         .iter()
-        .map(|q| {
-            solver
-                .solve_with(&instance, q)
-                .output
-                .iter()
-                .filter(|&&d| d != u64::MAX)
-                .count()
-        })
+        .map(|q| reach(&DeltaSssp.solve_par(&instance, q).output))
         .sum();
     let one_shot_time = t.elapsed();
 
-    let prepared = solver.prepare(&instance);
+    let prepared = DeltaSssp.prepare(&instance);
     let t = Instant::now();
-    let batch = prepared.solve_batch(&queries);
+    let batch: Vec<_> = queries
+        .par_iter()
+        .map_init(Scratch::new, |scratch, q| {
+            DeltaSssp.solve_prepared(&instance, &prepared, scratch, q)
+        })
+        .collect();
     let batch_time = t.elapsed();
-    let batch_reach: usize = batch
-        .outputs()
-        .map(|d| d.iter().filter(|&&x| x != u64::MAX).count())
-        .sum();
+    let batch_reach: usize = batch.iter().map(|r| reach(&r.output)).sum();
     assert_eq!(one_shot_reach, batch_reach);
 
     println!(
@@ -122,8 +119,8 @@ fn main() {
     );
     println!("  one-shot solve_par per query : {one_shot_time:?}");
     println!(
-        "  prepare once + solve_batch   : {batch_time:?}  ({} total rounds, speedup {:.2}x)",
-        batch.total_rounds(),
+        "  prepare once + batch         : {batch_time:?}  ({} total rounds, speedup {:.2}x)",
+        batch.iter().map(|r| r.stats.rounds).sum::<usize>(),
         one_shot_time.as_secs_f64() / batch_time.as_secs_f64()
     );
 }

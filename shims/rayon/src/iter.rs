@@ -769,7 +769,7 @@ where
 
 /// `map_init` producer: `init` runs once per chunk, the mapper borrows
 /// the chunk-local state for every item — the worker-local-state shape
-/// `PreparedSolver::solve_batch` uses for its scratch workspaces.
+/// a batch of prepared queries uses for its scratch workspaces.
 pub struct MapInitProducer<P, INIT, F> {
     base: P,
     init: INIT,

@@ -11,7 +11,7 @@ use pp_algos::knapsack::{max_value_seq, Item};
 use pp_algos::lis::{self, PivotMode};
 use pp_algos::mis;
 use pp_algos::sssp;
-use pp_algos::{PhaseAlgorithm, RunConfig, Solver};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_graph::{gen, GraphBuilder};
 use pp_parlay::shuffle::random_priorities;
 
@@ -51,7 +51,8 @@ fn mis_priority_chain_worst_case() {
     }
     let pri: Vec<u32> = (0..n as u32).rev().collect();
     let inst = GraphPriorityInstance::new(b.build(), pri);
-    let set = Solver::new(GreedyMis).solve_checked(&inst).output;
+    let set = GreedyMis.solve_par(&inst, &RunConfig::new()).output;
+    assert_eq!(set, GreedyMis.solve_seq(&inst));
     // Greedy with decreasing priorities selects every even vertex.
     assert!(set.iter().step_by(2).all(|&x| x));
     assert!(!set.iter().skip(1).step_by(2).any(|&x| x));

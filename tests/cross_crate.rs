@@ -17,7 +17,7 @@ use pp_algos::matching;
 use pp_algos::mis;
 use pp_algos::sssp;
 use pp_algos::whac::{rotated_v_sequence, whac_seq, Mole};
-use pp_algos::{PhaseAlgorithm, RunConfig, Solver};
+use pp_algos::{PhaseAlgorithm, RunConfig};
 use pp_graph::gen;
 use pp_parlay::rng::Rng;
 use pp_parlay::shuffle::random_priorities;
@@ -222,7 +222,8 @@ fn weighted_lis_and_coloring_orders_end_to_end() {
     for pri in orders {
         inst.priority = pri;
         let g = &inst.graph;
-        let c = Solver::new(Coloring).solve_checked(&inst).output;
+        let c = Coloring.solve_par(&inst, &RunConfig::new()).output;
+        assert_eq!(c, Coloring.solve_seq(&inst));
         assert!(is_proper_coloring(g, &c));
         assert!(num_colors(&c) <= g.max_degree() as u32 + 1);
     }
@@ -288,9 +289,10 @@ fn reservations_framework_end_to_end() {
     let g = gen::rmat(10, 8192, 12);
     let pri = matching::random_edge_priorities(&g, 13);
     let inst = GraphPriorityInstance::new(g, pri);
-    let mask = Solver::new(MatchingReservations)
-        .solve_checked(&inst)
+    let mask = MatchingReservations
+        .solve_par(&inst, &RunConfig::new())
         .output;
+    assert_eq!(mask, MatchingReservations.solve_seq(&inst));
     assert!(matching::is_maximal_matching(&inst.graph, &mask));
 }
 

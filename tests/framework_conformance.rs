@@ -299,7 +299,7 @@ fn scenario_matrix_weight_distributions() {
 }
 
 /// String-keyed dispatch end to end: entry key + scenario key, via
-/// `run_named`, for a representative of each kind.
+/// `lookup`, for a representative of each kind.
 #[test]
 fn scenario_matrix_by_string_keys() {
     for (entry_key, scenario_key) in [
@@ -311,7 +311,8 @@ fn scenario_matrix_by_string_keys() {
         let case = CaseSpec::new(100, 11)
             .with_scenario_key(scenario_key)
             .unwrap();
-        let outcome = registry::run_named(entry_key, &case, &RunConfig::seeded(11)).unwrap();
+        let entry = registry::lookup(entry_key).unwrap();
+        let outcome = entry.run_case(&case, &RunConfig::seeded(11)).unwrap();
         assert!(outcome.agrees(), "{entry_key} on {scenario_key}");
     }
     // An adversarial chain drives LIS to its worst-case rank: the
@@ -319,7 +320,8 @@ fn scenario_matrix_by_string_keys() {
     use pp_algos::registry::Digest;
     let chain = ScenarioSpec::parse("seq/adversarial-chain").unwrap();
     let case = CaseSpec::new(64, 1).with_scenario(chain);
-    let outcome = registry::run_named("lis", &case, &RunConfig::seeded(1)).unwrap();
+    let lis = registry::lookup("lis").unwrap();
+    let outcome = lis.run_case(&case, &RunConfig::seeded(1)).unwrap();
     assert_eq!(outcome.expected_digest, 64u32.digest());
 }
 
