@@ -20,11 +20,15 @@
 //! local weight structure, settling strictly more vertices per round than
 //! Δ-stepping's first substep whenever weights are non-uniform.
 //!
-//! The implementation is round-synchronous and work-efficient in the same
-//! sense as Dijkstra: each vertex settles exactly once and each edge is
-//! relaxed exactly once (plus an `O(active)` scan per round). The active
-//! set lives in the [`Frontier`] engine (threshold scan, batch
-//! extraction and compaction run against its stamps — no per-round list
+//! The implementation is round-synchronous: each vertex settles exactly
+//! once and each edge is relaxed exactly once, but every round also
+//! scans the whole active set twice (`min_map` for the threshold, then
+//! `extract_retain`), so it is **not** work-efficient. Total scan work
+//! is Σ|active| over the rounds, which measured 53–164 × n on the
+//! default scenario (7–20× the edge work) and grows with n; ROADMAP
+//! item 3 plans the tournament tree that removes it. The active set
+//! lives in the [`Frontier`] engine (threshold scan, batch extraction
+//! and compaction run against its stamps — no per-round list
 //! reallocations) and settled batches relax in edge-balanced packets.
 
 use super::INF;

@@ -1,4 +1,5 @@
-//! The paper [`report`] and the helpers the CI smoke gates share.
+//! The paper [`report`]: the 1-thread ledger and every figure and table
+//! as JSON rows, each checked against its sequential baseline.
 //! `PP_SCALE` (default 1) multiplies input sizes, `PP_SMOKE=1` shrinks
 //! them to CI size, and `RAYON_NUM_THREADS` sets the parallelism.
 
@@ -15,40 +16,9 @@ pub fn scale() -> usize {
 }
 
 /// Smoke mode from the `PP_SMOKE` env var: tiny sizes, so CI can run
-/// the report and the gates as a tripwire.
+/// the report as a tripwire.
 pub fn smoke() -> bool {
     std::env::var("PP_SMOKE").is_ok_and(|s| !s.is_empty() && s != "0")
-}
-
-/// Run a closure on a single-threaded rayon pool — the "Ours seq."
-/// column of Table 2 (the parallel algorithm on one core).
-pub fn run_single_threaded<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-    phase_parallel::RunConfig::new().with_threads(1).install(f)
-}
-
-/// Simple fixed-width table printer: columns right-aligned, at least
-/// 12 wide.
-pub struct Table(Vec<usize>);
-
-impl Table {
-    /// Start a table and print its header row.
-    pub fn new(headers: &[&str]) -> Self {
-        let table = Table(headers.iter().map(|h| h.len().max(12)).collect());
-        let header = table.line(headers);
-        println!("{header}\n{}", "-".repeat(header.len()));
-        table
-    }
-
-    /// Print one data row.
-    pub fn row(&self, cells: &[String]) {
-        println!("{}", self.line(cells));
-    }
-
-    fn line(&self, cells: &[impl AsRef<str>]) -> String {
-        let cells = cells.iter().zip(&self.0);
-        let cells: Vec<_> = cells.map(|(c, w)| format!("{:>w$}", c.as_ref())).collect();
-        cells.join("  ")
-    }
 }
 
 #[cfg(test)]
@@ -61,11 +31,5 @@ mod tests {
         if std::env::var("PP_SCALE").is_err() {
             assert_eq!(scale(), 1);
         }
-    }
-
-    #[test]
-    fn single_threaded_pool_runs() {
-        let v = run_single_threaded(rayon::current_num_threads);
-        assert_eq!(v, 1);
     }
 }

@@ -2,7 +2,6 @@
 //! figure binary it replaced, so its exact counts are that binary's.
 
 use super::{Row, Sizing};
-use crate::run_single_threaded;
 use phase_parallel::{PhaseAlgorithm, PivotMode, RunConfig, Scratch};
 use pp_algos::activity::{self, workload};
 use pp_algos::api::*;
@@ -26,7 +25,7 @@ pub fn ledger(s: Sizing, emit: &mut dyn FnMut(&Row)) {
     for entry in registry() {
         let slow = ["chain3d", "chain4d", "whac/2d"].contains(&entry.name());
         for n in [s.n(4_000), s.n(if slow { 8_000 } else { 32_000 })] {
-            emit(&run_single_threaded(|| {
+            emit(&RunConfig::new().with_threads(1).install(|| {
                 let (case, cfg, mut scratch) =
                     (CaseSpec::new(n, 7), RunConfig::new(), Scratch::new());
                 let mut row = Row::new("ledger", entry.name());
@@ -171,9 +170,9 @@ pub fn fig8_9(s: Sizing, emit: &mut dyn FnMut(&Row)) {
             let (ones, mut row) = (vec![1; n], Row::new("fig8_9", pattern));
             let k = row.time("classic_seq_s", || lis_seq(&series));
             let par = row.time("ours_par_s", || lis_weighted_par(&series, &ones, cfg));
-            let one = run_single_threaded(|| {
-                row.time("ours_seq_s", || lis_weighted_par(&series, &ones, cfg))
-            });
+            let one = RunConfig::new()
+                .with_threads(1)
+                .install(|| row.time("ours_seq_s", || lis_weighted_par(&series, &ones, cfg)));
             row.check("ours_par", k.into(), par.output.0.into())
                 .check("ours_seq", k.into(), one.output.0.into())
                 .field("n", n)

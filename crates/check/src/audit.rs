@@ -23,8 +23,10 @@
 //! comments, regular/raw strings, char literals vs lifetimes), so
 //! `unsafe` inside strings or comments never counts as a site and
 //! SAFETY text inside strings never counts as a justification. It runs
-//! as a workspace test and inside the `check_smoke` CI gate; fixture
-//! inputs are fed in-memory via [`scan_source`].
+//! against the workspace in `tests/audit_workspace.rs`
+//! (`workspace_is_clean_under_the_unsafe_audit`); fixture inputs are fed
+//! in-memory via [`scan_source`] in this module's tests
+//! (`uncovered_block_flagged` and its neighbours).
 
 use std::fmt;
 use std::path::{Path, PathBuf};

@@ -10,8 +10,9 @@
 //! the fault schedule is a function of the plan alone: the same seed
 //! string produces the same faults regardless of thread count,
 //! interleaving, or how many times the trace is re-run. That is what
-//! lets the `fault_smoke` CI gate assert that two runs under one seed
-//! yield byte-identical outcome sequences.
+//! lets `pp-serve`'s `resilience.rs::seeded_faults_are_typed_and_replayable`
+//! assert that two runs under one seed, on 1 and 8 workers, yield
+//! byte-identical outcome sequences.
 //!
 //! The injection machinery is compiled in only under `--cfg pp_fault`
 //! (mirroring `shims/rayon`'s `--cfg pp_check` instrumentation layer):

@@ -6,8 +6,8 @@
 //! *inputs*: a [`FuzzPlan`] is a seed string, and every mutated case it
 //! emits is a **pure function** of `(seed, case index)` — no global
 //! RNG, no clocks — so a failing case replays from two printable
-//! values. The `fuzz_smoke` CI gate leans on exactly that: the same
-//! plan produces the same case stream at 1 worker and at 8.
+//! values. `pp-serve`'s `tests/fuzzed_inputs.rs` leans on exactly that:
+//! the same plan produces the same case stream at 1 worker and at 8.
 //!
 //! The engine is *structure-aware*: instead of flipping random bytes it
 //! starts from a **valid** instance and applies one named mutation that
@@ -30,8 +30,9 @@
 //! panic, never a hang), and an identity case must be accepted with an
 //! output byte-identical to the unfuzzed run. This crate stays
 //! dependency-free, so the mutators deal in raw arrays, strings and
-//! knob descriptors; the drivers (`fuzz_smoke`, the graph/serve test
-//! suites) feed them into the real constructors.
+//! knob descriptors; the drivers (`pp-graph`'s `csr_properties.rs` for
+//! CSR arrays, `pp-serve`'s `fuzzed_inputs.rs` for keys, knobs and a
+//! hostile trace) feed them into the real constructors.
 //!
 //! ```
 //! use pp_check::fuzz::FuzzPlan;

@@ -25,9 +25,10 @@
 //!    `#![forbid(unsafe_code)]`, and that crates with unsafe declare
 //!    `#![deny(unsafe_op_in_unsafe_fn)]`.
 //!
-//! Both prongs run in CI via the `check_smoke` binary (bounded
-//! exploration + workspace audit); the full exhaustive suite runs under
-//! `cargo test -p pp-check`.
+//! Both prongs run in tier-1 `cargo test -p pp-check`: `tests/models.rs`
+//! explores every pool model (the seeded regressions and weakened
+//! orderings as negative controls that must fail), and
+//! `tests/audit_workspace.rs` audits the workspace.
 //!
 //! The checker itself is **100% safe Rust** (`#![forbid(unsafe_code)]`):
 //! because model threads run one at a time, all checker-internal shared

@@ -40,7 +40,8 @@ use crate::clock::VClock;
 // ---------------------------------------------------------------------------
 
 /// Exploration bounds. The defaults suit the pool models (2–3 threads,
-/// a few dozen operations); `check_smoke` tightens `max_schedules`.
+/// a few dozen operations); the larger models in `tests/models.rs`
+/// cap `max_schedules` at 200,000.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Context-switch budget: how many times the search may preempt a

@@ -187,8 +187,9 @@ pub struct TraceReport {
     /// Cache counter snapshot after the replay.
     pub counters: CacheCounters,
     /// Per-query typed outcomes, in trace order. Under a fixed fault
-    /// seed this sequence is reproducible run to run — the `fault_smoke`
-    /// gate's replay invariant.
+    /// seed this sequence is reproducible run to run — the replay
+    /// invariant `tests/resilience.rs::seeded_faults_are_typed_and_replayable`
+    /// asserts.
     pub outcomes: Vec<QueryOutcome>,
     /// Queries served.
     pub queries: usize,

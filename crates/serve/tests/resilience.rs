@@ -291,15 +291,19 @@ fn admission_accounting_balances() {
 }
 
 /// Fault-injection replay (runs only under `--cfg pp_fault`): injected
-/// query panics and forced deadline expiry under a fixed seed produce
-/// typed outcome rows, nonzero resilience counters, and a re-run under
-/// the same seed reproduces the identical outcome sequence and digest.
+/// query panics and forced deadline expiry under a fixed seed, over two
+/// graph tenants, produce typed outcome rows, nonzero resilience
+/// counters, and a re-run under the same seed on 8 workers instead of
+/// 1 reproduces the identical outcome sequence and digest.
 #[test]
 fn seeded_faults_are_typed_and_replayable() {
     if !fault::ENABLED {
-        return; // compiled out; the fault_smoke CI leg compiles it in
+        return; // compiled out; CI's fault leg builds with `--cfg pp_fault`
     }
-    let scenarios = [ScenarioSpec::parse("graph/grid2d+w/unit").unwrap()];
+    let scenarios = [
+        ScenarioSpec::parse("graph/rmat+w/uniform").unwrap(),
+        ScenarioSpec::parse("graph/grid2d+w/unit").unwrap(),
+    ];
     let trace = QueryTrace::generate(&scenarios, &TraceConfig::new(60, 17));
     fault::install(
         FaultPlan::new("pr9-resilience")
@@ -317,7 +321,7 @@ fn seeded_faults_are_typed_and_replayable() {
         tier.serve_trace(&trace)
     };
     let first = serve(1);
-    let again = serve(4);
+    let again = serve(8);
     fault::clear();
 
     // Fault decisions are pure hashes of (seed, site, query seed ^

@@ -4,14 +4,14 @@
 //! of the one-shot (prepare-per-query) path — sharing and concurrency
 //! must be invisible in the answers. On top of that, a full cache-backed
 //! [`ServingTier`] replay must reproduce the freshly-prepared reference
-//! digest for both graph and sequence entries.
+//! digest for every entry.
 
 #![forbid(unsafe_code)]
 
 use phase_parallel::{RunConfig, Scratch};
 use pp_algos::registry::{self, CaseSpec};
 use pp_serve::{CacheCounters, ServeOptions, ServingTier};
-use pp_workloads::{QueryTrace, ScenarioSpec, TraceConfig};
+use pp_workloads::{QueryTrace, ScenarioKind, ScenarioSpec, TraceConfig};
 use rayon::prelude::*;
 
 /// A small but non-trivial query mix: varied sources and seeds so
@@ -95,60 +95,60 @@ fn assert_prepared_once_per_tenant(counters: &CacheCounters, tenants: usize, que
     );
 }
 
-/// The full stack for a graph entry: Zipf trace through the cache on 1
-/// and 8 worker threads, digest-checked against the freshly-prepared
-/// reference, with the cache actually getting exercised.
-#[test]
-fn cache_served_trace_matches_fresh_for_graph_entry() {
-    let scenarios = [
-        ScenarioSpec::parse("graph/rmat+w/uniform").unwrap(),
-        ScenarioSpec::parse("graph/grid2d+w/unit").unwrap(),
-        ScenarioSpec::parse("graph/uniform+w/exp").unwrap(),
-    ];
-    let trace = QueryTrace::generate(&scenarios, &TraceConfig::new(200, 5));
+/// The full stack for every registry entry of `kind`: a Zipf trace over
+/// up to three of the entry's scenario families, served through the
+/// cache on 1 and 8 worker threads and digest-checked against the
+/// freshly-prepared reference, with each tenant prepared exactly once.
+fn assert_cache_served_trace_matches_fresh(kind: ScenarioKind) {
+    let entries: Vec<_> = registry::registry()
+        .iter()
+        .filter(|entry| entry.scenario_kind() == kind)
+        .collect();
+    assert!(!entries.is_empty(), "no {kind:?} entry in the registry");
+    for entry in entries {
+        let scenarios: Vec<ScenarioSpec> = entry.scenarios().into_iter().take(3).collect();
+        let trace = QueryTrace::generate(&scenarios, &TraceConfig::new(64, 17));
 
-    let mut digests = Vec::new();
-    for threads in [1usize, 8] {
-        let tier = ServingTier::new(
-            "sssp/delta",
-            ServeOptions::new(150, 9).with_threads(threads),
-        )
-        .unwrap();
-        let report = tier.serve_trace(&trace);
-        assert_eq!(report.queries, trace.len());
-        assert_eq!(
-            report.digest,
-            tier.reference_digest(&trace),
-            "{threads}-thread served trace diverged from fresh"
-        );
-        assert_prepared_once_per_tenant(&report.counters, scenarios.len(), trace.len());
-        assert_eq!(report.latency.count(), trace.len() as u64);
-        digests.push(report.digest);
+        let mut digests = Vec::new();
+        for threads in [1usize, 8] {
+            let tier = ServingTier::new(
+                entry.name(),
+                ServeOptions::new(120, 3).with_threads(threads),
+            )
+            .unwrap();
+            let report = tier.serve_trace(&trace);
+            assert_eq!(report.queries, trace.len());
+            assert_eq!(
+                report.digest,
+                tier.reference_digest(&trace),
+                "{}: {threads}-thread served trace diverged from fresh",
+                entry.name()
+            );
+            assert_prepared_once_per_tenant(
+                &report.counters,
+                trace.distinct_scenarios(),
+                trace.len(),
+            );
+            assert_eq!(report.latency.count(), trace.len() as u64);
+            digests.push(report.digest);
+        }
+        // Worker count must not change the answers.
+        assert_eq!(digests[0], digests[1], "{}", entry.name());
     }
-    // Worker count must not change the answers.
-    assert_eq!(digests[0], digests[1]);
 }
 
-/// Same contract for a sequence entry over sequence scenario families.
+/// Every graph-kind registry entry (`sssp/delta` among them).
+#[test]
+fn cache_served_trace_matches_fresh_for_graph_entry() {
+    assert_cache_served_trace_matches_fresh(ScenarioKind::Graph);
+}
+
+/// Every sequence-kind registry entry (`lis` among them). Together with
+/// the graph test this covers the whole registry: every entry is one of
+/// the two kinds.
 #[test]
 fn cache_served_trace_matches_fresh_for_seq_entry() {
-    let scenarios = [
-        ScenarioSpec::parse("seq/uniform").unwrap(),
-        ScenarioSpec::parse("seq/zipf").unwrap(),
-    ];
-    let trace = QueryTrace::generate(&scenarios, &TraceConfig::new(40, 13));
-
-    for threads in [1usize, 8] {
-        let tier =
-            ServingTier::new("lis", ServeOptions::new(200, 3).with_threads(threads)).unwrap();
-        let report = tier.serve_trace(&trace);
-        assert_eq!(
-            report.digest,
-            tier.reference_digest(&trace),
-            "{threads}-thread served trace diverged from fresh"
-        );
-        assert_prepared_once_per_tenant(&report.counters, scenarios.len(), trace.len());
-    }
+    assert_cache_served_trace_matches_fresh(ScenarioKind::Seq);
 }
 
 /// Re-serving the same trace through one tier is pure cache hits and
